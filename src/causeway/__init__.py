@@ -14,7 +14,6 @@ from causeway.embedding import (
     batch_embed,
     clean_embeddings,
     mock_provider,
-    rebuild_indexes,
     verify,
 )
 from causeway.evaluation import Confusion, EvalReport, confusion, metrics, sweep
@@ -83,7 +82,6 @@ __all__ = [
     "mock_provider",
     "parse_tagged_sentence",
     "query",
-    "rebuild_indexes",
     "structural_score",
     "sweep",
     "to_fewshot_examples",

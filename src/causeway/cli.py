@@ -62,6 +62,9 @@ class Config:
         return retrieval.HybridConfig(**values)
 
     def validate(self) -> None:
+        unknown = sorted(set(self.hybrid) - {"alpha", "beta", "tau", "k"})
+        if unknown:
+            raise ValueError(f"unknown hybrid setting(s): {', '.join(unknown)}")
         retrieval.HybridConfig(**self.hybrid)
         if self.provider.get("kind", "mock") not in ("mock", "http"):
             raise ValueError(f"unknown provider kind {self.provider.get('kind')!r}")
@@ -197,7 +200,6 @@ def _cmd_embed(config: Config, args) -> int:
     store = _load_store(config)
     provider = config.make_provider(override_kind=args.provider)
     cleared = embedding.clean_embeddings(store)
-    embedding.rebuild_indexes(store)
     report = embedding.batch_embed(store, provider, batch_size=args.batch_size)
     verification = embedding.verify(store)
     store.save(config.store_path)

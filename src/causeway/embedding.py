@@ -1,12 +1,12 @@
-"""Embedding lifecycle: clean, rebuild indexes, batch-embed, verify.
+"""Embedding lifecycle: clean, batch-embed, verify.
 
 The full cycle mirrors the graph-side embedding update procedure:
 
     1. clean_embeddings   - null out every stored vector
-    2. rebuild_indexes    - drop and recreate the four cosine indexes (dim 384)
-    3. batch_embed        - embed every node with non-null text, in batches
-    4. verify             - per-kind totals vs embedded counts
+    2. batch_embed        - embed every node with non-null text, in batches
+    3. verify             - per-kind totals vs embedded counts
 
+Vectors live only on their nodes; there is no separate vector index.
 Providers must be deterministic and are L2-normalized at ingestion, so the
 retrieval cosine reduces to a dot product.
 """
@@ -119,45 +119,24 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise ProviderFailureError(
                 f"provider returned {len(vectors)} vectors for {len(texts)} texts"
             )
+        for vec in vectors:
+            if vec.shape != (self.dimension,):
+                raise ProviderFailureError(
+                    f"provider returned a vector of shape {vec.shape}, "
+                    f"expected ({self.dimension},)"
+                )
         return vectors
-
-
-@dataclass
-class VectorIndex:
-    """Kind-scoped exact cosine index: node id -> unit vector."""
-
-    name: str
-    kind: NodeKind
-    dimension: int = EMBEDDING_DIM
-    metric: str = "cosine"
-    entries: dict[str, np.ndarray] = field(default_factory=dict)
-
-    def add(self, node_id: str, vector) -> None:
-        self.entries[node_id] = check_embedding(vector)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def index_name(kind: NodeKind) -> str:
-    return f"{kind.value.lower()}_embedding_index"
 
 
 def clean_embeddings(store: GraphStore) -> int:
     """Null every node embedding; returns how many were cleared."""
     embedded = [n.id for n in store.nodes() if n.embedding is not None]
     store.set_embeddings((node_id, None) for node_id in embedded)
-    for index in store.indexes.values():
-        index.entries.clear()
     return len(embedded)
 
 
-def rebuild_indexes(store: GraphStore) -> dict[NodeKind, VectorIndex]:
-    """Drop any existing vector indexes and create four fresh empty ones."""
-    store.indexes = {
-        kind: VectorIndex(name=index_name(kind), kind=kind) for kind in NodeKind
-    }
-    return store.indexes
+def rebuild_indexes(store: GraphStore) -> None:
+    """No-op: there are no vector indexes; bench/workloads.py still calls it."""
 
 
 @dataclass
@@ -234,11 +213,8 @@ def batch_embed(
                 )
             normalized.append((node.id, arr / norm))
         store.set_embeddings(normalized)  # one writer-lock hold per batch
-        for (node_id, vec), node in zip(normalized, batch):
+        for node in batch:
             report.embedded_counts[node.kind] += 1
-            index = store.indexes.get(node.kind)
-            if index is not None:
-                index.add(node_id, vec)
         report.batches_issued += 1
     logger.info(
         "embedded %d node(s) in %d batch(es)",

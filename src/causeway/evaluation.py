@@ -160,6 +160,8 @@ def load_eval_dataset(path: str | Path) -> list[EvalRecord]:
         if not line.strip():
             continue
         row = json.loads(line)
+        if not isinstance(row, dict):
+            raise BadLabelError(f"line {lineno}: record must be a JSON object")
         rec_id = str(row.get("id", f"line-{lineno}"))
         gold = row.get("gold_label")
         if gold not in (0, 1):

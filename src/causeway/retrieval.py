@@ -103,7 +103,8 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     """Score, filter and rank candidate events; empty store yields [].
 
     Considers exactly the events with non-null embedding and text. Neighbor
-    texts are collected only for the surviving top-k candidates.
+    texts are collected only for the surviving top-k candidates. The whole
+    query holds one read lock, so it sees a single consistent store.
     """
     qv = np.asarray(q, dtype=np.float64)
     if qv.shape != (EMBEDDING_DIM,):
@@ -113,34 +114,35 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     if float(np.linalg.norm(qv)) == 0.0:
         raise ZeroVectorError("query vector has zero norm")
 
-    scored = []
-    for event in store.events_with_embeddings():
-        counts = store.neighbor_counts(event.id)
-        s = structural_score(counts)
-        sim = cosine(event.embedding, qv)
-        h = hybrid_score(sim, s, cfg)
-        if h >= cfg.tau:
-            scored.append((h, sim, s, counts, event))
-    scored.sort(key=lambda item: (-item[0], item[4].id))
+    with store.lock.read():
+        scored = []
+        for event in store.events_with_embeddings():
+            counts = store.neighbor_counts(event.id)
+            s = structural_score(counts)
+            sim = cosine(event.embedding, qv)
+            h = hybrid_score(sim, s, cfg)
+            if h >= cfg.tau:
+                scored.append((h, sim, s, counts, event))
+        scored.sort(key=lambda item: (-item[0], item[4].id))
 
-    results = []
-    for h, sim, s, counts, event in scored[: cfg.k]:
-        cause_texts, effect_texts, trigger_texts = store.collect_texts(event.id)
-        results.append(
-            RetrievalResult(
-                event_id=event.id,
-                event_text=event.text,
-                hybrid_score=h,
-                embedding_similarity=sim,
-                structural_score=s,
-                cause_count=counts[0],
-                effect_count=counts[1],
-                trigger_count=counts[2],
-                cause_texts=tuple(cause_texts),
-                effect_texts=tuple(effect_texts),
-                trigger_texts=tuple(trigger_texts),
+        results = []
+        for h, sim, s, counts, event in scored[: cfg.k]:
+            cause_texts, effect_texts, trigger_texts = store.collect_texts(event.id)
+            results.append(
+                RetrievalResult(
+                    event_id=event.id,
+                    event_text=event.text,
+                    hybrid_score=h,
+                    embedding_similarity=sim,
+                    structural_score=s,
+                    cause_count=counts[0],
+                    effect_count=counts[1],
+                    trigger_count=counts[2],
+                    cause_texts=tuple(cause_texts),
+                    effect_texts=tuple(effect_texts),
+                    trigger_texts=tuple(trigger_texts),
+                )
             )
-        )
     return results
 
 

@@ -9,8 +9,8 @@ fixed endpoint table:
 
 Storage is in-memory with optional JSON snapshot persistence. Edges have
 set semantics (duplicates are idempotent) but preserve first-insertion
-order, which fixes the order of collected neighbor texts. Concurrency
-contract: many readers or one writer.
+order, which fixes the order of collected neighbor texts; adjacency is
+kept on each edge's one Event endpoint. Many readers or one writer.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +32,6 @@ from causeway.errors import (
     NotAnEventError,
     UnknownIdError,
 )
-
-if TYPE_CHECKING:
-    from causeway.embedding import VectorIndex
 
 EMBEDDING_DIM = 384
 
@@ -165,23 +161,39 @@ class _RWLock:
                 self._cond.notify_all()
 
 
+_NODE_KEYS = frozenset({"id", "kind", "text", "embedding"})
+_EDGE_KEYS = frozenset({"src", "dst", "kind"})
+
+
+def _snapshot_records(path, payload: dict, key: str, fields: frozenset) -> list:
+    """The snapshot's ``key`` list, each record an object with ``fields``."""
+    records = payload.get(key)
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: snapshot {key!r} must be a list")
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or not rec.keys() >= fields:
+            raise ValueError(
+                f"{path}: snapshot {key}[{i}] must be an object "
+                f"with keys {sorted(fields)}"
+            )
+    return records
+
+
 class GraphStore:
     """In-memory causal property graph.
 
     Nodes are keyed by caller-assigned string ids (conventionally
-    namespaced by kind, e.g. ``event:17``). Vector indexes live in
-    ``self.indexes`` and are managed by the embedding module; the store
-    itself never consults them.
+    namespaced by kind, e.g. ``event:17``). Each fact is held once: a
+    node's embedding lives only on the node, and retrieval scans those
+    vectors directly.
     """
 
     def __init__(self):
         self._nodes: dict[str, Node] = {}
-        self._edges: list[Edge] = []
-        self._edge_set: set[Edge] = set()
-        # adjacency: node id -> edge kind -> neighbor ids in insertion order
-        self._out: dict[str, dict[EdgeKind, list[str]]] = {}
-        self._in: dict[str, dict[EdgeKind, list[str]]] = {}
-        self.indexes: dict[NodeKind, "VectorIndex"] = {}
+        # every edge once, in first-insertion order
+        self._edges: dict[Edge, None] = {}
+        # event id -> edge kind -> other-endpoint ids in insertion order
+        self._adjacent: dict[str, dict[EdgeKind, list[str]]] = {}
         self.lock = _RWLock()
 
     # --- nodes ---
@@ -253,12 +265,15 @@ class GraphStore:
                     f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
                     f"got {src.kind.value}->{dst.kind.value}"
                 )
-            if edge in self._edge_set:
+            if edge in self._edges:
                 return
-            self._edge_set.add(edge)
-            self._edges.append(edge)
-            self._out.setdefault(edge.src, {}).setdefault(edge.kind, []).append(edge.dst)
-            self._in.setdefault(edge.dst, {}).setdefault(edge.kind, []).append(edge.src)
+            self._edges[edge] = None
+            if want_src is NodeKind.EVENT:
+                event_id, other_id = edge.src, edge.dst
+            else:
+                event_id, other_id = edge.dst, edge.src
+            neighbors = self._adjacent.setdefault(event_id, {})
+            neighbors.setdefault(edge.kind, []).append(other_id)
 
     def edges(self) -> list[Edge]:
         with self.lock.read():
@@ -278,20 +293,20 @@ class GraphStore:
         """(cause, effect, trigger) edge counts for one event."""
         with self.lock.read():
             self._require_event(event_id)
-            n_cause = len(self._in.get(event_id, {}).get(EdgeKind.CAUSES, ()))
-            out = self._out.get(event_id, {})
-            n_effect = len(out.get(EdgeKind.RESULTS_IN, ()))
-            n_trigger = len(out.get(EdgeKind.HAS_TRIGGER, ()))
+            adjacent = self._adjacent.get(event_id, {})
+            n_cause = len(adjacent.get(EdgeKind.CAUSES, ()))
+            n_effect = len(adjacent.get(EdgeKind.RESULTS_IN, ()))
+            n_trigger = len(adjacent.get(EdgeKind.HAS_TRIGGER, ()))
         return n_cause, n_effect, n_trigger
 
     def collect_texts(self, event_id: str) -> tuple[list[str], list[str], list[str]]:
         """(cause, effect, trigger) neighbor texts in edge-insertion order."""
         with self.lock.read():
             self._require_event(event_id)
-            causes = self._in.get(event_id, {}).get(EdgeKind.CAUSES, [])
-            out = self._out.get(event_id, {})
-            effects = out.get(EdgeKind.RESULTS_IN, [])
-            triggers = out.get(EdgeKind.HAS_TRIGGER, [])
+            adjacent = self._adjacent.get(event_id, {})
+            causes = adjacent.get(EdgeKind.CAUSES, [])
+            effects = adjacent.get(EdgeKind.RESULTS_IN, [])
+            triggers = adjacent.get(EdgeKind.HAS_TRIGGER, [])
 
             def texts(ids: list[str]) -> list[str]:
                 return [self._nodes[i].text or "" for i in ids]
@@ -351,12 +366,14 @@ class GraphStore:
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        if payload.get("format") != SNAPSHOT_FORMAT:
+        if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
         if payload.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version")
+        nodes = _snapshot_records(path, payload, "nodes", _NODE_KEYS)
+        edges = _snapshot_records(path, payload, "edges", _EDGE_KEYS)
         store = cls()
-        for rec in payload["nodes"]:
+        for rec in nodes:
             store.upsert_node(
                 Node(
                     id=rec["id"],
@@ -365,6 +382,6 @@ class GraphStore:
                     embedding=rec["embedding"],
                 )
             )
-        for rec in payload["edges"]:
+        for rec in edges:
             store.add_edge(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
         return store

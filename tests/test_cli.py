@@ -245,6 +245,50 @@ def test_invalid_config_rejected(tmp_path, capsys):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"hybrid": {"alpha": -1.0}}), encoding="utf-8")
     assert main(["--config", str(config), "stats"]) == 1
+    config.write_text(json.dumps({"hybrid": {"gamma": 0.5}}), encoding="utf-8")
+    assert main(["--config", str(config), "stats"]) == 1
+    assert "gamma" in capsys.readouterr().err
+
+
+def test_malformed_snapshot_is_operational_error(workspace, capsys):
+    workspace["store"].write_text(
+        json.dumps({"format": "causeway-graph-snapshot", "version": 1}), encoding="utf-8"
+    )
+    assert run(["stats"], workspace) == 1
+    assert "nodes" in capsys.readouterr().err
+
+
+def test_non_object_eval_line_is_operational_error(workspace, capsys):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    workspace["testset"].write_text("[1, 2]\n", encoding="utf-8")
+    assert run(["evaluate", "--test", str(workspace["testset"])], workspace) == 1
+    assert "line 1" in capsys.readouterr().err
+
+
+def test_wrong_dimension_provider_exits_three(workspace, tmp_path, monkeypatch, capsys):
+    import requests
+
+    class Reply:
+        def __init__(self, n):
+            self.n = n
+
+        def raise_for_status(self):
+            pass
+
+        def json(self):
+            return {"data": [{"embedding": [0.1] * 3}] * self.n}
+
+    class Session:
+        def post(self, url, json=None, headers=None, timeout=None):
+            return Reply(len(json["input"]))
+
+    monkeypatch.setattr(requests, "Session", Session)
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    config = tmp_path / "config.json"
+    provider = {"kind": "http", "endpoint": "http://embed.local"}
+    config.write_text(json.dumps({"provider": provider}), encoding="utf-8")
+    assert run(["--config", str(config), "embed"], workspace) == 3
+    assert "shape" in capsys.readouterr().err
 
 
 def test_json_mode_emits_single_document(workspace, capsys):

@@ -9,12 +9,9 @@ from causeway.embedding import (
     EmbedReport,
     EmbeddingProvider,
     HttpEmbeddingProvider,
-    VectorIndex,
     batch_embed,
     clean_embeddings,
-    index_name,
     mock_provider,
-    rebuild_indexes,
     verify,
 )
 from causeway.errors import DimensionMismatchError, ProviderFailureError
@@ -60,35 +57,6 @@ def test_clean_embeddings_counts(provider):
 
 def test_clean_embeddings_empty_store():
     assert clean_embeddings(GraphStore()) == 0
-
-
-def test_clean_also_clears_indexes(provider):
-    store = store_with_texts(4)
-    rebuild_indexes(store)
-    batch_embed(store, provider)
-    assert len(store.indexes[NodeKind.EVENT]) == 4
-    clean_embeddings(store)
-    assert len(store.indexes[NodeKind.EVENT]) == 0
-
-
-def test_rebuild_indexes_fresh_and_typed():
-    store = store_with_texts(3)
-    indexes = rebuild_indexes(store)
-    assert len(indexes) == 4
-    for kind in NodeKind:
-        assert indexes[kind].dimension == EMBEDDING_DIM == 384
-        assert indexes[kind].metric == "cosine"
-        assert indexes[kind].name == index_name(kind)
-        assert len(indexes[kind]) == 0
-
-
-def test_double_rebuild_drops_entries(provider):
-    store = store_with_texts(3)
-    rebuild_indexes(store)
-    batch_embed(store, provider)
-    assert len(store.indexes[NodeKind.EVENT]) == 3
-    rebuild_indexes(store)
-    assert len(store.indexes[NodeKind.EVENT]) == 0
 
 
 def test_batch_count_is_ceiling(provider):
@@ -205,7 +173,6 @@ def test_lifecycle_leaves_full_coverage(provider, rng):
     for trial in range(5):
         store = random_store(rng, n_events=rng.randint(1, 40))
         clean_embeddings(store)
-        rebuild_indexes(store)
         batch_embed(store, provider, batch_size=rng.choice([1, 3, 64]))
         report = verify(store)
         assert report.ok
@@ -233,12 +200,6 @@ def test_verify_counts_null_text_nodes(provider):
     assert row.embedded == 4
     assert row.total - row.embedded == 2  # exactly the null-text nodes
     assert report.ok  # no text-bearing node is missing a vector
-
-
-def test_vector_index_add_validates_dimension():
-    index = VectorIndex(name="x", kind=NodeKind.EVENT)
-    with pytest.raises(DimensionMismatchError):
-        index.add("event:1", np.ones(3))
 
 
 class FakeResponse:
@@ -288,3 +249,10 @@ def test_http_provider_checks_cardinality():
     provider = HttpEmbeddingProvider("http://embed.local", session=session)
     with pytest.raises(ProviderFailureError):
         provider.embed_batch(["a", "b"])
+
+
+def test_http_provider_checks_dimension():
+    session = FakeSession({"data": [{"embedding": [0.1] * (EMBEDDING_DIM - 1)}]})
+    provider = HttpEmbeddingProvider("http://embed.local", session=session)
+    with pytest.raises(ProviderFailureError):
+        provider.embed_batch(["a"])

@@ -144,6 +144,9 @@ def test_load_eval_dataset_requires_gold(tmp_path):
     path.write_text('{"id": "a", "text": "s"}\n', encoding="utf-8")
     with pytest.raises(BadLabelError):
         load_eval_dataset(path)
+    path.write_text('{"id": "a", "text": "s", "gold_label": 1}\n[1, 2]\n', encoding="utf-8")
+    with pytest.raises(BadLabelError, match="line 2"):
+        load_eval_dataset(path)
 
 
 class ThresholdClient(LLMClient):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import threading
 
 import numpy as np
 import pytest
@@ -202,6 +203,33 @@ def test_query_matches_bruteforce_oracle(rng):
             assert abs(r.hybrid_score - w[1]) <= 1e-9
             assert abs(r.embedding_similarity - w[2]) <= 1e-9
             assert r.structural_score == w[3]
+
+
+def test_query_holds_one_read_lock_against_writers(rng):
+    store = random_store(rng, n_events=20)
+    original = store.neighbor_counts
+    writer_done = threading.Event()
+    seen_done = []
+
+    def write():
+        store.upsert_node(Node("event:late", NodeKind.EVENT, text="late"))
+        writer_done.set()
+
+    writer = threading.Thread(target=write, daemon=True)
+
+    def neighbor_counts(event_id):
+        if not seen_done:
+            writer.start()
+            writer_done.wait(0.2)  # room for the writer between two scan steps
+        seen_done.append(writer_done.is_set())
+        return original(event_id)
+
+    store.neighbor_counts = neighbor_counts
+    query(store, random_unit_vector(np.random.default_rng(3)), HybridConfig(tau=-1.0))
+    assert len(seen_done) > 1
+    assert not any(seen_done)  # the writer stayed blocked for the whole query
+    writer.join(timeout=5)
+    assert writer_done.is_set()
 
 
 def test_query_threshold_superset_prefix(rng):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from causeway.errors import (
 )
 from causeway.store import (
     EMBEDDING_DIM,
+    SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
     Edge,
     EdgeKind,
     GraphStore,
@@ -257,6 +260,36 @@ def test_snapshot_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
     with pytest.raises(ValueError):
+        GraphStore.load(path)
+
+
+HEADER = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
+NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        "text",
+        {**HEADER, "edges": []},
+        {**HEADER, "nodes": {}, "edges": []},
+        {**HEADER, "nodes": []},
+        {**HEADER, "nodes": [], "edges": None},
+        {**HEADER, "nodes": [1], "edges": []},
+        {**HEADER, "nodes": [{"id": "event:1", "kind": "Event"}], "edges": []},
+        {**HEADER, "nodes": [NODE], "edges": [["event:1", "cause:1", "CAUSES"]]},
+        {**HEADER, "nodes": [NODE], "edges": [{"src": "cause:1", "kind": "CAUSES"}]},
+    ],
+    ids=[
+        "list", "string", "no-nodes", "nodes-not-list", "no-edges", "edges-not-list",
+        "node-not-object", "node-missing-key", "edge-not-object", "edge-missing-key",
+    ],
+)
+def test_snapshot_rejects_malformed_shape(tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.json"):
         GraphStore.load(path)
 
 
