@@ -41,12 +41,19 @@ class Config:
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{path}: config must be a JSON object")
         cfg = cls()
         for key in ("store_path", "rules_path", "log_level"):
             if key in raw:
-                setattr(cfg, key, raw[key])
+                value = raw[key]
+                if not isinstance(value, str) and (key != "rules_path" or value is not None):
+                    raise ValueError(f"{path}: config {key!r} must be a string")
+                setattr(cfg, key, value)
         for key in ("provider", "client", "hybrid"):
             if key in raw:
+                if not isinstance(raw[key], dict):
+                    raise ValueError(f"{path}: config {key!r} must be an object")
                 getattr(cfg, key).update(raw[key])
         return cfg
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causeway.errors import DimensionMismatchError, ProviderFailureError
+from causeway.errors import DimensionMismatchError, ProviderFailureError, ZeroVectorError
 from causeway.store import EMBEDDING_DIM, GraphStore, Node, NodeKind, check_embedding
 
 logger = logging.getLogger(__name__)
@@ -204,14 +204,14 @@ def batch_embed(
             )
         normalized = []
         for node, vec in zip(batch, vectors):
-            arr = check_embedding(vec)
-            norm = np.linalg.norm(arr)
-            if norm == 0.0:
+            try:
+                arr = check_embedding(vec)
+            except ZeroVectorError as exc:
                 raise ProviderFailureError(
                     f"provider returned a zero vector for node {node.id!r}",
                     report=report,
-                )
-            normalized.append((node.id, arr / norm))
+                ) from exc
+            normalized.append((node.id, arr / np.linalg.norm(arr)))
         store.set_embeddings(normalized)  # one writer-lock hold per batch
         for node in batch:
             report.embedded_counts[node.kind] += 1

@@ -69,6 +69,10 @@ class BudgetTooSmallError(CausewayError):
     """Even the zero-shot prompt exceeds the token budget."""
 
 
+class XmlCharacterError(CausewayError):
+    """Prompt text holds a character that XML 1.0 cannot carry."""
+
+
 # --- inference ---
 
 class TransportError(CausewayError):

@@ -22,8 +22,9 @@ from causeway.errors import (
     LengthMismatchError,
     SourceUnreadableError,
 )
-from causeway.inference import LLMClient, RateBudgeter, classify
-from causeway.retrieval import HybridConfig
+from causeway import retrieval
+from causeway.inference import LLMClient, RateBudgeter, classify_retrieved
+from causeway.inference import classify  # noqa: F401  bench/tracer.py patches this name
 from causeway.store import GraphStore
 
 logger = logging.getLogger(__name__)
@@ -182,25 +183,36 @@ def sweep(
     store: GraphStore,
     provider: EmbeddingProvider,
     client: LLMClient,
-    cfg_base: HybridConfig | None = None,
+    cfg_base: retrieval.HybridConfig | None = None,
     rules: list[str] | None = None,
     max_prompt_tokens: int | None = None,
     budgeter: RateBudgeter | None = None,
 ) -> list[EvalReport]:
-    """One report per k; per-sentence failures are recorded, never fatal."""
-    cfg_base = cfg_base or HybridConfig()
-    reports = []
-    for k in k_values:
-        cfg = replace(cfg_base, k=k)
-        preds, golds, failures = [], [], []
-        for record in dataset:
+    """One report per k; per-sentence failures are recorded, never fatal.
+
+    Each sentence is embedded and ranked once, at the largest k; every k
+    classifies against a prefix of that ranking. The prefix is exact: the
+    ranking is a total order (score, then id) and tau is the same for all k.
+    """
+    cfg_base = cfg_base or retrieval.HybridConfig()
+    cfgs = [replace(cfg_base, k=k) for k in k_values]  # rejects a bad k up front
+    if not cfgs:
+        return []
+    deepest = max(cfgs, key=lambda cfg: cfg.k)
+    outcomes = [([], [], []) for _ in cfgs]  # per k: preds, golds, failures
+    for record in dataset:
+        try:
+            results = retrieval.query(store, provider.embed(record.text), deepest)
+        except CausewayError as exc:
+            for _, _, failures in outcomes:
+                failures.append((record.id, str(exc)))
+            continue
+        for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
             try:
-                verdict, _ = classify(
+                verdict, _ = classify_retrieved(
                     record.text,
-                    store,
-                    provider,
+                    results[: cfg.k],
                     client,
-                    cfg=cfg,
                     rules=rules,
                     max_prompt_tokens=max_prompt_tokens,
                     budgeter=budgeter,
@@ -210,11 +222,13 @@ def sweep(
                 continue
             preds.append(verdict.label)
             golds.append(record.gold_label)
+    reports = []
+    for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
         c = confusion(preds, golds)
         reports.append(
             EvalReport(
                 model=client.name,
-                k=k,
+                k=cfg.k,
                 tau=cfg.tau,
                 alpha=cfg.alpha,
                 beta=cfg.beta,
@@ -223,7 +237,7 @@ def sweep(
                 failures=failures,
             )
         )
-        logger.info("sweep k=%d: f1=%.4f (%d failures)", k, reports[-1].metrics.f1, len(failures))
+        logger.info("sweep k=%d: f1=%.4f (%d failures)", cfg.k, reports[-1].metrics.f1, len(failures))
     return reports
 
 

@@ -2,8 +2,10 @@
 
 classify() embeds the sentence, retrieves few-shot examples, renders the
 XML prompt, calls the client (with bounded retries on transport errors)
-and salvages a strict two-key JSON verdict from the raw output. The mock
-client makes the whole pipeline deterministic and offline-testable.
+and salvages a strict two-key JSON verdict from the raw output. Everything
+after retrieval is classify_retrieved(), which a top-k sweep calls once
+per k on prefixes of one ranking. The mock client makes the whole
+pipeline deterministic and offline-testable.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from causeway.prompting import (
     estimate_tokens,
     token_budget_trim,
 )
-from causeway.retrieval import HybridConfig, query, to_fewshot_examples
+from causeway.retrieval import HybridConfig, RetrievalResult, query, to_fewshot_examples
 from causeway.store import GraphStore, Node, NodeKind
 
 logger = logging.getLogger(__name__)
@@ -278,9 +280,31 @@ def classify(
     retry_sleeper: Callable[[float], None] = time.sleep,
 ) -> tuple[Verdict, RetrievalTrace]:
     """Full per-sentence pipeline; read-only with respect to the store."""
-    cfg = cfg or HybridConfig()
-    query_vector = provider.embed(sentence)
-    results = query(store, query_vector, cfg)
+    return classify_retrieved(
+        sentence,
+        query(store, provider.embed(sentence), cfg or HybridConfig()),
+        client,
+        rules=rules,
+        max_prompt_tokens=max_prompt_tokens,
+        budgeter=budgeter,
+        retry_sleeper=retry_sleeper,
+    )
+
+
+def classify_retrieved(
+    sentence: str,
+    results: list[RetrievalResult],
+    client: LLMClient,
+    rules: list[str] | None = None,
+    max_prompt_tokens: int | None = None,
+    budgeter: RateBudgeter | None = None,
+    retry_sleeper: Callable[[float], None] = time.sleep,
+) -> tuple[Verdict, RetrievalTrace]:
+    """classify() after retrieval: few-shot, prompt, client call, verdict.
+
+    ``results`` are used as given, in rank order, as the few-shot examples;
+    a prefix of a deeper ranking is exactly a shallower query's results.
+    """
     examples = to_fewshot_examples(results)
     spec = PromptSpec(
         query_sentence=sentence,

@@ -19,18 +19,20 @@ Rendered element schema (documented contract, see README):
     </prompt>
 
 All content is entity-escaped; identical specs render byte-identically.
+Text holding a character that XML 1.0 cannot carry is refused.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 from typing import Callable
 from xml.etree import ElementTree as ET
 
-from causeway.errors import BudgetTooSmallError
+from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.retrieval import FewShotExample
 
 DEFAULT_INSTRUCTIONS = (
@@ -50,6 +52,10 @@ OUTPUT_CONTRACT = (
 )
 
 TOKEN_SAFETY_FACTOR = 1.3
+
+# any character outside the XML 1.0 Char production (controls, surrogates,
+# U+FFFE/U+FFFF); ElementTree writes them as-is and no parser reads them back
+_XML_INVALID = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def estimate_tokens(text: str) -> int:
@@ -129,7 +135,13 @@ def build_prompt(spec: PromptSpec) -> str:
     ET.SubElement(root, "output_format").text = spec.output_contract
 
     ET.indent(root)
-    return ET.tostring(root, encoding="unicode")
+    prompt = ET.tostring(root, encoding="unicode")
+    bad = _XML_INVALID.search(prompt)
+    if bad is not None:
+        raise XmlCharacterError(
+            f"prompt text holds {bad.group()!r}, which XML 1.0 cannot carry"
+        )
+    return prompt
 
 
 def token_budget_trim(

@@ -14,6 +14,7 @@ approximate indexes unnecessary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -36,6 +37,12 @@ class HybridConfig:
     k: int = DEFAULT_TOP_K
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "tau"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if isinstance(self.k, bool) or not isinstance(self.k, Integral):
+            raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
         if self.alpha + self.beta <= 0:

@@ -16,6 +16,7 @@ kept on each edge's one Event endpoint. Many readers or one writer.
 from __future__ import annotations
 
 import json
+import math
 import threading
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -31,6 +32,7 @@ from causeway.errors import (
     MissingEndpointError,
     NotAnEventError,
     UnknownIdError,
+    ZeroVectorError,
 )
 
 EMBEDDING_DIM = 384
@@ -61,14 +63,22 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 
 
 def check_embedding(vector) -> np.ndarray:
-    """Coerce to a float64 array and enforce dimension and finiteness."""
-    arr = np.asarray(vector, dtype=np.float64)
+    """Coerce to a float64 array; enforce dimension, finiteness, nonzero norm."""
+    try:
+        arr = np.asarray(vector, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatchError(f"embedding entries must be numbers: {exc}") from exc
     if arr.shape != (EMBEDDING_DIM,):
         raise DimensionMismatchError(
             f"embedding must have shape ({EMBEDDING_DIM},), got {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    # squares are non-negative, so a nan or inf entry makes the sum non-finite;
+    # a non-finite sum of finite entries (overflow) is still accepted
+    squared_norm = float(arr.dot(arr))
+    if not math.isfinite(squared_norm) and not np.isfinite(arr).all():
         raise DimensionMismatchError("embedding entries must be finite")
+    if squared_norm == 0.0:  # cosine would reject it at query time
+        raise ZeroVectorError("embedding has zero norm")
     return arr
 
 
@@ -161,21 +171,33 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-_NODE_KEYS = frozenset({"id", "kind", "text", "embedding"})
-_EDGE_KEYS = frozenset({"src", "dst", "kind"})
+# snapshot record keys and the JSON types each one's value may take
+_NODE_FIELDS = {
+    "id": str,
+    "kind": str,
+    "text": (str, type(None)),
+    "embedding": (list, type(None)),
+}
+_EDGE_FIELDS = {"src": str, "dst": str, "kind": str}
 
 
-def _snapshot_records(path, payload: dict, key: str, fields: frozenset) -> list:
-    """The snapshot's ``key`` list, each record an object with ``fields``."""
+def _snapshot_records(path, payload: dict, key: str, fields: dict) -> list:
+    """The snapshot's ``key`` list, each record an object with typed ``fields``."""
     records = payload.get(key)
     if not isinstance(records, list):
         raise ValueError(f"{path}: snapshot {key!r} must be a list")
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or not rec.keys() >= fields:
+        if not isinstance(rec, dict) or not rec.keys() >= fields.keys():
             raise ValueError(
                 f"{path}: snapshot {key}[{i}] must be an object "
                 f"with keys {sorted(fields)}"
             )
+        for name, types in fields.items():
+            if not isinstance(rec[name], types):
+                raise ValueError(
+                    f"{path}: snapshot {key}[{i}] {name!r} must not be "
+                    f"{type(rec[name]).__name__}"
+                )
     return records
 
 
@@ -370,8 +392,8 @@ class GraphStore:
             raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
         if payload.get("version") != SNAPSHOT_VERSION:
             raise ValueError(f"{path}: unsupported snapshot version")
-        nodes = _snapshot_records(path, payload, "nodes", _NODE_KEYS)
-        edges = _snapshot_records(path, payload, "edges", _EDGE_KEYS)
+        nodes = _snapshot_records(path, payload, "nodes", _NODE_FIELDS)
+        edges = _snapshot_records(path, payload, "edges", _EDGE_FIELDS)
         store = cls()
         for rec in nodes:
             store.upsert_node(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from causeway.cli import main
@@ -139,6 +140,14 @@ def test_classify_writes_graph(workspace, capsys):
     assert doc["trace"]["k_used"] >= 1
 
 
+def test_classify_xml_invalid_sentence_exits_one(workspace, capsys):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    capsys.readouterr()
+    assert run(["classify", "--sentence", "bad \x01 sentence"], workspace) == 1
+    assert "XML 1.0" in capsys.readouterr().err
+
+
 def test_evaluate_writes_reports(workspace, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
     run(["embed", "--provider", "mock"], workspace)
@@ -248,6 +257,22 @@ def test_invalid_config_rejected(tmp_path, capsys):
     config.write_text(json.dumps({"hybrid": {"gamma": 0.5}}), encoding="utf-8")
     assert main(["--config", str(config), "stats"]) == 1
     assert "gamma" in capsys.readouterr().err
+    for raw in (
+        5,
+        [1],
+        {"hybrid": 5},
+        {"hybrid": {"alpha": "x"}},
+        {"hybrid": {"tau": True}},
+        {"hybrid": {"k": 2.5}},
+        {"provider": []},
+        {"client": "mock"},
+        {"log_level": 5},
+        {"store_path": None},
+        {"rules_path": 5},
+    ):
+        config.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["--config", str(config), "stats"]) == 1, raw
+        assert capsys.readouterr().err.startswith("error: "), raw
 
 
 def test_malformed_snapshot_is_operational_error(workspace, capsys):
@@ -289,6 +314,19 @@ def test_wrong_dimension_provider_exits_three(workspace, tmp_path, monkeypatch, 
     config.write_text(json.dumps({"provider": provider}), encoding="utf-8")
     assert run(["--config", str(config), "embed"], workspace) == 3
     assert "shape" in capsys.readouterr().err
+
+
+def test_zero_vector_provider_exits_three(workspace, monkeypatch, capsys):
+    from causeway import embedding
+
+    class ZeroProvider(embedding.EmbeddingProvider):
+        def embed_batch(self, texts):
+            return [np.zeros(embedding.EMBEDDING_DIM) for _ in texts]
+
+    monkeypatch.setattr(embedding, "mock_provider", lambda seed=0: ZeroProvider())
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    assert run(["embed"], workspace) == 3
+    assert "zero vector" in capsys.readouterr().err
 
 
 def test_json_mode_emits_single_document(workspace, capsys):

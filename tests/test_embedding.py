@@ -125,6 +125,23 @@ def test_batch_embed_validates_args(provider):
         batch_embed(store, WrongDim())
 
 
+class ZeroProvider(EmbeddingProvider):
+    """Returns an all-zero vector for every text."""
+
+    name = "zero"
+
+    def embed_batch(self, texts):
+        return [np.zeros(EMBEDDING_DIM) for _ in texts]
+
+
+def test_zero_vector_from_provider_is_provider_failure():
+    store = store_with_texts(3)
+    with pytest.raises(ProviderFailureError, match="zero vector") as exc_info:
+        batch_embed(store, ZeroProvider(), batch_size=2)
+    assert exc_info.value.report.total_embedded == 0
+    assert all(n.embedding is None for n in store.nodes())
+
+
 class FlakyProvider(EmbeddingProvider):
     """Fails the first `fail_times` calls for a given batch index."""
 

@@ -2,18 +2,24 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
 
+from causeway import retrieval
+from causeway.embedding import EmbeddingProvider
 from causeway.errors import (
     BadLabelError,
+    CausewayError,
     EmptyConfusionError,
     LengthMismatchError,
 )
 from causeway.evaluation import (
     Confusion,
     EvalRecord,
+    EvalReport,
     confusion,
     load_eval_dataset,
     metrics,
@@ -21,7 +27,8 @@ from causeway.evaluation import (
     reports_to_markdown,
     sweep,
 )
-from causeway.inference import LLMClient
+from causeway.inference import LLMClient, classify
+from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
 from causeway.retrieval import HybridConfig
 from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
 
@@ -230,6 +237,102 @@ def test_sweep_records_failures_not_fatal(provider):
     reports = sweep(dataset, [3], store, provider, ExplodingClient())
     assert reports[0].confusion.total == 1
     assert [f[0] for f in reports[0].failures] == ["bad"]
+
+
+class CountingProvider(EmbeddingProvider):
+    """Counts embed calls; the text "zero vector" embeds to all zeros."""
+
+    name = "counting"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.embeds = 0
+
+    def embed(self, text):
+        self.embeds += 1
+        return super().embed(text)
+
+    def embed_batch(self, texts):
+        return [
+            np.zeros(self.dimension) if text == "zero vector" else vec
+            for text, vec in zip(texts, self.inner.embed_batch(texts))
+        ]
+
+
+def per_k_reports(dataset, k_values, store, provider, client, cfg_base, max_prompt_tokens):
+    """The reports of a sweep that calls classify once per (sentence, k)."""
+    reports = []
+    for k in k_values:
+        cfg = replace(cfg_base, k=k)
+        preds, golds, failures = [], [], []
+        for record in dataset:
+            try:
+                verdict, _ = classify(
+                    record.text, store, provider, client, cfg=cfg,
+                    max_prompt_tokens=max_prompt_tokens,
+                )
+            except CausewayError as exc:
+                failures.append((record.id, str(exc)))
+                continue
+            preds.append(verdict.label)
+            golds.append(record.gold_label)
+        c = confusion(preds, golds)
+        reports.append(
+            EvalReport(client.name, k, cfg.tau, cfg.alpha, cfg.beta, c, metrics(c), failures)
+        )
+    return reports
+
+
+@pytest.mark.parametrize("budgeted", [False, True], ids=["no-budget", "budget"])
+@pytest.mark.parametrize(
+    "k_values", [[5, 10, 15, 20], [20, 5, 5, 1]], ids=["ascending", "unsorted-dup"]
+)
+def test_sweep_ranks_each_sentence_once_and_matches_per_k_classify(
+    provider, monkeypatch, k_values, budgeted
+):
+    store, dataset = sweep_fixture(provider, n_events=25)
+    dataset += [
+        EvalRecord("xml", "bad \x01 sentence that needs 1 examples", 1),
+        EvalRecord("zero", "zero vector", 0),
+    ]
+    cfg = HybridConfig(tau=-1.0)
+    budget = None
+    if budgeted:  # room for a few examples, so large k are trimmed
+        zero_shot = build_prompt(PromptSpec(query_sentence=dataset[-3].text))
+        budget = estimate_tokens(zero_shot) + 60
+    queries = []
+    real_query = retrieval.query
+
+    def counting_query(*args):
+        queries.append(args[2].k)
+        return real_query(*args)
+
+    monkeypatch.setattr(retrieval, "query", counting_query)
+    counting = CountingProvider(provider)
+    reports = sweep(
+        dataset, k_values, store, counting, ThresholdClient(),
+        cfg_base=cfg, max_prompt_tokens=budget,
+    )
+    assert counting.embeds == len(dataset)
+    assert queries == [max(k_values)] * len(dataset)
+    assert [r.k for r in reports] == k_values
+    for report in reports:
+        assert [f[0] for f in report.failures] == ["xml", "zero"]
+
+    monkeypatch.setattr(retrieval, "query", real_query)
+    want = per_k_reports(
+        dataset, k_values, store, CountingProvider(provider), ThresholdClient(), cfg, budget
+    )
+    assert reports_to_json(reports) == reports_to_json(want)
+
+
+def test_sweep_checks_every_k_before_any_work(provider):
+    store, dataset = sweep_fixture(provider)
+    counting = CountingProvider(provider)
+    assert sweep(dataset, [], store, counting, ThresholdClient()) == []
+    with pytest.raises(ValueError):
+        sweep(dataset, [5, 0], store, counting, ThresholdClient())
+    assert counting.embeds == 0
 
 
 def test_report_serialization_shapes(provider):

@@ -12,6 +12,7 @@ from causeway.errors import (
     NoJsonFoundError,
     ParseFailureError,
     TransportError,
+    XmlCharacterError,
 )
 from causeway.inference import (
     HttpLLMClient,
@@ -243,6 +244,13 @@ def test_classify_handles_xml_special_characters(provider):
     from causeway.annotation import strip_tags
 
     assert strip_tags(verdict.tagged_sentence) == sentence
+
+
+def test_classify_refuses_xml_invalid_characters(provider):
+    # a raw control character would otherwise reach the client and break
+    # its XML parse with an error outside the CausewayError hierarchy
+    with pytest.raises(XmlCharacterError):
+        classify("bad \x01 sentence", GraphStore(), provider, MockLLMClient())
 
 
 def test_classify_records_salvage(provider):

@@ -4,7 +4,7 @@ from xml.etree import ElementTree as ET
 
 import pytest
 
-from causeway.errors import BudgetTooSmallError
+from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.prompting import (
     OUTPUT_CONTRACT,
     PromptSpec,
@@ -62,6 +62,22 @@ def test_escaping_roundtrips_special_characters():
     root = ET.fromstring(prompt)  # must re-parse as XML
     assert root.findtext("query") == nasty
     assert root.find("examples/example/text").text == nasty
+
+
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x1f", "\ud800", "\ufffe"])
+def test_xml_invalid_characters_refused(char):
+    with pytest.raises(XmlCharacterError):
+        build_prompt(PromptSpec(query_sentence=f"bad {char} sentence"))
+    with pytest.raises(XmlCharacterError):
+        build_prompt(PromptSpec(query_sentence="q", examples=[example(1, f"x{char}")]))
+    with pytest.raises(XmlCharacterError):
+        build_prompt(PromptSpec(query_sentence="q", rules=[f"rule {char}"]))
+
+
+def test_xml_legal_unusual_characters_render():
+    text = "tab\there, line\nbreak, \u00e9, \U0001f600, \ufffd"
+    root = ET.fromstring(build_prompt(PromptSpec(query_sentence=text)))
+    assert root.findtext("query") == text
 
 
 def test_examples_rendered_in_rank_order():

@@ -76,6 +76,11 @@ def test_hybrid_config_validation():
         HybridConfig(alpha=0.0, beta=0.0)
     with pytest.raises(ValueError):
         HybridConfig(k=0)
+    for bad in ({"alpha": "x"}, {"beta": None}, {"tau": True}, {"k": 2.5}, {"k": False}):
+        with pytest.raises(ValueError):
+            HybridConfig(**bad)
+    # numpy scalars are real numbers and integers too
+    assert HybridConfig(alpha=np.float64(0.5), k=np.int64(3)).k == 3
 
 
 def test_hybrid_monotone_in_structural(rng):

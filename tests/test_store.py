@@ -4,13 +4,17 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway.errors import (
+    CausewayError,
     DimensionMismatchError,
     KindViolationError,
     MissingEndpointError,
     NotAnEventError,
     UnknownIdError,
+    ZeroVectorError,
 )
 from causeway.store import (
     EMBEDDING_DIM,
@@ -63,6 +67,24 @@ def test_embedding_dimension_enforced():
     store.upsert_node(Node("event:1", NodeKind.EVENT, text="a"))
     with pytest.raises(DimensionMismatchError):
         store.set_embedding("event:1", np.full(EMBEDDING_DIM, np.nan))
+
+
+def test_zero_norm_embedding_rejected(tmp_path):
+    store = GraphStore()
+    zero = np.zeros(EMBEDDING_DIM)
+    with pytest.raises(ZeroVectorError):
+        store.upsert_node(Node("event:1", NodeKind.EVENT, text="a", embedding=zero))
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text="a"))
+    with pytest.raises(ZeroVectorError):
+        store.set_embeddings([("event:1", zero)])
+    assert store.get_node("event:1").embedding is None
+    path = tmp_path / "zero.json"
+    node = {"id": "event:1", "kind": "Event", "text": "a", "embedding": zero.tolist()}
+    path.write_text(
+        json.dumps({**HEADER, "nodes": [node], "edges": []}), encoding="utf-8"
+    )
+    with pytest.raises(ZeroVectorError):
+        GraphStore.load(path)
 
 
 def test_add_edge_accepts_valid_kind():
@@ -265,6 +287,8 @@ def test_snapshot_rejects_foreign_file(tmp_path):
 
 HEADER = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
 NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
+CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c", "embedding": None}
+EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
 
 
 @pytest.mark.parametrize(
@@ -280,10 +304,17 @@ NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
         {**HEADER, "nodes": [{"id": "event:1", "kind": "Event"}], "edges": []},
         {**HEADER, "nodes": [NODE], "edges": [["event:1", "cause:1", "CAUSES"]]},
         {**HEADER, "nodes": [NODE], "edges": [{"src": "cause:1", "kind": "CAUSES"}]},
+        {**HEADER, "nodes": [{**NODE, "id": ["event:1"]}], "edges": []},
+        {**HEADER, "nodes": [{**NODE, "text": 5}], "edges": []},
+        {**HEADER, "nodes": [{**NODE, "embedding": {}}], "edges": []},
+        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "src": ["cause:1"]}]},
+        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "dst": 1}]},
     ],
     ids=[
         "list", "string", "no-nodes", "nodes-not-list", "no-edges", "edges-not-list",
         "node-not-object", "node-missing-key", "edge-not-object", "edge-missing-key",
+        "node-id-list", "node-text-number", "node-embedding-object", "edge-src-list",
+        "edge-dst-number",
     ],
 )
 def test_snapshot_rejects_malformed_shape(tmp_path, payload):
@@ -291,6 +322,41 @@ def test_snapshot_rejects_malformed_shape(tmp_path, payload):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError, match="bad.json"):
         GraphStore.load(path)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+) | JSON_SCALARS.map(lambda x: [x] * EMBEDDING_DIM)  # right length, any entry
+SNAPSHOT_FIELDS = [("nodes", 0, key) for key in NODE] + [
+    ("edges", 0, key) for key in EDGE
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(SNAPSHOT_FIELDS), value=JSON_VALUES)
+def test_snapshot_field_value_loads_or_raises_documented_error(
+    tmp_path_factory, field, value
+):
+    event = {**NODE, "embedding": [1.0] + [0.0] * (EMBEDDING_DIM - 1)}
+    payload = {**HEADER, "nodes": [event, CAUSE], "edges": [dict(EDGE)]}
+    section, index, key = field
+    payload[section][index][key] = value
+    path = tmp_path_factory.getbasetemp() / "field-value.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    try:
+        GraphStore.load(path)
+    except (ValueError, CausewayError):
+        pass
 
 
 def test_reader_writer_lock_smoke():
