@@ -29,6 +29,32 @@ EXIT_PROVIDER = 3
 DEFAULT_STORE_PATH = "causeway-graph.json"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_STRING = (lambda v: isinstance(v, str), "a string")
+_RATE = (lambda v: v is None or _is_int(v) and v > 0, "a positive integer or null")
+# what each provider/client setting must be, when it is present
+_SETTINGS = {
+    "provider": {
+        "seed": (lambda v: _is_int(v) and -(2**63) <= v < 2**63, "a 64-bit integer"),
+        "endpoint": _STRING,
+        "model": _STRING,
+        "api_key_env": _STRING,
+    },
+    "client": {
+        "endpoint": _STRING,
+        "model": _STRING,
+        "api_key_env": _STRING,
+        "requests_per_minute": _RATE,
+        "tokens_per_minute": _RATE,
+    },
+}
+# settings an http provider or client cannot do without
+_HTTP_REQUIRED = {"provider": ("endpoint",), "client": ("endpoint", "model")}
+
+
 @dataclass
 class Config:
     store_path: str = DEFAULT_STORE_PATH
@@ -73,16 +99,28 @@ class Config:
         if unknown:
             raise ValueError(f"unknown hybrid setting(s): {', '.join(unknown)}")
         retrieval.HybridConfig(**self.hybrid)
-        if self.provider.get("kind", "mock") not in ("mock", "http"):
-            raise ValueError(f"unknown provider kind {self.provider.get('kind')!r}")
-        if self.client.get("kind", "mock") not in ("mock", "http"):
-            raise ValueError(f"unknown client kind {self.client.get('kind')!r}")
+        for name, checks in _SETTINGS.items():
+            section = getattr(self, name)
+            kind = section.get("kind", "mock")
+            if kind not in ("mock", "http"):
+                raise ValueError(f"unknown {name} kind {kind!r}")
+            if kind == "http":
+                self._require_http(name)
+            for key, (ok, what) in checks.items():
+                if key in section and not ok(section[key]):
+                    raise ValueError(f"{name} {key!r} must be {what}, got {section[key]!r}")
+
+    def _require_http(self, name: str) -> None:
+        missing = [key for key in _HTTP_REQUIRED[name] if key not in getattr(self, name)]
+        if missing:
+            raise ValueError(f"an http {name} needs {', '.join(map(repr, missing))}")
 
     def make_provider(self, override_kind: str | None = None):
         kind = override_kind or self.provider.get("kind", "mock")
         if kind == "mock":
             return embedding.mock_provider(seed=int(self.provider.get("seed", 0)))
         if kind == "http":
+            self._require_http("provider")
             return embedding.HttpEmbeddingProvider(
                 endpoint=self.provider["endpoint"],
                 model=self.provider.get("model", "all-MiniLM-L6-v2"),

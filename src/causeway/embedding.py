@@ -6,15 +6,18 @@ The full cycle mirrors the graph-side embedding update procedure:
     2. batch_embed        - embed every node with non-null text, in batches
     3. verify             - per-kind totals vs embedded counts
 
-Vectors live only on their nodes; there is no separate vector index.
-Providers must be deterministic and are L2-normalized at ingestion, so the
-retrieval cosine reduces to a dot product.
+An event's vector lives in its store scoring row, any other node's on the
+node; there is no separate vector index. Providers must be deterministic,
+and their vectors are L2-normalized at ingestion; retrieval still divides
+by each row's stored norm, as vectors given to ``upsert_node`` or ``load``
+need not be unit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -211,7 +214,13 @@ def batch_embed(
                     f"provider returned a zero vector for node {node.id!r}",
                     report=report,
                 ) from exc
-            normalized.append((node.id, arr / np.linalg.norm(arr)))
+            except DimensionMismatchError as exc:
+                raise ProviderFailureError(
+                    f"provider returned an unusable vector for node {node.id!r}: {exc}",
+                    report=report,
+                ) from exc
+            # the same value as np.linalg.norm(arr), at half its cost
+            normalized.append((node.id, arr / math.sqrt(np.vdot(arr, arr))))
         store.set_embeddings(normalized)  # one writer-lock hold per batch
         for node in batch:
             report.embedded_counts[node.kind] += 1

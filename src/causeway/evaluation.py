@@ -109,6 +109,10 @@ def metrics(c: Confusion) -> Metrics:
     )
 
 
+# what a sweep reports for a k at which every sentence failed
+EMPTY_METRICS = Metrics(0.0, 0.0, 0.0, 0.0, 0.0, degenerate=("empty",))
+
+
 @dataclass
 class EvalReport:
     model: str
@@ -190,6 +194,8 @@ def sweep(
 ) -> list[EvalReport]:
     """One report per k; per-sentence failures are recorded, never fatal.
 
+    A k at which every sentence failed gets all-zero ``EMPTY_METRICS``.
+
     Each sentence is embedded and ranked once, at the largest k; every k
     classifies against a prefix of that ranking. The prefix is exact: the
     ranking is a total order (score, then id) and tau is the same for all k.
@@ -233,7 +239,7 @@ def sweep(
                 alpha=cfg.alpha,
                 beta=cfg.beta,
                 confusion=c,
-                metrics=metrics(c),
+                metrics=metrics(c) if c.total else EMPTY_METRICS,
                 failures=failures,
             )
         )

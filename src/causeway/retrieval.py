@@ -8,11 +8,14 @@ where S(e) is 1 exactly when the event has at least one causal edge.
 Events with H(e) >= tau are ranked by descending score (ties broken by
 ascending event id) and the top k are returned with their collected
 neighbor texts. The scan is exhaustive and exact: desk-scale corpora make
-approximate indexes unnecessary.
+approximate indexes unnecessary. It runs over the store's scoring rows
+as whole arrays, one chunk of rows at a time.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -41,12 +44,14 @@ class HybridConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # nan, inf, ints past float range
+                raise ValueError(f"{name} must be a finite float, got {value!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if self.alpha + self.beta <= 0:
-            raise ValueError("alpha + beta must be positive")
+        if not 0 < self.alpha + self.beta <= sys.float_info.max:  # scores stay finite
+            raise ValueError("alpha + beta must be positive and finite")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
@@ -109,39 +114,56 @@ class RetrievalResult:
 def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     """Score, filter and rank candidate events; empty store yields [].
 
-    Considers exactly the events with non-null embedding and text. Neighbor
-    texts are collected only for the surviving top-k candidates. The whole
-    query holds one read lock, so it sees a single consistent store.
+    Considers exactly the events with non-null embedding and text, scored
+    elementwise in float64, so each result's ``hybrid_score`` equals
+    ``hybrid_score(embedding_similarity, structural_score, cfg)``. Neighbor
+    counts and texts are collected only for the top-k. The whole query
+    holds one read lock, so it sees a single consistent store.
     """
     qv = np.asarray(q, dtype=np.float64)
     if qv.shape != (EMBEDDING_DIM,):
         raise DimensionMismatchError(
             f"query vector must have shape ({EMBEDDING_DIM},), got {qv.shape}"
         )
-    if float(np.linalg.norm(qv)) == 0.0:
+    q_norm = math.sqrt(np.vdot(qv, qv))  # vdot: no overflow warning, see check_embedding
+    if not math.isfinite(q_norm):
+        raise DimensionMismatchError("query vector must have finite entries and a finite norm")
+    if q_norm == 0.0:
         raise ZeroVectorError("query vector has zero norm")
 
     with store.lock.read():
-        scored = []
-        for event in store.events_with_embeddings():
-            counts = store.neighbor_counts(event.id)
-            s = structural_score(counts)
-            sim = cosine(event.embedding, qv)
-            h = hybrid_score(sim, s, cfg)
-            if h >= cfg.tau:
-                scored.append((h, sim, s, counts, event))
-        scored.sort(key=lambda item: (-item[0], item[4].id))
+        rows = store.scoring_rows()
+        dots = np.empty(len(rows.ids))
+        start = 0
+        for chunk in rows.chunks:
+            # einsum, not chunk @ qv: OpenBLAS's matvec gives identical rows
+            # last-bit-different dots depending on their position, which
+            # would break exact ties and so the ascending-id tie-break
+            np.einsum("ij,j->i", chunk, qv, out=dots[start : start + len(chunk)])
+            start += len(chunk)
+        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
+        scores = float(cfg.alpha) * sims + float(cfg.beta) * rows.linked
+        candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
+        if len(candidates) > cfg.k:
+            # keep every row tied with the k-th best; the sort below settles ties
+            top = scores[candidates]
+            kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
+            candidates = candidates[top >= kth]
+        # a Python sort on the ids: numpy string arrays drop trailing NULs
+        ranked = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))
 
         results = []
-        for h, sim, s, counts, event in scored[: cfg.k]:
-            cause_texts, effect_texts, trigger_texts = store.collect_texts(event.id)
+        for row in ranked[: cfg.k]:
+            event_id = rows.ids[row]
+            counts = store.neighbor_counts(event_id)
+            cause_texts, effect_texts, trigger_texts = store.collect_texts(event_id)
             results.append(
                 RetrievalResult(
-                    event_id=event.id,
-                    event_text=event.text,
-                    hybrid_score=h,
-                    embedding_similarity=sim,
-                    structural_score=s,
+                    event_id=event_id,
+                    event_text=store.get_node(event_id).text,
+                    hybrid_score=float(scores[row]),
+                    embedding_similarity=float(sims[row]),
+                    structural_score=structural_score(counts),
                     cause_count=counts[0],
                     effect_count=counts[1],
                     trigger_count=counts[2],

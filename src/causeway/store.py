@@ -11,6 +11,14 @@ Storage is in-memory with optional JSON snapshot persistence. Edges have
 set semantics (duplicates are idempotent) but preserve first-insertion
 order, which fixes the order of collected neighbor texts; adjacency is
 kept on each edge's one Event endpoint. Many readers or one writer.
+
+Every event with both text and an embedding owns one scoring row: its
+vector, written once into a fixed-size chunk, plus the vector's norm, a
+linked bit (the event has a causal edge) and an alive flag. The event's
+``embedding`` is a read-only view of that row, so each vector is held
+once. A new vector gets a new row and only marks the old one dead, so a
+view a caller holds never changes; live rows are copied into fresh
+chunks once dead rows outnumber them by a chunk.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
@@ -36,6 +43,8 @@ from causeway.errors import (
 )
 
 EMBEDDING_DIM = 384
+# scoring rows per chunk: 512 x 384 float64 is 1.5 MB
+CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
 SNAPSHOT_VERSION = 1
@@ -63,7 +72,7 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 
 
 def check_embedding(vector) -> np.ndarray:
-    """Coerce to a float64 array; enforce dimension, finiteness, nonzero norm."""
+    """Coerce to a float64 array; enforce dimension, a finite nonzero norm."""
     try:
         arr = np.asarray(vector, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -72,11 +81,13 @@ def check_embedding(vector) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding must have shape ({EMBEDDING_DIM},), got {arr.shape}"
         )
-    # squares are non-negative, so a nan or inf entry makes the sum non-finite;
-    # a non-finite sum of finite entries (overflow) is still accepted
-    squared_norm = float(arr.dot(arr))
-    if not math.isfinite(squared_norm) and not np.isfinite(arr).all():
-        raise DimensionMismatchError("embedding entries must be finite")
+    # squares are non-negative, so a nan or inf entry makes the sum non-finite,
+    # and so do finite entries whose squares overflow: no cosine exists for
+    # either. np.vdot, unlike ndarray.dot, raises no numpy floating-point
+    # warning, and costs far less than entering np.errstate on every call.
+    squared_norm = float(np.vdot(arr, arr))
+    if not math.isfinite(squared_norm):
+        raise DimensionMismatchError("embedding must have finite entries and a finite norm")
     if squared_norm == 0.0:  # cosine would reject it at query time
         raise ZeroVectorError("embedding has zero norm")
     return arr
@@ -104,6 +115,22 @@ class Edge:
     src: str
     dst: str
     kind: EdgeKind
+
+
+@dataclass(frozen=True)
+class ScoringRows:
+    """A store's scoring rows, valid while the caller holds ``store.lock.read()``.
+
+    ``chunks`` hold the vectors of rows ``0 .. len(ids) - 1`` in order;
+    ``norms``, ``linked`` and ``alive`` have one entry per row. A dead row
+    keeps its id and vector until compaction drops it.
+    """
+
+    ids: list[str]
+    chunks: list[np.ndarray]
+    norms: np.ndarray
+    linked: np.ndarray
+    alive: np.ndarray
 
 
 @dataclass
@@ -205,9 +232,9 @@ class GraphStore:
     """In-memory causal property graph.
 
     Nodes are keyed by caller-assigned string ids (conventionally
-    namespaced by kind, e.g. ``event:17``). Each fact is held once: a
-    node's embedding lives only on the node, and retrieval scans those
-    vectors directly.
+    namespaced by kind, e.g. ``event:17``). Each fact is held once: an
+    event's embedding is a read-only view of its scoring row, any other
+    node's embedding lives on the node alone.
     """
 
     def __init__(self):
@@ -216,6 +243,14 @@ class GraphStore:
         self._edges: dict[Edge, None] = {}
         # event id -> edge kind -> other-endpoint ids in insertion order
         self._adjacent: dict[str, dict[EdgeKind, list[str]]] = {}
+        # scoring rows in write order, CHUNK_ROWS per chunk; dead rows stay
+        # (alive False) until _compact_if_sparse copies the live ones out
+        self._chunks: list[np.ndarray] = []
+        self._row_ids: list[str] = []
+        self._norms = np.empty(0)
+        self._linked = np.empty(0, dtype=bool)
+        self._alive = np.empty(0, dtype=bool)
+        self._row_of: dict[str, int] = {}  # event id -> its live row
         self.lock = _RWLock()
 
     # --- nodes ---
@@ -233,9 +268,10 @@ class GraphStore:
                         f"cannot change to {node.kind.value}"
                     )
                 existing.text = node.text
-                existing.embedding = embedding
             else:
-                self._nodes[node.id] = Node(node.id, node.kind, node.text, embedding)
+                existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
+            self._place(existing, embedding)
+            self._compact_if_sparse()
         return node.id
 
     def get_node(self, node_id: str) -> Node:
@@ -264,7 +300,63 @@ class GraphStore:
                 node = self._nodes.get(node_id)
                 if node is None:
                     raise UnknownIdError(f"no node with id {node_id!r}")
-                node.embedding = embedding
+                self._place(node, embedding)
+            self._compact_if_sparse()
+
+    def _place(self, node: Node, embedding: np.ndarray | None) -> None:
+        """Give ``node`` this embedding: an event with text gets a fresh row.
+
+        The node's old row, if any, is only marked dead; rows are written
+        once, so views of them that callers hold keep their values.
+        """
+        row = self._row_of.pop(node.id, None)
+        if row is not None:
+            self._alive[row] = False
+        if embedding is None or node.kind is not NodeKind.EVENT or node.text is None:
+            node.embedding = embedding
+            return
+        row = len(self._row_ids)
+        chunk, offset = divmod(row, CHUNK_ROWS)
+        if chunk == len(self._chunks):
+            self._chunks.append(np.empty((CHUNK_ROWS, EMBEDDING_DIM)))
+            self._norms = np.concatenate((self._norms, np.empty(CHUNK_ROWS)))
+            self._linked = np.concatenate((self._linked, np.zeros(CHUNK_ROWS, dtype=bool)))
+            self._alive = np.concatenate((self._alive, np.zeros(CHUNK_ROWS, dtype=bool)))
+        view = self._chunks[chunk][offset]
+        view[:] = embedding
+        view.flags.writeable = False
+        self._norms[row] = math.sqrt(view.dot(view))
+        self._linked[row] = node.id in self._adjacent
+        self._alive[row] = True
+        self._row_ids.append(node.id)
+        self._row_of[node.id] = row
+        node.embedding = view
+
+    def _compact_if_sparse(self) -> None:
+        """Copy the live rows into fresh chunks once dead rows outnumber them
+        by a chunk, so the row count stays below twice the live rows plus one
+        chunk. Old chunks live on only in views that callers still hold."""
+        if len(self._row_ids) - 2 * len(self._row_of) < CHUNK_ROWS:
+            return
+        live = [self._nodes[self._row_ids[row]] for row in sorted(self._row_of.values())]
+        self._chunks, self._row_ids, self._row_of = [], [], {}
+        self._norms = np.empty(0)
+        self._linked = np.empty(0, dtype=bool)
+        self._alive = np.empty(0, dtype=bool)
+        for node in live:
+            self._place(node, node.embedding)
+
+    def scoring_rows(self) -> ScoringRows:
+        """The scoring rows as arrays, for retrieval to score in bulk."""
+        with self.lock.read():
+            n = len(self._row_ids)
+            return ScoringRows(
+                ids=self._row_ids,
+                chunks=[c[: n - i * CHUNK_ROWS] for i, c in enumerate(self._chunks)],
+                norms=self._norms[:n],
+                linked=self._linked[:n],
+                alive=self._alive[:n],
+            )
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         with self.lock.read():
@@ -296,6 +388,9 @@ class GraphStore:
                 event_id, other_id = edge.dst, edge.src
             neighbors = self._adjacent.setdefault(event_id, {})
             neighbors.setdefault(edge.kind, []).append(other_id)
+            row = self._row_of.get(event_id)
+            if row is not None:
+                self._linked[row] = True
 
     def edges(self) -> list[Edge]:
         with self.lock.read():
@@ -349,18 +444,6 @@ class GraphStore:
             for edge in self._edges:
                 edge_counts[edge.kind] += 1
         return StoreStats(node_counts, edge_counts, embedded_counts)
-
-    def events_with_embeddings(self) -> Iterator[Node]:
-        """Events with both an embedding and a text, in insertion order."""
-        with self.lock.read():
-            snapshot = list(self._nodes.values())
-        for node in snapshot:
-            if (
-                node.kind is NodeKind.EVENT
-                and node.embedding is not None
-                and node.text is not None
-            ):
-                yield node
 
     # --- snapshot persistence ---
 

@@ -116,6 +116,12 @@ def random_store(
     return store
 
 
+def live_row_ids(store: GraphStore) -> list[str]:
+    """Event ids of the store's live scoring rows, in row order."""
+    rows = store.scoring_rows()
+    return [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive]
+
+
 def oracle_neighbor_counts(store: GraphStore, event_id: str) -> tuple[int, int, int]:
     """Brute-force single-pass edge scan, independent of store adjacency."""
     n_cause = n_effect = n_trigger = 0

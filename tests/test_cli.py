@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from causeway.cli import main
+from causeway.cli import Config, main
+from causeway.errors import CausewayError
+from causeway.store import GraphStore
 
 from helpers import count_dot_statements
 
@@ -251,7 +255,12 @@ def test_config_file_and_flag_override(workspace, tmp_path, capsys):
 
 
 def test_invalid_config_rejected(tmp_path, capsys):
+    # a snapshot that exists, so that only the config can make `stats` fail
+    snapshot = tmp_path / "graph.json"
+    GraphStore().save(snapshot)
     config = tmp_path / "config.json"
+    config.write_text(json.dumps({"provider": {"kind": "mock", "seed": 3}}), encoding="utf-8")
+    assert main(["--config", str(config), "--store", str(snapshot), "stats"]) == 0
     config.write_text(json.dumps({"hybrid": {"alpha": -1.0}}), encoding="utf-8")
     assert main(["--config", str(config), "stats"]) == 1
     config.write_text(json.dumps({"hybrid": {"gamma": 0.5}}), encoding="utf-8")
@@ -269,10 +278,84 @@ def test_invalid_config_rejected(tmp_path, capsys):
         {"log_level": 5},
         {"store_path": None},
         {"rules_path": 5},
+        {"provider": {"seed": [1]}},
+        {"provider": {"seed": 2**64}},
+        {"provider": {"kind": "http"}},
+        {"provider": {"kind": "http", "endpoint": 5}},
+        {"client": {"requests_per_minute": "x"}},
+        {"client": {"tokens_per_minute": 0}},
+        {"client": {"kind": "http", "endpoint": "http://localhost:1"}},
+        {"hybrid": {"alpha": float("inf")}},
     ):
         config.write_text(json.dumps(raw), encoding="utf-8")
-        assert main(["--config", str(config), "stats"]) == 1, raw
+        assert main(["--config", str(config), "--store", str(snapshot), "stats"]) == 1, raw
         assert capsys.readouterr().err.startswith("error: "), raw
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["mock", "http"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# provider/client/hybrid sections: known setting names with any JSON value
+CONFIG_SECTIONS = st.dictionaries(
+    st.sampled_from(["kind", "seed", "endpoint", "model", "api_key_env",
+                     "requests_per_minute", "tokens_per_minute", "alpha", "beta", "tau",
+                     "k"]),
+    JSON_VALUES,
+    max_size=5,
+)
+CONFIG_DOCUMENTS = JSON_VALUES | st.dictionaries(
+    st.sampled_from(["store_path", "rules_path", "log_level", "provider", "client",
+                     "hybrid"]),
+    CONFIG_SECTIONS | JSON_VALUES,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=CONFIG_DOCUMENTS)
+def test_config_file_loads_or_raises_documented_error(tmp_path_factory, document):
+    path = tmp_path_factory.getbasetemp() / "config-property.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    try:
+        config = Config.from_file(path)
+        config.validate()
+        config.make_provider()
+        config.make_client()
+        config.make_budgeter()
+    except (ValueError, CausewayError):
+        pass
+
+
+def test_evaluate_reports_when_every_sentence_fails(workspace, capsys):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    workspace["testset"].write_text(
+        '{"id": "t1", "text": "a control \\u0001 character", "gold_label": 1}\n',
+        encoding="utf-8",
+    )
+    out = workspace["dir"] / "report.json"
+    args = ["evaluate", "--test", str(workspace["testset"]), "--k", "1,2", "--out", str(out)]
+    assert run(args, workspace) == 0
+    reports = json.loads(out.read_text(encoding="utf-8"))
+    assert [r["degenerate"] for r in reports] == [["empty"], ["empty"]]
+    assert [r["failures"][0][0] for r in reports] == ["t1", "t1"]
+
+
+def test_overflowing_vector_provider_exits_three(workspace, monkeypatch, capsys):
+    from causeway import embedding
+
+    class HugeProvider(embedding.EmbeddingProvider):
+        def embed_batch(self, texts):
+            return [np.full(embedding.EMBEDDING_DIM, 1e308) for _ in texts]
+
+    monkeypatch.setattr(embedding, "mock_provider", lambda seed=0: HugeProvider())
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    assert run(["embed"], workspace) == 3
+    assert "finite norm" in capsys.readouterr().err
 
 
 def test_malformed_snapshot_is_operational_error(workspace, capsys):

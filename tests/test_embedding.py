@@ -142,6 +142,18 @@ def test_zero_vector_from_provider_is_provider_failure():
     assert all(n.embedding is None for n in store.nodes())
 
 
+def test_overflowing_vector_from_provider_is_provider_failure():
+    class HugeProvider(EmbeddingProvider):
+        def embed_batch(self, texts):
+            return [np.full(EMBEDDING_DIM, 1e308) for _ in texts]
+
+    store = store_with_texts(3)
+    with pytest.raises(ProviderFailureError, match="'event:0'") as exc_info:
+        batch_embed(store, HugeProvider(), batch_size=2)
+    assert exc_info.value.report.total_embedded == 0
+    assert all(n.embedding is None for n in store.nodes())
+
+
 class FlakyProvider(EmbeddingProvider):
     """Fails the first `fail_times` calls for a given batch index."""
 

@@ -17,6 +17,7 @@ from causeway.errors import (
     LengthMismatchError,
 )
 from causeway.evaluation import (
+    EMPTY_METRICS,
     Confusion,
     EvalRecord,
     EvalReport,
@@ -27,7 +28,7 @@ from causeway.evaluation import (
     reports_to_markdown,
     sweep,
 )
-from causeway.inference import LLMClient, classify
+from causeway.inference import LLMClient, MockLLMClient, classify
 from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
 from causeway.retrieval import HybridConfig
 from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
@@ -217,6 +218,19 @@ def test_sweep_f1_monotone_in_k_by_construction(provider):
     f1s = [r.metrics.f1 for r in reports]
     assert f1s == sorted(f1s)
     assert f1s[0] < f1s[-1]
+
+
+def test_sweep_with_no_verdicts_reports_empty_metrics(provider):
+    store, _ = sweep_fixture(provider)
+    dataset = [EvalRecord("ctrl", "a control \u0001 character", 1)]
+    reports = sweep(dataset, [1, 3], store, provider, MockLLMClient())
+    assert [r.k for r in reports] == [1, 3]
+    for report in reports:
+        assert report.confusion == Confusion(0, 0, 0, 0)
+        assert report.metrics == EMPTY_METRICS
+        assert report.metrics.degenerate == ("empty",)
+        assert [f[0] for f in report.failures] == ["ctrl"]
+    assert json.loads(reports_to_json(reports))[0]["degenerate"] == ["empty"]
 
 
 def test_sweep_records_failures_not_fatal(provider):

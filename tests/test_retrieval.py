@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from causeway import store as store_module
 from causeway.annotation import parse_tagged_sentence
+from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import DimensionMismatchError, ZeroVectorError
 from causeway.retrieval import (
     HybridConfig,
@@ -18,7 +23,7 @@ from causeway.retrieval import (
 )
 from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
 
-from helpers import oracle_query, random_store, random_unit_vector
+from helpers import live_row_ids, oracle_query, random_store, random_unit_vector
 
 
 def test_cosine_identical_vectors():
@@ -76,7 +81,9 @@ def test_hybrid_config_validation():
         HybridConfig(alpha=0.0, beta=0.0)
     with pytest.raises(ValueError):
         HybridConfig(k=0)
-    for bad in ({"alpha": "x"}, {"beta": None}, {"tau": True}, {"k": 2.5}, {"k": False}):
+    for bad in ({"alpha": "x"}, {"beta": None}, {"tau": True}, {"k": 2.5}, {"k": False},
+                {"alpha": float("inf")}, {"tau": float("nan")}, {"beta": 10**400},
+                {"alpha": 1e308, "beta": 1e308}):
         with pytest.raises(ValueError):
             HybridConfig(**bad)
     # numpy scalars are real numbers and integers too
@@ -208,6 +215,97 @@ def test_query_matches_bruteforce_oracle(rng):
             assert abs(r.hybrid_score - w[1]) <= 1e-9
             assert abs(r.embedding_similarity - w[2]) <= 1e-9
             assert r.structural_score == w[3]
+
+
+def test_query_ties_exactly_across_chunk_positions():
+    # one vector at rows 0, 1, 511, 512, 513 and 1500: chunk starts, ends and
+    # a partial chunk's last row, where a BLAS matvec rounds differently
+    tie_rows = (0, 1, 511, 512, 513, 1500)
+    tie_ids = {row: f"event:tie{5 - i}" for i, row in enumerate(tie_rows)}
+    np_rng = np.random.default_rng(29)
+    vec = random_unit_vector(np_rng)
+    q = vec + 0.5 * random_unit_vector(np_rng)  # not vec itself: v.v rounds alike anywhere
+    store = GraphStore()
+    cfg = HybridConfig(k=len(tie_rows), tau=-2.0)
+    for row in range(1600):
+        event_id = tie_ids.get(row, f"event:{row:04d}")
+        embedding = vec if row in tie_ids else random_unit_vector(np_rng)
+        store.upsert_node(Node(event_id, NodeKind.EVENT, text="t", embedding=embedding))
+        if row in (1500, 1599):  # 1501 rows end a partial chunk on a tie
+            assert [store.scoring_rows().ids[r] for r in tie_rows] == list(tie_ids.values())
+            results = query(store, q, cfg)
+            assert [r.event_id for r in results] == sorted(tie_ids.values())
+            assert len({r.hybrid_score for r in results}) == 1
+
+
+STEPS = st.one_of(
+    # new event: vector seed, power-of-two scale (cosine stays exact), edge
+    st.tuples(st.just("new"), st.integers(0, 5), st.sampled_from([0.5, 1.0, 4.0]),
+              st.booleans()),
+    st.tuples(st.just("reembed"), st.integers(0, 99), st.integers(0, 5)),
+    st.tuples(st.just("drop_text"), st.integers(0, 99)),
+    st.tuples(st.just("clean_and_embed")),
+    st.tuples(st.just("edge"), st.integers(0, 99)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    steps=st.lists(STEPS, min_size=1, max_size=20),
+    q_seed=st.integers(0, 5),
+    tau=st.sampled_from([-1.0, 0.0, 0.3]),
+    k=st.integers(1, 8),
+)
+def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
+    vectors = [random_unit_vector(np.random.default_rng(seed)) for seed in range(6)]
+    provider = mock_provider(0)
+    store = GraphStore()
+    events: list[str] = []
+    cfg = HybridConfig(tau=tau, k=k)
+    with mock.patch.object(store_module, "CHUNK_ROWS", 2):  # many chunks, early compaction
+        for step in steps:
+            op, args = step[0], step[1:]
+            if op == "new":
+                seed, scale, linked = args
+                event_id = f"event:{len(events)}"
+                events.append(event_id)
+                store.upsert_node(Node(event_id, NodeKind.EVENT, text=f"text {seed}",
+                                       embedding=vectors[seed] * scale))
+                if linked:
+                    trigger_id = f"trigger:{event_id}"
+                    store.upsert_node(Node(trigger_id, NodeKind.TRIGGER, text="sig"))
+                    store.add_edge(Edge(event_id, trigger_id, EdgeKind.HAS_TRIGGER))
+            elif not events:
+                continue
+            elif op == "reembed":
+                event_id = events[args[0] % len(events)]
+                store.upsert_node(Node(event_id, NodeKind.EVENT, text="again",
+                                       embedding=vectors[args[1]]))
+            elif op == "drop_text":
+                node = store.get_node(events[args[0] % len(events)])
+                store.upsert_node(Node(node.id, NodeKind.EVENT, text=None,
+                                       embedding=node.embedding))
+            elif op == "clean_and_embed":
+                clean_embeddings(store)
+                batch_embed(store, provider)
+            else:
+                event_id = events[args[0] % len(events)]
+                cause_id = f"cause:{event_id}"
+                store.upsert_node(Node(cause_id, NodeKind.CAUSE, text="why"))
+                store.add_edge(Edge(cause_id, event_id, EdgeKind.CAUSES))
+            q = vectors[q_seed]
+            got = query(store, q, cfg)
+            want = oracle_query(store, q, cfg)
+            assert [r.event_id for r in got] == [w[0] for w in want]
+            for r, w in zip(got, want):
+                assert abs(r.hybrid_score - w[1]) <= 1e-9
+                assert r.structural_score == w[3]
+            live = live_row_ids(store)
+            assert sorted(live) == sorted(
+                n.id for n in store.nodes(NodeKind.EVENT)
+                if n.text is not None and n.embedding is not None
+            )
+            assert len(store.scoring_rows().ids) < 2 * len(live) + 2
 
 
 def test_query_holds_one_read_lock_against_writers(rng):

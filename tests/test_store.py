@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import (
     CausewayError,
     DimensionMismatchError,
@@ -17,6 +18,7 @@ from causeway.errors import (
     ZeroVectorError,
 )
 from causeway.store import (
+    CHUNK_ROWS,
     EMBEDDING_DIM,
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
@@ -25,9 +27,10 @@ from causeway.store import (
     GraphStore,
     Node,
     NodeKind,
+    check_embedding,
 )
 
-from helpers import oracle_neighbor_counts, random_store, random_unit_vector
+from helpers import live_row_ids, oracle_neighbor_counts, random_store, random_unit_vector
 
 
 def small_event(store: GraphStore, event_id="event:1", text="it happened"):
@@ -85,6 +88,18 @@ def test_zero_norm_embedding_rejected(tmp_path):
     )
     with pytest.raises(ZeroVectorError):
         GraphStore.load(path)
+
+
+def test_overflowing_norm_embedding_rejected():
+    # finite entries whose squared norm overflows: no cosine can be taken
+    huge = np.full(EMBEDDING_DIM, 1e200)
+    with pytest.raises(DimensionMismatchError, match="finite norm"):
+        check_embedding(huge)
+    store = GraphStore()
+    small_event(store)
+    with pytest.raises(DimensionMismatchError):
+        store.set_embedding("event:1", huge)
+    assert store.get_node("event:1").embedding is None
 
 
 def test_add_edge_accepts_valid_kind():
@@ -247,23 +262,72 @@ def test_events_with_embeddings_filter():
     store.upsert_node(
         Node("event:4", NodeKind.EVENT, text=None, embedding=random_unit_vector(np_rng))
     )
-    got = {n.id for n in store.events_with_embeddings()}
-    assert got == {"event:1", "event:3"}
+    assert live_row_ids(store) == ["event:1", "event:3"]
 
 
 def test_events_with_embeddings_empty_store():
-    assert list(GraphStore().events_with_embeddings()) == []
+    assert live_row_ids(GraphStore()) == []
 
 
 def test_events_with_embeddings_setequal_to_scan(rng):
     store = random_store(rng, n_events=80)
-    got = {n.id for n in store.events_with_embeddings()}
+    got = live_row_ids(store)
+    assert len(got) == len(set(got))  # one live row per event
+    got = set(got)
     want = {
         n.id
         for n in store.nodes(NodeKind.EVENT)
         if n.embedding is not None and n.text is not None
     }
     assert got == want
+
+
+def test_event_embedding_is_a_read_only_view_of_its_row():
+    store = GraphStore()
+    np_rng = np.random.default_rng(12)
+    first, second = random_unit_vector(np_rng), random_unit_vector(np_rng)
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text="a", embedding=first))
+    held = store.get_node("event:1").embedding
+    assert not held.flags.writeable
+    with pytest.raises(ValueError):
+        held[0] = 1.0
+    rows = store.scoring_rows()
+    assert np.shares_memory(held, rows.chunks[0])  # the row is the only copy
+    assert rows.norms[0] == pytest.approx(1.0)
+
+    store.set_embedding("event:1", second)  # re-embed: a new row, the old one dead
+    assert np.array_equal(held, first)
+    assert np.array_equal(store.get_node("event:1").embedding, second)
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text=None, embedding=second))
+    assert live_row_ids(store) == []  # no text, no row; the vector stays
+    assert np.array_equal(store.get_node("event:1").embedding, second)
+
+
+def test_held_views_survive_compaction(provider):
+    store = GraphStore()
+    for i in range(CHUNK_ROWS + 1):
+        store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"event text {i}"))
+    batch_embed(store, provider)
+    held = [store.get_node(f"event:{i}").embedding for i in (0, CHUNK_ROWS)]
+    before = [v.copy() for v in held]
+    clean_embeddings(store)  # every row dead: compaction drops them all
+    assert store.scoring_rows().ids == []
+    batch_embed(store, mock_provider(seed=1))
+    assert all(np.array_equal(v, b) for v, b in zip(held, before))
+    assert not np.array_equal(store.get_node("event:0").embedding, before[0])
+
+
+@pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
+def test_clean_and_embed_cycles_bound_the_row_count(provider, n_events):
+    store = GraphStore()
+    for i in range(n_events):
+        store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"event text {i}"))
+    for cycle in range(5):
+        for step in (clean_embeddings, lambda s: batch_embed(s, mock_provider(cycle))):
+            step(store)
+            rows, live = store.scoring_rows(), live_row_ids(store)
+            assert len(rows.ids) <= 2 * len(live) + CHUNK_ROWS
+        assert sorted(live) == sorted(f"event:{i}" for i in range(n_events))
 
 
 def test_snapshot_roundtrip(tmp_path, rng):
