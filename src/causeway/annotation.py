@@ -20,7 +20,6 @@ from pathlib import Path
 
 from causeway.errors import (
     MalformedTagError,
-    OverlappingSameKindError,
     SourceUnreadableError,
     UnknownTagKindError,
 )
@@ -72,9 +71,9 @@ def parse_tagged_sentence(
 ) -> AnnotatedSentence:
     """Parse inline tags into spans with offsets into the stripped text.
 
-    Raises MalformedTagError for unclosed/mismatched/nested/empty tags,
-    UnknownTagKindError for tag names outside cause/effect/trigger, and
-    OverlappingSameKindError if two same-kind spans overlap.
+    Raises MalformedTagError for unclosed/mismatched/nested/empty tags and
+    UnknownTagKindError for tag names outside cause/effect/trigger. Tags do
+    not nest, so the spans are non-empty and disjoint.
     """
     raw_parts: list[str] = []
     raw_len = 0
@@ -115,16 +114,6 @@ def parse_tagged_sentence(
         raise MalformedTagError(f"{sentence_id}: unclosed <{open_tag[1]}>")
     raw_parts.append(tagged_text[pos:])
     raw_text = "".join(raw_parts)
-
-    # flat parsing cannot produce same-kind overlaps; kept as a guard on the invariant
-    by_kind: dict[NodeKind, list[TagSpan]] = {}
-    for span in spans:
-        for prev in by_kind.setdefault(span.kind, []):
-            if span.start < prev.end and prev.start < span.end:
-                raise OverlappingSameKindError(
-                    f"{sentence_id}: overlapping {span.kind.value} spans"
-                )
-        by_kind[span.kind].append(span)
 
     return AnnotatedSentence(sentence_id, raw_text, tagged_text, spans, gold_label)
 
@@ -230,9 +219,9 @@ def ingest_corpus(records: Iterable[Mapping], store: GraphStore) -> IngestReport
 def iter_jsonl_records(path: str | Path) -> Iterable[Mapping]:
     """Yield one record per JSONL line; bad lines become skip markers.
 
-    A line that is not a JSON object yields ``{"id": "line-N",
-    "tagged_text": None}`` so ingest_corpus lists it as skipped instead of
-    aborting.
+    A line that is not a JSON object, or nests too deeply to decode, yields
+    ``{"id": "line-N", "tagged_text": None}`` so ingest_corpus lists it as
+    skipped instead of aborting.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -243,9 +232,8 @@ def iter_jsonl_records(path: str | Path) -> Iterable[Mapping]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError:
-            yield {"id": f"line-{lineno}", "tagged_text": None}
-            continue
+        except (json.JSONDecodeError, RecursionError):
+            record = None
         if not isinstance(record, dict):
             yield {"id": f"line-{lineno}", "tagged_text": None}
             continue

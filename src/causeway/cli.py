@@ -55,10 +55,15 @@ _SETTINGS = {
 _HTTP_REQUIRED = {"provider": ("endpoint",), "client": ("endpoint", "model")}
 
 
+def _present(section: dict, *keys: str) -> dict:
+    """``section``'s settings among ``keys``; constructors default the rest."""
+    return {key: section[key] for key in keys if key in section}
+
+
 @dataclass
 class Config:
     store_path: str = DEFAULT_STORE_PATH
-    provider: dict = field(default_factory=lambda: {"kind": "mock", "seed": 0})
+    provider: dict = field(default_factory=lambda: {"kind": "mock"})
     client: dict = field(default_factory=lambda: {"kind": "mock"})
     hybrid: dict = field(default_factory=dict)
     rules_path: str | None = None
@@ -66,7 +71,10 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Config":
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"{path}: config JSON nests too deeply") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         cfg = cls()
@@ -118,29 +126,18 @@ class Config:
     def make_provider(self, override_kind: str | None = None):
         kind = override_kind or self.provider.get("kind", "mock")
         if kind == "mock":
-            return embedding.mock_provider(seed=int(self.provider.get("seed", 0)))
-        if kind == "http":
-            self._require_http("provider")
-            return embedding.HttpEmbeddingProvider(
-                endpoint=self.provider["endpoint"],
-                model=self.provider.get("model", "all-MiniLM-L6-v2"),
-                api_key_env=self.provider.get(
-                    "api_key_env", "CAUSEWAY_EMBED_API_KEY"
-                ),
-            )
-        raise ValueError(f"unknown provider kind {kind!r}")
+            return embedding.mock_provider(**_present(self.provider, "seed"))
+        self._require_http("provider")
+        return embedding.HttpEmbeddingProvider(
+            **_present(self.provider, "endpoint", "model", "api_key_env")
+        )
 
     def make_client(self):
-        kind = self.client.get("kind", "mock")
-        if kind == "mock":
+        if self.client.get("kind", "mock") == "mock":
             return inference.MockLLMClient()
-        if kind == "http":
-            return inference.HttpLLMClient(
-                endpoint=self.client["endpoint"],
-                model=self.client["model"],
-                api_key_env=self.client.get("api_key_env", "CAUSEWAY_LLM_API_KEY"),
-            )
-        raise ValueError(f"unknown client kind {kind!r}")
+        return inference.HttpLLMClient(
+            **_present(self.client, "endpoint", "model", "api_key_env")
+        )
 
     def make_budgeter(self) -> inference.RateBudgeter | None:
         rpm = self.client.get("requests_per_minute")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -31,6 +30,7 @@ from causeway.store import EMBEDDING_DIM, GraphStore, Node, NodeKind, check_embe
 logger = logging.getLogger(__name__)
 
 DEFAULT_BATCH_SIZE = 64
+EMBED_TIMEOUT_SECONDS = 30.0
 
 
 class EmbeddingProvider(ABC):
@@ -44,7 +44,19 @@ class EmbeddingProvider(ABC):
         ...
 
     def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
+        """One text's vector, through the same gate as ``batch_embed``'s."""
+        return provider_vector(self.embed_batch([text])[0], f"text {text!r}")[0]
+
+
+def provider_vector(vector, source: str, report=None) -> tuple[np.ndarray, float]:
+    """``check_embedding`` on a vector a provider returned for ``source``;
+    a vector it refuses is the provider's fault, a ProviderFailureError."""
+    try:
+        return check_embedding(vector)
+    except (DimensionMismatchError, ZeroVectorError) as exc:
+        raise ProviderFailureError(
+            f"provider returned an unusable vector for {source}: {exc}", report=report
+        ) from exc
 
 
 class HashEmbeddingProvider(EmbeddingProvider):
@@ -73,6 +85,27 @@ def mock_provider(seed: int = 0) -> HashEmbeddingProvider:
     return HashEmbeddingProvider(seed)
 
 
+def http_session(session=None):
+    """``session``, or a new ``requests.Session`` when none is given."""
+    if session is None:
+        import requests
+
+        session = requests.Session()
+    return session
+
+
+def post_json(session, endpoint: str, api_key_env: str, body: dict, timeout: float):
+    """POST ``body`` as JSON, with the bearer key from the environment
+    variable ``api_key_env`` if set; raise on an HTTP error, return the reply."""
+    headers = {}
+    api_key = os.environ.get(api_key_env)
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    response = session.post(endpoint, json=body, headers=headers, timeout=timeout)
+    response.raise_for_status()
+    return response.json()
+
+
 class HttpEmbeddingProvider(EmbeddingProvider):
     """Client for an OpenAI-style /embeddings endpoint (384-dim models).
 
@@ -86,34 +119,20 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         endpoint: str,
         model: str = "all-MiniLM-L6-v2",
         api_key_env: str = "CAUSEWAY_EMBED_API_KEY",
-        timeout: float = 30.0,
         session=None,
     ):
-        if session is None:
-            import requests
-
-            session = requests.Session()
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.timeout = timeout
-        self.session = session
+        self.session = http_session(session)
         self.name = f"http-{model}"
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
-        headers = {}
-        api_key = os.environ.get(self.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        body = {"model": self.model, "input": list(texts)}
         try:
-            response = self.session.post(
-                self.endpoint,
-                json={"model": self.model, "input": list(texts)},
-                headers=headers,
-                timeout=self.timeout,
+            payload = post_json(
+                self.session, self.endpoint, self.api_key_env, body, EMBED_TIMEOUT_SECONDS
             )
-            response.raise_for_status()
-            payload = response.json()
             rows = payload["data"]
             vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
         except Exception as exc:
@@ -207,20 +226,8 @@ def batch_embed(
             )
         normalized = []
         for node, vec in zip(batch, vectors):
-            try:
-                arr = check_embedding(vec)
-            except ZeroVectorError as exc:
-                raise ProviderFailureError(
-                    f"provider returned a zero vector for node {node.id!r}",
-                    report=report,
-                ) from exc
-            except DimensionMismatchError as exc:
-                raise ProviderFailureError(
-                    f"provider returned an unusable vector for node {node.id!r}: {exc}",
-                    report=report,
-                ) from exc
-            # the same value as np.linalg.norm(arr), at half its cost
-            normalized.append((node.id, arr / math.sqrt(np.vdot(arr, arr))))
+            arr, norm = provider_vector(vec, f"node {node.id!r}", report)
+            normalized.append((node.id, arr / norm))
         store.set_embeddings(normalized)  # one writer-lock hold per batch
         for node in batch:
             report.embedded_counts[node.kind] += 1

@@ -17,10 +17,6 @@ class UnknownTagKindError(CausewayError):
     """Tag name is not one of cause/effect/trigger."""
 
 
-class OverlappingSameKindError(CausewayError):
-    """Two spans of the same kind overlap in the raw text."""
-
-
 class SourceUnreadableError(CausewayError):
     """Corpus source could not be opened or read."""
 

@@ -164,19 +164,22 @@ def load_eval_dataset(path: str | Path) -> list[EvalRecord]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        row = json.loads(line)
+        try:
+            row = json.loads(line)
+        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
+            raise BadLabelError(f"line {lineno}: not a JSON record: {exc}") from exc
         if not isinstance(row, dict):
             raise BadLabelError(f"line {lineno}: record must be a JSON object")
         rec_id = str(row.get("id", f"line-{lineno}"))
         gold = row.get("gold_label")
         if gold not in (0, 1):
             raise BadLabelError(f"{rec_id}: gold_label must be 0 or 1, got {gold!r}")
-        if "text" in row:
-            text = row["text"]
-        elif "tagged_text" in row:
-            text = parse_tagged_sentence(row["tagged_text"], rec_id).raw_text
-        else:
-            raise BadLabelError(f"{rec_id}: record has neither text nor tagged_text")
+        key = "text" if "text" in row else "tagged_text"
+        text = row.get(key)
+        if not isinstance(text, str):
+            raise BadLabelError(f"{rec_id}: record needs a string text or tagged_text")
+        if key == "tagged_text":
+            text = parse_tagged_sentence(text, rec_id).raw_text
         records.append(EvalRecord(rec_id, text, gold))
     return records
 

@@ -20,7 +20,8 @@ _NODE_SHAPES = {
 }
 
 
-def _dot_escape(value: str) -> str:
+def _escape(value: str) -> str:
+    """Backslash-escape a DOT or Cypher double-quoted string."""
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
@@ -37,12 +38,12 @@ def render_dot(
     for node in nodes:
         label = f"{node.kind.value}: {node.text or ''}"
         lines.append(
-            f'  "{_dot_escape(node.id)}" '
-            f'[label="{_dot_escape(label)}", shape={_NODE_SHAPES[node.kind]}];'
+            f'  "{_escape(node.id)}" '
+            f'[label="{_escape(label)}", shape={_NODE_SHAPES[node.kind]}];'
         )
     for edge in edges:
         lines.append(
-            f'  "{_dot_escape(edge.src)}" -> "{_dot_escape(edge.dst)}" '
+            f'  "{_escape(edge.src)}" -> "{_escape(edge.dst)}" '
             f'[label="{edge.kind.value}"];'
         )
     lines.append("}")
@@ -69,22 +70,18 @@ def store_to_dot(store: GraphStore) -> str:
     return render_dot(store.nodes(), store.edges())
 
 
-def _cypher_escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def store_to_cypher(store: GraphStore) -> str:
     """CREATE statements for every node and relationship."""
     lines = ["// causeway graph export"]
     for node in store.nodes():
-        props = [f'id: "{_cypher_escape(node.id)}"']
+        props = [f'id: "{_escape(node.id)}"']
         if node.text is not None:
-            props.append(f'text: "{_cypher_escape(node.text)}"')
+            props.append(f'text: "{_escape(node.text)}"')
         lines.append(f"CREATE (:{node.kind.value} {{{', '.join(props)}}});")
     for edge in store.edges():
         lines.append(
-            f'MATCH (a {{id: "{_cypher_escape(edge.src)}"}}), '
-            f'(b {{id: "{_cypher_escape(edge.dst)}"}}) '
+            f'MATCH (a {{id: "{_escape(edge.src)}"}}), '
+            f'(b {{id: "{_escape(edge.dst)}"}}) '
             f"CREATE (a)-[:{edge.kind.value}]->(b);"
         )
     return "\n".join(lines) + "\n"

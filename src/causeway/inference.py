@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 import threading
 import time
 from abc import ABC, abstractmethod
@@ -27,7 +26,7 @@ from causeway.annotation import (
     parse_tagged_sentence,
     strip_tags,
 )
-from causeway.embedding import EmbeddingProvider
+from causeway.embedding import EmbeddingProvider, http_session, post_json
 from causeway.errors import (
     BadLabelError,
     MissingKeyError,
@@ -49,6 +48,9 @@ logger = logging.getLogger(__name__)
 
 MAX_TRANSPORT_RETRIES = 3
 RETRY_BACKOFF_SECONDS = 0.5
+TEMPERATURE = 0.0
+MAX_OUTPUT_TOKENS = 1024
+LLM_TIMEOUT_SECONDS = 60.0
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,7 @@ class MockLLMClient(LLMClient):
 class HttpLLMClient(LLMClient):
     """OpenAI-style chat-completions client; provider is configuration.
 
-    Temperature defaults to 0 for reproducibility. The API key is read
+    Temperature is fixed at 0 for reproducibility. The API key is read
     from the environment variable named by ``api_key_env``.
     """
 
@@ -116,43 +118,25 @@ class HttpLLMClient(LLMClient):
         endpoint: str,
         model: str,
         api_key_env: str = "CAUSEWAY_LLM_API_KEY",
-        temperature: float = 0.0,
-        max_output_tokens: int = 1024,
-        timeout: float = 60.0,
         session=None,
     ):
-        if session is None:
-            import requests
-
-            session = requests.Session()
         self.endpoint = endpoint
         self.model = model
         self.api_key_env = api_key_env
-        self.temperature = temperature
-        self.max_output_tokens = max_output_tokens
-        self.timeout = timeout
-        self.session = session
+        self.session = http_session(session)
         self.name = model
 
     def complete(self, prompt: str) -> str:
-        headers = {}
-        api_key = os.environ.get(self.api_key_env)
-        if api_key:
-            headers["Authorization"] = f"Bearer {api_key}"
+        body = {
+            "model": self.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_OUTPUT_TOKENS,
+        }
         try:
-            response = self.session.post(
-                self.endpoint,
-                json={
-                    "model": self.model,
-                    "messages": [{"role": "user", "content": prompt}],
-                    "temperature": self.temperature,
-                    "max_tokens": self.max_output_tokens,
-                },
-                headers=headers,
-                timeout=self.timeout,
+            payload = post_json(
+                self.session, self.endpoint, self.api_key_env, body, LLM_TIMEOUT_SECONDS
             )
-            response.raise_for_status()
-            payload = response.json()
             return payload["choices"][0]["message"]["content"]
         except Exception as exc:
             raise TransportError(f"LLM request failed: {exc}") from exc
@@ -208,6 +192,9 @@ def _salvage_json(raw: str) -> tuple[dict, bool]:
         except ValueError:
             idx = raw.find("{", idx + 1)
             continue
+        except RecursionError as exc:
+            # a retry at each nested "{" would recurse as deep again: give up
+            raise NoJsonFoundError("model output nests JSON too deeply") from exc
         salvaged = raw[:idx].strip() != "" or raw[end:].strip() != ""
         return obj, salvaged
     raise NoJsonFoundError("no JSON object in model output")

@@ -24,18 +24,18 @@ Text holding a character that XML 1.0 cannot carry is refused.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from typing import Callable
 from xml.etree import ElementTree as ET
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.retrieval import FewShotExample
 
-DEFAULT_INSTRUCTIONS = (
+INSTRUCTIONS = (
     "You are a careful analyst of causal language in news sentences. "
     "Decide whether the query sentence expresses a causal relation. Apply "
     "every rule below, study the worked examples, then answer for the "
@@ -65,12 +65,14 @@ def estimate_tokens(text: str) -> int:
 
 def default_rules() -> list[str]:
     """The five editable causality tests shipped with the package."""
-    text = (
-        resources.files("causeway").joinpath("data/causality_rules.txt").read_text(
-            encoding="utf-8"
-        )
-    )
-    return _parse_rules(text)
+    return list(_packaged_rules())
+
+
+@functools.cache
+def _packaged_rules() -> tuple[str, ...]:
+    """The packaged rules file, read and parsed once per process."""
+    path = resources.files("causeway").joinpath("data/causality_rules.txt")
+    return tuple(_parse_rules(path.read_text(encoding="utf-8")))
 
 
 def load_rules(path: str | Path) -> list[str]:
@@ -91,14 +93,12 @@ class PromptSpec:
     query_sentence: str
     examples: list[FewShotExample] = field(default_factory=list)
     rules: list[str] = field(default_factory=default_rules)
-    instructions: str = DEFAULT_INSTRUCTIONS
-    output_contract: str = OUTPUT_CONTRACT
 
 
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic well-formed XML string for one classification call."""
     root = ET.Element("prompt")
-    ET.SubElement(root, "instructions").text = spec.instructions
+    ET.SubElement(root, "instructions").text = INSTRUCTIONS
 
     rules_el = ET.SubElement(root, "rules")
     for n, rule in enumerate(spec.rules, start=1):
@@ -132,7 +132,7 @@ def build_prompt(spec: PromptSpec) -> str:
         ET.SubElement(ex_el, "tagged_sentence").text = example.tagged_text
 
     ET.SubElement(root, "query").text = spec.query_sentence
-    ET.SubElement(root, "output_format").text = spec.output_contract
+    ET.SubElement(root, "output_format").text = OUTPUT_CONTRACT
 
     ET.indent(root)
     prompt = ET.tostring(root, encoding="unicode")
@@ -144,11 +144,7 @@ def build_prompt(spec: PromptSpec) -> str:
     return prompt
 
 
-def token_budget_trim(
-    spec: PromptSpec,
-    max_tokens: int,
-    estimator: Callable[[str], int] = estimate_tokens,
-) -> PromptSpec:
+def token_budget_trim(spec: PromptSpec, max_tokens: int) -> PromptSpec:
     """Drop lowest-ranked examples until the rendered prompt fits.
 
     Rules, query and output contract are never dropped; if the zero-shot
@@ -157,7 +153,7 @@ def token_budget_trim(
     if max_tokens <= 0:
         raise ValueError("max_tokens must be positive")
     current = spec
-    while estimator(build_prompt(current)) > max_tokens:
+    while estimate_tokens(build_prompt(current)) > max_tokens:
         if not current.examples:
             raise BudgetTooSmallError(
                 f"zero-shot prompt exceeds budget of {max_tokens} tokens"

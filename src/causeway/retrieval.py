@@ -14,7 +14,6 @@ as whole arrays, one chunk of rows at a time.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -22,7 +21,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from causeway.errors import DimensionMismatchError, ZeroVectorError
-from causeway.store import EMBEDDING_DIM, GraphStore
+from causeway.store import GraphStore, check_embedding
 
 # Weights recovered from the published retrieval scores under alpha+beta=1;
 # tau defaults low so few-shot sets are not silently empty.
@@ -118,18 +117,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     elementwise in float64, so each result's ``hybrid_score`` equals
     ``hybrid_score(embedding_similarity, structural_score, cfg)``. Neighbor
     counts and texts are collected only for the top-k. The whole query
-    holds one read lock, so it sees a single consistent store.
+    holds one read lock, so it sees a single consistent store. ``q`` must
+    pass ``check_embedding``, as every stored vector has.
     """
-    qv = np.asarray(q, dtype=np.float64)
-    if qv.shape != (EMBEDDING_DIM,):
-        raise DimensionMismatchError(
-            f"query vector must have shape ({EMBEDDING_DIM},), got {qv.shape}"
-        )
-    q_norm = math.sqrt(np.vdot(qv, qv))  # vdot: no overflow warning, see check_embedding
-    if not math.isfinite(q_norm):
-        raise DimensionMismatchError("query vector must have finite entries and a finite norm")
-    if q_norm == 0.0:
-        raise ZeroVectorError("query vector has zero norm")
+    qv, q_norm = check_embedding(q)
 
     with store.lock.read():
         rows = store.scoring_rows()

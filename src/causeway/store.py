@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -71,8 +72,9 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 }
 
 
-def check_embedding(vector) -> np.ndarray:
-    """Coerce to a float64 array; enforce dimension, a finite nonzero norm."""
+def check_embedding(vector) -> tuple[np.ndarray, float]:
+    """The vector as a float64 array, and its L2 norm; enforce dimension
+    and a finite nonzero norm."""
     try:
         arr = np.asarray(vector, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -89,8 +91,8 @@ def check_embedding(vector) -> np.ndarray:
     if not math.isfinite(squared_norm):
         raise DimensionMismatchError("embedding must have finite entries and a finite norm")
     if squared_norm == 0.0:  # cosine would reject it at query time
-        raise ZeroVectorError("embedding has zero norm")
-    return arr
+        raise ZeroVectorError("embedding is a zero vector")
+    return arr, math.sqrt(squared_norm)
 
 
 @dataclass(eq=False)
@@ -256,9 +258,7 @@ class GraphStore:
     # --- nodes ---
 
     def upsert_node(self, node: Node) -> str:
-        embedding = None
-        if node.embedding is not None:
-            embedding = check_embedding(node.embedding)
+        checked = None if node.embedding is None else check_embedding(node.embedding)
         with self.lock.write():
             existing = self._nodes.get(node.id)
             if existing is not None:
@@ -270,7 +270,7 @@ class GraphStore:
                 existing.text = node.text
             else:
                 existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
-            self._place(existing, embedding)
+            self._place(existing, checked)
             self._compact_if_sparse()
         return node.id
 
@@ -280,10 +280,6 @@ class GraphStore:
         if node is None:
             raise UnknownIdError(f"no node with id {node_id!r}")
         return node
-
-    def has_node(self, node_id: str) -> bool:
-        with self.lock.read():
-            return node_id in self._nodes
 
     def set_embedding(self, node_id: str, vector) -> None:
         """Set or clear (vector=None) one node's embedding."""
@@ -296,15 +292,16 @@ class GraphStore:
             for node_id, vec in pairs
         ]
         with self.lock.write():
-            for node_id, embedding in checked:
+            for node_id, vector in checked:
                 node = self._nodes.get(node_id)
                 if node is None:
                     raise UnknownIdError(f"no node with id {node_id!r}")
-                self._place(node, embedding)
+                self._place(node, vector)
             self._compact_if_sparse()
 
-    def _place(self, node: Node, embedding: np.ndarray | None) -> None:
-        """Give ``node`` this embedding: an event with text gets a fresh row.
+    def _place(self, node: Node, checked: tuple[np.ndarray, float] | None) -> None:
+        """Give ``node`` an (embedding, norm) from ``check_embedding``, or
+        none; an event with text gets a fresh row.
 
         The node's old row, if any, is only marked dead; rows are written
         once, so views of them that callers hold keep their values.
@@ -312,9 +309,10 @@ class GraphStore:
         row = self._row_of.pop(node.id, None)
         if row is not None:
             self._alive[row] = False
-        if embedding is None or node.kind is not NodeKind.EVENT or node.text is None:
-            node.embedding = embedding
+        if checked is None or node.kind is not NodeKind.EVENT or node.text is None:
+            node.embedding = None if checked is None else checked[0]
             return
+        embedding, norm = checked
         row = len(self._row_ids)
         chunk, offset = divmod(row, CHUNK_ROWS)
         if chunk == len(self._chunks):
@@ -325,7 +323,7 @@ class GraphStore:
         view = self._chunks[chunk][offset]
         view[:] = embedding
         view.flags.writeable = False
-        self._norms[row] = math.sqrt(view.dot(view))
+        self._norms[row] = norm
         self._linked[row] = node.id in self._adjacent
         self._alive[row] = True
         self._row_ids.append(node.id)
@@ -338,13 +336,14 @@ class GraphStore:
         chunk. Old chunks live on only in views that callers still hold."""
         if len(self._row_ids) - 2 * len(self._row_of) < CHUNK_ROWS:
             return
-        live = [self._nodes[self._row_ids[row]] for row in sorted(self._row_of.values())]
+        live, ids, norms = sorted(self._row_of.values()), self._row_ids, self._norms
         self._chunks, self._row_ids, self._row_of = [], [], {}
         self._norms = np.empty(0)
         self._linked = np.empty(0, dtype=bool)
         self._alive = np.empty(0, dtype=bool)
-        for node in live:
-            self._place(node, node.embedding)
+        for row in live:
+            node = self._nodes[ids[row]]
+            self._place(node, (node.embedding, norms[row]))
 
     def scoring_rows(self) -> ScoringRows:
         """The scoring rows as arrays, for retrieval to score in bulk."""
@@ -448,29 +447,47 @@ class GraphStore:
     # --- snapshot persistence ---
 
     def save(self, path: str | Path) -> None:
-        payload = {
-            "format": SNAPSHOT_FORMAT,
-            "version": SNAPSHOT_VERSION,
-            "embedding_dim": EMBEDDING_DIM,
-            "nodes": [
-                {
-                    "id": n.id,
-                    "kind": n.kind.value,
-                    "text": n.text,
-                    "embedding": None if n.embedding is None else n.embedding.tolist(),
-                }
-                for n in self.nodes()
-            ],
-            "edges": [
-                {"src": e.src, "dst": e.dst, "kind": e.kind.value}
-                for e in self.edges()
-            ],
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
+        """Write the snapshot atomically: a reader or a crash sees the old
+        file or the new one, never part of one."""
+        with self.lock.read():  # nodes and edges from one consistent view
+            payload = {
+                "format": SNAPSHOT_FORMAT,
+                "version": SNAPSHOT_VERSION,
+                "embedding_dim": EMBEDDING_DIM,
+                "nodes": [
+                    {
+                        "id": n.id,
+                        "kind": n.kind.value,
+                        "text": n.text,
+                        "embedding": None if n.embedding is None else n.embedding.tolist(),
+                    }
+                    for n in self._nodes.values()
+                ],
+                "edges": [
+                    {"src": e.src, "dst": e.dst, "kind": e.kind.value}
+                    for e in self._edges
+                ],
+            }
+        path = Path(path)
+        # unique per process and thread, in the target's directory so that
+        # os.replace stays one rename on one file system
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as f:
+                f.write(json.dumps(payload))
+                f.flush()
+                os.fsync(f.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except RecursionError as exc:
+            raise ValueError(f"{path}: snapshot JSON nests too deeply") from exc
         if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
             raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
         if payload.get("version") != SNAPSHOT_VERSION:

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
-
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from causeway.annotation import (
     AnnotatedSentence,
@@ -14,6 +15,7 @@ from causeway.annotation import (
     strip_tags,
 )
 from causeway.errors import (
+    CausewayError,
     MalformedTagError,
     SourceUnreadableError,
     UnknownTagKindError,
@@ -92,6 +94,27 @@ def test_parse_leaves_bare_angle_brackets_alone():
     s = parse_tagged_sentence("profits fell < 5% while <cause>costs</cause> rose", "s5")
     assert s.raw_text == "profits fell < 5% while costs rose"
     assert len(s.spans) == 1
+
+
+TAG_PIECES = st.sampled_from([
+    "<cause>", "</cause>", "<effect>", "</effect>", "<trigger>", "</trigger>",
+    "< Cause >", "</ EFFECT>", "<reason>", "<", ">", "/", "rain", " ", "é",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged=st.lists(TAG_PIECES, max_size=12).map("".join) | st.text(max_size=30))
+def test_parse_yields_disjoint_spans_or_a_causeway_error(tagged):
+    try:
+        s = parse_tagged_sentence(tagged, "prop")
+    except CausewayError:
+        return
+    assert s.raw_text == strip_tags(tagged)
+    end = 0
+    for span in s.spans:
+        assert end <= span.start < span.end  # non-empty, disjoint, in order
+        assert s.raw_text[span.start : span.end] == span.text
+        end = span.end
 
 
 def test_roundtrip_property_generated_sentences(rng):
@@ -234,6 +257,21 @@ def test_jsonl_ingest_roundtrip(tmp_path):
     assert report.ingested == 2
     assert len(report.skipped) == 1
     assert report.skipped[0][0] == "line-2"
+
+
+@settings(max_examples=200, deadline=None)
+@given(content=st.text(max_size=60) | st.lists(
+    st.sampled_from(['{"id": "a", "tagged_text": "x"}', "[1]", "{", "null", "", " "]),
+    max_size=5,
+).map("\n".join))
+@example(content="[" * 100_000 + "]" * 100_000)
+@example(content='{"id": "a", "tagged_text": ' + "[" * 100_000 + "]" * 100_000 + "}")
+def test_jsonl_yields_a_record_per_nonblank_line(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "corpus-property.jsonl"
+    path.write_text(content, encoding="utf-8")
+    records = list(iter_jsonl_records(path))
+    assert all(isinstance(record, dict) for record in records)
+    assert len(records) == sum(1 for line in content.splitlines() if line.strip())
 
 
 def test_jsonl_missing_file():

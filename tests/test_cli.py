@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from causeway.cli import Config, main
 from causeway.errors import CausewayError
-from causeway.store import GraphStore
+from causeway.store import EMBEDDING_DIM, GraphStore
 
 from helpers import count_dot_statements
 
@@ -410,6 +410,78 @@ def test_zero_vector_provider_exits_three(workspace, monkeypatch, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
     assert run(["embed"], workspace) == 3
     assert "zero vector" in capsys.readouterr().err
+
+
+BAD_VECTORS = {
+    "zero": np.zeros(EMBEDDING_DIM),
+    "nan": np.full(EMBEDDING_DIM, np.nan),
+    "huge": np.full(EMBEDDING_DIM, 1e200),
+}
+
+
+@pytest.mark.parametrize("command", [["retrieve", "--query"], ["classify", "--sentence"]],
+                         ids=["retrieve", "classify"])
+@pytest.mark.parametrize("bad", sorted(BAD_VECTORS))
+def test_bad_query_vector_provider_exits_three(workspace, monkeypatch, capsys, command, bad):
+    from causeway import embedding
+
+    class BadProvider(embedding.EmbeddingProvider):
+        def embed_batch(self, texts):
+            return [BAD_VECTORS[bad].copy() for _ in texts]
+
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    capsys.readouterr()
+    monkeypatch.setattr(embedding, "mock_provider", lambda seed=0: BadProvider())
+    assert run([*command, "heavy rain led to flooding"], workspace) == 3
+    assert capsys.readouterr().err.startswith("error: provider returned")
+
+
+def test_http_settings_left_out_take_the_constructor_defaults(monkeypatch):
+    from causeway import embedding, inference
+
+    provider = {"kind": "http", "endpoint": "http://embed.local"}
+    client = {"kind": "http", "endpoint": "http://llm.local", "model": "m"}
+    made = Config(provider=provider, client=client)
+    assert made.make_provider().model == "all-MiniLM-L6-v2"
+    assert made.make_provider().api_key_env == "CAUSEWAY_EMBED_API_KEY"
+    assert made.make_client().api_key_env == "CAUSEWAY_LLM_API_KEY"
+    # the factories pass on only the settings the config holds
+    monkeypatch.setattr(embedding, "HttpEmbeddingProvider", lambda **kw: kw)
+    monkeypatch.setattr(inference, "HttpLLMClient", lambda **kw: kw)
+    assert made.make_provider() == {"endpoint": "http://embed.local"}
+    assert made.make_client() == {"endpoint": "http://llm.local", "model": "m"}
+
+
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_deeply_nested_json_is_an_operational_error(workspace, capsys):
+    workspace["store"].write_text(DEEP_JSON, encoding="utf-8")
+    assert run(["stats"], workspace) == 1
+    workspace["store"].unlink()
+    config = workspace["dir"] / "config.json"
+    config.write_text(DEEP_JSON, encoding="utf-8")
+    assert run(["--config", str(config), "stats"], workspace) == 1
+    capsys.readouterr()
+    workspace["corpus"].write_text(DEEP_JSON + "\n", encoding="utf-8")
+    assert run(["ingest", "--corpus", str(workspace["corpus"]), "--format", "json"],
+               workspace) == 0
+    assert json.loads(capsys.readouterr().out)["skipped"] == [["line-1", "missing tagged_text"]]
+    workspace["testset"].write_text(DEEP_JSON + "\n", encoding="utf-8")
+    assert run(["evaluate", "--test", str(workspace["testset"])], workspace) == 1
+    assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("record", [{"text": 5}, {"text": None}, {"tagged_text": ["x"]}])
+def test_non_string_eval_text_is_operational_error(workspace, capsys, record):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    workspace["testset"].write_text(
+        json.dumps({"id": "t1", "gold_label": 1, **record}) + "\n", encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert run(["evaluate", "--test", str(workspace["testset"])], workspace) == 1
+    assert "t1" in capsys.readouterr().err
 
 
 def test_json_mode_emits_single_document(workspace, capsys):

@@ -140,6 +140,9 @@ def test_zero_vector_from_provider_is_provider_failure():
         batch_embed(store, ZeroProvider(), batch_size=2)
     assert exc_info.value.report.total_embedded == 0
     assert all(n.embedding is None for n in store.nodes())
+    # a query text's vector passes the same gate
+    with pytest.raises(ProviderFailureError, match="for text 'q': embedding is a zero vector"):
+        ZeroProvider().embed("q")
 
 
 def test_overflowing_vector_from_provider_is_provider_failure():
@@ -251,18 +254,21 @@ class FakeSession:
         self.last_request = None
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.last_request = {"url": url, "json": json, "headers": headers}
+        self.last_request = {"url": url, "json": json, "headers": headers, "timeout": timeout}
         return FakeResponse(self.payload, self.status)
 
 
-def test_http_provider_parses_openai_style_payload():
+def test_http_provider_parses_openai_style_payload(monkeypatch):
+    monkeypatch.delenv("CAUSEWAY_EMBED_API_KEY", raising=False)
     vec = [0.1] * EMBEDDING_DIM
     session = FakeSession({"data": [{"embedding": vec}, {"embedding": vec}]})
     provider = HttpEmbeddingProvider("http://embed.local/v1/embeddings", session=session)
     out = provider.embed_batch(["a", "b"])
     assert len(out) == 2
     assert out[0].shape == (EMBEDDING_DIM,)
-    assert session.last_request["json"]["input"] == ["a", "b"]
+    assert session.last_request["json"] == {"model": "all-MiniLM-L6-v2", "input": ["a", "b"]}
+    assert session.last_request["timeout"] == 30.0
+    assert session.last_request["headers"] == {}
 
 
 def test_http_provider_wraps_transport_errors():

@@ -7,6 +7,8 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway import retrieval
 from causeway.embedding import EmbeddingProvider
@@ -31,7 +33,7 @@ from causeway.evaluation import (
 from causeway.inference import LLMClient, MockLLMClient, classify
 from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
 from causeway.retrieval import HybridConfig
-from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
+from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
 
 
 def test_confusion_perfect_and_inverted():
@@ -155,6 +157,35 @@ def test_load_eval_dataset_requires_gold(tmp_path):
     path.write_text('{"id": "a", "text": "s", "gold_label": 1}\n[1, 2]\n', encoding="utf-8")
     with pytest.raises(BadLabelError, match="line 2"):
         load_eval_dataset(path)
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
+    with pytest.raises(BadLabelError, match="line 1"):
+        load_eval_dataset(path)
+    for record in ({"text": 5}, {"text": None}, {"tagged_text": ["x"]}, {}):
+        path.write_text(json.dumps({"id": "a", "gold_label": 1, **record}), encoding="utf-8")
+        with pytest.raises(BadLabelError, match="a: record needs"):
+            load_eval_dataset(path)
+
+
+EVAL_VALUES = st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text(max_size=12)
+EVAL_LINES = st.dictionaries(
+    st.sampled_from(["id", "text", "tagged_text", "gold_label"]),
+    EVAL_VALUES | st.sampled_from(["<cause>a</cause> b", "<effect>x", "</cause>"]),
+    max_size=4,
+).map(json.dumps) | st.text(max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(EVAL_LINES, max_size=4))
+def test_load_eval_dataset_loads_or_raises_a_causeway_error(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "eval-property.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        records = load_eval_dataset(path)
+    except CausewayError:
+        return
+    for record in records:
+        assert isinstance(record.text, str)
+        assert record.gold_label in (0, 1)
 
 
 class ThresholdClient(LLMClient):
@@ -239,18 +270,41 @@ def test_sweep_records_failures_not_fatal(provider):
 
         def complete(self, prompt: str) -> str:
             root = ET.fromstring(prompt)
-            if "boom" in (root.findtext("query") or ""):
+            query = root.findtext("query") or ""
+            if "boom" in query:
                 return "no json here"
+            if "deep" in query:  # nests past the JSON decoder's recursion limit
+                return '{"label": ' + "[" * 100_000 + "]" * 100_000 + "}"
             return '{"tagged_sentence": "t", "label": 1}'
 
     store, _ = sweep_fixture(provider)
     dataset = [
         EvalRecord("ok", "fine sentence", 1),
         EvalRecord("bad", "boom sentence", 1),
+        EvalRecord("deep", "deep sentence", 1),
     ]
     reports = sweep(dataset, [3], store, provider, ExplodingClient())
     assert reports[0].confusion.total == 1
-    assert [f[0] for f in reports[0].failures] == ["bad"]
+    assert [f[0] for f in reports[0].failures] == ["bad", "deep"]
+
+
+@pytest.mark.parametrize("bad", [0.0, math.nan, 1e200], ids=["zero", "nan", "huge"])
+def test_sweep_records_a_bad_provider_vector_as_provider_failure(provider, bad):
+    class BadProvider(EmbeddingProvider):
+        def embed_batch(self, texts):
+            return [
+                np.full(EMBEDDING_DIM, bad) if text == "bad vector" else vec
+                for text, vec in zip(texts, provider.embed_batch(texts))
+            ]
+
+    store, _ = sweep_fixture(provider)
+    dataset = [EvalRecord("ok", "fine sentence", 1), EvalRecord("bad", "bad vector", 1)]
+    reports = sweep(dataset, [1, 3], store, BadProvider(), MockLLMClient())
+    for report in reports:
+        assert report.confusion.total == 1
+        [(rec_id, message)] = report.failures
+        assert rec_id == "bad"
+        assert message.startswith("provider returned")
 
 
 class CountingProvider(EmbeddingProvider):
@@ -328,7 +382,8 @@ def test_sweep_ranks_each_sentence_once_and_matches_per_k_classify(
         cfg_base=cfg, max_prompt_tokens=budget,
     )
     assert counting.embeds == len(dataset)
-    assert queries == [max(k_values)] * len(dataset)
+    # the zero-vector sentence fails at the provider's vector gate, before retrieval
+    assert queries == [max(k_values)] * (len(dataset) - 1)
     assert [r.k for r in reports] == k_values
     for report in reports:
         assert [f[0] for f in report.failures] == ["xml", "zero"]

@@ -5,6 +5,8 @@ import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway.errors import (
     BadLabelError,
@@ -121,6 +123,26 @@ def test_extract_json_total_over_fuzzed_strings(rng):
             assert verdict.label in (0, 1)
         except ParseFailureError:
             pass  # typed failure is the only acceptable error
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_extract_json_deeply_nested_reply_is_no_json():
+    with pytest.raises(NoJsonFoundError, match="too deeply"):
+        extract_json('{"tagged_sentence": "s", "label": ' + DEEP + "}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.text(alphabet=st.sampled_from('{}[]":,01 labeltagged_sentence\\x'), max_size=80)
+       | st.text(max_size=40))
+def test_extract_json_yields_a_verdict_or_a_parse_failure(raw):
+    try:
+        verdict = extract_json(raw)
+    except ParseFailureError:
+        return
+    assert verdict.label in (0, 1)
+    assert isinstance(verdict.tagged_sentence, str)
 
 
 def test_extract_json_picks_first_valid_object():
@@ -373,7 +395,8 @@ def test_mock_client_emits_two_key_json(provider):
     assert parsed["label"] == 1
 
 
-def test_http_client_payload_and_errors():
+def test_http_client_payload_and_errors(monkeypatch):
+    monkeypatch.delenv("CAUSEWAY_LLM_API_KEY", raising=False)
     class FakeResponse:
         def __init__(self, payload, status):
             self.payload = payload
@@ -393,14 +416,23 @@ def test_http_client_payload_and_errors():
             self.request = None
 
         def post(self, url, json=None, headers=None, timeout=None):
-            self.request = {"url": url, "json": json}
+            self.request = {"url": url, "json": json, "headers": headers, "timeout": timeout}
             return FakeResponse(self.payload, self.status)
 
     ok = FakeSession({"choices": [{"message": {"content": "hi"}}]})
     client = HttpLLMClient("http://llm.local/v1/chat", model="test-model", session=ok)
     assert client.complete("prompt text") == "hi"
-    assert ok.request["json"]["model"] == "test-model"
-    assert ok.request["json"]["temperature"] == 0.0
+    assert ok.request["json"] == {
+        "model": "test-model",
+        "messages": [{"role": "user", "content": "prompt text"}],
+        "temperature": 0.0,
+        "max_tokens": 1024,
+    }
+    assert ok.request["timeout"] == 60.0
+    assert ok.request["headers"] == {}
+    monkeypatch.setenv("CAUSEWAY_LLM_API_KEY", "secret")
+    client.complete("prompt text")
+    assert ok.request["headers"] == {"Authorization": "Bearer secret"}
 
     bad = FakeSession({}, status=503)
     client = HttpLLMClient("http://llm.local/v1/chat", model="m", session=bad)

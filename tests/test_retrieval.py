@@ -145,6 +145,8 @@ def test_query_rejects_bad_vectors():
         query(store, np.zeros(EMBEDDING_DIM), HybridConfig())
     with pytest.raises(DimensionMismatchError):
         query(store, np.ones(10), HybridConfig())
+    with pytest.raises(DimensionMismatchError):
+        query(store, ["a"] * EMBEDDING_DIM, HybridConfig())
 
 
 def test_query_threshold_is_inclusive(provider):

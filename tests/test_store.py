@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -340,6 +341,44 @@ def test_snapshot_roundtrip(tmp_path, rng):
     for node in store.nodes():
         other = loaded.get_node(node.id)
         assert other == node  # includes exact embedding equality
+
+
+def test_failed_save_leaves_the_old_snapshot(tmp_path, rng, monkeypatch):
+    path = tmp_path / "graph.json"
+    random_store(rng, n_events=5).save(path)
+    before = path.read_bytes()
+    real_open = io.open
+
+    class HalfWriter:
+        """A file whose write stops halfway, as on a full disk."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return HalfWriter(f) if "w" in mode else f
+
+    monkeypatch.setattr(io, "open", failing_open)
+    with pytest.raises(OSError, match="no space"):
+        random_store(rng, n_events=8).save(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert len(GraphStore.load(path).nodes(NodeKind.EVENT)) == 5
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]  # no temp file left
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
