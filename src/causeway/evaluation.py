@@ -172,7 +172,7 @@ def load_eval_dataset(path: str | Path) -> list[EvalRecord]:
             raise BadLabelError(f"line {lineno}: record must be a JSON object")
         rec_id = str(row.get("id", f"line-{lineno}"))
         gold = row.get("gold_label")
-        if gold not in (0, 1):
+        if type(gold) is not int or gold not in (0, 1):  # no bool, no 1.0
             raise BadLabelError(f"{rec_id}: gold_label must be 0 or 1, got {gold!r}")
         key = "text" if "text" in row else "tagged_text"
         text = row.get(key)

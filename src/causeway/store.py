@@ -7,7 +7,8 @@ fixed endpoint table:
     RESULTS_IN:  Event  -> Effect
     HAS_TRIGGER: Event  -> Trigger
 
-Storage is in-memory with optional JSON snapshot persistence. Edges have
+Storage is in-memory with optional snapshot persistence: a JSON document
+of nodes and edges plus one ``.npy`` file of their vectors. Edges have
 set semantics (duplicates are idempotent) but preserve first-insertion
 order, which fixes the order of collected neighbor texts; adjacency is
 kept on each edge's one Event endpoint. Many readers or one writer.
@@ -23,11 +24,14 @@ chunks once dead rows outnumber them by a chunk.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
+import re
 import threading
-from contextlib import contextmanager
+import zipfile
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -48,7 +52,10 @@ EMBEDDING_DIM = 384
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2  # what save writes; load also reads version 1
+VECTOR_DTYPE = "<f8"
+# hex digits of the vectors' sha256 in the sidecar's name
+_HASH_CHARS = 16
 
 
 class NodeKind(str, Enum):
@@ -200,14 +207,26 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-# snapshot record keys and the JSON types each one's value may take
-_NODE_FIELDS = {
-    "id": str,
-    "kind": str,
-    "text": (str, type(None)),
-    "embedding": (list, type(None)),
-}
+# snapshot record keys and the JSON types each one's value may take; a
+# version 1 node carries its embedding, version 2 keeps vectors in the sidecar
+_NODE_FIELDS = {"id": str, "kind": str, "text": (str, type(None))}
+_V1_NODE_FIELDS = {**_NODE_FIELDS, "embedding": (list, type(None))}
 _EDGE_FIELDS = {"src": str, "dst": str, "kind": str}
+_VECTOR_FIELDS = {"file": str, "dtype": str, "shape": list, "rows": list}
+
+
+def _snapshot_record(path, where: str, rec, fields: dict) -> dict:
+    """``rec`` if it is an object with typed ``fields``."""
+    if not isinstance(rec, dict) or not rec.keys() >= fields.keys():
+        raise ValueError(
+            f"{path}: snapshot {where} must be an object with keys {sorted(fields)}"
+        )
+    for name, types in fields.items():
+        if not isinstance(rec[name], types):
+            raise ValueError(
+                f"{path}: snapshot {where} {name!r} must not be {type(rec[name]).__name__}"
+            )
+    return rec
 
 
 def _snapshot_records(path, payload: dict, key: str, fields: dict) -> list:
@@ -216,18 +235,151 @@ def _snapshot_records(path, payload: dict, key: str, fields: dict) -> list:
     if not isinstance(records, list):
         raise ValueError(f"{path}: snapshot {key!r} must be a list")
     for i, rec in enumerate(records):
-        if not isinstance(rec, dict) or not rec.keys() >= fields.keys():
-            raise ValueError(
-                f"{path}: snapshot {key}[{i}] must be an object "
-                f"with keys {sorted(fields)}"
-            )
-        for name, types in fields.items():
-            if not isinstance(rec[name], types):
-                raise ValueError(
-                    f"{path}: snapshot {key}[{i}] {name!r} must not be "
-                    f"{type(rec[name]).__name__}"
-                )
+        _snapshot_record(path, f"{key}[{i}]", rec, fields)
     return records
+
+
+def _read_snapshot(path: Path) -> tuple[list, list, list]:
+    """Check the snapshot at ``path``: its node and edge records, and
+    ``(node id, (vector, norm) or None)`` for each vector, in row order."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError as exc:
+        raise ValueError(f"{path}: snapshot JSON nests too deeply") from exc
+    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
+        raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
+    version = payload.get("version")
+    if type(version) is not int or version not in (1, 2):
+        raise ValueError(f"{path}: unsupported snapshot version")
+    node_fields = _V1_NODE_FIELDS if version == 1 else _NODE_FIELDS
+    nodes = _snapshot_records(path, payload, "nodes", node_fields)
+    edges = _snapshot_records(path, payload, "edges", _EDGE_FIELDS)
+    if version == 1:
+        placed = [
+            (rec["id"], None if rec["embedding"] is None else check_embedding(rec["embedding"]))
+            for rec in nodes
+        ]
+    else:
+        placed = _read_vectors(path, payload, {rec["id"]: rec for rec in nodes})
+    return nodes, placed, edges
+
+
+class _MissingVectors(ValueError):
+    """The vector file a snapshot names is not there."""
+
+
+def _sidecar_path(path: Path, name) -> Path:
+    """The vector file ``name`` beside the snapshot at ``path``: only a bare
+    file name ``.<snapshot name>.<hash>.npy`` is one."""
+    pattern = rf"\.{re.escape(path.name)}\.[0-9a-f]{{{_HASH_CHARS}}}\.npy"
+    if not isinstance(name, str) or not re.fullmatch(pattern, name):
+        raise ValueError(f"{path}: {name!r} is not a vector file name of this snapshot")
+    return path.with_name(name)
+
+
+def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> list:
+    """``(node id, (vector, norm))`` for each row of a version 2 snapshot's
+    sidecar; ``norm`` is None unless the node is scored, which needs the
+    norm ``check_embedding`` gives."""
+    record = _snapshot_record(path, "'vectors'", payload.get("vectors"), _VECTOR_FIELDS)
+    rows = record["rows"]
+    if not all(isinstance(r, str) and r in nodes for r in rows) or len(set(rows)) < len(rows):
+        raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
+    shape = (len(rows), EMBEDDING_DIM)
+    if record["dtype"] != VECTOR_DTYPE or record["shape"] != list(shape):
+        raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {shape}")
+    sidecar = _sidecar_path(path, record["file"])
+    try:
+        # mapped, so a header that declares more data than the file holds
+        # fails here instead of allocating it
+        mapped = np.load(sidecar, mmap_mode="r", allow_pickle=False)
+    except FileNotFoundError as exc:
+        raise _MissingVectors(f"{path}: vector file {sidecar.name} is missing") from exc
+    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{sidecar}: not a .npy vector file: {exc}") from exc
+    if not isinstance(mapped, np.ndarray):  # an .npz archive
+        mapped.close()
+        raise ValueError(f"{sidecar}: not a .npy vector file")
+    if mapped.dtype != np.dtype(VECTOR_DTYPE) or mapped.shape != shape:
+        raise ValueError(f"{sidecar}: vectors must be {VECTOR_DTYPE} of shape {shape}")
+    vectors = np.array(mapped, order="C")  # a copy: nothing keeps the file mapped
+    # the refusals of check_embedding, for every row at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = np.einsum("ij,ij->i", vectors, vectors)
+    bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
+    if bad.size:
+        row = bad[0]
+        if squared[row] == 0.0:
+            raise ZeroVectorError(f"{sidecar}: vector of {rows[row]!r} is a zero vector")
+        raise DimensionMismatchError(
+            f"{sidecar}: vector of {rows[row]!r} must have finite entries and a finite norm"
+        )
+    placed = []
+    for node_id, vector in zip(rows, vectors):
+        node = nodes[node_id]
+        scored = node["kind"] == NodeKind.EVENT.value and node["text"] is not None
+        # check_embedding's norm exactly, so scores survive a save and load
+        placed.append((node_id, (vector, math.sqrt(np.vdot(vector, vector)) if scored else None)))
+    return placed
+
+
+def _write_atomic(path: Path, write) -> str:
+    """Call ``write`` on a temporary file beside ``path``, fsync it and
+    rename it to the file name ``write`` returns: a reader or a crash sees
+    the old file or the new one, never part of one."""
+    # unique per process and thread, in the target's directory so that
+    # os.replace stays one rename on one file system
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with tmp.open("wb") as f:
+            name = write(f)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path.with_name(name))
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return name
+
+
+def _vector_blocks(chunks: list[np.ndarray], live: np.ndarray, others: list[np.ndarray]):
+    """The vectors of scoring rows ``live`` (ascending) of ``chunks``, then
+    ``others``, in blocks of at most CHUNK_ROWS rows."""
+    bounds = np.searchsorted(live, np.arange(len(chunks) + 1) * CHUNK_ROWS)
+    for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+        yield chunk[live[lo:hi] % CHUNK_ROWS]
+    for start in range(0, len(others), CHUNK_ROWS):
+        yield np.stack(others[start : start + CHUNK_ROWS])
+
+
+class _FirstObject(Exception):
+    """Raised by _stop_at_first_object with the first JSON object to close."""
+
+    def __init__(self, record: dict):
+        self.record = record
+
+
+def _stop_at_first_object(pairs):
+    raise _FirstObject(dict(pairs))
+
+
+def _named_sidecar(path: Path) -> str | None:
+    """The vector file name the snapshot at ``path`` names, if any. Its
+    ``vectors`` record is the document's first object to close, so parsing
+    stops there instead of building every node and edge."""
+    try:
+        json.loads(path.read_bytes(), object_pairs_hook=_stop_at_first_object)
+    except _FirstObject as first:
+        with suppress(ValueError):
+            return _sidecar_path(path, first.record.get("file")).name
+    except (OSError, ValueError, RecursionError):
+        pass
+    return None
+
+
+def _discard(path: Path) -> None:
+    with suppress(OSError):
+        path.unlink(missing_ok=True)
 
 
 class GraphStore:
@@ -260,19 +412,22 @@ class GraphStore:
     def upsert_node(self, node: Node) -> str:
         checked = None if node.embedding is None else check_embedding(node.embedding)
         with self.lock.write():
-            existing = self._nodes.get(node.id)
-            if existing is not None:
-                if existing.kind is not node.kind:
-                    raise KindViolationError(
-                        f"node {node.id!r} is {existing.kind.value}, "
-                        f"cannot change to {node.kind.value}"
-                    )
-                existing.text = node.text
-            else:
-                existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
-            self._place(existing, checked)
+            self._upsert(node, checked)
             self._compact_if_sparse()
         return node.id
+
+    def _upsert(self, node: Node, checked: tuple[np.ndarray, float] | None) -> None:
+        existing = self._nodes.get(node.id)
+        if existing is not None:
+            if existing.kind is not node.kind:
+                raise KindViolationError(
+                    f"node {node.id!r} is {existing.kind.value}, "
+                    f"cannot change to {node.kind.value}"
+                )
+            existing.text = node.text
+        else:
+            existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
+        self._place(existing, checked)
 
     def get_node(self, node_id: str) -> Node:
         with self.lock.read():
@@ -299,9 +454,9 @@ class GraphStore:
                 self._place(node, vector)
             self._compact_if_sparse()
 
-    def _place(self, node: Node, checked: tuple[np.ndarray, float] | None) -> None:
+    def _place(self, node: Node, checked: tuple[np.ndarray, float | None] | None) -> None:
         """Give ``node`` an (embedding, norm) from ``check_embedding``, or
-        none; an event with text gets a fresh row.
+        none; an event with text gets a fresh row. Only a row needs the norm.
 
         The node's old row, if any, is only marked dead; rows are written
         once, so views of them that callers hold keep their values.
@@ -367,29 +522,32 @@ class GraphStore:
 
     def add_edge(self, edge: Edge) -> None:
         with self.lock.write():
-            src = self._nodes.get(edge.src)
-            dst = self._nodes.get(edge.dst)
-            if src is None or dst is None:
-                missing = edge.src if src is None else edge.dst
-                raise MissingEndpointError(f"edge endpoint {missing!r} not in store")
-            want_src, want_dst = EDGE_ENDPOINTS[edge.kind]
-            if src.kind is not want_src or dst.kind is not want_dst:
-                raise KindViolationError(
-                    f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
-                    f"got {src.kind.value}->{dst.kind.value}"
-                )
-            if edge in self._edges:
-                return
-            self._edges[edge] = None
-            if want_src is NodeKind.EVENT:
-                event_id, other_id = edge.src, edge.dst
-            else:
-                event_id, other_id = edge.dst, edge.src
-            neighbors = self._adjacent.setdefault(event_id, {})
-            neighbors.setdefault(edge.kind, []).append(other_id)
-            row = self._row_of.get(event_id)
-            if row is not None:
-                self._linked[row] = True
+            self._link(edge)
+
+    def _link(self, edge: Edge) -> None:
+        src = self._nodes.get(edge.src)
+        dst = self._nodes.get(edge.dst)
+        if src is None or dst is None:
+            missing = edge.src if src is None else edge.dst
+            raise MissingEndpointError(f"edge endpoint {missing!r} not in store")
+        want_src, want_dst = EDGE_ENDPOINTS[edge.kind]
+        if src.kind is not want_src or dst.kind is not want_dst:
+            raise KindViolationError(
+                f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
+                f"got {src.kind.value}->{dst.kind.value}"
+            )
+        if edge in self._edges:
+            return
+        self._edges[edge] = None
+        if want_src is NodeKind.EVENT:
+            event_id, other_id = edge.src, edge.dst
+        else:
+            event_id, other_id = edge.dst, edge.src
+        neighbors = self._adjacent.setdefault(event_id, {})
+        neighbors.setdefault(edge.kind, []).append(other_id)
+        row = self._row_of.get(event_id)
+        if row is not None:
+            self._linked[row] = True
 
     def edges(self) -> list[Edge]:
         with self.lock.read():
@@ -447,63 +605,82 @@ class GraphStore:
     # --- snapshot persistence ---
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot atomically: a reader or a crash sees the old
-        file or the new one, never part of one."""
-        with self.lock.read():  # nodes and edges from one consistent view
-            payload = {
-                "format": SNAPSHOT_FORMAT,
-                "version": SNAPSHOT_VERSION,
-                "embedding_dim": EMBEDDING_DIM,
-                "nodes": [
-                    {
-                        "id": n.id,
-                        "kind": n.kind.value,
-                        "text": n.text,
-                        "embedding": None if n.embedding is None else n.embedding.tolist(),
-                    }
-                    for n in self._nodes.values()
-                ],
-                "edges": [
-                    {"src": e.src, "dst": e.dst, "kind": e.kind.value}
-                    for e in self._edges
-                ],
-            }
+        """Write the snapshot: a JSON document at ``path`` and, beside it,
+        one ``.npy`` file of every vector, named after their sha256.
+
+        Each file goes to a temporary name, is fsynced and renamed into
+        place, the vectors first. Renaming the JSON commits, so a reader
+        or a crash sees the old pair or the new one. The vector file the
+        old JSON named is then deleted.
+        """
+        with self.lock.read():  # nodes, edges and vectors from one consistent view
+            live = np.flatnonzero(self._alive[: len(self._row_ids)])
+            others = [
+                n
+                for n in self._nodes.values()
+                if n.embedding is not None and n.id not in self._row_of
+            ]
+            rows = [self._row_ids[row] for row in live.tolist()] + [n.id for n in others]
+            # rows are written once and an embedding is replaced, not changed,
+            # so these arrays still hold this view's vectors after the lock
+            blocks = _vector_blocks(list(self._chunks), live, [n.embedding for n in others])
+            # kinds are str enums, which JSON writes as their values
+            nodes = [{"id": n.id, "kind": n.kind, "text": n.text} for n in self._nodes.values()]
+            edges = [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in self._edges]
         path = Path(path)
-        # unique per process and thread, in the target's directory so that
-        # os.replace stays one rename on one file system
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+        shape = (len(rows), EMBEDDING_DIM)
+
+        def write_vectors(f) -> str:
+            header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(f, header)
+            digest = hashlib.sha256()
+            for block in blocks:
+                digest.update(block)
+                f.write(block)
+            return f".{path.name}.{digest.hexdigest()[:_HASH_CHARS]}.npy"
+
+        old = _named_sidecar(path)
+        name = _write_atomic(path.with_name(f"{path.name}.npy"), write_vectors)
+        payload = {
+            "format": SNAPSHOT_FORMAT,
+            "version": SNAPSHOT_VERSION,
+            "embedding_dim": EMBEDDING_DIM,
+            # before the nodes, so that _named_sidecar finds it first
+            "vectors": {"file": name, "dtype": VECTOR_DTYPE, "shape": list(shape), "rows": rows},
+            "nodes": nodes,
+            "edges": edges,
+        }
+
+        def write_document(f) -> str:
+            f.write(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
+            return path.name
+
         try:
-            with tmp.open("w", encoding="utf-8") as f:
-                f.write(json.dumps(payload))
-                f.flush()
-                os.fsync(f.fileno())
-            os.replace(tmp, path)
+            _write_atomic(path, write_document)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            if name != old:  # the old JSON still names its own vectors
+                _discard(path.with_name(name))
             raise
+        if old is not None and old != name:
+            _discard(path.with_name(old))
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
+        """Read a snapshot of either version. A malformed document or
+        vector file is a ValueError naming the file; a zero or non-finite
+        vector raises what ``check_embedding`` raises."""
+        path = Path(path)
         try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except RecursionError as exc:
-            raise ValueError(f"{path}: snapshot JSON nests too deeply") from exc
-        if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
-            raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
-        if payload.get("version") != SNAPSHOT_VERSION:
-            raise ValueError(f"{path}: unsupported snapshot version")
-        nodes = _snapshot_records(path, payload, "nodes", _NODE_FIELDS)
-        edges = _snapshot_records(path, payload, "edges", _EDGE_FIELDS)
+            nodes, placed, edges = _read_snapshot(path)
+        except _MissingVectors:  # a save committed between the JSON and its vectors
+            nodes, placed, edges = _read_snapshot(path)
         store = cls()
-        for rec in nodes:
-            store.upsert_node(
-                Node(
-                    id=rec["id"],
-                    kind=NodeKind(rec["kind"]),
-                    text=rec["text"],
-                    embedding=rec["embedding"],
-                )
-            )
-        for rec in edges:
-            store.add_edge(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
+        with store.lock.write():
+            for rec in nodes:
+                store._upsert(Node(rec["id"], NodeKind(rec["kind"]), rec["text"]), None)
+            for node_id, checked in placed:
+                store._place(store._nodes[node_id], checked)
+            for rec in edges:
+                store._link(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
+            store._compact_if_sparse()
         return store

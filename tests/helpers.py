@@ -7,9 +7,11 @@ retrieval scores from math.fsum arithmetic instead of numpy.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
@@ -114,6 +116,27 @@ def random_store(
         if rng.random() < embed_fraction:
             store.set_embedding(event_id, random_unit_vector(np_rng))
     return store
+
+
+def write_v1_snapshot(store: GraphStore, path) -> None:
+    """Write ``store`` as a version 1 snapshot: one JSON document with every
+    embedding inline as a list of floats."""
+    payload = {
+        "format": "causeway-graph-snapshot",
+        "version": 1,
+        "embedding_dim": EMBEDDING_DIM,
+        "nodes": [
+            {
+                "id": n.id,
+                "kind": n.kind.value,
+                "text": n.text,
+                "embedding": None if n.embedding is None else n.embedding.tolist(),
+            }
+            for n in store.nodes()
+        ],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
+    }
+    Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
 def live_row_ids(store: GraphStore) -> list[str]:

@@ -164,6 +164,10 @@ def test_load_eval_dataset_requires_gold(tmp_path):
         path.write_text(json.dumps({"id": "a", "gold_label": 1, **record}), encoding="utf-8")
         with pytest.raises(BadLabelError, match="a: record needs"):
             load_eval_dataset(path)
+    for gold in (True, False, 1.0, 0.0, "1", 2, None):  # exactly the ints 0 and 1
+        path.write_text(json.dumps({"id": "a", "text": "s", "gold_label": gold}), encoding="utf-8")
+        with pytest.raises(BadLabelError, match="a: gold_label must be 0 or 1"):
+            load_eval_dataset(path)
 
 
 EVAL_VALUES = st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text(max_size=12)
@@ -185,7 +189,7 @@ def test_load_eval_dataset_loads_or_raises_a_causeway_error(tmp_path_factory, li
         return
     for record in records:
         assert isinstance(record.text, str)
-        assert record.gold_label in (0, 1)
+        assert type(record.gold_label) is int and record.gold_label in (0, 1)
 
 
 class ThresholdClient(LLMClient):

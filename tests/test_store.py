@@ -1,13 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import pickle
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causeway import cli
 from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import (
     CausewayError,
@@ -18,6 +24,7 @@ from causeway.errors import (
     UnknownIdError,
     ZeroVectorError,
 )
+from causeway.retrieval import HybridConfig, query
 from causeway.store import (
     CHUNK_ROWS,
     EMBEDDING_DIM,
@@ -31,7 +38,13 @@ from causeway.store import (
     check_embedding,
 )
 
-from helpers import live_row_ids, oracle_neighbor_counts, random_store, random_unit_vector
+from helpers import (
+    live_row_ids,
+    oracle_neighbor_counts,
+    random_store,
+    random_unit_vector,
+    write_v1_snapshot,
+)
 
 
 def small_event(store: GraphStore, event_id="event:1", text="it happened"):
@@ -343,11 +356,20 @@ def test_snapshot_roundtrip(tmp_path, rng):
         assert other == node  # includes exact embedding equality
 
 
+def snapshot_files(path) -> dict[str, bytes]:
+    """Every file in the snapshot's directory, after checking that they are
+    the JSON document and the vector file it names, and nothing else."""
+    sidecar = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
+    files = {p.name: p.read_bytes() for p in path.parent.iterdir()}
+    assert sorted(files) == sorted([path.name, sidecar])
+    return files
+
+
 def test_failed_save_leaves_the_old_snapshot(tmp_path, rng, monkeypatch):
     path = tmp_path / "graph.json"
     random_store(rng, n_events=5).save(path)
-    before = path.read_bytes()
-    real_open = io.open
+    before = snapshot_files(path)
+    real_open, real_replace = io.open, os.replace
 
     class HalfWriter:
         """A file whose write stops halfway, as on a full disk."""
@@ -372,13 +394,110 @@ def test_failed_save_leaves_the_old_snapshot(tmp_path, rng, monkeypatch):
         f = real_open(file, mode, *args, **kwargs)
         return HalfWriter(f) if "w" in mode else f
 
-    monkeypatch.setattr(io, "open", failing_open)
-    with pytest.raises(OSError, match="no space"):
-        random_store(rng, n_events=8).save(path)
+    def failing_json_rename(src, dst):
+        if Path(dst) == path:  # the vector file is already in place
+            raise OSError("rename interrupted")
+        real_replace(src, dst)
+
+    for target, name, fake, error in (
+        (io, "open", failing_open, "no space"),  # the vector file, the first written
+        (os, "replace", failing_json_rename, "rename interrupted"),
+    ):
+        monkeypatch.setattr(target, name, fake)
+        with pytest.raises(OSError, match=error):
+            random_store(rng, n_events=8).save(path)
+        monkeypatch.undo()
+        assert snapshot_files(path) == before  # the old pair whole, no temp file left
+        assert len(GraphStore.load(path).nodes(NodeKind.EVENT)) == 5
+
+
+def test_save_deletes_only_the_vector_file_the_old_snapshot_named(tmp_path, rng):
+    path = tmp_path / "graph.json"
+    other = tmp_path / ".graph.json.0123456789abcdef.npy"  # named like a vector file
+    other.write_bytes(b"not ours")
+    random_store(rng, n_events=5).save(path)
+    first = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
+    store = random_store(rng, n_events=6)
+    store.save(path)
+    second = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
+    assert second != first and not (tmp_path / first).exists()
+    assert other.read_bytes() == b"not ours"
+    other.unlink()
+    files = snapshot_files(path)
+    store.save(path)  # unchanged: the same vector file, which stays
+    assert snapshot_files(path) == files
+    assert GraphStore.load(path).nodes() == store.nodes()
+
+
+def test_load_rereads_the_snapshot_once_if_its_vectors_vanish(tmp_path, rng, monkeypatch):
+    path = tmp_path / "graph.json"
+    random_store(rng, n_events=5).save(path)
+    newer = random_store(rng, n_events=7)
+    real_load, calls = np.load, []
+
+    def load_after_a_save(file, *args, **kwargs):
+        # the first read of vectors comes after a writer committed a new
+        # snapshot and deleted the vector file the reader's JSON named
+        calls.append(Path(file).name)
+        if len(calls) == 1:
+            newer.save(path)
+        return real_load(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "load", load_after_a_save)
+    loaded = GraphStore.load(path)
     monkeypatch.undo()
-    assert path.read_bytes() == before
-    assert len(GraphStore.load(path).nodes(NodeKind.EVENT)) == 5
-    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]  # no temp file left
+    assert len(calls) == 2 and calls[0] != calls[1]
+    assert loaded.nodes() == newer.nodes() and loaded.edges() == newer.edges()
+
+
+def test_snapshot_writes_version_2_with_rows_in_scoring_order(tmp_path, rng, provider):
+    store = random_store(rng, n_events=30)
+    batch_embed(store, provider)  # every span node gets a vector too
+    store.set_embedding("event:0", random_unit_vector(np.random.default_rng(3)))
+    path = tmp_path / "graph.json"
+    store.save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["version"] == SNAPSHOT_VERSION == 2
+    assert all("embedding" not in n for n in doc["nodes"])
+    rows = doc["vectors"]["rows"]
+    assert rows[: len(live_row_ids(store))] == live_row_ids(store)  # event:0 is now last
+    assert sorted(rows) == sorted(n.id for n in store.nodes() if n.embedding is not None)
+    assert doc["vectors"]["shape"] == [len(rows), EMBEDDING_DIM]
+    loaded = GraphStore.load(path)
+    assert live_row_ids(loaded) == live_row_ids(store)
+    assert loaded.nodes() == store.nodes()
+
+
+def test_v1_snapshot_round_trips_through_v2_bit_for_bit(tmp_path, rng, provider):
+    store = random_store(rng, n_events=80)
+    batch_embed(store, provider)
+    for i in range(0, 80, 7):  # re-embedded events move to the end of the rows
+        store.set_embedding(f"event:{i}", random_unit_vector(np.random.default_rng(i)))
+    write_v1_snapshot(store, tmp_path / "v1.json")
+    stores = [store, GraphStore.load(tmp_path / "v1.json")]
+    for name in ("one", "two"):  # v1 -> v2 -> v2
+        path = tmp_path / name / "graph.json"
+        path.parent.mkdir()
+        stores[-1].save(path)
+        stores.append(GraphStore.load(path))
+    assert snapshot_files(tmp_path / "one" / "graph.json") == snapshot_files(
+        tmp_path / "two" / "graph.json"
+    )
+    np_rng = np.random.default_rng(5)
+    queries = [random_unit_vector(np_rng) for _ in range(10)]
+    queries += [provider.embed(f"event sentence {i}") for i in range(0, 80, 9)]
+    cfg = HybridConfig(k=20, tau=-2.0)
+    want = [query(store, q, cfg) for q in queries]
+    def live_norms(s: GraphStore) -> dict[str, float]:
+        rows = s.scoring_rows()
+        return {i: n for i, n, a in zip(rows.ids, rows.norms.tolist(), rows.alive) if a}
+
+    for other in stores[1:]:
+        assert [query(other, q, cfg) for q in queries] == want  # ids and scores to the bit
+        assert live_norms(other) == live_norms(store)
+        assert other.nodes() == store.nodes() and other.edges() == store.edges()
+    # v1 lists no row order, so its rows follow the nodes; v2 keeps the order
+    assert live_row_ids(stores[1]) == live_row_ids(stores[2]) == live_row_ids(stores[3])
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
@@ -388,7 +507,7 @@ def test_snapshot_rejects_foreign_file(tmp_path):
         GraphStore.load(path)
 
 
-HEADER = {"format": SNAPSHOT_FORMAT, "version": SNAPSHOT_VERSION}
+HEADER = {"format": SNAPSHOT_FORMAT, "version": 1}  # the format with inline embeddings
 NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
 CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c", "embedding": None}
 EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
@@ -460,6 +579,102 @@ def test_snapshot_field_value_loads_or_raises_documented_error(
         GraphStore.load(path)
     except (ValueError, CausewayError):
         pass
+
+
+def npy_bytes(array, allow_pickle=False) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+@st.composite
+def vector_faults(draw):
+    """A function that breaks a saved snapshot's ``vectors`` record (the
+    parsed JSON ``doc``) or its vector file, in place."""
+    fault = draw(st.sampled_from([
+        "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
+        "bad-row", "unknown-id", "duplicate-id", "name", "missing",
+    ]))
+    row = draw(st.integers(0, 10**6))
+    cut = draw(st.floats(0, 1, exclude_max=True))
+    junk = draw(st.binary(max_size=200))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e200]))
+    whole_row = draw(st.booleans())
+    name = draw(st.sampled_from([
+        "../graph.json", "/etc/hostname", "sub/.graph.json.0123456789abcdef.npy",
+        ".graph.json.0123456789ABCDEF.npy", ".graph.json.0123.npy", ".other.json.0123456789abcdef.npy",
+        ".graph.json.0123456789abcdef.npy/", ".graph.json.0123456789abcdef.npy", "", 5, None,
+    ]))
+    record = draw(st.sampled_from([
+        ("dtype", "<f4"), ("dtype", ">f8"), ("shape", [0, EMBEDDING_DIM]), ("shape", "x"),
+        ("shape", [1, EMBEDDING_DIM, 1]), ("rows", "event:0"), ("rows", []), ("file", None),
+        ("drop-row", None), ("no-record", None),
+    ]))
+
+    def apply(doc: dict, sidecar: Path) -> None:
+        vectors = np.load(sidecar)
+        rows = doc["vectors"]["rows"]
+        i, j = row % len(rows), (row + 1) % len(rows)
+        data = sidecar.read_bytes()
+        if fault == "truncated":
+            sidecar.write_bytes(data[: int(cut * len(data))])
+        elif fault == "foreign":
+            sidecar.write_bytes(junk)
+        elif fault == "pickled":
+            sidecar.write_bytes(pickle.dumps(vectors))
+        elif fault == "object":
+            sidecar.write_bytes(npy_bytes(np.array(list(vectors), dtype=object), True))
+        elif fault == "f4":
+            sidecar.write_bytes(npy_bytes(vectors.astype("<f4")))
+        elif fault == "shape":
+            shapes = [vectors[:-1], np.vstack([vectors, vectors[:1]]), vectors[:, :-1],
+                      vectors.reshape(-1), vectors[None]]
+            sidecar.write_bytes(npy_bytes(shapes[row % len(shapes)]))
+        elif fault == "record":
+            key, new = record
+            if key == "no-record":
+                del doc["vectors"]
+            elif key == "drop-row":
+                rows.pop()
+            else:
+                doc["vectors"][key] = new
+        elif fault == "bad-row":
+            vectors = vectors.copy()
+            if whole_row:
+                vectors[i] = value
+            else:
+                vectors[i, j % EMBEDDING_DIM] = value if value != 0.0 else np.nan
+            sidecar.write_bytes(npy_bytes(vectors))
+        elif fault == "unknown-id":
+            rows[i] = "event:ghost"
+        elif fault == "duplicate-id":
+            rows[i] = rows[j]
+        elif fault == "name":
+            doc["vectors"]["file"] = name
+        else:
+            sidecar.unlink()
+
+    return fault, apply
+
+
+@settings(max_examples=250, deadline=None)
+@given(fault=vector_faults())
+def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
+    kind, apply = fault
+    path = tmp_path_factory.mktemp("broken") / "graph.json"
+    store = random_store(random.Random(1), n_events=6, embed_fraction=1.0, text_fraction=1.0)
+    batch_embed(store, mock_provider())
+    store.save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    apply(doc, path.with_name(doc["vectors"]["file"]))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises((ValueError, CausewayError)):
+        GraphStore.load(path)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--store", str(path), "stats"])
+    assert code == 1, kind
+    assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
 def test_reader_writer_lock_smoke():
