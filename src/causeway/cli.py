@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--format", choices=["json", "text"], default="text")
 
-    p = sub.add_parser("embed", help="run the full embedding lifecycle")
+    p = sub.add_parser("embed", help="embed every node that has text")
     p.add_argument("--batch-size", type=int, default=embedding.DEFAULT_BATCH_SIZE)
     p.add_argument("--provider", choices=["mock", "http"])
     p.add_argument("--format", choices=["json", "text"], default="text")
@@ -241,7 +241,10 @@ def _cmd_ingest(config: Config, args) -> int:
 def _cmd_embed(config: Config, args) -> int:
     store = _load_store(config)
     provider = config.make_provider(override_kind=args.provider)
-    cleared = embedding.clean_embeddings(store)
+    cleared = 0
+    # vectors of another or an unknown provider are redone; this one's are kept
+    if store.embedded_by != provider.identity:
+        cleared = embedding.clean_embeddings(store)
     report = embedding.batch_embed(store, provider, batch_size=args.batch_size)
     verification = embedding.verify(store)
     store.save(config.store_path)
@@ -255,8 +258,9 @@ def _cmd_embed(config: Config, args) -> int:
         )
     else:
         print(
-            f"cleared {cleared}, embedded {report.total_embedded} "
-            f"in {report.batches_issued} batch(es) via {provider.name}"
+            f"cleared {cleared}, embedded {report.total_embedded} node(s) "
+            f"from {report.texts_sent} text(s) in {report.batches_issued} batch(es) "
+            f"via {provider.name}"
         )
         for row in verification.rows:
             flag = "" if row.deficit == 0 else f"  (missing {row.deficit})"

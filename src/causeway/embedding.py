@@ -3,8 +3,13 @@
 The full cycle mirrors the graph-side embedding update procedure:
 
     1. clean_embeddings   - null out every stored vector
-    2. batch_embed        - embed every node with non-null text, in batches
+    2. batch_embed        - embed every node with non-null text, in batches,
+                            each distinct text once
     3. verify             - per-kind totals vs embedded counts
+
+The store remembers which provider made its vectors (``embedded_by``), so
+a later run with the same provider can skip step 1 and embed only the
+nodes that have no vector yet.
 
 An event's vector lives in its store scoring row, any other node's on the
 node; there is no separate vector index. Providers must be deterministic,
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Sequence
@@ -42,6 +48,12 @@ class EmbeddingProvider(ABC):
     @abstractmethod
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         ...
+
+    @property
+    def identity(self) -> str:
+        """What the store records as having made its vectors: two providers
+        with one identity must give every text the same vector."""
+        return self.name
 
     def embed(self, text: str) -> np.ndarray:
         """One text's vector, through the same gate as ``batch_embed``'s."""
@@ -77,7 +89,7 @@ class HashEmbeddingProvider(EmbeddingProvider):
             digest = hashlib.blake2b(text.encode("utf-8"), key=self._key).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:16], "little"))
             vec = rng.standard_normal(self.dimension)
-            out.append(vec / np.linalg.norm(vec))
+            out.append(vec / math.sqrt(np.vdot(vec, vec)))
         return out
 
 
@@ -127,6 +139,10 @@ class HttpEmbeddingProvider(EmbeddingProvider):
         self.session = http_session(session)
         self.name = f"http-{model}"
 
+    @property
+    def identity(self) -> str:
+        return f"http {self.model} at {self.endpoint}"
+
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         body = {"model": self.model, "input": list(texts)}
         try:
@@ -163,10 +179,14 @@ def rebuild_indexes(store: GraphStore) -> None:
 
 @dataclass
 class EmbedReport:
+    """Nodes embedded, per kind; ``texts_sent`` counts the distinct texts
+    sent to the provider and ``batches_issued`` the batches they went in."""
+
     embedded_counts: dict[NodeKind, int] = field(
         default_factory=lambda: {k: 0 for k in NodeKind}
     )
     batches_issued: int = 0
+    texts_sent: int = 0
     retries: int = 0
 
     @property
@@ -178,12 +198,34 @@ class EmbedReport:
             "embedded": {k.value: v for k, v in self.embedded_counts.items()},
             "total_embedded": self.total_embedded,
             "batches_issued": self.batches_issued,
+            "texts_sent": self.texts_sent,
             "retries": self.retries,
         }
 
 
 def _eligible_nodes(store: GraphStore) -> list[Node]:
     return [n for n in store.nodes() if n.text is not None and n.embedding is None]
+
+
+def _embed_texts(provider: EmbeddingProvider, texts: list[str], report: EmbedReport) -> list:
+    """The provider's vectors for ``texts``, retried once on failure."""
+    try:
+        vectors = provider.embed_batch(texts)
+    except Exception:
+        report.retries += 1
+        try:
+            vectors = provider.embed_batch(texts)
+        except Exception as exc:
+            raise ProviderFailureError(
+                f"batch {report.batches_issued + 1} failed twice: {exc}",
+                report=report,
+            ) from exc
+    if len(vectors) != len(texts):
+        raise ProviderFailureError(
+            f"provider returned {len(vectors)} vectors for {len(texts)} texts",
+            report=report,
+        )
+    return vectors
 
 
 def batch_embed(
@@ -193,9 +235,14 @@ def batch_embed(
 ) -> EmbedReport:
     """Embed every node with non-null text that has no embedding yet.
 
-    Each batch is retried once on provider failure; a second failure aborts
-    with a ProviderFailureError carrying the partial-progress report.
-    Re-running after completion embeds nothing (idempotent).
+    Each distinct text goes to the provider once, and its one unit vector
+    (read-only) goes to every node that holds it. A batch is the shortest
+    run of these nodes, in store order, that holds ``batch_size`` texts
+    not embedded by an earlier batch; its nodes are written in that order
+    under one writer lock. Each batch is retried once on provider failure;
+    a second failure aborts with a ProviderFailureError carrying the
+    partial-progress report. Re-running after completion embeds nothing
+    (idempotent).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -205,36 +252,35 @@ def batch_embed(
         )
     eligible = _eligible_nodes(store)
     report = EmbedReport()
-    for offset in range(0, len(eligible), batch_size):
-        batch = eligible[offset : offset + batch_size]
-        texts = [n.text for n in batch]
-        try:
-            vectors = provider.embed_batch(texts)
-        except Exception:
-            report.retries += 1
-            try:
-                vectors = provider.embed_batch(texts)
-            except Exception as exc:
-                raise ProviderFailureError(
-                    f"batch {report.batches_issued + 1} failed twice: {exc}",
-                    report=report,
-                ) from exc
-        if len(vectors) != len(batch):
-            raise ProviderFailureError(
-                f"provider returned {len(vectors)} vectors for {len(batch)} texts",
-                report=report,
-            )
-        normalized = []
-        for node, vec in zip(batch, vectors):
-            arr, norm = provider_vector(vec, f"node {node.id!r}", report)
-            normalized.append((node.id, arr / norm))
-        store.set_embeddings(normalized)  # one writer-lock hold per batch
+    unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
+    start = 0
+    while start < len(eligible):
+        fresh: dict[str, Node] = {}  # the batch's new texts -> first node holding each
+        end = start
+        while end < len(eligible) and len(fresh) < batch_size:
+            node = eligible[end]
+            if node.text not in unit:
+                fresh.setdefault(node.text, node)
+            end += 1
+        batch = eligible[start:end]
+        if fresh:
+            vectors = _embed_texts(provider, list(fresh), report)
+            for (text, node), vec in zip(fresh.items(), vectors):
+                arr, norm = provider_vector(vec, f"node {node.id!r}", report)
+                vector = arr / norm
+                vector.flags.writeable = False  # shared by every node with this text
+                unit[text] = vector
+            report.batches_issued += 1
+            report.texts_sent += len(fresh)
+        # one writer-lock hold per batch
+        store.set_embeddings(((n.id, unit[n.text]) for n in batch), provider.identity)
         for node in batch:
             report.embedded_counts[node.kind] += 1
-        report.batches_issued += 1
+        start = end
     logger.info(
-        "embedded %d node(s) in %d batch(es)",
+        "embedded %d node(s) from %d text(s) in %d batch(es)",
         report.total_embedded,
+        report.texts_sent,
         report.batches_issued,
     )
     return report

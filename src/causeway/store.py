@@ -239,9 +239,10 @@ def _snapshot_records(path, payload: dict, key: str, fields: dict) -> list:
     return records
 
 
-def _read_snapshot(path: Path) -> tuple[list, list, list]:
-    """Check the snapshot at ``path``: its node and edge records, and
-    ``(node id, (vector, norm) or None)`` for each vector, in row order."""
+def _read_snapshot(path: Path) -> tuple[list, list, list, str | None]:
+    """Check the snapshot at ``path``: its node and edge records,
+    ``(node id, (vector, norm) or None)`` for each vector, in row order,
+    and the identity of the provider that made the vectors, if recorded."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError as exc:
@@ -259,9 +260,9 @@ def _read_snapshot(path: Path) -> tuple[list, list, list]:
             (rec["id"], None if rec["embedding"] is None else check_embedding(rec["embedding"]))
             for rec in nodes
         ]
-    else:
-        placed = _read_vectors(path, payload, {rec["id"]: rec for rec in nodes})
-    return nodes, placed, edges
+        return nodes, placed, edges, None
+    placed, embedded_by = _read_vectors(path, payload, {rec["id"]: rec for rec in nodes})
+    return nodes, placed, edges, embedded_by
 
 
 class _MissingVectors(ValueError):
@@ -277,11 +278,15 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> list:
+def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> tuple[list, str | None]:
     """``(node id, (vector, norm))`` for each row of a version 2 snapshot's
-    sidecar; ``norm`` is None unless the node is scored, which needs the
-    norm ``check_embedding`` gives."""
+    sidecar, and the record's ``provider``; ``norm`` is None unless the
+    node is scored, which needs the norm ``check_embedding`` gives."""
     record = _snapshot_record(path, "'vectors'", payload.get("vectors"), _VECTOR_FIELDS)
+    # absent from snapshots written before the identity was recorded
+    embedded_by = record.get("provider")
+    if not isinstance(embedded_by, (str, type(None))):
+        raise ValueError(f"{path}: snapshot vectors 'provider' must be a string or null")
     rows = record["rows"]
     if not all(isinstance(r, str) and r in nodes for r in rows) or len(set(rows)) < len(rows):
         raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
@@ -320,7 +325,7 @@ def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> list:
         scored = node["kind"] == NodeKind.EVENT.value and node["text"] is not None
         # check_embedding's norm exactly, so scores survive a save and load
         placed.append((node_id, (vector, math.sqrt(np.vdot(vector, vector)) if scored else None)))
-    return placed
+    return placed, embedded_by
 
 
 def _write_atomic(path: Path, write) -> str:
@@ -405,13 +410,24 @@ class GraphStore:
         self._linked = np.empty(0, dtype=bool)
         self._alive = np.empty(0, dtype=bool)
         self._row_of: dict[str, int] = {}  # event id -> its live row
+        self._embedded = 0  # nodes with an embedding
+        self._embedded_by: str | None = None
         self.lock = _RWLock()
+
+    @property
+    def embedded_by(self) -> str | None:
+        """The identity of the provider that made every stored vector, or
+        None if that is unknown. ``batch_embed`` sets it, a snapshot keeps
+        it, and any other vector written clears it."""
+        return self._embedded_by
 
     # --- nodes ---
 
     def upsert_node(self, node: Node) -> str:
         checked = None if node.embedding is None else check_embedding(node.embedding)
         with self.lock.write():
+            if checked is not None:
+                self._embedded_by = None
             self._upsert(node, checked)
             self._compact_if_sparse()
         return node.id
@@ -440,13 +456,22 @@ class GraphStore:
         """Set or clear (vector=None) one node's embedding."""
         self.set_embeddings([(node_id, vector)])
 
-    def set_embeddings(self, pairs) -> None:
-        """Set several embeddings under a single writer-lock acquisition."""
+    def set_embeddings(self, pairs, embedded_by: str | None = None) -> None:
+        """Set several embeddings under a single writer-lock acquisition.
+
+        ``embedded_by`` names the provider that made the vectors; the store
+        keeps it as ``embedded_by`` only if that provider made every vector
+        it held before, and writing a vector without it clears that.
+        """
         checked = [
             (node_id, None if vec is None else check_embedding(vec))
             for node_id, vec in pairs
         ]
         with self.lock.write():
+            if any(vector is not None for _, vector in checked):
+                if self._embedded and self._embedded_by != embedded_by:
+                    embedded_by = None
+                self._embedded_by = embedded_by
             for node_id, vector in checked:
                 node = self._nodes.get(node_id)
                 if node is None:
@@ -461,6 +486,7 @@ class GraphStore:
         The node's old row, if any, is only marked dead; rows are written
         once, so views of them that callers hold keep their values.
         """
+        self._embedded += (checked is not None) - (node.embedding is not None)
         row = self._row_of.pop(node.id, None)
         if row is not None:
             self._alive[row] = False
@@ -627,6 +653,7 @@ class GraphStore:
             # kinds are str enums, which JSON writes as their values
             nodes = [{"id": n.id, "kind": n.kind, "text": n.text} for n in self._nodes.values()]
             edges = [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in self._edges]
+            embedded_by = self._embedded_by
         path = Path(path)
         shape = (len(rows), EMBEDDING_DIM)
 
@@ -646,7 +673,13 @@ class GraphStore:
             "version": SNAPSHOT_VERSION,
             "embedding_dim": EMBEDDING_DIM,
             # before the nodes, so that _named_sidecar finds it first
-            "vectors": {"file": name, "dtype": VECTOR_DTYPE, "shape": list(shape), "rows": rows},
+            "vectors": {
+                "file": name,
+                "dtype": VECTOR_DTYPE,
+                "shape": list(shape),
+                "rows": rows,
+                "provider": embedded_by,
+            },
             "nodes": nodes,
             "edges": edges,
         }
@@ -671,11 +704,12 @@ class GraphStore:
         vector raises what ``check_embedding`` raises."""
         path = Path(path)
         try:
-            nodes, placed, edges = _read_snapshot(path)
+            nodes, placed, edges, embedded_by = _read_snapshot(path)
         except _MissingVectors:  # a save committed between the JSON and its vectors
-            nodes, placed, edges = _read_snapshot(path)
+            nodes, placed, edges, embedded_by = _read_snapshot(path)
         store = cls()
         with store.lock.write():
+            store._embedded_by = embedded_by
             for rec in nodes:
                 store._upsert(Node(rec["id"], NodeKind(rec["kind"]), rec["text"]), None)
             for node_id, checked in placed:

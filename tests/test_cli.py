@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causeway.cli import Config, main
+from causeway.embedding import HttpEmbeddingProvider, batch_embed, clean_embeddings, mock_provider
 from causeway.errors import CausewayError
-from causeway.store import EMBEDDING_DIM, GraphStore
+from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
-from helpers import count_dot_statements
+from helpers import count_dot_statements, write_v1_snapshot
 
 
 CORPUS = (
@@ -410,6 +411,126 @@ def test_zero_vector_provider_exits_three(workspace, monkeypatch, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
     assert run(["embed"], workspace) == 3
     assert "zero vector" in capsys.readouterr().err
+
+
+# new ids whose nodes repeat texts among themselves: 9 nodes, 7 texts
+MORE = (
+    '{"id": "e", "tagged_text": "<cause>heavy rain</cause> <trigger>caused</trigger> <effect>delays</effect>", "gold_label": 1}\n'
+    '{"id": "f", "tagged_text": "<cause>heavy rain</cause> <trigger>led to</trigger> <effect>delays</effect>", "gold_label": 1}\n'
+    '{"id": "g", "tagged_text": "a quiet day", "gold_label": 0}\n'
+)
+
+
+def snapshot_pair(path) -> tuple[bytes, bytes]:
+    """The snapshot JSON's bytes and those of the vector file it names."""
+    sidecar = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
+    return path.read_bytes(), path.with_name(sidecar).read_bytes()
+
+
+def clean_and_embed(store_path, provider, out) -> tuple[bytes, bytes]:
+    """The snapshot a full clean + embed of ``store_path`` gives, saved at ``out``."""
+    store = GraphStore.load(store_path)
+    clean_embeddings(store)
+    batch_embed(store, provider)
+    out.parent.mkdir()
+    store.save(out)
+    return snapshot_pair(out)
+
+
+def embed_json(workspace, capsys, *config) -> dict:
+    assert run([*config, "embed", "--format", "json"], workspace) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_embed_after_ingest_embeds_only_the_new_nodes(workspace, tmp_path, capsys):
+    more = tmp_path / "more.jsonl"
+    more.write_text(MORE, encoding="utf-8")
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    capsys.readouterr()
+    assert run(["embed"], workspace) == 0
+    assert capsys.readouterr().out.startswith(
+        "cleared 0, embedded 9 node(s) from 9 text(s) in 1 batch(es) via mock-hash-0"
+    )
+    run(["ingest", "--corpus", str(more)], workspace)
+    capsys.readouterr()
+    want = clean_and_embed(workspace["store"], mock_provider(0), tmp_path / "want" / "graph.json")
+    doc = embed_json(workspace, capsys)
+    assert doc["cleared"] == 0  # the vectors the same provider made are kept
+    assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 7
+    assert doc["verify"]["ok"] is True
+    assert snapshot_pair(workspace["store"]) == want
+    assert embed_json(workspace, capsys)["embed"]["total_embedded"] == 0
+
+
+class Reply:
+    def __init__(self, payload):
+        self.payload = payload
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.payload
+
+
+class MockVectorSession:
+    """An embeddings endpoint that serves the seed-7 mock's vectors."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        vectors = mock_provider(7).embed_batch(json["input"])
+        return Reply({"data": [{"embedding": v.tolist()} for v in vectors]})
+
+
+def drop_provider_record(path) -> None:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["vectors"]["provider"]  # as written before the identity was recorded
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def write_vector_directly(path) -> None:
+    store = GraphStore.load(path)
+    node = store.get_node("event:a")
+    store.upsert_node(Node(node.id, node.kind, node.text, embedding=node.embedding.copy()))
+    store.save(path)
+
+
+@pytest.mark.parametrize(
+    "case", ["other-seed", "http", "v1", "v2-without-provider", "vector-upserted"]
+)
+def test_embed_cleans_when_the_vectors_provider_is_not_known_to_be_this_one(
+    workspace, tmp_path, monkeypatch, capsys, case
+):
+    import requests
+
+    more = tmp_path / "more.jsonl"
+    more.write_text(MORE, encoding="utf-8")
+    for corpus in (workspace["corpus"], more):
+        run(["ingest", "--corpus", str(corpus)], workspace)
+    run(["embed"], workspace)
+    capsys.readouterr()
+    path, config, provider = workspace["store"], [], mock_provider(0)
+    if case in ("other-seed", "http"):
+        if case == "other-seed":
+            settings, provider = {"kind": "mock", "seed": 1}, mock_provider(1)
+        else:
+            monkeypatch.setattr(requests, "Session", MockVectorSession)
+            settings = {"kind": "http", "endpoint": "http://embed.local"}
+            provider = HttpEmbeddingProvider("http://embed.local", session=MockVectorSession())
+        (tmp_path / "config.json").write_text(json.dumps({"provider": settings}), encoding="utf-8")
+        config = ["--config", str(tmp_path / "config.json")]
+    elif case == "v1":
+        write_v1_snapshot(GraphStore.load(path), path)
+    elif case == "v2-without-provider":
+        drop_provider_record(path)
+    else:
+        write_vector_directly(path)
+    assert GraphStore.load(path).embedded_by != provider.identity
+    want = clean_and_embed(path, provider, tmp_path / "want" / "graph.json")
+    doc = embed_json(workspace, capsys, *config)
+    assert doc["cleared"] == 18  # every node with text
+    assert doc["embed"]["total_embedded"] == 18 and doc["verify"]["ok"] is True
+    assert snapshot_pair(path) == want
+    assert GraphStore.load(path).embedded_by == provider.identity
 
 
 BAD_VECTORS = {

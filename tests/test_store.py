@@ -593,7 +593,7 @@ def vector_faults(draw):
     parsed JSON ``doc``) or its vector file, in place."""
     fault = draw(st.sampled_from([
         "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
-        "bad-row", "unknown-id", "duplicate-id", "name", "missing",
+        "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
     ]))
     row = draw(st.integers(0, 10**6))
     cut = draw(st.floats(0, 1, exclude_max=True))
@@ -610,6 +610,7 @@ def vector_faults(draw):
         ("shape", [1, EMBEDDING_DIM, 1]), ("rows", "event:0"), ("rows", []), ("file", None),
         ("drop-row", None), ("no-record", None),
     ]))
+    provider = draw(st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]))
 
     def apply(doc: dict, sidecar: Path) -> None:
         vectors = np.load(sidecar)
@@ -651,6 +652,8 @@ def vector_faults(draw):
             rows[i] = rows[j]
         elif fault == "name":
             doc["vectors"]["file"] = name
+        elif fault == "provider":
+            doc["vectors"]["provider"] = provider
         else:
             sidecar.unlink()
 
