@@ -29,10 +29,8 @@ from causeway.retrieval import (
     FewShotExample,
     HybridConfig,
     RetrievalResult,
-    cosine,
     hybrid_score,
     query,
-    structural_score,
     to_fewshot_examples,
 )
 from causeway.store import (
@@ -74,7 +72,6 @@ __all__ = [
     "classify",
     "clean_embeddings",
     "confusion",
-    "cosine",
     "extract_json",
     "hybrid_score",
     "ingest_corpus",
@@ -82,7 +79,6 @@ __all__ = [
     "mock_provider",
     "parse_tagged_sentence",
     "query",
-    "structural_score",
     "sweep",
     "to_fewshot_examples",
     "token_budget_trim",

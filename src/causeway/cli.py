@@ -35,21 +35,26 @@ def _is_int(value) -> bool:
 
 _STRING = (lambda v: isinstance(v, str), "a string")
 _RATE = (lambda v: v is None or _is_int(v) and v > 0, "a positive integer or null")
-# what each provider/client setting must be, when it is present
+_KIND = (lambda v: v in ("mock", "http"), "'mock' or 'http'")
+_HYBRID = (lambda v: True, "")  # HybridConfig checks these values
+# every setting each section may hold, and what it must be when present
 _SETTINGS = {
     "provider": {
+        "kind": _KIND,
         "seed": (lambda v: _is_int(v) and -(2**63) <= v < 2**63, "a 64-bit integer"),
         "endpoint": _STRING,
         "model": _STRING,
         "api_key_env": _STRING,
     },
     "client": {
+        "kind": _KIND,
         "endpoint": _STRING,
         "model": _STRING,
         "api_key_env": _STRING,
         "requests_per_minute": _RATE,
         "tokens_per_minute": _RATE,
     },
+    "hybrid": dict.fromkeys(("alpha", "beta", "tau", "k"), _HYBRID),
 }
 # settings an http provider or client cannot do without
 _HTTP_REQUIRED = {"provider": ("endpoint",), "client": ("endpoint", "model")}
@@ -78,17 +83,17 @@ class Config:
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         cfg = cls()
-        for key in ("store_path", "rules_path", "log_level"):
-            if key in raw:
-                value = raw[key]
+        for key, value in raw.items():
+            if key in _SETTINGS:
+                if not isinstance(value, dict):
+                    raise ValueError(f"{path}: config {key!r} must be an object")
+                getattr(cfg, key).update(value)
+            elif key in ("store_path", "rules_path", "log_level"):
                 if not isinstance(value, str) and (key != "rules_path" or value is not None):
                     raise ValueError(f"{path}: config {key!r} must be a string")
                 setattr(cfg, key, value)
-        for key in ("provider", "client", "hybrid"):
-            if key in raw:
-                if not isinstance(raw[key], dict):
-                    raise ValueError(f"{path}: config {key!r} must be an object")
-                getattr(cfg, key).update(raw[key])
+            else:
+                raise ValueError(f"{path}: unknown config key {key!r}")
         return cfg
 
     def hybrid_config(self, args) -> retrieval.HybridConfig:
@@ -103,20 +108,17 @@ class Config:
         return retrieval.HybridConfig(**values)
 
     def validate(self) -> None:
-        unknown = sorted(set(self.hybrid) - {"alpha", "beta", "tau", "k"})
-        if unknown:
-            raise ValueError(f"unknown hybrid setting(s): {', '.join(unknown)}")
-        retrieval.HybridConfig(**self.hybrid)
         for name, checks in _SETTINGS.items():
             section = getattr(self, name)
-            kind = section.get("kind", "mock")
-            if kind not in ("mock", "http"):
-                raise ValueError(f"unknown {name} kind {kind!r}")
-            if kind == "http":
+            for key, value in section.items():
+                if key not in checks:
+                    raise ValueError(f"unknown {name} setting {key!r}")
+                ok, what = checks[key]
+                if not ok(value):
+                    raise ValueError(f"{name} {key!r} must be {what}, got {value!r}")
+            if section.get("kind") == "http":
                 self._require_http(name)
-            for key, (ok, what) in checks.items():
-                if key in section and not ok(section[key]):
-                    raise ValueError(f"{name} {key!r} must be {what}, got {section[key]!r}")
+        retrieval.HybridConfig(**self.hybrid)
 
     def _require_http(self, name: str) -> None:
         missing = [key for key in _HTTP_REQUIRED[name] if key not in getattr(self, name)]
@@ -167,6 +169,12 @@ def _emit(document: dict) -> None:
     print(json.dumps(document, indent=2, sort_keys=True))
 
 
+def _add_weights(p: argparse.ArgumentParser) -> None:
+    """--alpha/--beta/--tau, in place: a parent parser would list them first."""
+    for flag in ("--alpha", "--beta", "--tau"):
+        p.add_argument(flag, type=float)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causeway",
@@ -191,18 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="hybrid query for similar events")
     p.add_argument("--query", required=True)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
+    _add_weights(p)
     p.add_argument("--top-k", type=int)
     p.add_argument("--format", choices=["json", "table"], default="table")
 
     p = sub.add_parser("classify", help="classify one sentence via the LLM client")
     p.add_argument("--sentence", required=True)
     p.add_argument("--emit-graph", metavar="OUT.dot")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
+    _add_weights(p)
     p.add_argument("--top-k", type=int)
     p.add_argument("--max-prompt-tokens", type=int)
 
@@ -210,9 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True, help="JSONL with gold_label")
     p.add_argument("--k", default="5,10,15,20", help="comma-separated k values")
     p.add_argument("--out", help="report path (.json or .md)")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--tau", type=float)
+    _add_weights(p)
 
     p = sub.add_parser("export", help="emit DOT or Cypher text")
     p.add_argument("--format", choices=["dot", "cypher"], required=True)

@@ -157,12 +157,6 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             raise ProviderFailureError(
                 f"provider returned {len(vectors)} vectors for {len(texts)} texts"
             )
-        for vec in vectors:
-            if vec.shape != (self.dimension,):
-                raise ProviderFailureError(
-                    f"provider returned a vector of shape {vec.shape}, "
-                    f"expected ({self.dimension},)"
-                )
         return vectors
 
 

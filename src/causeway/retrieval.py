@@ -14,13 +14,13 @@ as whole arrays, one chunk of rows at a time.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from causeway.errors import DimensionMismatchError, ZeroVectorError
 from causeway.store import GraphStore, check_embedding
 
 # Weights recovered from the published retrieval scores under alpha+beta=1;
@@ -43,41 +43,26 @@ class HybridConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not abs(value) <= sys.float_info.max:  # nan, inf, ints past float range
+            try:  # math, not abs(value) <= max: a float32 would cast max to inf
+                finite = math.isfinite(value)
+            except OverflowError:  # an int past float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{name} must be a finite float, got {value!r}")
         if isinstance(self.k, bool) or not isinstance(self.k, Integral):
             raise ValueError(f"k must be an integer, got {self.k!r}")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
-        if not 0 < self.alpha + self.beta <= sys.float_info.max:  # scores stay finite
+        # scores stay finite in float64, where hybrid_score takes them
+        if not 0 < float(self.alpha) + float(self.beta) <= sys.float_info.max:
             raise ValueError("alpha + beta must be positive and finite")
         if self.k < 1:
             raise ValueError("k must be >= 1")
 
 
-def cosine(a, b) -> float:
-    """Cosine similarity in [-1, 1]; both vectors must be nonzero."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise DimensionMismatchError(f"shape mismatch: {va.shape} vs {vb.shape}")
-    norm_a = float(np.linalg.norm(va))
-    norm_b = float(np.linalg.norm(vb))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine undefined for zero-norm vector")
-    value = float(np.dot(va, vb)) / (norm_a * norm_b)
-    return max(-1.0, min(1.0, value))
-
-
-def structural_score(counts: tuple[int, int, int]) -> int:
-    """1 if the event has any causal edge, else 0."""
-    if any(c < 0 for c in counts):
-        raise ValueError("neighbor counts must be non-negative")
-    return 1 if sum(counts) > 0 else 0
-
-
-def hybrid_score(sim: float, structural: int, cfg: HybridConfig) -> float:
-    return cfg.alpha * sim + cfg.beta * structural
+def hybrid_score(sim, structural, cfg: HybridConfig):
+    """H(e); on arrays, elementwise and bit for bit equal to scalar calls."""
+    return float(cfg.alpha) * sim + float(cfg.beta) * structural
 
 
 @dataclass(frozen=True)
@@ -115,10 +100,11 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
 
     Considers exactly the events with non-null embedding and text, scored
     elementwise in float64, so each result's ``hybrid_score`` equals
-    ``hybrid_score(embedding_similarity, structural_score, cfg)``. Neighbor
-    counts and texts are collected only for the top-k. The whole query
-    holds one read lock, so it sees a single consistent store. ``q`` must
-    pass ``check_embedding``, as every stored vector has.
+    ``hybrid_score(embedding_similarity, structural_score, cfg)``. S is the
+    row's linked bit; neighbor texts are collected only for the top-k, and
+    their lengths are the counts. The whole query holds one read lock, so
+    it sees a single consistent store. ``q`` must pass ``check_embedding``,
+    as every stored vector has.
     """
     qv, q_norm = check_embedding(q)
 
@@ -133,7 +119,7 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
             np.einsum("ij,j->i", chunk, qv, out=dots[start : start + len(chunk)])
             start += len(chunk)
         sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
-        scores = float(cfg.alpha) * sims + float(cfg.beta) * rows.linked
+        scores = hybrid_score(sims, rows.linked, cfg)
         candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
         if len(candidates) > cfg.k:
             # keep every row tied with the k-th best; the sort below settles ties
@@ -146,7 +132,6 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
         results = []
         for row in ranked[: cfg.k]:
             event_id = rows.ids[row]
-            counts = store.neighbor_counts(event_id)
             cause_texts, effect_texts, trigger_texts = store.collect_texts(event_id)
             results.append(
                 RetrievalResult(
@@ -154,10 +139,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
                     event_text=store.get_node(event_id).text,
                     hybrid_score=float(scores[row]),
                     embedding_similarity=float(sims[row]),
-                    structural_score=structural_score(counts),
-                    cause_count=counts[0],
-                    effect_count=counts[1],
-                    trigger_count=counts[2],
+                    structural_score=int(rows.linked[row]),
+                    cause_count=len(cause_texts),
+                    effect_count=len(effect_texts),
+                    trigger_count=len(trigger_texts),
                     cause_texts=tuple(cause_texts),
                     effect_texts=tuple(effect_texts),
                     trigger_texts=tuple(trigger_texts),

@@ -287,6 +287,10 @@ def test_invalid_config_rejected(tmp_path, capsys):
         {"client": {"tokens_per_minute": 0}},
         {"client": {"kind": "http", "endpoint": "http://localhost:1"}},
         {"hybrid": {"alpha": float("inf")}},
+        # misspelt keys would silently fall back to defaults
+        {"client": {"requests_per_mintue": 5}},
+        {"provider": {"sed": 1}},
+        {"stor_path": "x"},
     ):
         config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["--config", str(config), "--store", str(snapshot), "stats"]) == 1, raw

@@ -19,7 +19,6 @@ from causeway.embedding import (
     verify,
 )
 from causeway.errors import DimensionMismatchError, ProviderFailureError
-from causeway.retrieval import cosine
 from causeway.store import (
     EMBEDDING_DIM,
     Edge,
@@ -50,7 +49,6 @@ def test_mock_provider_deterministic(provider):
 def test_mock_provider_unit_norm(provider):
     vec = provider.embed("any text at all")
     assert abs(np.linalg.norm(vec) - 1.0) <= 1e-6
-    assert cosine(vec, vec) == 1.0
 
 
 def test_mock_provider_seed_and_text_sensitivity():
@@ -497,7 +495,12 @@ def test_http_provider_checks_cardinality():
 
 
 def test_http_provider_checks_dimension():
+    # the one vector gate, provider_vector, checks http vectors on both paths
     session = FakeSession({"data": [{"embedding": [0.1] * (EMBEDDING_DIM - 1)}]})
     provider = HttpEmbeddingProvider("http://embed.local", session=session)
     with pytest.raises(ProviderFailureError):
-        provider.embed_batch(["a"])
+        provider.embed("a")
+    store = GraphStore()
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text="a"))
+    with pytest.raises(ProviderFailureError):
+        batch_embed(store, provider)

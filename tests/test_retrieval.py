@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import random
 import threading
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from causeway import store as store_module
@@ -14,56 +15,14 @@ from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import DimensionMismatchError, ZeroVectorError
 from causeway.retrieval import (
     HybridConfig,
-    cosine,
     hybrid_score,
     query,
     reconstruct_tagged,
-    structural_score,
     to_fewshot_examples,
 )
 from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
 
 from helpers import live_row_ids, oracle_query, random_store, random_unit_vector
-
-
-def test_cosine_identical_vectors():
-    v = random_unit_vector(np.random.default_rng(1))
-    assert cosine(v, v) == 1.0
-
-
-def test_cosine_opposite_vectors():
-    v = random_unit_vector(np.random.default_rng(2))
-    assert cosine(v, -v) == -1.0
-
-
-def test_cosine_orthogonal_basis():
-    a = np.zeros(EMBEDDING_DIM)
-    b = np.zeros(EMBEDDING_DIM)
-    a[0] = 1.0
-    b[1] = 1.0
-    assert cosine(a, b) == 0.0
-
-
-def test_cosine_rejects_zero_vector():
-    with pytest.raises(ZeroVectorError):
-        cosine(np.zeros(EMBEDDING_DIM), np.ones(EMBEDDING_DIM))
-
-
-def test_cosine_rejects_dimension_mismatch():
-    with pytest.raises(DimensionMismatchError):
-        cosine(np.ones(3), np.ones(4))
-
-
-@pytest.mark.parametrize(
-    "counts,expected", [((0, 0, 0), 0), ((0, 0, 1), 1), ((2, 1, 1), 1)]
-)
-def test_structural_score(counts, expected):
-    assert structural_score(counts) == expected
-
-
-def test_structural_score_rejects_negative():
-    with pytest.raises(ValueError):
-        structural_score((-1, 0, 0))
 
 
 def test_hybrid_score_published_values():
@@ -88,6 +47,8 @@ def test_hybrid_config_validation():
             HybridConfig(**bad)
     # numpy scalars are real numbers and integers too
     assert HybridConfig(alpha=np.float64(0.5), k=np.int64(3)).k == 3
+    # float32 weights are checked in float64, where they are scored
+    assert HybridConfig(alpha=np.float32(3e38), beta=np.float32(3e38)).beta == np.float32(3e38)
 
 
 def test_hybrid_monotone_in_structural(rng):
@@ -97,12 +58,80 @@ def test_hybrid_monotone_in_structural(rng):
         assert hybrid_score(sim, 1, cfg) >= hybrid_score(sim, 0, cfg)
 
 
+# weights as a config may hold them: floats, ints and numpy scalars
+WEIGHTS = st.one_of(
+    st.floats(0, 4),
+    st.integers(0, 4),
+    st.floats(0, 4).map(np.float64),
+    st.floats(0, 4, width=32).map(np.float32),
+    st.integers(0, 4).map(np.int64),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    alpha=WEIGHTS,
+    beta=WEIGHTS,
+    tau=st.floats(-2, 2),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    pairs=st.lists(st.tuples(st.floats(-1, 1), st.booleans()), max_size=20),
+)
+@example(alpha=1, beta=2, tau=-2.0, k=30, seed=0, pairs=[(0.5, True), (-0.0, False)])
+@example(alpha=np.float32(0.6), beta=np.int64(1), tau=0.0, k=5, seed=1, pairs=[(0.1, True)])
+def test_query_scores_every_result_by_the_one_hybrid_formula(alpha, beta, tau, k, seed, pairs):
+    assume(alpha + beta > 0)
+    cfg = HybridConfig(alpha=alpha, beta=beta, tau=tau, k=k)
+    store = random_store(random.Random(seed), n_events=40)
+    q = random_unit_vector(np.random.default_rng(seed))
+    for r in query(store, q, cfg):
+        assert r.hybrid_score == hybrid_score(r.embedding_similarity, r.structural_score, cfg)
+    # on arrays, as query calls it, bit for bit the scalar values
+    sims = np.array([sim for sim, _ in pairs], dtype=np.float64)
+    linked = np.array([bit for _, bit in pairs], dtype=bool)
+    scalar = [hybrid_score(float(sim), int(bit), cfg) for sim, bit in pairs]
+    assert hybrid_score(sims, linked, cfg).tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+
+
 def embedded_event(store, event_id, vec, text="some text", edges=0):
     store.upsert_node(Node(event_id, NodeKind.EVENT, text=text, embedding=vec))
     for j in range(edges):
         trig_id = f"trigger:{event_id}:{j}"
         store.upsert_node(Node(trig_id, NodeKind.TRIGGER, text=f"sig {j}"))
         store.add_edge(Edge(event_id, trig_id, EdgeKind.HAS_TRIGGER))
+
+
+def test_cosine_orthogonal_basis():
+    # orthogonal vectors score exactly 0, so H is exactly beta * S
+    a = np.zeros(EMBEDDING_DIM)
+    b = np.zeros(EMBEDDING_DIM)
+    a[0] = 1.0
+    b[1] = 1.0
+    store = GraphStore()
+    embedded_event(store, "event:1", a, edges=1)
+    (r,) = query(store, b, HybridConfig(alpha=0.6, beta=0.4, tau=-2.0))
+    assert r.embedding_similarity == 0.0
+    assert r.hybrid_score == 0.4
+
+
+@pytest.mark.parametrize(
+    "counts,expected", [((0, 0, 0), 0), ((0, 0, 1), 1), ((2, 1, 1), 1)]
+)
+def test_structural_score(counts, expected):
+    store = GraphStore()
+    vec = random_unit_vector(np.random.default_rng(4))
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text="some text", embedding=vec))
+    kinds = (NodeKind.CAUSE, NodeKind.EFFECT, NodeKind.TRIGGER)
+    edge_kinds = (EdgeKind.CAUSES, EdgeKind.RESULTS_IN, EdgeKind.HAS_TRIGGER)
+    for n, kind, edge_kind in zip(counts, kinds, edge_kinds):
+        for j in range(n):
+            other = f"{kind.value.lower()}:1:{j}"
+            store.upsert_node(Node(other, kind, text=f"text {j}"))
+            ends = (other, "event:1") if kind is NodeKind.CAUSE else ("event:1", other)
+            store.add_edge(Edge(*ends, edge_kind))
+    (r,) = query(store, vec, HybridConfig(tau=-2.0))
+    assert r.structural_score == expected
+    assert (r.cause_count, r.effect_count, r.trigger_count) == counts
 
 
 def test_query_self_retrieval_scores_one(provider):
@@ -312,7 +341,7 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
 
 def test_query_holds_one_read_lock_against_writers(rng):
     store = random_store(rng, n_events=20)
-    original = store.neighbor_counts
+    original = store.collect_texts
     writer_done = threading.Event()
     seen_done = []
 
@@ -322,14 +351,14 @@ def test_query_holds_one_read_lock_against_writers(rng):
 
     writer = threading.Thread(target=write, daemon=True)
 
-    def neighbor_counts(event_id):
+    def collect_texts(event_id):
         if not seen_done:
             writer.start()
             writer_done.wait(0.2)  # room for the writer between two scan steps
         seen_done.append(writer_done.is_set())
         return original(event_id)
 
-    store.neighbor_counts = neighbor_counts
+    store.collect_texts = collect_texts
     query(store, random_unit_vector(np.random.default_rng(3)), HybridConfig(tau=-1.0))
     assert len(seen_done) > 1
     assert not any(seen_done)  # the writer stayed blocked for the whole query

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causeway import cli
@@ -587,30 +587,18 @@ def npy_bytes(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-@st.composite
-def vector_faults(draw):
-    """A function that breaks a saved snapshot's ``vectors`` record (the
-    parsed JSON ``doc``) or its vector file, in place."""
-    fault = draw(st.sampled_from([
-        "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
-        "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
-    ]))
-    row = draw(st.integers(0, 10**6))
-    cut = draw(st.floats(0, 1, exclude_max=True))
-    junk = draw(st.binary(max_size=200))
-    value = draw(st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e200]))
-    whole_row = draw(st.booleans())
-    name = draw(st.sampled_from([
-        "../graph.json", "/etc/hostname", "sub/.graph.json.0123456789abcdef.npy",
-        ".graph.json.0123456789ABCDEF.npy", ".graph.json.0123.npy", ".other.json.0123456789abcdef.npy",
-        ".graph.json.0123456789abcdef.npy/", ".graph.json.0123456789abcdef.npy", "", 5, None,
-    ]))
-    record = draw(st.sampled_from([
-        ("dtype", "<f4"), ("dtype", ">f8"), ("shape", [0, EMBEDDING_DIM]), ("shape", "x"),
-        ("shape", [1, EMBEDDING_DIM, 1]), ("rows", "event:0"), ("rows", []), ("file", None),
-        ("drop-row", None), ("no-record", None),
-    ]))
-    provider = draw(st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]))
+# the `record` fault's sub-cases: a `vectors` key and the value it gets
+RECORD_FAULTS = [
+    ("dtype", "<f4"), ("dtype", ">f8"), ("shape", [0, EMBEDDING_DIM]), ("shape", "x"),
+    ("shape", [1, EMBEDDING_DIM, 1]), ("rows", "event:0"), ("rows", []), ("file", None),
+    ("drop-row", None), ("no-record", None),
+]
+
+
+def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
+                 record=RECORD_FAULTS[0], provider=5):
+    """``(fault, apply)``: ``apply`` breaks a saved snapshot's ``vectors``
+    record (the parsed JSON ``doc``) or its vector file, in place."""
 
     def apply(doc: dict, sidecar: Path) -> None:
         vectors = np.load(sidecar)
@@ -660,8 +648,38 @@ def vector_faults(draw):
     return fault, apply
 
 
+vector_faults = st.builds(
+    vector_fault,
+    st.sampled_from([
+        "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
+        "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
+    ]),
+    row=st.integers(0, 10**6),
+    cut=st.floats(0, 1, exclude_max=True),
+    junk=st.binary(max_size=200),
+    value=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e200]),
+    whole_row=st.booleans(),
+    name=st.sampled_from([
+        "../graph.json", "/etc/hostname", "sub/.graph.json.0123456789abcdef.npy",
+        ".graph.json.0123456789ABCDEF.npy", ".graph.json.0123.npy",
+        ".other.json.0123456789abcdef.npy", ".graph.json.0123456789abcdef.npy/",
+        ".graph.json.0123456789abcdef.npy", "", 5, None,
+    ]),
+    record=st.sampled_from(RECORD_FAULTS),
+    provider=st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]),
+)
+
+
+def each_record_fault(test):
+    """An ``@example`` per `record` sub-case, so each runs on every run."""
+    for record in RECORD_FAULTS:
+        test = example(fault=vector_fault("record", record=record))(test)
+    return test
+
+
 @settings(max_examples=250, deadline=None)
-@given(fault=vector_faults())
+@given(fault=vector_faults)
+@each_record_fault
 def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     kind, apply = fault
     path = tmp_path_factory.mktemp("broken") / "graph.json"
