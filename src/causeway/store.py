@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import threading
@@ -39,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from causeway.errors import (
+    CausewayError,
     DimensionMismatchError,
     KindViolationError,
     MissingEndpointError,
@@ -207,42 +209,69 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-# snapshot record keys and the JSON types each one's value may take; a
-# version 1 node carries its embedding, version 2 keeps vectors in the sidecar
-_NODE_FIELDS = {"id": str, "kind": str, "text": (str, type(None))}
-_V1_NODE_FIELDS = {**_NODE_FIELDS, "embedding": (list, type(None))}
-_EDGE_FIELDS = {"src": str, "dst": str, "kind": str}
-_VECTOR_FIELDS = {"file": str, "dtype": str, "shape": list, "rows": list}
+class _Record:
+    """The keys a snapshot record must hold and the JSON types each one's
+    value may take."""
 
+    def __init__(self, **types):
+        self.types = types
+        self._values = operator.itemgetter(*types)
+        self._each = tuple(types.values())
 
-def _snapshot_record(path, where: str, rec, fields: dict) -> dict:
-    """``rec`` if it is an object with typed ``fields``."""
-    if not isinstance(rec, dict) or not rec.keys() >= fields.keys():
-        raise ValueError(
-            f"{path}: snapshot {where} must be an object with keys {sorted(fields)}"
-        )
-    for name, types in fields.items():
-        if not isinstance(rec[name], types):
+    def values(self, path, where: str, rec) -> tuple:
+        """The values of these keys in ``rec``, the snapshot's ``where``, if
+        it is an object holding each of them with one of its types."""
+        try:
+            # only an object takes a string key; a key missing is a KeyError
+            values = self._values(rec)
+        except (TypeError, KeyError):
             raise ValueError(
-                f"{path}: snapshot {where} {name!r} must not be {type(rec[name]).__name__}"
-            )
-    return rec
+                f"{path}: snapshot {where} must be an object with keys {sorted(self.types)}"
+            ) from None
+        if not all(map(isinstance, values, self._each)):
+            for (name, types), value in zip(self.types.items(), values):
+                if not isinstance(value, types):
+                    raise ValueError(
+                        f"{path}: snapshot {where} {name!r} must not be {type(value).__name__}"
+                    )
+        return values
 
 
-def _snapshot_records(path, payload: dict, key: str, fields: dict) -> list:
-    """The snapshot's ``key`` list, each record an object with typed ``fields``."""
+# a version 1 node carries its embedding, version 2 keeps vectors in the sidecar
+_NODE = _Record(id=str, kind=str, text=(str, type(None)))
+_V1_NODE = _Record(**_NODE.types, embedding=(list, type(None)))
+_EDGE = _Record(src=str, dst=str, kind=str)
+_VECTORS = _Record(file=str, dtype=str, shape=list, rows=list)
+# the kind each value of a record's "kind" names: one dict lookup per
+# record, not an Enum call
+_NODE_KINDS = {kind.value: kind for kind in NodeKind}
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+
+
+def _snapshot_list(path, payload: dict, key: str) -> list:
     records = payload.get(key)
     if not isinstance(records, list):
         raise ValueError(f"{path}: snapshot {key!r} must be a list")
-    for i, rec in enumerate(records):
-        _snapshot_record(path, f"{key}[{i}]", rec, fields)
     return records
 
 
-def _read_snapshot(path: Path) -> tuple[list, list, list, str | None]:
-    """Check the snapshot at ``path``: its node and edge records,
-    ``(node id, (vector, norm) or None)`` for each vector, in row order,
-    and the identity of the provider that made the vectors, if recorded."""
+def _in_record(path, where: str, exc: Exception) -> Exception:
+    """``exc`` again, of its own class, its message naming the snapshot
+    and the record."""
+    return type(exc)(f"{path}: snapshot {where}: {exc}")
+
+
+def _take(vectors: np.ndarray, index: list[int], out: np.ndarray) -> None:
+    """Copy rows ``index`` (ascending) of ``vectors`` into ``out``: one
+    slice copy when they run without a gap, as ``save`` writes them."""
+    if index and index[-1] - index[0] == len(index) - 1:
+        out[...] = vectors[index[0] : index[-1] + 1]
+    else:
+        out[...] = vectors[index]
+
+
+def _read_document(path: Path) -> dict:
+    """The snapshot document at ``path``, if it is of a version load reads."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError as exc:
@@ -252,17 +281,7 @@ def _read_snapshot(path: Path) -> tuple[list, list, list, str | None]:
     version = payload.get("version")
     if type(version) is not int or version not in (1, 2):
         raise ValueError(f"{path}: unsupported snapshot version")
-    node_fields = _V1_NODE_FIELDS if version == 1 else _NODE_FIELDS
-    nodes = _snapshot_records(path, payload, "nodes", node_fields)
-    edges = _snapshot_records(path, payload, "edges", _EDGE_FIELDS)
-    if version == 1:
-        placed = [
-            (rec["id"], None if rec["embedding"] is None else check_embedding(rec["embedding"]))
-            for rec in nodes
-        ]
-        return nodes, placed, edges, None
-    placed, embedded_by = _read_vectors(path, payload, {rec["id"]: rec for rec in nodes})
-    return nodes, placed, edges, embedded_by
+    return payload
 
 
 class _MissingVectors(ValueError):
@@ -278,22 +297,21 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> tuple[list, str | None]:
-    """``(node id, (vector, norm))`` for each row of a version 2 snapshot's
-    sidecar, and the record's ``provider``; ``norm`` is None unless the
-    node is scored, which needs the norm ``check_embedding`` gives."""
-    record = _snapshot_record(path, "'vectors'", payload.get("vectors"), _VECTOR_FIELDS)
+def _open_vectors(path: Path, payload: dict) -> tuple[list, np.ndarray, str | None]:
+    """A version 2 snapshot's node id of each row (not yet checked against
+    the nodes), its vectors mapped read-only from the vector file, and the
+    record's ``provider``. A zero or non-finite vector raises what
+    ``check_embedding`` raises."""
+    record = payload.get("vectors")
+    file, dtype, shape, rows = _VECTORS.values(path, "'vectors'", record)
     # absent from snapshots written before the identity was recorded
     embedded_by = record.get("provider")
     if not isinstance(embedded_by, (str, type(None))):
         raise ValueError(f"{path}: snapshot vectors 'provider' must be a string or null")
-    rows = record["rows"]
-    if not all(isinstance(r, str) and r in nodes for r in rows) or len(set(rows)) < len(rows):
-        raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
-    shape = (len(rows), EMBEDDING_DIM)
-    if record["dtype"] != VECTOR_DTYPE or record["shape"] != list(shape):
-        raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {shape}")
-    sidecar = _sidecar_path(path, record["file"])
+    want = (len(rows), EMBEDDING_DIM)
+    if dtype != VECTOR_DTYPE or shape != list(want):
+        raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {want}")
+    sidecar = _sidecar_path(path, file)
     try:
         # mapped, so a header that declares more data than the file holds
         # fails here instead of allocating it
@@ -305,12 +323,11 @@ def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> tuple[li
     if not isinstance(mapped, np.ndarray):  # an .npz archive
         mapped.close()
         raise ValueError(f"{sidecar}: not a .npy vector file")
-    if mapped.dtype != np.dtype(VECTOR_DTYPE) or mapped.shape != shape:
-        raise ValueError(f"{sidecar}: vectors must be {VECTOR_DTYPE} of shape {shape}")
-    vectors = np.array(mapped, order="C")  # a copy: nothing keeps the file mapped
+    if mapped.dtype != np.dtype(VECTOR_DTYPE) or mapped.shape != want:
+        raise ValueError(f"{sidecar}: vectors must be {VECTOR_DTYPE} of shape {want}")
     # the refusals of check_embedding, for every row at once
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = np.einsum("ij,ij->i", vectors, vectors)
+        squared = np.einsum("ij,ij->i", mapped, mapped)
     bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
     if bad.size:
         row = bad[0]
@@ -319,13 +336,7 @@ def _read_vectors(path: Path, payload: dict, nodes: dict[str, dict]) -> tuple[li
         raise DimensionMismatchError(
             f"{sidecar}: vector of {rows[row]!r} must have finite entries and a finite norm"
         )
-    placed = []
-    for node_id, vector in zip(rows, vectors):
-        node = nodes[node_id]
-        scored = node["kind"] == NodeKind.EVENT.value and node["text"] is not None
-        # check_embedding's norm exactly, so scores survive a save and load
-        placed.append((node_id, (vector, math.sqrt(np.vdot(vector, vector)) if scored else None)))
-    return placed, embedded_by
+    return rows, mapped, embedded_by
 
 
 def _write_atomic(path: Path, write) -> str:
@@ -428,22 +439,19 @@ class GraphStore:
         with self.lock.write():
             if checked is not None:
                 self._embedded_by = None
-            self._upsert(node, checked)
-            self._compact_if_sparse()
-        return node.id
-
-    def _upsert(self, node: Node, checked: tuple[np.ndarray, float] | None) -> None:
-        existing = self._nodes.get(node.id)
-        if existing is not None:
-            if existing.kind is not node.kind:
+            existing = self._nodes.get(node.id)
+            if existing is None:
+                existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
+            elif existing.kind is not node.kind:
                 raise KindViolationError(
                     f"node {node.id!r} is {existing.kind.value}, "
                     f"cannot change to {node.kind.value}"
                 )
-            existing.text = node.text
-        else:
-            existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
-        self._place(existing, checked)
+            else:
+                existing.text = node.text
+            self._place(existing, checked)
+            self._compact_if_sparse()
+        return node.id
 
     def get_node(self, node_id: str) -> Node:
         with self.lock.read():
@@ -699,22 +707,107 @@ class GraphStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
-        """Read a snapshot of either version. A malformed document or
-        vector file is a ValueError naming the file; a zero or non-finite
+        """Read a snapshot of either version. Every refusal names the file:
+        a malformed document or vector file is a ValueError, and a record
+        the store refuses names the record too (``nodes[i]``, ``edges[j]``)
+        with the error its writer raises: ValueError for an unknown kind or
+        a repeated node id, KindViolationError for a repeated id of another
+        kind, what ``add_edge`` raises for an edge. A zero or non-finite
         vector raises what ``check_embedding`` raises."""
         path = Path(path)
         try:
-            nodes, placed, edges, embedded_by = _read_snapshot(path)
+            return cls()._fill(path)
         except _MissingVectors:  # a save committed between the JSON and its vectors
-            nodes, placed, edges, embedded_by = _read_snapshot(path)
-        store = cls()
-        with store.lock.write():
-            store._embedded_by = embedded_by
-            for rec in nodes:
-                store._upsert(Node(rec["id"], NodeKind(rec["kind"]), rec["text"]), None)
-            for node_id, checked in placed:
-                store._place(store._nodes[node_id], checked)
-            for rec in edges:
-                store._link(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
-            store._compact_if_sparse()
-        return store
+            return cls()._fill(path)
+
+    def _fill(self, path: Path) -> "GraphStore":
+        """Fill this new, unshared store from the snapshot at ``path`` in
+        one pass: each record is checked as its node or edge is built, and
+        the vectors go to their nodes and scoring rows in bulk."""
+        payload = _read_document(path)
+        v1 = payload["version"] == 1
+        if v1:
+            node_record, row_ids, embeddings = _V1_NODE, [], []
+        else:
+            node_record = _NODE
+            row_ids, vectors, self._embedded_by = _open_vectors(path, payload)
+        records = _snapshot_list(path, payload, "nodes")
+        edges = _snapshot_list(path, payload, "edges")
+        nodes = self._nodes
+        for i, rec in enumerate(records):
+            where = f"nodes[{i}]"
+            node_id, value, text, *embedding = node_record.values(path, where, rec)
+            kind = _NODE_KINDS.get(value)
+            if kind is None:
+                raise ValueError(f"{path}: snapshot {where}: {value!r} is not a valid NodeKind")
+            if node_id in nodes:
+                first = next(j for j, other in enumerate(records) if other["id"] == node_id)
+                where = f"nodes[{first}] and {where}"
+                old = nodes[node_id].kind
+                if old is not kind:
+                    raise KindViolationError(
+                        f"{path}: snapshot {where}: node {node_id!r} is {old.value}, "
+                        f"cannot change to {kind.value}"
+                    )
+                raise ValueError(f"{path}: snapshot {where} repeat the node id {node_id!r}")
+            nodes[node_id] = Node(node_id, kind, text)
+            if v1 and embedding[0] is not None:
+                try:
+                    embeddings.append(check_embedding(embedding[0])[0])
+                except CausewayError as exc:
+                    raise _in_record(path, where, exc) from exc
+                row_ids.append(node_id)
+        if v1:
+            vectors = np.array(embeddings).reshape(-1, EMBEDDING_DIM)
+        elif not all(isinstance(r, str) and r in nodes for r in row_ids) or (
+            len(set(row_ids)) < len(row_ids)
+        ):
+            raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
+        self._fill_vectors(row_ids, vectors)
+        for j, rec in enumerate(edges):
+            where = f"edges[{j}]"
+            src, dst, value = _EDGE.values(path, where, rec)
+            kind = _EDGE_KINDS.get(value)
+            if kind is None:
+                raise ValueError(f"{path}: snapshot {where}: {value!r} is not a valid EdgeKind")
+            try:
+                self._link(Edge(src, dst, kind))
+            except CausewayError as exc:
+                raise _in_record(path, where, exc) from exc
+        return self
+
+    def _fill_vectors(self, ids: list[str], vectors: np.ndarray) -> None:
+        """Give node ``ids[i]`` the checked vector ``vectors[i]``, read-only:
+        each event with text in a new scoring row, in this order, every
+        other node on the node itself."""
+        nodes = self._nodes
+        scored, others = [], []
+        for i, node_id in enumerate(ids):
+            node = nodes[node_id]
+            (scored if node.kind is NodeKind.EVENT and node.text is not None else others).append(i)
+        rest = np.empty((len(others), EMBEDDING_DIM))
+        _take(vectors, others, rest)
+        rest.flags.writeable = False
+        for i, vector in zip(others, rest):
+            nodes[ids[i]].embedding = vector
+        n = len(scored)
+        self._chunks = [np.empty((CHUNK_ROWS, EMBEDDING_DIM)) for _ in range(0, n, CHUNK_ROWS)]
+        capacity = len(self._chunks) * CHUNK_ROWS
+        self._norms = np.empty(capacity)
+        self._linked = np.zeros(capacity, dtype=bool)  # set as edges are linked
+        self._alive = np.zeros(capacity, dtype=bool)
+        self._alive[:n] = True
+        self._row_ids = [ids[i] for i in scored]
+        self._row_of = dict(zip(self._row_ids, range(n)))
+        for start, chunk in zip(range(0, n, CHUNK_ROWS), self._chunks):
+            part = chunk[: n - start]
+            _take(vectors, scored[start : start + CHUNK_ROWS], part)
+            # check_embedding's norm exactly, so scores survive a save and load
+            self._norms[start : start + len(part)] = [
+                math.sqrt(np.vdot(row, row)) for row in part
+            ]
+            part = part.view()
+            part.flags.writeable = False
+            for node_id, row in zip(self._row_ids[start : start + CHUNK_ROWS], part):
+                nodes[node_id].embedding = row
+        self._embedded = len(ids)

@@ -500,6 +500,97 @@ def test_v1_snapshot_round_trips_through_v2_bit_for_bit(tmp_path, rng, provider)
     assert live_row_ids(stores[1]) == live_row_ids(stores[2]) == live_row_ids(stores[3])
 
 
+def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
+    """A store built through the public writers: event and span texts drawn
+    from ``texts`` distinct ones or missing, events with and without edges,
+    every text embedded, some event vectors replaced (new rows, old ones
+    dead) and, at times, an event without text that holds a vector."""
+    rng = random.Random(seed)
+    np_rng = np.random.default_rng(seed)
+    store = GraphStore()
+    spans = ((NodeKind.CAUSE, EdgeKind.CAUSES), (NodeKind.EFFECT, EdgeKind.RESULTS_IN),
+             (NodeKind.TRIGGER, EdgeKind.HAS_TRIGGER))
+    for i in range(n_events):
+        event_id = f"event:{i}"
+        text = None if rng.random() < 0.05 else f"event text {rng.randrange(texts)}"
+        store.upsert_node(Node(event_id, NodeKind.EVENT, text))
+        for kind, edge_kind in spans:
+            if rng.random() < 0.3:
+                node_id = f"{kind.value.lower()}:{i}"
+                span = None if rng.random() < 0.1 else f"{kind.value} {rng.randrange(texts)}"
+                store.upsert_node(Node(node_id, kind, span))
+                ends = (node_id, event_id) if kind is NodeKind.CAUSE else (event_id, node_id)
+                store.add_edge(Edge(*ends, edge_kind))
+    batch_embed(store, mock_provider(seed % 3))
+    for i in rng.sample(range(n_events), min(n_events, rng.randrange(6))):
+        store.set_embedding(f"event:{i}", random_unit_vector(np_rng))
+    if rng.random() < 0.5:
+        store.upsert_node(
+            Node("event:untexted", NodeKind.EVENT, None, random_unit_vector(np_rng))
+        )
+    return store
+
+
+def replay(path: Path) -> GraphStore:
+    """The snapshot at ``path`` written into a new store through the public
+    writers, record by record, as ``load`` once did."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    store = GraphStore()
+    for rec in doc["nodes"]:
+        store.upsert_node(Node(rec["id"], NodeKind(rec["kind"]), rec["text"], rec.get("embedding")))
+    if doc["version"] == 2:
+        vectors = np.load(path.with_name(doc["vectors"]["file"]))
+        store.set_embeddings(zip(doc["vectors"]["rows"], vectors), doc["vectors"]["provider"])
+    for rec in doc["edges"]:
+        store.add_edge(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
+    return store
+
+
+def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
+    """Ids, norms (as bytes, so equal means equal to the bit) and linked bits
+    of the live scoring rows, in row order."""
+    rows = store.scoring_rows()
+    return (
+        [i for i, alive in zip(rows.ids, rows.alive) if alive],
+        rows.norms[rows.alive].tobytes(),
+        rows.linked[rows.alive].tobytes(),
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    n_events=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+    texts=st.sampled_from([1, 3, 10**6]),
+    version=st.sampled_from([1, 2]),
+)
+@example(n_events=620, seed=1, texts=3, version=1)  # more than one chunk of rows
+@example(n_events=620, seed=2, texts=10**6, version=2)
+def test_load_gives_the_store_the_public_writers_give(
+    tmp_path_factory, n_events, seed, texts, version
+):
+    store = written_store(n_events, seed, texts)
+    path = tmp_path_factory.mktemp("equal") / "graph.json"
+    if version == 1:
+        write_v1_snapshot(store, path)
+    else:
+        store.save(path)
+    loaded, want = GraphStore.load(path), replay(path)
+    assert loaded.nodes() == want.nodes()  # ids, kinds, texts and vectors to the bit
+    assert loaded.edges() == want.edges()
+    for event in want.nodes(NodeKind.EVENT):
+        assert loaded.collect_texts(event.id) == want.collect_texts(event.id)
+    assert live_rows(loaded) == live_rows(want)
+    if n_events >= 600:
+        assert len(live_rows(loaded)[0]) > CHUNK_ROWS
+    assert loaded.embedded_by == (store.embedded_by if version == 2 else None)
+    np_rng = np.random.default_rng(seed)
+    queries = [random_unit_vector(np_rng) for _ in range(4)]
+    queries += [n.embedding for n in store.nodes(NodeKind.EVENT)[:4] if n.embedding is not None]
+    cfg = HybridConfig(k=25, tau=-2.0)
+    assert [query(loaded, q, cfg) for q in queries] == [query(want, q, cfg) for q in queries]
+
+
 def test_snapshot_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.json"
     path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
@@ -511,39 +602,95 @@ HEADER = {"format": SNAPSHOT_FORMAT, "version": 1}  # the format with inline emb
 NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
 CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c", "embedding": None}
 EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
+# records the store refuses, each with its error and the record it names
+REFUSED_RECORDS = {
+    "node-kind-unknown": (
+        {**HEADER, "nodes": [NODE, {**CAUSE, "kind": "Foo"}], "edges": []},
+        ValueError, "nodes[1]",
+    ),
+    "edge-kind-unknown": (
+        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "kind": "PRECEDES"}]},
+        ValueError, "edges[0]",
+    ),
+    "edge-endpoint-missing": (
+        {**HEADER, "nodes": [NODE], "edges": [EDGE]}, MissingEndpointError, "edges[0]",
+    ),
+    "edge-kinds-wrong": (
+        {**HEADER, "nodes": [NODE, CAUSE], "edges": [EDGE, {**EDGE, "kind": "RESULTS_IN"}]},
+        KindViolationError, "edges[1]",
+    ),
+    "node-id-repeated": (
+        {**HEADER, "nodes": [NODE, CAUSE, {**NODE, "text": "u"}], "edges": []},
+        ValueError, "nodes[0] and nodes[2]",
+    ),
+    "node-id-changes-kind": (
+        {**HEADER, "nodes": [NODE, {**NODE, "kind": "Cause"}], "edges": []},
+        KindViolationError, "nodes[0] and nodes[1]",
+    ),
+    "node-embedding-short": (
+        {**HEADER, "nodes": [{**NODE, "embedding": [1.0]}], "edges": []},
+        DimensionMismatchError, "nodes[0]",
+    ),
+}
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "payload, error",
     [
-        [1, 2],
-        "text",
-        {**HEADER, "edges": []},
-        {**HEADER, "nodes": {}, "edges": []},
-        {**HEADER, "nodes": []},
-        {**HEADER, "nodes": [], "edges": None},
-        {**HEADER, "nodes": [1], "edges": []},
-        {**HEADER, "nodes": [{"id": "event:1", "kind": "Event"}], "edges": []},
-        {**HEADER, "nodes": [NODE], "edges": [["event:1", "cause:1", "CAUSES"]]},
-        {**HEADER, "nodes": [NODE], "edges": [{"src": "cause:1", "kind": "CAUSES"}]},
-        {**HEADER, "nodes": [{**NODE, "id": ["event:1"]}], "edges": []},
-        {**HEADER, "nodes": [{**NODE, "text": 5}], "edges": []},
-        {**HEADER, "nodes": [{**NODE, "embedding": {}}], "edges": []},
-        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "src": ["cause:1"]}]},
-        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "dst": 1}]},
-    ],
+        ([1, 2], ValueError),
+        ("text", ValueError),
+        ({**HEADER, "edges": []}, ValueError),
+        ({**HEADER, "nodes": {}, "edges": []}, ValueError),
+        ({**HEADER, "nodes": []}, ValueError),
+        ({**HEADER, "nodes": [], "edges": None}, ValueError),
+        ({**HEADER, "nodes": [1], "edges": []}, ValueError),
+        ({**HEADER, "nodes": [{"id": "event:1", "kind": "Event"}], "edges": []}, ValueError),
+        ({**HEADER, "nodes": [NODE], "edges": [["event:1", "cause:1", "CAUSES"]]}, ValueError),
+        ({**HEADER, "nodes": [NODE], "edges": [{"src": "cause:1", "kind": "CAUSES"}]}, ValueError),
+        ({**HEADER, "nodes": [{**NODE, "id": ["event:1"]}], "edges": []}, ValueError),
+        ({**HEADER, "nodes": [{**NODE, "text": 5}], "edges": []}, ValueError),
+        ({**HEADER, "nodes": [{**NODE, "embedding": {}}], "edges": []}, ValueError),
+        ({**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "src": ["cause:1"]}]}, ValueError),
+        ({**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "dst": 1}]}, ValueError),
+    ] + [(payload, error) for payload, error, _ in REFUSED_RECORDS.values()],
     ids=[
         "list", "string", "no-nodes", "nodes-not-list", "no-edges", "edges-not-list",
         "node-not-object", "node-missing-key", "edge-not-object", "edge-missing-key",
         "node-id-list", "node-text-number", "node-embedding-object", "edge-src-list",
-        "edge-dst-number",
+        "edge-dst-number", *REFUSED_RECORDS,
     ],
 )
-def test_snapshot_rejects_malformed_shape(tmp_path, payload):
+def test_snapshot_rejects_malformed_shape(tmp_path, payload, error):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.json"):
+    with pytest.raises(error, match="bad.json"):
         GraphStore.load(path)
+
+
+@pytest.mark.parametrize(
+    "name, version",
+    # version 2 holds no inline vector
+    [(name, 1) for name in REFUSED_RECORDS]
+    + [(name, 2) for name in REFUSED_RECORDS if name != "node-embedding-short"],
+)
+def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
+    payload, error, where = REFUSED_RECORDS[name]
+    path = tmp_path / "graph.json"
+    if version == 2:  # the same records, their vectors (none) beside them
+        GraphStore().save(path)
+        vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
+        nodes = [{k: v for k, v in n.items() if k != "embedding"} for n in payload["nodes"]]
+        payload = {**payload, "version": 2, "vectors": vectors, "nodes": nodes}
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error) as info:
+        GraphStore.load(path)
+    assert str(info.value).startswith(f"{path}: snapshot {where}")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["--store", str(path), "stats"])
+    assert code == 1
+    assert err.getvalue().startswith(f"error: {path}: snapshot {where}")
+    assert "Traceback" not in err.getvalue()
 
 
 JSON_SCALARS = (
