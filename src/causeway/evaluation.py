@@ -23,7 +23,7 @@ from causeway.errors import (
     SourceUnreadableError,
 )
 from causeway import retrieval
-from causeway.inference import LLMClient, RateBudgeter, classify_retrieved
+from causeway.inference import LLMClient, RateBudgeter, _classify_examples
 from causeway.inference import classify  # noqa: F401  bench/tracer.py patches this name
 from causeway.store import GraphStore
 
@@ -199,9 +199,11 @@ def sweep(
 
     A k at which every sentence failed gets all-zero ``EMPTY_METRICS``.
 
-    Each sentence is embedded and ranked once, at the largest k; every k
-    classifies against a prefix of that ranking. The prefix is exact: the
-    ranking is a total order (score, then id) and tau is the same for all k.
+    Each sentence is embedded, ranked and turned into few-shot examples
+    once, at the largest k; every k classifies against a prefix of that
+    ranking and of its examples. The prefix is exact: the ranking is a total
+    order (score, then id), tau is the same for all k, and an example depends
+    only on its result and rank.
     """
     cfg_base = cfg_base or retrieval.HybridConfig()
     cfgs = [replace(cfg_base, k=k) for k in k_values]  # rejects a bad k up front
@@ -216,11 +218,13 @@ def sweep(
             for _, _, failures in outcomes:
                 failures.append((record.id, str(exc)))
             continue
+        examples = retrieval.to_fewshot_examples(results)
         for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
             try:
-                verdict, _ = classify_retrieved(
+                verdict, _ = _classify_examples(
                     record.text,
                     results[: cfg.k],
+                    examples[: cfg.k],
                     client,
                     rules=rules,
                     max_prompt_tokens=max_prompt_tokens,

@@ -3,9 +3,10 @@
 classify() embeds the sentence, retrieves few-shot examples, renders the
 XML prompt, calls the client (with bounded retries on transport errors)
 and salvages a strict two-key JSON verdict from the raw output. Everything
-after retrieval is classify_retrieved(), which a top-k sweep calls once
-per k on prefixes of one ranking. The mock client makes the whole
-pipeline deterministic and offline-testable.
+after retrieval is classify_retrieved(); a top-k sweep runs its body once
+per k on prefixes of one ranking and of that ranking's few-shot examples.
+The mock client makes the whole pipeline deterministic and
+offline-testable.
 """
 
 from __future__ import annotations
@@ -41,7 +42,13 @@ from causeway.prompting import (
     estimate_tokens,
     token_budget_trim,
 )
-from causeway.retrieval import HybridConfig, RetrievalResult, query, to_fewshot_examples
+from causeway.retrieval import (
+    FewShotExample,
+    HybridConfig,
+    RetrievalResult,
+    query,
+    to_fewshot_examples,
+)
 from causeway.store import GraphStore, Node, NodeKind
 
 logger = logging.getLogger(__name__)
@@ -292,7 +299,25 @@ def classify_retrieved(
     ``results`` are used as given, in rank order, as the few-shot examples;
     a prefix of a deeper ranking is exactly a shallower query's results.
     """
-    examples = to_fewshot_examples(results)
+    return _classify_examples(
+        sentence, results, to_fewshot_examples(results), client,
+        rules, max_prompt_tokens, budgeter, retry_sleeper,
+    )
+
+
+def _classify_examples(
+    sentence: str,
+    results: list[RetrievalResult],
+    examples: list[FewShotExample],
+    client: LLMClient,
+    rules: list[str] | None,
+    max_prompt_tokens: int | None,
+    budgeter: RateBudgeter | None,
+    retry_sleeper: Callable[[float], None] = time.sleep,
+) -> tuple[Verdict, RetrievalTrace]:
+    """classify_retrieved() with ``examples = to_fewshot_examples(results)``
+    given. An example depends only on its result and rank, so a sweep passes
+    prefixes of one deep ranking's examples."""
     spec = PromptSpec(
         query_sentence=sentence,
         examples=examples,

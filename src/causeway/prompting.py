@@ -1,16 +1,24 @@
 """XML prompt assembly for causal classification and tagging.
 
-Rendered element schema (documented contract, see README):
+Rendered layout (documented contract, see README), two spaces per level,
+one element per line, an element without text or children written as
+``<tag />``:
 
     <prompt>
       <instructions>...</instructions>
-      <rules><rule n="1">...</rule>...</rules>
+      <rules>
+        <rule n="1">...</rule>
+      </rules>
       <examples count="K" zero_shot="false">
         <example rank="1" label="1">
           <text>...</text>
-          <causes><cause>...</cause></causes>
-          <effects><effect>...</effect></effects>
-          <triggers><trigger>...</trigger></triggers>
+          <causes>
+            <cause>...</cause>
+          </causes>
+          <effects>
+            <effect>...</effect>
+          </effects>
+          <triggers />
           <tagged_sentence>...</tagged_sentence>
         </example>
       </examples>
@@ -18,8 +26,10 @@ Rendered element schema (documented contract, see README):
       <output_format>...</output_format>
     </prompt>
 
-All content is entity-escaped; identical specs render byte-identically.
-Text holding a character that XML 1.0 cannot carry is refused.
+With no examples the block is ``<examples count="0" zero_shot="true" />``.
+Text has ``&``, ``<`` and ``>`` escaped; identical specs render
+byte-identically. Text holding a character that XML 1.0 cannot carry is
+refused.
 """
 
 from __future__ import annotations
@@ -30,7 +40,6 @@ import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
-from xml.etree import ElementTree as ET
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.retrieval import FewShotExample
@@ -54,7 +63,7 @@ OUTPUT_CONTRACT = (
 TOKEN_SAFETY_FACTOR = 1.3
 
 # any character outside the XML 1.0 Char production (controls, surrogates,
-# U+FFFE/U+FFFF); ElementTree writes them as-is and no parser reads them back
+# U+FFFE/U+FFFF); escaping leaves them as they are and no parser reads them back
 _XML_INVALID = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
@@ -95,47 +104,59 @@ class PromptSpec:
     rules: list[str] = field(default_factory=default_rules)
 
 
+def _leaf(tag: str, text: str, pad: str, attrs: str = "") -> str:
+    """An element holding only text, on one line indented by ``pad``."""
+    if not text:
+        return f"{pad}<{tag}{attrs} />"
+    text = text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return f"{pad}<{tag}{attrs}>{text}</{tag}>"
+
+
+def _group(tag: str, children: list[str], pad: str, attrs: str = "") -> str:
+    """An element around ``children``, each already indented one level in."""
+    if not children:
+        return f"{pad}<{tag}{attrs} />"
+    inner = "\n".join(children)
+    return f"{pad}<{tag}{attrs}>\n{inner}\n{pad}</{tag}>"
+
+
+def _example(example: FewShotExample) -> str:
+    """One ``<example>`` element, at its depth inside ``<examples>``."""
+    pad, inner = " " * 6, " " * 8
+    return _group(
+        "example",
+        [
+            _leaf("text", example.event_text, pad),
+            _group("causes", [_leaf("cause", t, inner) for t in example.cause_texts], pad),
+            _group("effects", [_leaf("effect", t, inner) for t in example.effect_texts], pad),
+            _group("triggers", [_leaf("trigger", t, inner) for t in example.trigger_texts], pad),
+            _leaf("tagged_sentence", example.tagged_text, pad),
+        ],
+        " " * 4,
+        f' rank="{example.rank}" label="{example.label}"',
+    )
+
+
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic well-formed XML string for one classification call."""
-    root = ET.Element("prompt")
-    ET.SubElement(root, "instructions").text = INSTRUCTIONS
-
-    rules_el = ET.SubElement(root, "rules")
-    for n, rule in enumerate(spec.rules, start=1):
-        rule_el = ET.SubElement(rules_el, "rule", {"n": str(n)})
-        rule_el.text = rule
-
-    examples_el = ET.SubElement(
-        root,
-        "examples",
-        {
-            "count": str(len(spec.examples)),
-            "zero_shot": "true" if not spec.examples else "false",
-        },
+    examples = spec.examples
+    rules = [_leaf("rule", rule, "    ", f' n="{n}"') for n, rule in enumerate(spec.rules, 1)]
+    prompt = _group(
+        "prompt",
+        [
+            _leaf("instructions", INSTRUCTIONS, "  "),
+            _group("rules", rules, "  "),
+            _group(
+                "examples",
+                [_example(example) for example in examples],
+                "  ",
+                f' count="{len(examples)}" zero_shot="{"false" if examples else "true"}"',
+            ),
+            _leaf("query", spec.query_sentence, "  "),
+            _leaf("output_format", OUTPUT_CONTRACT, "  "),
+        ],
+        "",
     )
-    for example in spec.examples:
-        ex_el = ET.SubElement(
-            examples_el,
-            "example",
-            {"rank": str(example.rank), "label": str(example.label)},
-        )
-        ET.SubElement(ex_el, "text").text = example.event_text
-        causes_el = ET.SubElement(ex_el, "causes")
-        for text in example.cause_texts:
-            ET.SubElement(causes_el, "cause").text = text
-        effects_el = ET.SubElement(ex_el, "effects")
-        for text in example.effect_texts:
-            ET.SubElement(effects_el, "effect").text = text
-        triggers_el = ET.SubElement(ex_el, "triggers")
-        for text in example.trigger_texts:
-            ET.SubElement(triggers_el, "trigger").text = text
-        ET.SubElement(ex_el, "tagged_sentence").text = example.tagged_text
-
-    ET.SubElement(root, "query").text = spec.query_sentence
-    ET.SubElement(root, "output_format").text = OUTPUT_CONTRACT
-
-    ET.indent(root)
-    prompt = ET.tostring(root, encoding="unicode")
     bad = _XML_INVALID.search(prompt)
     if bad is not None:
         raise XmlCharacterError(

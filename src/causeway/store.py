@@ -36,6 +36,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,8 +122,9 @@ class Node:
         return bool(np.array_equal(self.embedding, other.embedding))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A typed edge; a tuple, so building and hashing one run in C."""
+
     src: str
     dst: str
     kind: EdgeKind

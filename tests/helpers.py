@@ -2,7 +2,8 @@
 
 Oracles here deliberately avoid the code paths they check: offsets come
 from a naive substring scanner, neighbor counts from a raw edge scan,
-retrieval scores from math.fsum arithmetic instead of numpy.
+retrieval scores from math.fsum arithmetic instead of numpy, prompts from
+ElementTree instead of string assembly.
 """
 
 from __future__ import annotations
@@ -10,11 +11,15 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
+from xml.etree import ElementTree as ET
 
 import numpy as np
 
+from causeway.errors import XmlCharacterError
+from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec
 from causeway.store import (
     EMBEDDING_DIM,
     Edge,
@@ -247,3 +252,58 @@ def reference_corpus() -> list[dict]:
             }
         )
     return records
+
+
+# a copy of prompting's XML 1.0 Char check, kept here so the reference
+# renderer does not share it
+REFERENCE_XML_INVALID = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def reference_build_prompt(spec: PromptSpec) -> str:
+    """The prompt as ElementTree renders it: the layout ``build_prompt`` must
+    write byte for byte (``ET.indent`` then ``ET.tostring``)."""
+    root = ET.Element("prompt")
+    ET.SubElement(root, "instructions").text = INSTRUCTIONS
+
+    rules_el = ET.SubElement(root, "rules")
+    for n, rule in enumerate(spec.rules, start=1):
+        rule_el = ET.SubElement(rules_el, "rule", {"n": str(n)})
+        rule_el.text = rule
+
+    examples_el = ET.SubElement(
+        root,
+        "examples",
+        {
+            "count": str(len(spec.examples)),
+            "zero_shot": "true" if not spec.examples else "false",
+        },
+    )
+    for example in spec.examples:
+        ex_el = ET.SubElement(
+            examples_el,
+            "example",
+            {"rank": str(example.rank), "label": str(example.label)},
+        )
+        ET.SubElement(ex_el, "text").text = example.event_text
+        causes_el = ET.SubElement(ex_el, "causes")
+        for text in example.cause_texts:
+            ET.SubElement(causes_el, "cause").text = text
+        effects_el = ET.SubElement(ex_el, "effects")
+        for text in example.effect_texts:
+            ET.SubElement(effects_el, "effect").text = text
+        triggers_el = ET.SubElement(ex_el, "triggers")
+        for text in example.trigger_texts:
+            ET.SubElement(triggers_el, "trigger").text = text
+        ET.SubElement(ex_el, "tagged_sentence").text = example.tagged_text
+
+    ET.SubElement(root, "query").text = spec.query_sentence
+    ET.SubElement(root, "output_format").text = OUTPUT_CONTRACT
+
+    ET.indent(root)
+    prompt = ET.tostring(root, encoding="unicode")
+    bad = REFERENCE_XML_INVALID.search(prompt)
+    if bad is not None:
+        raise XmlCharacterError(
+            f"prompt text holds {bad.group()!r}, which XML 1.0 cannot carry"
+        )
+    return prompt

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causeway import retrieval
+from causeway import inference, retrieval
 from causeway.embedding import EmbeddingProvider
 from causeway.errors import (
     BadLabelError,
@@ -30,7 +30,7 @@ from causeway.evaluation import (
     reports_to_markdown,
     sweep,
 )
-from causeway.inference import LLMClient, MockLLMClient, classify
+from causeway.inference import LLMClient, MockLLMClient, classify, classify_retrieved
 from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
 from causeway.retrieval import HybridConfig
 from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
@@ -333,16 +333,25 @@ class CountingProvider(EmbeddingProvider):
 
 def per_k_reports(dataset, k_values, store, provider, client, cfg_base, max_prompt_tokens):
     """The reports of a sweep that calls classify once per (sentence, k)."""
+    def verdict_of(record, cfg):
+        return classify(
+            record.text, store, provider, client, cfg=cfg,
+            max_prompt_tokens=max_prompt_tokens,
+        )
+
+    return per_k_reports_of(dataset, k_values, client, cfg_base, verdict_of)
+
+
+def per_k_reports_of(dataset, k_values, client, cfg_base, verdict_of):
+    """The reports of a sweep that takes each (sentence, k) verdict from
+    ``verdict_of(record, cfg)``."""
     reports = []
     for k in k_values:
         cfg = replace(cfg_base, k=k)
         preds, golds, failures = [], [], []
         for record in dataset:
             try:
-                verdict, _ = classify(
-                    record.text, store, provider, client, cfg=cfg,
-                    max_prompt_tokens=max_prompt_tokens,
-                )
+                verdict, _ = verdict_of(record, cfg)
             except CausewayError as exc:
                 failures.append((record.id, str(exc)))
                 continue
@@ -350,7 +359,8 @@ def per_k_reports(dataset, k_values, store, provider, client, cfg_base, max_prom
             golds.append(record.gold_label)
         c = confusion(preds, golds)
         reports.append(
-            EvalReport(client.name, k, cfg.tau, cfg.alpha, cfg.beta, c, metrics(c), failures)
+            EvalReport(client.name, k, cfg.tau, cfg.alpha, cfg.beta, c,
+                       metrics(c) if c.total else EMPTY_METRICS, failures)
         )
     return reports
 
@@ -396,6 +406,101 @@ def test_sweep_ranks_each_sentence_once_and_matches_per_k_classify(
     want = per_k_reports(
         dataset, k_values, store, CountingProvider(provider), ThresholdClient(), cfg, budget
     )
+    assert reports_to_json(reports) == reports_to_json(want)
+
+
+XML_REFUSAL = "prompt text holds '\\x01', which XML 1.0 cannot carry"
+
+
+def ranked_fixture(provider, first, second, n_events=25, bad_rank=8):
+    """A store whose events rank in id order for the sentence ``first`` and in
+    reverse id order for ``second``, all linked; the event at ``bad_rank`` for
+    ``first`` holds a character XML cannot carry."""
+    q = provider.embed(first)
+    other = provider.embed(second)
+    other = other - (other @ q) * q
+    other /= np.linalg.norm(other)
+    store = GraphStore()
+    for i in range(n_events):
+        angle = 1.5 * (i + 1) / n_events  # similarity falls with i for q, rises for other
+        trigger = f"trig{i:02d}"
+        text = f"stored event {i:02d} {trigger} happened"
+        if i + 1 == bad_rank:
+            text = f"stored \x01 event {i:02d} {trigger} happened"
+        vec = math.cos(angle) * q + math.sin(angle) * other
+        store.upsert_node(Node(f"event:{i:02d}", NodeKind.EVENT, text=text, embedding=vec))
+        store.upsert_node(Node(f"trigger:{i:02d}", NodeKind.TRIGGER, text=trigger))
+        store.add_edge(Edge(f"event:{i:02d}", f"trigger:{i:02d}", EdgeKind.HAS_TRIGGER))
+    return store
+
+
+@pytest.mark.parametrize("budgeted", [False, True], ids=["no-budget", "budget"])
+def test_sweep_builds_examples_once_and_fails_only_the_ks_that_reach_a_bad_example(
+    provider, monkeypatch, budgeted
+):
+    dataset = [
+        EvalRecord("ranked", "the ranked query mentions trig03 and trig12", 1),
+        EvalRecord("reversed", "another sentence about trig12", 0),
+    ]
+    store = ranked_fixture(provider, dataset[0].text, dataset[1].text)
+    for record, bad_rank in zip(dataset, [8, 18]):
+        ranking = retrieval.query(store, provider.embed(record.text), HybridConfig(k=25))
+        assert ["\x01" in r.event_text for r in ranking].index(True) + 1 == bad_rank
+        assert sum("\x01" in r.event_text for r in ranking) == 1
+    k_values = [5, 10, 15, 20]
+    budget = None
+    if budgeted:  # room for a few examples, so large k are trimmed
+        zero_shot = build_prompt(PromptSpec(query_sentence=dataset[0].text))
+        budget = estimate_tokens(zero_shot) + 60
+
+    fewshot_calls, inference_fewshot_calls, renders = [], [], []
+    real_fewshot, real_render = retrieval.to_fewshot_examples, inference.build_prompt
+
+    def counting_fewshot(results):
+        fewshot_calls.append(len(results))
+        return real_fewshot(results)
+
+    def counting_inference_fewshot(results):
+        inference_fewshot_calls.append(len(results))
+        return real_fewshot(results)
+
+    def counting_render(spec):
+        renders.append(len(spec.examples))
+        return real_render(spec)
+
+    monkeypatch.setattr(retrieval, "to_fewshot_examples", counting_fewshot)
+    monkeypatch.setattr(inference, "to_fewshot_examples", counting_inference_fewshot)
+    monkeypatch.setattr(inference, "build_prompt", counting_render)
+    reports = sweep(
+        dataset, k_values, store, provider, MockLLMClient(), max_prompt_tokens=budget
+    )
+    assert fewshot_calls == [max(k_values)] * len(dataset)
+    assert inference_fewshot_calls == []
+    if not budgeted:
+        assert len(renders) == len(dataset) * len(k_values)
+    # each sentence fails exactly at the k whose prefix reaches the bad example
+    assert [report.failures for report in reports] == [
+        [],
+        [("ranked", XML_REFUSAL)],
+        [("ranked", XML_REFUSAL)],
+        [("ranked", XML_REFUSAL), ("reversed", XML_REFUSAL)],
+    ]
+    monkeypatch.undo()
+
+    rankings = {
+        record.id: retrieval.query(
+            store, provider.embed(record.text), HybridConfig(k=max(k_values))
+        )
+        for record in dataset
+    }
+
+    def verdict_of(record, cfg):
+        return classify_retrieved(
+            record.text, rankings[record.id][: cfg.k], MockLLMClient(),
+            max_prompt_tokens=budget,
+        )
+
+    want = per_k_reports_of(dataset, k_values, MockLLMClient(), HybridConfig(), verdict_of)
     assert reports_to_json(reports) == reports_to_json(want)
 
 

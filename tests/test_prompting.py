@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from xml.etree import ElementTree as ET
 
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.prompting import (
+    _XML_INVALID,
     OUTPUT_CONTRACT,
     PromptSpec,
     build_prompt,
@@ -15,6 +20,7 @@ from causeway.prompting import (
     token_budget_trim,
 )
 from causeway.retrieval import FewShotExample
+from helpers import REFERENCE_XML_INVALID, reference_build_prompt
 
 
 def example(rank: int, text: str | None = None) -> FewShotExample:
@@ -151,3 +157,85 @@ def test_trim_zero_shot_budget_too_small():
 def test_trim_rejects_nonpositive_budget():
     with pytest.raises(ValueError):
         token_budget_trim(PromptSpec("q"), max_tokens=0)
+
+
+def rendered(render, spec):
+    """The prompt, or the refusal's message when XML cannot carry the text."""
+    try:
+        return render(spec)
+    except XmlCharacterError as exc:
+        return ("refused", str(exc))
+
+
+TEXTS = st.one_of(
+    st.just(""),
+    st.text(st.sampled_from(" \t\r\n"), min_size=1),  # whitespace only
+    st.text(
+        st.one_of(
+            st.sampled_from(list("&<>\"'\r\t\n ;#x")),
+            st.characters(),
+            st.characters(min_codepoint=0x10000),  # non-BMP
+        ),
+        max_size=12,
+    ),
+)
+TUPLES = st.lists(TEXTS, max_size=3).map(tuple)
+EXAMPLES = st.builds(
+    FewShotExample,
+    rank=st.integers(1, 40),
+    event_id=st.just("event:1"),
+    event_text=TEXTS,
+    cause_texts=TUPLES,
+    effect_texts=TUPLES,
+    trigger_texts=TUPLES,
+    tagged_text=TEXTS,
+    label=st.integers(0, 1),
+    reconstruction_ok=st.booleans(),
+)
+SPECS = st.builds(
+    PromptSpec,
+    query_sentence=TEXTS,
+    examples=st.lists(EXAMPLES, max_size=4),
+    rules=st.lists(TEXTS, max_size=3),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=SPECS)
+@hypothesis.example(spec=PromptSpec("", examples=[], rules=[]))
+@hypothesis.example(spec=PromptSpec(" ", examples=[example(1, " ")], rules=["\t"]))
+def test_build_prompt_writes_what_elementtree_writes(spec):
+    assert rendered(build_prompt, spec) == rendered(reference_build_prompt, spec)
+
+
+def with_text_at(field: str, text: str) -> PromptSpec:
+    """A one-rule, one-example spec holding ``text`` in ``field``."""
+    base = example(1)
+    if field == "query":
+        return PromptSpec(query_sentence=text, examples=[base], rules=["r"])
+    if field == "rule":
+        return PromptSpec(query_sentence="q", examples=[base], rules=[text])
+    if field in ("cause_texts", "effect_texts", "trigger_texts"):
+        text = (text,)
+    return PromptSpec(query_sentence="q", examples=[replace(base, **{field: text})], rules=["r"])
+
+
+EVERY_CHARACTER = "".join(map(chr, range(0x110000)))
+XML_INVALID_CHARACTERS = sorted(
+    set(_XML_INVALID.findall(EVERY_CHARACTER))
+    | set(REFERENCE_XML_INVALID.findall(EVERY_CHARACTER))
+)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["query", "rule", "event_text", "cause_texts", "effect_texts", "trigger_texts",
+     "tagged_text"],
+)
+def test_every_xml_invalid_character_is_refused_as_elementtree_refuses_it(field):
+    assert len(XML_INVALID_CHARACTERS) == 32 - 3 + 2048 + 2  # controls, surrogates, FFFE/F
+    for char in XML_INVALID_CHARACTERS:
+        spec = with_text_at(field, f"a{char}b")
+        message = f"prompt text holds {char!r}, which XML 1.0 cannot carry"
+        assert rendered(build_prompt, spec) == ("refused", message)
+        assert rendered(reference_build_prompt, spec) == ("refused", message)
