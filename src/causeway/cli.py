@@ -9,6 +9,7 @@ secrets come from environment variables only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import sys
@@ -224,6 +225,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing leaves it
+    as it was, and building it costs more than a parse."""
+    return build_parser()
+
+
 def _cmd_ingest(config: Config, args) -> int:
     store = _load_store(config, must_exist=False)
     report = annotation.ingest_corpus_file(args.corpus, store)
@@ -389,9 +397,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors
         return int(exc.code or 0)

@@ -13,6 +13,16 @@ set semantics (duplicates are idempotent) but preserve first-insertion
 order, which fixes the order of collected neighbor texts; adjacency is
 kept on each edge's one Event endpoint. Many readers or one writer.
 
+A snapshot (version 3) holds its records as columns: per node an id, a
+kind, a text and the row of its vector in the ``.npy`` file (-1 for
+none); per edge the indexes of its two nodes and a kind. The file holds
+the scoring rows first, in scoring order, then each distinct array the
+other nodes hold, once: nodes that share an array (``batch_embed`` gives
+every node of one text the same one) share a row, and after a load they
+share one read-only array again. Loading checks every column in bulk
+and builds the store in one pass; versions 1 and 2, which held one
+record per node and edge, are read into the same columns.
+
 Every event with both text and an embedding owns one scoring row: its
 vector, written once into a fixed-size chunk, plus the vector's norm, a
 linked bit (the event has a causal edge) and an alive flag. The event's
@@ -35,6 +45,7 @@ import zipfile
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -55,7 +66,7 @@ EMBEDDING_DIM = 384
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
-SNAPSHOT_VERSION = 2  # what save writes; load also reads version 1
+SNAPSHOT_VERSION = 3  # what save writes; load also reads versions 1 and 2
 VECTOR_DTYPE = "<f8"
 # hex digits of the vectors' sha256 in the sidecar's name
 _HASH_CHARS = 16
@@ -240,28 +251,45 @@ class _Record:
         return values
 
 
-# a version 1 node carries its embedding, version 2 keeps vectors in the sidecar
+# versions 1 and 2 hold one record per node and edge: a version 1 node
+# carries its embedding, a version 2 vector record names each row's node
 _NODE = _Record(id=str, kind=str, text=(str, type(None)))
 _V1_NODE = _Record(**_NODE.types, embedding=(list, type(None)))
 _EDGE = _Record(src=str, dst=str, kind=str)
-_VECTORS = _Record(file=str, dtype=str, shape=list, rows=list)
-# the kind each value of a record's "kind" names: one dict lookup per
-# record, not an Enum call
-_NODE_KINDS = {kind.value: kind for kind in NodeKind}
-_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
-
-
-def _snapshot_list(path, payload: dict, key: str) -> list:
-    records = payload.get(key)
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: snapshot {key!r} must be a list")
-    return records
+_V2_VECTORS = _Record(file=str, dtype=str, shape=list, rows=list)
+_VECTORS = _Record(file=str, dtype=str, shape=list, scoring=int)
+# version 3 holds columns instead: the JSON types each column's entries may take
+_NODE_COLUMNS = {"ids": {str}, "kinds": {str}, "texts": {str, type(None)}, "vector_row": {int}}
+_EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
+# a kind's code is its index here; the columns are checked and built on codes
+_NODE_KINDS = tuple(NodeKind)
+_EDGE_KINDS = tuple(EdgeKind)
+_NODE_CODES = {kind.value: code for code, kind in enumerate(_NODE_KINDS)}
+_EDGE_CODES = {kind.value: code for code, kind in enumerate(_EDGE_KINDS)}
+_EVENT = _NODE_CODES[NodeKind.EVENT.value]
+# per edge kind code, the node kind code its source and its destination must have
+_WANT_SRC, _WANT_DST = (
+    np.array([_NODE_CODES[EDGE_ENDPOINTS[kind][end].value] for kind in _EDGE_KINDS])
+    for end in (0, 1)
+)
+_EVENT_AT_SRC = {kind: EDGE_ENDPOINTS[kind][0] is NodeKind.EVENT for kind in EdgeKind}
 
 
 def _in_record(path, where: str, exc: Exception) -> Exception:
     """``exc`` again, of its own class, its message naming the snapshot
     and the record."""
     return type(exc)(f"{path}: snapshot {where}: {exc}")
+
+
+def _endpoint_fault(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> KindViolationError | None:
+    """What is wrong with an edge of ``kind`` from a ``src`` to a ``dst``, if anything."""
+    want_src, want_dst = EDGE_ENDPOINTS[kind]
+    if src is want_src and dst is want_dst:
+        return None
+    return KindViolationError(
+        f"{kind.value} requires {want_src.value}->{want_dst.value}, "
+        f"got {src.value}->{dst.value}"
+    )
 
 
 def _read_document(path: Path) -> dict:
@@ -273,9 +301,135 @@ def _read_document(path: Path) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
     version = payload.get("version")
-    if type(version) is not int or version not in (1, 2):
+    if type(version) is not int or version not in (1, 2, 3):
         raise ValueError(f"{path}: unsupported snapshot version")
     return payload
+
+
+def _record_columns(
+    path, payload: dict, key: str, record: _Record
+) -> tuple[list, Exception | None]:
+    """The columns of a version 1 or 2 snapshot's ``key`` records, up to the
+    first record that ``record`` refuses, and that refusal (None if none)."""
+    records = payload.get(key)
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: snapshot {key!r} must be a list")
+    values, fault = [], None
+    for i, rec in enumerate(records):
+        try:
+            values.append(record.values(path, f"{key}[{i}]", rec))
+        except ValueError as exc:
+            fault = exc
+            break
+    return [list(column) for column in zip(*values)] or [[] for _ in record.types], fault
+
+
+def _column_table(path, payload: dict, key: str, columns: dict) -> tuple[list, Exception | None]:
+    """A version 3 snapshot's ``key`` columns, up to the first record holding
+    a value of a type its column does not take, and that refusal (None if none)."""
+    table = payload.get(key)
+    if not isinstance(table, dict) or not all(isinstance(table.get(c), list) for c in columns):
+        raise ValueError(f"{path}: snapshot {key!r} must be an object of lists {list(columns)}")
+    values = [table[c] for c in columns]
+    if len(set(map(len, values))) > 1:
+        raise ValueError(f"{path}: snapshot {key!r} lists must be of one length")
+    end, fault = len(values[0]), None
+    for (name, types), column in zip(columns.items(), values):
+        if not set(map(type, column)) <= types:
+            i = next(i for i, value in enumerate(column) if type(value) not in types)
+            if i < end:
+                end = i
+                fault = ValueError(
+                    f"{path}: snapshot {key}[{i}] {name!r} must not be {type(column[i]).__name__}"
+                )
+    return (values, None) if fault is None else ([c[:end] for c in values], fault)
+
+
+def _codes(values: list[str], codes: dict[str, int]) -> np.ndarray:
+    """The code of each value, -1 for one ``codes`` does not hold."""
+    return np.fromiter(map(codes.get, values, repeat(-1)), np.int64, len(values))
+
+
+def _indexes(values: list[int]) -> np.ndarray:
+    """``values`` as an int64 array, -2 in place of any beyond its range."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if -2 <= v < 2**62 else -2 for v in values], dtype=np.int64)
+
+
+def _refuse_first(masks: list[np.ndarray], explain, fault: Exception | None) -> None:
+    """Call ``explain(i)``, which raises for a faulty record ``i``, on each
+    record some mask flags, in file order; then raise ``fault``, the
+    refusal of the record after the masks' last, if any. The masks must flag
+    every faulty record, so the first refusal names the first of them."""
+    for i in np.flatnonzero(np.logical_or.reduce(masks)).tolist():
+        explain(i)
+    if fault is not None:
+        raise fault
+
+
+def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_masks=(), vector_fault=None):
+    """Each node id's index, if every node is good: else the first node that
+    is not, in file order, raises, named. ``codes`` are the kind codes of
+    ``kinds``; ``vector_fault(i)`` raises if node ``i``'s vector is refused,
+    and ``vector_masks`` flag each node it may refuse."""
+    masks = [codes < 0, *vector_masks]
+    index = first = dict(zip(ids, range(len(ids))))
+    if len(index) < len(ids):  # each id's first index, and every later one flagged
+        first = {}
+        repeats = (first.setdefault(node_id, i) != i for i, node_id in enumerate(ids))
+        masks.append(np.fromiter(repeats, bool, len(ids)))
+
+    def explain(i: int) -> None:
+        where = f"nodes[{i}]"
+        if codes[i] < 0:
+            raise ValueError(f"{path}: snapshot {where}: {kinds[i]!r} is not a valid NodeKind")
+        j = first[ids[i]]
+        if j < i:
+            old, new = _NODE_KINDS[codes[j]], _NODE_KINDS[codes[i]]
+            where = f"nodes[{j}] and {where}"
+            if old is not new:
+                raise KindViolationError(
+                    f"{path}: snapshot {where}: node {ids[i]!r} is {old.value}, "
+                    f"cannot change to {new.value}"
+                )
+            raise ValueError(f"{path}: snapshot {where} repeat the node id {ids[i]!r}")
+        if vector_fault is not None:
+            vector_fault(i)
+
+    _refuse_first(masks, explain, fault)
+    return index
+
+
+def _check_edges(path, src: list, dst: list, kinds: list, ends, node_codes, fault):
+    """The kind code of each edge, if every edge is good: else the first
+    that is not, in file order, raises, named. ``ends`` are the node indexes
+    of ``src`` and ``dst``, each index past the nodes for a missing one."""
+    n = len(node_codes)
+    codes = _codes(kinds, _EDGE_CODES)
+    # a missing end indexes the -1 past the nodes, which no edge kind wants
+    end_codes = np.append(node_codes, -1)
+    src_codes, dst_codes = (end_codes[np.where((e >= 0) & (e < n), e, n)] for e in ends)
+    masks = [codes < 0, src_codes != _WANT_SRC[codes], dst_codes != _WANT_DST[codes]]
+
+    def explain(j: int) -> None:
+        where = f"edges[{j}]"
+        if codes[j] < 0:
+            raise ValueError(f"{path}: snapshot {where}: {kinds[j]!r} is not a valid EdgeKind")
+        for end, label in ((src_codes[j], src[j]), (dst_codes[j], dst[j])):
+            if end < 0:
+                raise MissingEndpointError(
+                    f"{path}: snapshot {where}: edge endpoint {label!r} not in store"
+                )
+        exc = _endpoint_fault(
+            _EDGE_KINDS[codes[j]], _NODE_KINDS[src_codes[j]], _NODE_KINDS[dst_codes[j]]
+        )
+        if exc is not None:
+            raise _in_record(path, where, exc)
+
+    _refuse_first(masks, explain, fault)
+    return codes
 
 
 class _MissingVectors(ValueError):
@@ -291,18 +445,22 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _open_vectors(path: Path, payload: dict) -> tuple[list, np.ndarray, str | None]:
-    """A version 2 snapshot's node id of each row (not yet checked against
-    the nodes), its vectors mapped read-only from the vector file, and the
-    record's ``provider``. A zero or non-finite vector raises what
-    ``check_embedding`` raises."""
-    record = payload.get("vectors")
-    file, dtype, shape, rows = _VECTORS.values(path, "'vectors'", record)
+def _vectors_record(path: Path, payload: dict, record: _Record) -> tuple[tuple, str | None]:
+    """The values of the snapshot's ``vectors`` record, and its ``provider``."""
+    values = record.values(path, "'vectors'", payload.get("vectors"))
     # absent from snapshots written before the identity was recorded
-    embedded_by = record.get("provider")
+    embedded_by = payload["vectors"].get("provider")
     if not isinstance(embedded_by, (str, type(None))):
         raise ValueError(f"{path}: snapshot vectors 'provider' must be a string or null")
-    want = (len(rows), EMBEDDING_DIM)
+    return values, embedded_by
+
+
+def _open_vectors(path: Path, file, dtype, shape, rows: int, names: list | None) -> np.ndarray:
+    """The ``rows`` vectors of the vector file ``file``, mapped read-only,
+    after checking its ``dtype`` and ``shape``. A zero or non-finite vector
+    raises what ``check_embedding`` raises, naming its row's node in
+    ``names``, or the row if there are none."""
+    want = (rows, EMBEDDING_DIM)
     if dtype != VECTOR_DTYPE or shape != list(want):
         raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {want}")
     sidecar = _sidecar_path(path, file)
@@ -325,12 +483,150 @@ def _open_vectors(path: Path, payload: dict) -> tuple[list, np.ndarray, str | No
     bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
     if bad.size:
         row = bad[0]
+        vector = f"vector row {row}" if names is None else f"vector of {names[row]!r}"
         if squared[row] == 0.0:
-            raise ZeroVectorError(f"{sidecar}: vector of {rows[row]!r} is a zero vector")
+            raise ZeroVectorError(f"{sidecar}: {vector} is a zero vector")
         raise DimensionMismatchError(
-            f"{sidecar}: vector of {rows[row]!r} must have finite entries and a finite norm"
+            f"{sidecar}: {vector} must have finite entries and a finite norm"
         )
-    return rows, mapped, embedded_by
+    return mapped
+
+
+class _Snapshot(NamedTuple):
+    """A snapshot's checked content as columns: node ``i`` is ``ids[i]``,
+    of kind code ``kinds[i]``, with ``texts[i]`` and the vector in row
+    ``vector_row[i]`` of ``vectors`` (-1 for none); edge ``j`` runs from
+    node ``src[j]`` to node ``dst[j]`` and is of kind code ``edge_kinds[j]``."""
+
+    ids: list[str]
+    kinds: np.ndarray
+    texts: list[str | None]
+    vector_row: np.ndarray
+    vectors: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    edge_kinds: np.ndarray
+    embedded_by: str | None
+
+
+def _read_snapshot(path: Path) -> _Snapshot:
+    """The snapshot at ``path``, of any version, checked, as columns. The
+    checks run in this order, each refusing the first bad record in file
+    order: the document, the vector record and file, the nodes with their
+    vectors, the edges."""
+    payload = _read_document(path)
+    version = payload["version"]
+    if version == 3:
+        (ids, kinds, texts, vector_row), node_fault = _column_table(
+            path, payload, "nodes", _NODE_COLUMNS
+        )
+        (src, dst, edge_kinds), edge_fault = _column_table(path, payload, "edges", _EDGE_COLUMNS)
+        (file, dtype, shape, scoring), embedded_by = _vectors_record(path, payload, _VECTORS)
+        rows = shape[0] if len(shape) == 2 and type(shape[0]) is int else -1
+        if rows < 0:
+            raise ValueError(f"{path}: snapshot vectors 'shape' must be [rows, {EMBEDDING_DIM}]")
+        if type(scoring) is not int or not 0 <= scoring <= rows:
+            raise ValueError(
+                f"{path}: snapshot vectors 'scoring' must be an integer from 0 to the row count"
+            )
+        vectors = _open_vectors(path, file, dtype, shape, rows, None)
+        codes = _codes(kinds, _NODE_CODES)
+        vector_row, masks, vector_fault = _row_checks(path, codes, texts, vector_row, rows, scoring)
+        _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
+        ends = _indexes(src), _indexes(dst)
+    else:
+        node_record = _V1_NODE if version == 1 else _NODE
+        (ids, kinds, texts, *inline), node_fault = _record_columns(
+            path, payload, "nodes", node_record
+        )
+        (src, dst, edge_kinds), edge_fault = _record_columns(path, payload, "edges", _EDGE)
+        codes = _codes(kinds, _NODE_CODES)
+        if version == 1:
+            embedded_by = None
+            vectors, vector_row, masks, vector_fault = _inline_vectors(path, inline[0])
+            index = _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
+        else:
+            (file, dtype, shape, row_ids), embedded_by = _vectors_record(
+                path, payload, _V2_VECTORS
+            )
+            vectors = _open_vectors(path, file, dtype, shape, len(row_ids), row_ids)
+            index = _check_nodes(path, ids, kinds, codes, node_fault)
+        if version == 2:
+            known = all(isinstance(r, str) and r in index for r in row_ids)
+            if not known or len(set(row_ids)) < len(row_ids):
+                raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
+            vector_row = np.full(len(ids), -1, dtype=np.int64)
+            vector_row[list(map(index.__getitem__, row_ids))] = np.arange(len(row_ids))
+        ends = tuple(_codes(labels, index) for labels in (src, dst))
+    edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
+    return _Snapshot(ids, codes, texts, vector_row, vectors, *ends, edge_codes, embedded_by)
+
+
+def _inline_vectors(path, embeddings: list):
+    """A version 1 snapshot's vectors: each node's checked ``embeddings``
+    entry in a row of one array, in node order; the row of each node (-1
+    for none); and, as ``_check_nodes`` takes them, the mask of refused
+    vectors and the check that raises a node's refusal."""
+    vectors = np.empty((sum(e is not None for e in embeddings), EMBEDDING_DIM))
+    rows = np.full(len(embeddings), -1, dtype=np.int64)
+    refused: dict[int, CausewayError] = {}
+    row = 0
+    for i, embedding in enumerate(embeddings):
+        if embedding is not None:
+            try:
+                # each checked vector straight into its row, not kept in a list
+                vectors[row] = check_embedding(embedding)[0]
+            except CausewayError as exc:
+                refused[i] = exc
+                continue
+            rows[i] = row
+            row += 1
+
+    def vector_fault(i: int) -> None:
+        if i in refused:
+            raise _in_record(path, f"nodes[{i}]", refused[i]) from refused[i]
+
+    mask = np.zeros(len(embeddings), dtype=bool)
+    mask[list(refused)] = True
+    return vectors, rows, [mask], vector_fault
+
+
+def _row_checks(path, codes: np.ndarray, texts: list, vector_row: list, count: int, scoring: int):
+    """A version 3 snapshot's ``vector_row`` as an array, and the masks and
+    the check that ``_check_nodes`` takes for it: each row is one of the
+    ``count`` rows or -1, the first ``scoring`` rows belong to scoring
+    events (events with text and a vector), one each, and the rest to
+    every other node with a vector."""
+    n = len(codes)
+    rows = _indexes(vector_row)
+    has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, n)
+    scores = (codes == _EVENT) & has_text & (rows >= 0)
+    out_of_range = (rows < -1) | (rows >= count)
+    misplaced = scores != ((rows >= 0) & (rows < scoring))
+    scored = np.flatnonzero(scores)
+    scored = scored[np.argsort(rows[scored], kind="stable")]
+    shared = np.zeros(n, dtype=bool)
+    shared[scored[1:][rows[scored[1:]] == rows[scored[:-1]]]] = True
+
+    def vector_fault(i: int) -> None:
+        row = vector_row[i]
+        where = f"{path}: snapshot nodes[{i}]"
+        if out_of_range[i]:
+            raise ValueError(f"{where}: vector_row {row} is not a row of the vector file")
+        if misplaced[i] and scores[i]:
+            raise ValueError(f"{where}: a scoring event's vector_row must be below {scoring}")
+        if misplaced[i]:
+            raise ValueError(
+                f"{where}: vector_row {row} is a scoring row, but the node is not an event "
+                "with text"
+            )
+        if shared[i]:
+            j = next(j for j in scored.tolist() if vector_row[j] == row)
+            raise ValueError(
+                f"{path}: snapshot nodes[{j}] and nodes[{i}] share the scoring row {row}"
+            )
+
+    return rows, [out_of_range, misplaced, shared], vector_fault
 
 
 def _write_atomic(path: Path, write) -> str:
@@ -465,10 +761,18 @@ class GraphStore:
         keeps it as ``embedded_by`` only if that provider made every vector
         it held before, and writing a vector without it clears that.
         """
-        checked = [
-            (node_id, None if vec is None else check_embedding(vec))
-            for node_id, vec in pairs
-        ]
+        checked, seen = [], {}  # id of a read-only array -> (the array, its check)
+        for node_id, vec in pairs:
+            if vec is None:
+                checked.append((node_id, None))
+            elif isinstance(vec, np.ndarray) and not vec.flags.writeable:
+                # checked once however many nodes hold it: batch_embed gives
+                # every node of one text the same read-only array
+                if id(vec) not in seen:
+                    seen[id(vec)] = (vec, check_embedding(vec))
+                checked.append((node_id, seen[id(vec)][1]))
+            else:
+                checked.append((node_id, check_embedding(vec)))
         with self.lock.write():
             if any(vector is not None for _, vector in checked):
                 if self._embedded and self._embedded_by != embedded_by:
@@ -558,24 +862,25 @@ class GraphStore:
         if src is None or dst is None:
             missing = edge.src if src is None else edge.dst
             raise MissingEndpointError(f"edge endpoint {missing!r} not in store")
-        want_src, want_dst = EDGE_ENDPOINTS[edge.kind]
-        if src.kind is not want_src or dst.kind is not want_dst:
-            raise KindViolationError(
-                f"{edge.kind.value} requires {want_src.value}->{want_dst.value}, "
-                f"got {src.kind.value}->{dst.kind.value}"
-            )
+        fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
+        if fault is not None:
+            raise fault
         if edge in self._edges:
             return
         self._edges[edge] = None
-        if want_src is NodeKind.EVENT:
-            event_id, other_id = edge.src, edge.dst
-        else:
-            event_id, other_id = edge.dst, edge.src
-        neighbors = self._adjacent.setdefault(event_id, {})
-        neighbors.setdefault(edge.kind, []).append(other_id)
-        row = self._row_of.get(event_id)
+        self._adjoin((edge,))
+        row = self._row_of.get(edge.src if src.kind is NodeKind.EVENT else edge.dst)
         if row is not None:
             self._linked[row] = True
+
+    def _adjoin(self, edges) -> None:
+        """Add each of the new ``edges`` to the adjacency of its event."""
+        adjacent = self._adjacent
+        for src, dst, kind in edges:
+            if _EVENT_AT_SRC[kind]:
+                adjacent.setdefault(src, {}).setdefault(kind, []).append(dst)
+            else:
+                adjacent.setdefault(dst, {}).setdefault(kind, []).append(src)
 
     def edges(self) -> list[Edge]:
         with self.lock.read():
@@ -634,7 +939,9 @@ class GraphStore:
 
     def save(self, path: str | Path) -> None:
         """Write the snapshot: a JSON document at ``path`` and, beside it,
-        one ``.npy`` file of every vector, named after their sha256.
+        one ``.npy`` file of the vectors, named after their sha256. The
+        file holds the live scoring rows in scoring order, then each
+        distinct array that other nodes hold, once.
 
         Each file goes to a temporary name, is fsynced and renamed into
         place, the vectors first. Renaming the JSON commits, so a reader
@@ -643,21 +950,38 @@ class GraphStore:
         """
         with self.lock.read():  # nodes, edges and vectors from one consistent view
             live = np.flatnonzero(self._alive[: len(self._row_ids)])
-            others = [
-                n
-                for n in self._nodes.values()
-                if n.embedding is not None and n.id not in self._row_of
-            ]
-            rows = [self._row_ids[row] for row in live.tolist()] + [n.id for n in others]
+            scoring = dict(zip(map(self._row_ids.__getitem__, live.tolist()), range(len(live))))
+            # nodes that hold one array (batch_embed shares one per text) share its row
+            shared: dict[int, int] = {}
+            others: list[np.ndarray] = []
+            vector_row = []
+            for node in self._nodes.values():
+                row = scoring.get(node.id, -1)
+                if row < 0 and node.embedding is not None:
+                    row = shared.get(id(node.embedding))
+                    if row is None:
+                        row = shared[id(node.embedding)] = len(live) + len(others)
+                        others.append(node.embedding)
+                vector_row.append(row)
+            index = dict(zip(self._nodes, range(len(self._nodes))))
+            # kinds are str enums, which JSON writes as their values
+            nodes = {
+                "ids": list(self._nodes),
+                "kinds": [n.kind for n in self._nodes.values()],
+                "texts": [n.text for n in self._nodes.values()],
+                "vector_row": vector_row,
+            }
+            edges = {
+                "src": [index[e.src] for e in self._edges],
+                "dst": [index[e.dst] for e in self._edges],
+                "kind": [e.kind for e in self._edges],
+            }
             # rows are written once and an embedding is replaced, not changed,
             # so these arrays still hold this view's vectors after the lock
-            blocks = _vector_blocks(list(self._chunks), live, [n.embedding for n in others])
-            # kinds are str enums, which JSON writes as their values
-            nodes = [{"id": n.id, "kind": n.kind, "text": n.text} for n in self._nodes.values()]
-            edges = [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in self._edges]
+            blocks = _vector_blocks(list(self._chunks), live, others)
             embedded_by = self._embedded_by
         path = Path(path)
-        shape = (len(rows), EMBEDDING_DIM)
+        shape = (len(live) + len(others), EMBEDDING_DIM)
 
         def write_vectors(f) -> str:
             header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
@@ -679,7 +1003,7 @@ class GraphStore:
                 "file": name,
                 "dtype": VECTOR_DTYPE,
                 "shape": list(shape),
-                "rows": rows,
+                "scoring": len(live),
                 "provider": embedded_by,
             },
             "nodes": nodes,
@@ -701,113 +1025,73 @@ class GraphStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
-        """Read a snapshot of either version. Every refusal names the file:
-        a malformed document or vector file is a ValueError, and a record
-        the store refuses names the record too (``nodes[i]``, ``edges[j]``)
-        with the error its writer raises: ValueError for an unknown kind or
-        a repeated node id, KindViolationError for a repeated id of another
-        kind, what ``add_edge`` raises for an edge. A zero or non-finite
-        vector raises what ``check_embedding`` raises."""
+        """Read a snapshot of any version. Every refusal names the file: a
+        malformed document or vector file is a ValueError, and a record the
+        store refuses names the first such record in file order too
+        (``nodes[i]``, ``edges[j]``) with the error its writer raises:
+        ValueError for an unknown kind or a repeated node id,
+        KindViolationError for a repeated id of another kind, what
+        ``add_edge`` raises for an edge. A zero or non-finite vector raises
+        what ``check_embedding`` raises."""
         path = Path(path)
         try:
-            return cls()._fill(path)
+            return cls()._fill(_read_snapshot(path))
         except _MissingVectors:  # a save committed between the JSON and its vectors
-            return cls()._fill(path)
+            return cls()._fill(_read_snapshot(path))
 
-    def _fill(self, path: Path) -> "GraphStore":
-        """Fill this new, unshared store from the snapshot at ``path`` in
-        one pass: each record is checked as its node or edge is built, and
-        the vectors go to their nodes and scoring rows in bulk."""
-        payload = _read_document(path)
-        v1 = payload["version"] == 1
-        records = _snapshot_list(path, payload, "nodes")
-        edges = _snapshot_list(path, payload, "edges")
-        if v1:
-            node_record, row_ids = _V1_NODE, []
-            # each checked vector is written straight into its row, not
-            # kept in a list beside this array
-            count = sum(
-                isinstance(rec, dict) and rec.get("embedding") is not None for rec in records
-            )
-            vectors = np.empty((count, EMBEDDING_DIM))
-        else:
-            node_record = _NODE
-            row_ids, vectors, self._embedded_by = _open_vectors(path, payload)
-        nodes = self._nodes
-        for i, rec in enumerate(records):
-            where = f"nodes[{i}]"
-            node_id, value, text, *embedding = node_record.values(path, where, rec)
-            kind = _NODE_KINDS.get(value)
-            if kind is None:
-                raise ValueError(f"{path}: snapshot {where}: {value!r} is not a valid NodeKind")
-            if node_id in nodes:
-                first = next(j for j, other in enumerate(records) if other["id"] == node_id)
-                where = f"nodes[{first}] and {where}"
-                old = nodes[node_id].kind
-                if old is not kind:
-                    raise KindViolationError(
-                        f"{path}: snapshot {where}: node {node_id!r} is {old.value}, "
-                        f"cannot change to {kind.value}"
-                    )
-                raise ValueError(f"{path}: snapshot {where} repeat the node id {node_id!r}")
-            nodes[node_id] = Node(node_id, kind, text)
-            if v1 and embedding[0] is not None:
-                try:
-                    vectors[len(row_ids)] = check_embedding(embedding[0])[0]
-                except CausewayError as exc:
-                    raise _in_record(path, where, exc) from exc
-                row_ids.append(node_id)
-        if not v1 and (
-            not all(isinstance(r, str) and r in nodes for r in row_ids)
-            or len(set(row_ids)) < len(row_ids)
-        ):
-            raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
-        self._fill_vectors(row_ids, vectors)
-        for j, rec in enumerate(edges):
-            where = f"edges[{j}]"
-            src, dst, value = _EDGE.values(path, where, rec)
-            kind = _EDGE_KINDS.get(value)
-            if kind is None:
-                raise ValueError(f"{path}: snapshot {where}: {value!r} is not a valid EdgeKind")
-            try:
-                self._link(Edge(src, dst, kind))
-            except CausewayError as exc:
-                raise _in_record(path, where, exc) from exc
-        return self
-
-    def _fill_vectors(self, ids: list[str], vectors: np.ndarray) -> None:
-        """Give node ``ids[i]`` the checked vector ``vectors[i]``, read-only:
-        each event with text in a new scoring row, in this order, every
-        other node on the node itself."""
-        nodes = self._nodes
-        scored, others = [], []
-        for i, node_id in enumerate(ids):
-            node = nodes[node_id]
-            (scored if node.kind is NodeKind.EVENT and node.text is not None else others).append(i)
-        rest = np.empty((len(others), EMBEDDING_DIM))
-        # one copy straight into ``rest``; every index is a row of ``vectors``
-        np.take(vectors, others, axis=0, out=rest, mode="clip")
-        rest.flags.writeable = False
-        for i, vector in zip(others, rest):
-            nodes[ids[i]].embedding = vector
+    def _fill(self, snapshot: _Snapshot) -> "GraphStore":
+        """Fill this new, unshared store from the checked ``snapshot`` in
+        bulk. Each event with text and a vector gets a scoring row, in the
+        order of its file rows; every other node with a vector gets the one
+        read-only array of its file row, which all nodes of that row share."""
+        ids, codes, texts = snapshot.ids, snapshot.kinds, snapshot.texts
+        file_rows, vectors = snapshot.vector_row, snapshot.vectors
+        nodes = list(map(Node, ids, map(_NODE_KINDS.__getitem__, codes.tolist()), texts))
+        self._nodes = dict(zip(ids, nodes))
+        self._embedded_by = snapshot.embedded_by
+        has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(ids))
+        scores = (codes == _EVENT) & has_text & (file_rows >= 0)
+        scored = np.flatnonzero(scores)
+        scored = scored[np.argsort(file_rows[scored])]
         n = len(scored)
         self._chunks = [np.empty((CHUNK_ROWS, EMBEDDING_DIM)) for _ in range(0, n, CHUNK_ROWS)]
         capacity = len(self._chunks) * CHUNK_ROWS
         self._norms = np.empty(capacity)
-        self._linked = np.zeros(capacity, dtype=bool)  # set as edges are linked
+        self._linked = np.zeros(capacity, dtype=bool)
         self._alive = np.zeros(capacity, dtype=bool)
         self._alive[:n] = True
-        self._row_ids = [ids[i] for i in scored]
+        self._row_ids = [ids[i] for i in scored.tolist()]
         self._row_of = dict(zip(self._row_ids, range(n)))
         for start, chunk in zip(range(0, n, CHUNK_ROWS), self._chunks):
-            part = chunk[: n - start]
-            np.take(vectors, scored[start : start + CHUNK_ROWS], axis=0, out=part, mode="clip")
+            batch = scored[start : start + CHUNK_ROWS]
+            part = chunk[: len(batch)]
+            # one copy straight into the chunk; every index is a row of ``vectors``
+            np.take(vectors, file_rows[batch], axis=0, out=part, mode="clip")
             # check_embedding's norm exactly, so scores survive a save and load
             self._norms[start : start + len(part)] = [
                 math.sqrt(np.vdot(row, row)) for row in part
             ]
             part = part.view()
             part.flags.writeable = False
-            for node_id, row in zip(self._row_ids[start : start + CHUNK_ROWS], part):
-                nodes[node_id].embedding = row
-        self._embedded = len(ids)
+            for i, row in zip(batch.tolist(), part):
+                nodes[i].embedding = row
+        others = np.flatnonzero(~scores & (file_rows >= 0))
+        rows, which = np.unique(file_rows[others], return_inverse=True)
+        rest = np.empty((len(rows), EMBEDDING_DIM))
+        np.take(vectors, rows, axis=0, out=rest, mode="clip")
+        rest.flags.writeable = False
+        shared = list(rest)  # one array per row, so its nodes share it
+        for i, row in zip(others.tolist(), which.tolist()):
+            nodes[i].embedding = shared[row]
+        self._embedded = n + len(others)
+        src, dst, kinds = snapshot.src.tolist(), snapshot.dst.tolist(), snapshot.edge_kinds.tolist()
+        ends = zip(map(ids.__getitem__, src), map(ids.__getitem__, dst),
+                   map(_EDGE_KINDS.__getitem__, kinds))
+        # tuple.__new__ builds each Edge in C, not through its Python __new__
+        self._edges = dict.fromkeys(map(tuple.__new__, repeat(Edge), ends))
+        self._adjoin(self._edges)
+        linked = np.zeros(len(ids), dtype=bool)
+        at_dst = _WANT_DST[snapshot.edge_kinds] == _EVENT
+        linked[np.where(at_dst, snapshot.dst, snapshot.src)] = True
+        self._linked[:n] = linked[scored]
+        return self

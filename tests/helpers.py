@@ -8,6 +8,7 @@ ElementTree instead of string assembly.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -142,6 +143,51 @@ def write_v1_snapshot(store: GraphStore, path) -> None:
         "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
     }
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
+
+
+def write_v2_snapshot(store: GraphStore, path) -> None:
+    """Write ``store`` as a version 2 snapshot: one record per node and edge,
+    and a vector file of one row per embedded node, the live scoring rows
+    first in scoring order, then every other embedded node in node order,
+    with a ``vectors`` record that names each row's node."""
+    path = Path(path)
+    nodes = {n.id: n for n in store.nodes()}
+    rows = live_row_ids(store)
+    scored = set(rows)
+    rows += [i for i, n in nodes.items() if n.embedding is not None and i not in scored]
+    vectors = np.array([nodes[i].embedding for i in rows], dtype="<f8").reshape(-1, EMBEDDING_DIM)
+    name = f".{path.name}.{hashlib.sha256(vectors.tobytes()).hexdigest()[:16]}.npy"
+    np.save(path.with_name(name), vectors, allow_pickle=False)
+    payload = {
+        "format": "causeway-graph-snapshot",
+        "version": 2,
+        "embedding_dim": EMBEDDING_DIM,
+        "vectors": {
+            "file": name,
+            "dtype": "<f8",
+            "shape": list(vectors.shape),
+            "rows": rows,
+            "provider": store.embedded_by,
+        },
+        "nodes": [{"id": n.id, "kind": n.kind.value, "text": n.text} for n in nodes.values()],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
+    }
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+def snapshot_content(path) -> tuple:
+    """What the snapshot at ``path`` loads to, comparable to the bit: each
+    node's id, kind, text and vector bytes, the edges, the live scoring
+    rows' ids and norms, and the provider. Unlike the files' bytes, it does
+    not depend on which nodes held one shared array when it was saved."""
+    store = GraphStore.load(path)
+    nodes = [
+        (n.id, n.kind, n.text, None if n.embedding is None else n.embedding.tobytes())
+        for n in store.nodes()
+    ]
+    rows = store.scoring_rows()
+    norms = rows.norms[rows.alive].tobytes()
+    return nodes, store.edges(), live_row_ids(store), norms, store.embedded_by
 
 
 def live_row_ids(store: GraphStore) -> list[str]:

@@ -7,12 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causeway import cli
 from causeway.cli import Config, main
 from causeway.embedding import HttpEmbeddingProvider, batch_embed, clean_embeddings, mock_provider
 from causeway.errors import CausewayError
 from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
-from helpers import count_dot_statements, write_v1_snapshot
+from helpers import (
+    count_dot_statements,
+    snapshot_content,
+    write_v1_snapshot,
+    write_v2_snapshot,
+)
 
 
 CORPUS = (
@@ -45,6 +51,26 @@ def run(args, workspace):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "causeway" in capsys.readouterr().out
+
+
+def test_main_reuses_one_parser_and_each_call_parses_as_a_fresh_one(monkeypatch, tmp_path):
+    seen = []
+    commands = {name: lambda config, args: seen.append(args) or 0 for name in cli._COMMANDS}
+    monkeypatch.setattr(cli, "_COMMANDS", commands)
+    argvs = [
+        ["stats", "--format", "json"],
+        ["retrieve", "--query", "rain", "--top-k", "3", "--alpha", "0.5"],
+        ["stats"],
+        ["--store", str(tmp_path / "g.json"), "embed", "--batch-size", "7"],
+        ["retrieve", "--query", "sun"],
+        ["embed"],
+    ]
+    for argv in argvs:
+        assert main(argv) == 0
+    assert [vars(args) for args in seen] == [
+        vars(cli.build_parser().parse_args(argv)) for argv in argvs
+    ]
+    assert cli._parser() is cli._parser()
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -457,12 +483,15 @@ def test_embed_after_ingest_embeds_only_the_new_nodes(workspace, tmp_path, capsy
     )
     run(["ingest", "--corpus", str(more)], workspace)
     capsys.readouterr()
-    want = clean_and_embed(workspace["store"], mock_provider(0), tmp_path / "want" / "graph.json")
+    want = tmp_path / "want" / "graph.json"
+    clean_and_embed(workspace["store"], mock_provider(0), want)
     doc = embed_json(workspace, capsys)
     assert doc["cleared"] == 0  # the vectors the same provider made are kept
     assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 7
     assert doc["verify"]["ok"] is True
-    assert snapshot_pair(workspace["store"]) == want
+    # the same store; not the same files, as a new node does not share the
+    # array of a loaded node of its text, so its vector gets a row of its own
+    assert snapshot_content(workspace["store"]) == snapshot_content(want)
     assert embed_json(workspace, capsys)["embed"]["total_embedded"] == 0
 
 
@@ -486,6 +515,7 @@ class MockVectorSession:
 
 
 def drop_provider_record(path) -> None:
+    write_v2_snapshot(GraphStore.load(path), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     del doc["vectors"]["provider"]  # as written before the identity was recorded
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 
@@ -29,7 +28,7 @@ from causeway.store import (
     check_embedding,
 )
 
-from helpers import random_store
+from helpers import random_store, snapshot_content
 
 
 def store_with_texts(n=10, kind=NodeKind.EVENT, null_text=0):
@@ -335,11 +334,11 @@ def runs_of_new_texts(nodes: list[Node], batch_size: int) -> list[tuple[list[str
     return runs + [(ids, new)] if ids else runs
 
 
-def snapshot_bytes(store, path) -> tuple[bytes, bytes]:
+def saved_content(store, path) -> tuple:
+    """What ``store``, saved at ``path``, loads to (see ``snapshot_content``)."""
     path.parent.mkdir()
     store.save(path)
-    sidecar = path.with_name(json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"])
-    return path.read_bytes(), sidecar.read_bytes()
+    return snapshot_content(path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,8 +366,10 @@ def test_each_distinct_text_is_embedded_once_as_one_text_per_node_would(
             assert got is None or np.array_equal(got, node.embedding), node.id
         assert store.scoring_rows().ids == reference.scoring_rows().ids
         assert store.embedded_by == reference.embedded_by
-        got = snapshot_bytes(store, tmp / f"got{batch_size}" / "graph.json")
-        assert got == snapshot_bytes(reference, tmp / f"want{batch_size}" / "graph.json")
+        # the files differ: the reference's nodes of one text hold equal
+        # arrays, not one, so save writes a row for each
+        got = saved_content(store, tmp / f"got{batch_size}" / "graph.json")
+        assert got == saved_content(reference, tmp / f"want{batch_size}" / "graph.json")
 
     # every attempt at batch j fails: exactly the batches before j landed
     if not eligible:
@@ -418,6 +419,32 @@ def test_nodes_with_one_text_share_one_read_only_vector(provider):
     for vector in siblings:
         assert np.shares_memory(vector, first)
         assert np.array_equal(vector, before)
+
+
+def test_set_embeddings_checks_each_shared_array_once(provider, monkeypatch):
+    from causeway import store as store_module
+
+    calls = []
+
+    def counted(vector):
+        calls.append(vector)
+        return check_embedding(vector)
+
+    monkeypatch.setattr(store_module, "check_embedding", counted)
+    store = GraphStore()
+    texts = ["led to", "caused", "led to", "rain", "caused", "led to"]
+    for i, text in enumerate(texts):
+        store.upsert_node(Node(f"trigger:{i}", NodeKind.TRIGGER, text=text))
+    batch_embed(store, provider)
+    assert len(calls) == len(set(texts))  # one per distinct (shared, read-only) array
+    calls.clear()
+    shared = provider.embed("x")
+    shared.flags.writeable = False
+    writable = provider.embed("y")  # a caller may change it between nodes: checked each time
+    store.set_embeddings([("trigger:0", shared), ("trigger:1", writable), ("trigger:2", shared),
+                          ("trigger:3", writable), ("trigger:4", None)])
+    assert len(calls) == 3
+    assert store.get_node("trigger:2").embedding is store.get_node("trigger:0").embedding
 
 
 def test_embedded_by_holds_while_one_provider_made_every_vector():

@@ -44,6 +44,7 @@ from helpers import (
     random_store,
     random_unit_vector,
     write_v1_snapshot,
+    write_v2_snapshot,
 )
 
 
@@ -451,13 +452,15 @@ def test_load_rereads_the_snapshot_once_if_its_vectors_vanish(tmp_path, rng, mon
 
 
 def test_snapshot_writes_version_2_with_rows_in_scoring_order(tmp_path, rng, provider):
+    # version 2 files are no longer written by save; this one comes from
+    # the helper that writes that format, and load must keep its row order
     store = random_store(rng, n_events=30)
     batch_embed(store, provider)  # every span node gets a vector too
     store.set_embedding("event:0", random_unit_vector(np.random.default_rng(3)))
     path = tmp_path / "graph.json"
-    store.save(path)
+    write_v2_snapshot(store, path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["version"] == SNAPSHOT_VERSION == 2
+    assert doc["version"] == 2
     assert all("embedding" not in n for n in doc["nodes"])
     rows = doc["vectors"]["rows"]
     assert rows[: len(live_row_ids(store))] == live_row_ids(store)  # event:0 is now last
@@ -468,24 +471,84 @@ def test_snapshot_writes_version_2_with_rows_in_scoring_order(tmp_path, rng, pro
     assert loaded.nodes() == store.nodes()
 
 
+def share_span_texts(store: GraphStore, texts: int) -> None:
+    """Give the store's span nodes one of ``texts`` texts each, so that
+    ``batch_embed`` hands each group of them one shared array."""
+    for i, node in enumerate(n for n in store.nodes() if n.kind is not NodeKind.EVENT):
+        store.upsert_node(Node(node.id, node.kind, f"span {i % texts}"))
+
+
+def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, provider):
+    store = random_store(rng, n_events=40)
+    share_span_texts(store, 4)
+    batch_embed(store, provider)
+    store.set_embedding("event:0", random_unit_vector(np.random.default_rng(3)))
+    path = tmp_path / "first" / "graph.json"
+    path.parent.mkdir()
+    store.save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["version"] == SNAPSHOT_VERSION == 3
+    nodes, edges, vectors = doc["nodes"], doc["edges"], doc["vectors"]
+    assert nodes["ids"] == [n.id for n in store.nodes()]
+    assert nodes["kinds"] == [n.kind.value for n in store.nodes()]
+    assert nodes["texts"] == [n.text for n in store.nodes()]
+    live = live_row_ids(store)
+    row_of = dict(zip(nodes["ids"], nodes["vector_row"]))
+    assert vectors["scoring"] == len(live)
+    assert [row_of[i] for i in live] == list(range(len(live)))  # event:0 is now last
+    others = [n for n in store.nodes() if n.embedding is not None and n.id not in set(live)]
+    shared = {id(n.embedding) for n in others}
+    # the .npy holds the live scoring rows plus each distinct shared array once
+    assert vectors["shape"] == [len(live) + len(shared), EMBEDDING_DIM]
+    assert len(shared) < len(others)  # so sharing did take place
+    for a in others:
+        for b in others:
+            assert (row_of[a.id] == row_of[b.id]) == (a.embedding is b.embedding)
+    assert all(row_of[n.id] == -1 for n in store.nodes() if n.embedding is None)
+    index = {node_id: i for i, node_id in enumerate(nodes["ids"])}
+    assert list(zip(edges["src"], edges["dst"], edges["kind"])) == [
+        (index[e.src], index[e.dst], e.kind.value) for e in store.edges()
+    ]
+    loaded = GraphStore.load(path)
+    assert loaded.nodes() == store.nodes() and live_row_ids(loaded) == live
+    # nodes of one file row share one read-only array again
+    held = {}
+    for node in loaded.nodes():
+        if node.id in row_of and node.embedding is not None and node.id not in set(live):
+            assert not node.embedding.flags.writeable
+            assert held.setdefault(row_of[node.id], node.embedding) is node.embedding
+    assert len(held) == len(shared)
+    again = tmp_path / "again" / "graph.json"
+    again.parent.mkdir()
+    loaded.save(again)  # save -> load -> save writes the same two files
+    assert snapshot_files(again) == snapshot_files(path)
+
+
 def test_v1_snapshot_round_trips_through_v2_bit_for_bit(tmp_path, rng, provider):
+    # versions 1 and 2 each load, save as version 3, and load and save again
+    # to the same bytes; every store scores queries to the bit alike
     store = random_store(rng, n_events=80)
+    share_span_texts(store, 5)
     batch_embed(store, provider)
     for i in range(0, 80, 7):  # re-embedded events move to the end of the rows
         store.set_embedding(f"event:{i}", random_unit_vector(np.random.default_rng(i)))
     write_v1_snapshot(store, tmp_path / "v1.json")
-    stores = [store, GraphStore.load(tmp_path / "v1.json")]
-    for name in ("one", "two"):  # v1 -> v2 -> v2
-        path = tmp_path / name / "graph.json"
-        path.parent.mkdir()
-        stores[-1].save(path)
-        stores.append(GraphStore.load(path))
-    assert snapshot_files(tmp_path / "one" / "graph.json") == snapshot_files(
-        tmp_path / "two" / "graph.json"
-    )
+    write_v2_snapshot(store, tmp_path / "v2.json")
+    stores = [store]
+    for version in ("v1", "v2"):
+        stores.append(GraphStore.load(tmp_path / f"{version}.json"))
+        for name in ("one", "two"):  # v1/v2 -> v3 -> v3
+            path = tmp_path / version / name / "graph.json"
+            path.parent.mkdir(parents=True)
+            stores[-1].save(path)
+            stores.append(GraphStore.load(path))
+        assert snapshot_files(tmp_path / version / "one" / "graph.json") == snapshot_files(
+            tmp_path / version / "two" / "graph.json"
+        )
     np_rng = np.random.default_rng(5)
-    queries = [random_unit_vector(np_rng) for _ in range(10)]
+    queries = [random_unit_vector(np_rng) for _ in range(111)]
     queries += [provider.embed(f"event sentence {i}") for i in range(0, 80, 9)]
+    assert len(queries) == 120
     cfg = HybridConfig(k=20, tau=-2.0)
     want = [query(store, q, cfg) for q in queries]
     def live_norms(s: GraphStore) -> dict[str, float]:
@@ -496,8 +559,10 @@ def test_v1_snapshot_round_trips_through_v2_bit_for_bit(tmp_path, rng, provider)
         assert [query(other, q, cfg) for q in queries] == want  # ids and scores to the bit
         assert live_norms(other) == live_norms(store)
         assert other.nodes() == store.nodes() and other.edges() == store.edges()
-    # v1 lists no row order, so its rows follow the nodes; v2 keeps the order
+    # v1 lists no row order, so its rows follow the nodes; v2 and v3 keep the order
     assert live_row_ids(stores[1]) == live_row_ids(stores[2]) == live_row_ids(stores[3])
+    assert live_row_ids(stores[4]) == live_row_ids(stores[5]) == live_row_ids(store)
+    assert live_row_ids(stores[6]) == live_row_ids(store)
 
 
 def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
@@ -536,6 +601,17 @@ def replay(path: Path) -> GraphStore:
     writers, record by record, as ``load`` once did."""
     doc = json.loads(path.read_text(encoding="utf-8"))
     store = GraphStore()
+    if doc["version"] == 3:
+        nodes, edges = doc["nodes"], doc["edges"]
+        ids = nodes["ids"]
+        for rec in zip(ids, nodes["kinds"], nodes["texts"]):
+            store.upsert_node(Node(rec[0], NodeKind(rec[1]), rec[2]))
+        vectors = np.load(path.with_name(doc["vectors"]["file"]))
+        held = sorted((row, i) for i, row in zip(ids, nodes["vector_row"]) if row >= 0)
+        store.set_embeddings([(i, vectors[row]) for row, i in held], doc["vectors"]["provider"])
+        for src, dst, kind in zip(edges["src"], edges["dst"], edges["kind"]):
+            store.add_edge(Edge(ids[src], ids[dst], EdgeKind(kind)))
+        return store
     for rec in doc["nodes"]:
         store.upsert_node(Node(rec["id"], NodeKind(rec["kind"]), rec["text"], rec.get("embedding")))
     if doc["version"] == 2:
@@ -562,10 +638,11 @@ def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
     n_events=st.integers(0, 40),
     seed=st.integers(0, 2**32 - 1),
     texts=st.sampled_from([1, 3, 10**6]),
-    version=st.sampled_from([1, 2]),
+    version=st.sampled_from([1, 2, 3]),
 )
 @example(n_events=620, seed=1, texts=3, version=1)  # more than one chunk of rows
 @example(n_events=620, seed=2, texts=10**6, version=2)
+@example(n_events=620, seed=3, texts=3, version=3)
 def test_load_gives_the_store_the_public_writers_give(
     tmp_path_factory, n_events, seed, texts, version
 ):
@@ -573,6 +650,8 @@ def test_load_gives_the_store_the_public_writers_give(
     path = tmp_path_factory.mktemp("equal") / "graph.json"
     if version == 1:
         write_v1_snapshot(store, path)
+    elif version == 2:
+        write_v2_snapshot(store, path)
     else:
         store.save(path)
     loaded, want = GraphStore.load(path), replay(path)
@@ -583,7 +662,7 @@ def test_load_gives_the_store_the_public_writers_give(
     assert live_rows(loaded) == live_rows(want)
     if n_events >= 600:
         assert len(live_rows(loaded)[0]) > CHUNK_ROWS
-    assert loaded.embedded_by == (store.embedded_by if version == 2 else None)
+    assert loaded.embedded_by == (None if version == 1 else store.embedded_by)
     np_rng = np.random.default_rng(seed)
     queries = [random_unit_vector(np_rng) for _ in range(4)]
     queries += [n.embedding for n in store.nodes(NodeKind.EVENT)[:4] if n.embedding is not None]
@@ -667,21 +746,39 @@ def test_snapshot_rejects_malformed_shape(tmp_path, payload, error):
         GraphStore.load(path)
 
 
-@pytest.mark.parametrize(
-    "name, version",
-    # version 2 holds no inline vector
-    [(name, 1) for name in REFUSED_RECORDS]
-    + [(name, 2) for name in REFUSED_RECORDS if name != "node-embedding-short"],
-)
-def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
-    payload, error, where = REFUSED_RECORDS[name]
-    path = tmp_path / "graph.json"
-    if version == 2:  # the same records, their vectors (none) beside them
-        GraphStore().save(path)
-        vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
-        nodes = [{k: v for k, v in n.items() if k != "embedding"} for n in payload["nodes"]]
-        payload = {**payload, "version": 2, "vectors": vectors, "nodes": nodes}
-    path.write_text(json.dumps(payload), encoding="utf-8")
+def as_columns(payload: dict, vectors: dict) -> dict:
+    """A version 1 ``payload`` of records as version 3 columns, with the
+    ``vectors`` record of an empty store's snapshot: each edge end is the
+    index of the first node of its id, or one past the nodes if there is none."""
+    nodes = payload["nodes"]
+    first = {}
+    for i, n in enumerate(nodes):
+        first.setdefault(n["id"], i)
+    ends = [
+        (first.get(e["src"], len(nodes)), first.get(e["dst"], len(nodes)))
+        for e in payload["edges"]
+    ]
+    return {
+        **payload,
+        "version": 3,
+        "vectors": vectors,
+        "nodes": {
+            "ids": [n["id"] for n in nodes],
+            "kinds": [n["kind"] for n in nodes],
+            "texts": [n["text"] for n in nodes],
+            "vector_row": [-1] * len(nodes),
+        },
+        "edges": {
+            "src": [src for src, _ in ends],
+            "dst": [dst for _, dst in ends],
+            "kind": [e["kind"] for e in payload["edges"]],
+        },
+    }
+
+
+def assert_refused_and_exits_one(path: Path, error, where: str) -> None:
+    """Loading ``path`` raises ``error`` naming the file and ``where``, and
+    ``causeway stats`` on it exits 1 with that message and no traceback."""
     with pytest.raises(error) as info:
         GraphStore.load(path)
     assert str(info.value).startswith(f"{path}: snapshot {where}")
@@ -691,6 +788,120 @@ def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
     assert code == 1
     assert err.getvalue().startswith(f"error: {path}: snapshot {where}")
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "name, version",
+    # versions 2 and 3 hold no inline vector
+    [(name, 1) for name in REFUSED_RECORDS]
+    + [(name, v) for v in (2, 3) for name in REFUSED_RECORDS if name != "node-embedding-short"],
+)
+def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
+    payload, error, where = REFUSED_RECORDS[name]
+    path = tmp_path / "graph.json"
+    if version == 2:  # the same records, their vectors (none) beside them
+        write_v2_snapshot(GraphStore(), path)
+        vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
+        nodes = [{k: v for k, v in n.items() if k != "embedding"} for n in payload["nodes"]]
+        payload = {**payload, "version": 2, "vectors": vectors, "nodes": nodes}
+    elif version == 3:
+        GraphStore().save(path)
+        payload = as_columns(payload, json.loads(path.read_text(encoding="utf-8"))["vectors"])
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert_refused_and_exits_one(path, error, where)
+
+
+def v3_base(path: Path) -> dict:
+    """Save, at ``path``, a small store whose two causes share one array,
+    and return its document: nodes event:0, event:1 (scoring rows 0 and 1),
+    cause:0, cause:1 (shared row 2) and effect:0 (row 3); edges
+    cause:0 -> event:0, event:0 -> effect:0 and cause:1 -> event:1."""
+    store = GraphStore()
+    for node in (Node("event:0", NodeKind.EVENT, "e0"), Node("event:1", NodeKind.EVENT, "e1"),
+                 Node("cause:0", NodeKind.CAUSE, "c"), Node("cause:1", NodeKind.CAUSE, "c"),
+                 Node("effect:0", NodeKind.EFFECT, "x")):
+        store.upsert_node(node)
+    store.add_edge(Edge("cause:0", "event:0", EdgeKind.CAUSES))
+    store.add_edge(Edge("event:0", "effect:0", EdgeKind.RESULTS_IN))
+    store.add_edge(Edge("cause:1", "event:1", EdgeKind.CAUSES))
+    batch_embed(store, mock_provider())
+    store.save(path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["nodes"]["vector_row"] == [0, 1, 2, 2, 3] and doc["vectors"]["scoring"] == 2
+    return doc
+
+
+def put(*changes):
+    """A fault: set each ``(section, column, index, value)`` in the document."""
+
+    def apply(doc: dict) -> None:
+        for section, column, index, value in changes:
+            if index is None:
+                doc[section][column] = value
+            else:
+                doc[section][column][index] = value
+
+    return apply
+
+
+# version 3 faults of v3_base's document: the change, the error, what it names
+V3_REFUSALS = {
+    "vector-row-past-the-file": (put(("nodes", "vector_row", 2, 4)), ValueError, "nodes[2]"),
+    "vector-row-below-none": (put(("nodes", "vector_row", 4, -2)), ValueError, "nodes[4]"),
+    "vector-row-huge": (put(("nodes", "vector_row", 3, 2**70)), ValueError, "nodes[3]"),
+    "vector-row-not-integer": (put(("nodes", "vector_row", 1, 1.0)), ValueError, "nodes[1]"),
+    "vector-row-bool": (put(("nodes", "vector_row", 1, True)), ValueError, "nodes[1]"),
+    "scoring-row-shared": (put(("nodes", "vector_row", 1, 0)), ValueError, "nodes[0] and nodes[1]"),
+    "scoring-event-on-shared-row": (put(("nodes", "vector_row", 0, 2)), ValueError, "nodes[0]"),
+    "shared-node-on-scoring-row": (put(("nodes", "vector_row", 2, 1)), ValueError, "nodes[2]"),
+    "untexted-event-on-scoring-row": (put(("nodes", "texts", 0, None)), ValueError, "nodes[0]"),
+    "edge-end-past-the-nodes": (put(("edges", "src", 1, 5)), MissingEndpointError, "edges[1]"),
+    "edge-end-negative": (put(("edges", "dst", 0, -1)), MissingEndpointError, "edges[0]"),
+    "edge-end-huge": (put(("edges", "src", 2, 2**64)), MissingEndpointError, "edges[2]"),
+    "edge-end-not-integer": (put(("edges", "dst", 2, "event:1")), ValueError, "edges[2]"),
+    "edge-ends-wrong-kinds": (put(("edges", "src", 2, 4)), KindViolationError, "edges[2]"),
+    "edge-kind-unknown": (put(("edges", "kind", 1, "PRECEDES")), ValueError, "edges[1]"),
+    "node-id-repeated": (put(("nodes", "ids", 3, "cause:0")), ValueError, "nodes[2] and nodes[3]"),
+    "node-id-changes-kind": (
+        put(("nodes", "ids", 2, "event:1")), KindViolationError, "nodes[1] and nodes[2]"
+    ),
+    # several faults: the first record in file order is named
+    "first-node-named": (
+        put(("nodes", "kinds", 3, "Foo"), ("nodes", "vector_row", 1, 9)), ValueError, "nodes[1]"
+    ),
+    "kind-before-a-later-type-fault": (
+        put(("nodes", "kinds", 1, "Foo"), ("nodes", "ids", 3, 7)), ValueError, "nodes[1]"
+    ),
+    "type-fault-before-a-later-kind": (
+        put(("nodes", "ids", 1, 7), ("nodes", "kinds", 3, "Foo")), ValueError, "nodes[1] 'ids'"
+    ),
+    "first-edge-named": (
+        put(("edges", "kind", 2, "PRECEDES"), ("edges", "src", 1, 9)),
+        MissingEndpointError, "edges[1]",
+    ),
+    "edge-kinds-before-a-later-type-fault": (
+        put(("edges", "src", 0, 1), ("edges", "dst", 2, None)), KindViolationError, "edges[0]"
+    ),
+    "nodes-not-columns": (put(("nodes", "ids", None, "x")), ValueError, "'nodes'"),
+    "edge-lists-of-two-lengths": (put(("edges", "kind", None, ["CAUSES"])), ValueError, "'edges'"),
+    "scoring-past-the-rows": (
+        put(("vectors", "scoring", None, 5)), ValueError, "vectors 'scoring'"
+    ),
+    "scoring-not-integer": (
+        put(("vectors", "scoring", None, True)), ValueError, "vectors 'scoring'"
+    ),
+    "shape-not-rows": (put(("vectors", "shape", None, ["4", 384])), ValueError, "vectors 'shape'"),
+}
+
+
+@pytest.mark.parametrize("name", V3_REFUSALS)
+def test_v3_refusal_is_named_and_exits_one(tmp_path, name):
+    change, error, where = V3_REFUSALS[name]
+    path = tmp_path / "graph.json"
+    doc = v3_base(path)
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_refused_and_exits_one(path, error, where)
 
 
 JSON_SCALARS = (
@@ -706,21 +917,36 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 ) | JSON_SCALARS.map(lambda x: [x] * EMBEDDING_DIM)  # right length, any entry
-SNAPSHOT_FIELDS = [("nodes", 0, key) for key in NODE] + [
-    ("edges", 0, key) for key in EDGE
-]
+# (version, section, where, key): a version 1 record's key, or a version 3
+# column's entry or the vectors record's key
+SNAPSHOT_FIELDS = (
+    [(1, "nodes", 0, key) for key in NODE]
+    + [(1, "edges", 0, key) for key in EDGE]
+    + [(3, "nodes", i, key) for key in ("ids", "kinds", "texts", "vector_row") for i in (0, 2)]
+    + [(3, "edges", 0, key) for key in ("src", "dst", "kind")]
+    + [(3, "vectors", None, key) for key in ("shape", "scoring", "provider")]
+)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(field=st.sampled_from(SNAPSHOT_FIELDS), value=JSON_VALUES)
 def test_snapshot_field_value_loads_or_raises_documented_error(
     tmp_path_factory, field, value
 ):
-    event = {**NODE, "embedding": [1.0] + [0.0] * (EMBEDDING_DIM - 1)}
-    payload = {**HEADER, "nodes": [event, CAUSE], "edges": [dict(EDGE)]}
-    section, index, key = field
-    payload[section][index][key] = value
-    path = tmp_path_factory.getbasetemp() / "field-value.json"
+    version, section, where, key = field
+    if version == 1:
+        event = {**NODE, "embedding": [1.0] + [0.0] * (EMBEDDING_DIM - 1)}
+        payload = {**HEADER, "nodes": [event, CAUSE], "edges": [dict(EDGE)]}
+        payload[section][where][key] = value
+        path = tmp_path_factory.getbasetemp() / "field-value.json"
+    else:
+        path = tmp_path_factory.getbasetemp() / "field-value" / "graph.json"
+        path.parent.mkdir(exist_ok=True)
+        payload = v3_base(path)
+        if where is None:
+            payload[section][key] = value
+        else:
+            payload[section][key][where] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     try:
         GraphStore.load(path)
@@ -734,23 +960,34 @@ def npy_bytes(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-# the `record` fault's sub-cases: a `vectors` key and the value it gets
-RECORD_FAULTS = [
+# the `record` fault's sub-cases, per snapshot version: a `vectors` key and
+# the value it gets
+SHARED_RECORD_FAULTS = [
     ("dtype", "<f4"), ("dtype", ">f8"), ("shape", [0, EMBEDDING_DIM]), ("shape", "x"),
-    ("shape", [1, EMBEDDING_DIM, 1]), ("rows", "event:0"), ("rows", []), ("file", None),
-    ("drop-row", None), ("no-record", None),
+    ("shape", [1, EMBEDDING_DIM, 1]), ("file", None), ("drop-row", None), ("no-record", None),
 ]
+RECORD_FAULTS = {
+    2: SHARED_RECORD_FAULTS + [("rows", "event:0"), ("rows", [])],
+    3: SHARED_RECORD_FAULTS + [
+        ("shape", ["6", EMBEDDING_DIM]), ("scoring", "x"), ("scoring", None), ("scoring", -1),
+        ("scoring", 10**6),
+    ],
+}
 
 
-def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
-                 record=RECORD_FAULTS[0], provider=5):
-    """``(fault, apply)``: ``apply`` breaks a saved snapshot's ``vectors``
-    record (the parsed JSON ``doc``) or its vector file, in place."""
+def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True,
+                 name="", record=SHARED_RECORD_FAULTS[0], provider=5):
+    """``(fault, version, apply)``: ``apply`` breaks a saved snapshot of
+    that version, its ``vectors`` record or nodes (the parsed JSON ``doc``)
+    or its vector file, in place."""
 
     def apply(doc: dict, sidecar: Path) -> None:
         vectors = np.load(sidecar)
-        rows = doc["vectors"]["rows"]
-        i, j = row % len(rows), (row + 1) % len(rows)
+        i, j = row % len(vectors), (row + 1) % len(vectors)
+        if version == 2:
+            rows = doc["vectors"]["rows"]
+        else:
+            vector_row, scoring = doc["nodes"]["vector_row"], doc["vectors"]["scoring"]
         data = sidecar.read_bytes()
         if fault == "truncated":
             sidecar.write_bytes(data[: int(cut * len(data))])
@@ -770,8 +1007,10 @@ def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, 
             key, new = record
             if key == "no-record":
                 del doc["vectors"]
-            elif key == "drop-row":
+            elif key == "drop-row" and version == 2:
                 rows.pop()
+            elif key == "drop-row":  # the last scoring event now holds a shared row
+                doc["vectors"]["scoring"] -= 1
             else:
                 doc["vectors"][key] = new
         elif fault == "bad-row":
@@ -781,10 +1020,14 @@ def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, 
             else:
                 vectors[i, j % EMBEDDING_DIM] = value if value != 0.0 else np.nan
             sidecar.write_bytes(npy_bytes(vectors))
-        elif fault == "unknown-id":
+        elif fault == "unknown-id" and version == 2:
             rows[i] = "event:ghost"
-        elif fault == "duplicate-id":
+        elif fault == "unknown-id":  # a row past the vector file
+            vector_row[vector_row.index(i)] = len(vectors) + row % 3
+        elif fault == "duplicate-id" and version == 2:
             rows[i] = rows[j]
+        elif fault == "duplicate-id":  # two scoring events on one row
+            vector_row[vector_row.index(i % scoring)] = (i + 1) % scoring
         elif fault == "name":
             doc["vectors"]["file"] = name
         elif fault == "provider":
@@ -792,15 +1035,16 @@ def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, 
         else:
             sidecar.unlink()
 
-    return fault, apply
+    return fault, version, apply
 
 
-vector_faults = st.builds(
+vector_faults = st.sampled_from(sorted(RECORD_FAULTS)).flatmap(lambda version: st.builds(
     vector_fault,
     st.sampled_from([
         "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
         "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
     ]),
+    version=st.just(version),
     row=st.integers(0, 10**6),
     cut=st.floats(0, 1, exclude_max=True),
     junk=st.binary(max_size=200),
@@ -812,15 +1056,16 @@ vector_faults = st.builds(
         ".other.json.0123456789abcdef.npy", ".graph.json.0123456789abcdef.npy/",
         ".graph.json.0123456789abcdef.npy", "", 5, None,
     ]),
-    record=st.sampled_from(RECORD_FAULTS),
+    record=st.sampled_from(RECORD_FAULTS[version]),
     provider=st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]),
-)
+))
 
 
 def each_record_fault(test):
-    """An ``@example`` per `record` sub-case, so each runs on every run."""
-    for record in RECORD_FAULTS:
-        test = example(fault=vector_fault("record", record=record))(test)
+    """An ``@example`` per version and `record` sub-case, so each runs on every run."""
+    for version, records in RECORD_FAULTS.items():
+        for record in records:
+            test = example(fault=vector_fault("record", version, record=record))(test)
     return test
 
 
@@ -828,11 +1073,14 @@ def each_record_fault(test):
 @given(fault=vector_faults)
 @each_record_fault
 def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
-    kind, apply = fault
+    kind, version, apply = fault
     path = tmp_path_factory.mktemp("broken") / "graph.json"
     store = random_store(random.Random(1), n_events=6, embed_fraction=1.0, text_fraction=1.0)
     batch_embed(store, mock_provider())
-    store.save(path)
+    if version == 2:
+        write_v2_snapshot(store, path)
+    else:
+        store.save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
     apply(doc, path.with_name(doc["vectors"]["file"]))
     path.write_text(json.dumps(doc), encoding="utf-8")
