@@ -16,10 +16,10 @@ kept on each edge's one Event endpoint. Many readers or one writer.
 A snapshot (version 3) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` file (-1 for
 none); per edge the indexes of its two nodes and a kind. The file holds
-the scoring rows first, in scoring order, then each distinct array the
-other nodes hold, once: nodes that share an array (``batch_embed`` gives
-every node of one text the same one) share a row, and after a load they
-share one read-only array again. Loading checks every column in bulk
+the scoring rows first, in scoring order, then each distinct vector the
+other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
+every node of one text the same array) share a row, and after a load they
+share one read-only array. Loading checks every column in bulk
 and builds the store in one pass; versions 1 and 2, which held one
 record per node and edge, are read into the same columns.
 
@@ -272,6 +272,7 @@ _WANT_SRC, _WANT_DST = (
     np.array([_NODE_CODES[EDGE_ENDPOINTS[kind][end].value] for kind in _EDGE_KINDS])
     for end in (0, 1)
 )
+# per edge kind, whether its source (else its destination) is the Event
 _EVENT_AT_SRC = {kind: EDGE_ENDPOINTS[kind][0] is NodeKind.EVENT for kind in EdgeKind}
 
 
@@ -495,13 +496,15 @@ def _open_vectors(path: Path, file, dtype, shape, rows: int, names: list | None)
 class _Snapshot(NamedTuple):
     """A snapshot's checked content as columns: node ``i`` is ``ids[i]``,
     of kind code ``kinds[i]``, with ``texts[i]`` and the vector in row
-    ``vector_row[i]`` of ``vectors`` (-1 for none); edge ``j`` runs from
-    node ``src[j]`` to node ``dst[j]`` and is of kind code ``edge_kinds[j]``."""
+    ``vector_row[i]`` of ``vectors`` (-1 for none), and owns a scoring row
+    if ``scores[i]``; edge ``j`` runs from node ``src[j]`` to node
+    ``dst[j]`` and is of kind code ``edge_kinds[j]``."""
 
     ids: list[str]
     kinds: np.ndarray
     texts: list[str | None]
     vector_row: np.ndarray
+    scores: np.ndarray
     vectors: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -531,7 +534,9 @@ def _read_snapshot(path: Path) -> _Snapshot:
             )
         vectors = _open_vectors(path, file, dtype, shape, rows, None)
         codes = _codes(kinds, _NODE_CODES)
-        vector_row, masks, vector_fault = _row_checks(path, codes, texts, vector_row, rows, scoring)
+        file_rows = _indexes(vector_row)
+        scores = _scoring(codes, texts, file_rows)
+        masks, vector_fault = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
         _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
         ends = _indexes(src), _indexes(dst)
     else:
@@ -543,7 +548,7 @@ def _read_snapshot(path: Path) -> _Snapshot:
         codes = _codes(kinds, _NODE_CODES)
         if version == 1:
             embedded_by = None
-            vectors, vector_row, masks, vector_fault = _inline_vectors(path, inline[0])
+            vectors, file_rows, masks, vector_fault = _inline_vectors(path, inline[0])
             index = _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
         else:
             (file, dtype, shape, row_ids), embedded_by = _vectors_record(
@@ -555,11 +560,20 @@ def _read_snapshot(path: Path) -> _Snapshot:
             known = all(isinstance(r, str) and r in index for r in row_ids)
             if not known or len(set(row_ids)) < len(row_ids):
                 raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
-            vector_row = np.full(len(ids), -1, dtype=np.int64)
-            vector_row[list(map(index.__getitem__, row_ids))] = np.arange(len(row_ids))
+            file_rows = np.full(len(ids), -1, dtype=np.int64)
+            file_rows[list(map(index.__getitem__, row_ids))] = np.arange(len(row_ids))
+        scores = _scoring(codes, texts, file_rows)
         ends = tuple(_codes(labels, index) for labels in (src, dst))
     edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
-    return _Snapshot(ids, codes, texts, vector_row, vectors, *ends, edge_codes, embedded_by)
+    return _Snapshot(
+        ids, codes, texts, file_rows, scores, vectors, *ends, edge_codes, embedded_by
+    )
+
+
+def _scoring(codes: np.ndarray, texts: list, file_rows: np.ndarray) -> np.ndarray:
+    """Which nodes own a scoring row: the events with text and a vector."""
+    has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(texts))
+    return (codes == _EVENT) & has_text & (file_rows >= 0)
 
 
 def _inline_vectors(path, embeddings: list):
@@ -591,16 +605,13 @@ def _inline_vectors(path, embeddings: list):
     return vectors, rows, [mask], vector_fault
 
 
-def _row_checks(path, codes: np.ndarray, texts: list, vector_row: list, count: int, scoring: int):
-    """A version 3 snapshot's ``vector_row`` as an array, and the masks and
-    the check that ``_check_nodes`` takes for it: each row is one of the
-    ``count`` rows or -1, the first ``scoring`` rows belong to scoring
-    events (events with text and a vector), one each, and the rest to
-    every other node with a vector."""
-    n = len(codes)
-    rows = _indexes(vector_row)
-    has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, n)
-    scores = (codes == _EVENT) & has_text & (rows >= 0)
+def _row_checks(path, scores, vector_row: list, rows: np.ndarray, count: int, scoring: int):
+    """The masks and the check that ``_check_nodes`` takes for a version 3
+    snapshot's ``vector_row`` (``rows`` as an array): each row is one of
+    the ``count`` rows or -1, the first ``scoring`` rows belong to the
+    nodes that ``scores`` flags, one each, and the rest to every other
+    node with a vector."""
+    n = len(rows)
     out_of_range = (rows < -1) | (rows >= count)
     misplaced = scores != ((rows >= 0) & (rows < scoring))
     scored = np.flatnonzero(scores)
@@ -626,7 +637,7 @@ def _row_checks(path, codes: np.ndarray, texts: list, vector_row: list, count: i
                 f"{path}: snapshot nodes[{j}] and nodes[{i}] share the scoring row {row}"
             )
 
-    return rows, [out_of_range, misplaced, shared], vector_fault
+    return [out_of_range, misplaced, shared], vector_fault
 
 
 def _write_atomic(path: Path, write) -> str:
@@ -869,7 +880,7 @@ class GraphStore:
             return
         self._edges[edge] = None
         self._adjoin((edge,))
-        row = self._row_of.get(edge.src if src.kind is NodeKind.EVENT else edge.dst)
+        row = self._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
         if row is not None:
             self._linked[row] = True
 
@@ -941,7 +952,7 @@ class GraphStore:
         """Write the snapshot: a JSON document at ``path`` and, beside it,
         one ``.npy`` file of the vectors, named after their sha256. The
         file holds the live scoring rows in scoring order, then each
-        distinct array that other nodes hold, once.
+        distinct vector that other nodes hold, once.
 
         Each file goes to a temporary name, is fsynced and renamed into
         place, the vectors first. Renaming the JSON commits, so a reader
@@ -951,17 +962,24 @@ class GraphStore:
         with self.lock.read():  # nodes, edges and vectors from one consistent view
             live = np.flatnonzero(self._alive[: len(self._row_ids)])
             scoring = dict(zip(map(self._row_ids.__getitem__, live.tolist()), range(len(live))))
-            # nodes that hold one array (batch_embed shares one per text) share its row
-            shared: dict[int, int] = {}
+            # nodes with equal vectors share a row, so the files depend on the
+            # vectors alone, not on which nodes hold one array (batch_embed
+            # shares one per text); an array seen before is not read again
+            by_id: dict[int, int] = {}
+            by_value: dict[bytes, int] = {}
             others: list[np.ndarray] = []
             vector_row = []
             for node in self._nodes.values():
                 row = scoring.get(node.id, -1)
                 if row < 0 and node.embedding is not None:
-                    row = shared.get(id(node.embedding))
+                    row = by_id.get(id(node.embedding))
                     if row is None:
-                        row = shared[id(node.embedding)] = len(live) + len(others)
-                        others.append(node.embedding)
+                        row = by_value.setdefault(
+                            node.embedding.tobytes(), len(live) + len(others)
+                        )
+                        if row == len(live) + len(others):
+                            others.append(node.embedding)
+                        by_id[id(node.embedding)] = row
                 vector_row.append(row)
             index = dict(zip(self._nodes, range(len(self._nodes))))
             # kinds are str enums, which JSON writes as their values
@@ -1044,13 +1062,11 @@ class GraphStore:
         bulk. Each event with text and a vector gets a scoring row, in the
         order of its file rows; every other node with a vector gets the one
         read-only array of its file row, which all nodes of that row share."""
-        ids, codes, texts = snapshot.ids, snapshot.kinds, snapshot.texts
+        ids, codes, scores = snapshot.ids, snapshot.kinds, snapshot.scores
         file_rows, vectors = snapshot.vector_row, snapshot.vectors
-        nodes = list(map(Node, ids, map(_NODE_KINDS.__getitem__, codes.tolist()), texts))
+        nodes = list(map(Node, ids, map(_NODE_KINDS.__getitem__, codes.tolist()), snapshot.texts))
         self._nodes = dict(zip(ids, nodes))
         self._embedded_by = snapshot.embedded_by
-        has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(ids))
-        scores = (codes == _EVENT) & has_text & (file_rows >= 0)
         scored = np.flatnonzero(scores)
         scored = scored[np.argsort(file_rows[scored])]
         n = len(scored)
@@ -1090,8 +1106,5 @@ class GraphStore:
         # tuple.__new__ builds each Edge in C, not through its Python __new__
         self._edges = dict.fromkeys(map(tuple.__new__, repeat(Edge), ends))
         self._adjoin(self._edges)
-        linked = np.zeros(len(ids), dtype=bool)
-        at_dst = _WANT_DST[snapshot.edge_kinds] == _EVENT
-        linked[np.where(at_dst, snapshot.dst, snapshot.src)] = True
-        self._linked[:n] = linked[scored]
+        self._linked[:n] = np.fromiter(map(self._adjacent.__contains__, self._row_ids), bool, n)
         return self

@@ -175,21 +175,6 @@ def write_v2_snapshot(store: GraphStore, path) -> None:
     path.write_text(json.dumps(payload), encoding="utf-8")
 
 
-def snapshot_content(path) -> tuple:
-    """What the snapshot at ``path`` loads to, comparable to the bit: each
-    node's id, kind, text and vector bytes, the edges, the live scoring
-    rows' ids and norms, and the provider. Unlike the files' bytes, it does
-    not depend on which nodes held one shared array when it was saved."""
-    store = GraphStore.load(path)
-    nodes = [
-        (n.id, n.kind, n.text, None if n.embedding is None else n.embedding.tobytes())
-        for n in store.nodes()
-    ]
-    rows = store.scoring_rows()
-    norms = rows.norms[rows.alive].tobytes()
-    return nodes, store.edges(), live_row_ids(store), norms, store.embedded_by
-
-
 def live_row_ids(store: GraphStore) -> list[str]:
     """Event ids of the store's live scoring rows, in row order."""
     rows = store.scoring_rows()

@@ -13,12 +13,7 @@ from causeway.embedding import HttpEmbeddingProvider, batch_embed, clean_embeddi
 from causeway.errors import CausewayError
 from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
-from helpers import (
-    count_dot_statements,
-    snapshot_content,
-    write_v1_snapshot,
-    write_v2_snapshot,
-)
+from helpers import count_dot_statements, write_v1_snapshot, write_v2_snapshot
 
 
 CORPUS = (
@@ -483,15 +478,12 @@ def test_embed_after_ingest_embeds_only_the_new_nodes(workspace, tmp_path, capsy
     )
     run(["ingest", "--corpus", str(more)], workspace)
     capsys.readouterr()
-    want = tmp_path / "want" / "graph.json"
-    clean_and_embed(workspace["store"], mock_provider(0), want)
+    want = clean_and_embed(workspace["store"], mock_provider(0), tmp_path / "want" / "graph.json")
     doc = embed_json(workspace, capsys)
     assert doc["cleared"] == 0  # the vectors the same provider made are kept
     assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 7
     assert doc["verify"]["ok"] is True
-    # the same store; not the same files, as a new node does not share the
-    # array of a loaded node of its text, so its vector gets a row of its own
-    assert snapshot_content(workspace["store"]) == snapshot_content(want)
+    assert snapshot_pair(workspace["store"]) == want
     assert embed_json(workspace, capsys)["embed"]["total_embedded"] == 0
 
 
