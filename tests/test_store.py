@@ -687,36 +687,40 @@ HEADER = {"format": SNAPSHOT_FORMAT, "version": 1}  # the format with inline emb
 NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
 CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c", "embedding": None}
 EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
-# records the store refuses, each with its error and the record it names
+# records the store refuses, each with its error and its message after
+# "<path>: snapshot "
 REFUSED_RECORDS = {
     "node-kind-unknown": (
         {**HEADER, "nodes": [NODE, {**CAUSE, "kind": "Foo"}], "edges": []},
-        ValueError, "nodes[1]",
+        ValueError, "nodes[1]: 'Foo' is not a valid NodeKind",
     ),
     "edge-kind-unknown": (
         {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "kind": "PRECEDES"}]},
-        ValueError, "edges[0]",
+        ValueError, "edges[0]: 'PRECEDES' is not a valid EdgeKind",
     ),
     "edge-endpoint-missing": (
-        {**HEADER, "nodes": [NODE], "edges": [EDGE]}, MissingEndpointError, "edges[0]",
+        {**HEADER, "nodes": [NODE], "edges": [EDGE]},
+        MissingEndpointError, "edges[0]: edge endpoint 'cause:1' not in store",
     ),
     "edge-kinds-wrong": (
         {**HEADER, "nodes": [NODE, CAUSE], "edges": [EDGE, {**EDGE, "kind": "RESULTS_IN"}]},
-        KindViolationError, "edges[1]",
+        KindViolationError, "edges[1]: RESULTS_IN requires Event->Effect, got Cause->Event",
     ),
     "node-id-repeated": (
         {**HEADER, "nodes": [NODE, CAUSE, {**NODE, "text": "u"}], "edges": []},
-        ValueError, "nodes[0] and nodes[2]",
+        ValueError, "nodes[0] and nodes[2] repeat the node id 'event:1'",
     ),
     "node-id-changes-kind": (
         {**HEADER, "nodes": [NODE, {**NODE, "kind": "Cause"}], "edges": []},
-        KindViolationError, "nodes[0] and nodes[1]",
+        KindViolationError, "nodes[0] and nodes[1]: node 'event:1' is Event, cannot change to Cause",
     ),
     "node-embedding-short": (
         {**HEADER, "nodes": [{**NODE, "embedding": [1.0]}], "edges": []},
-        DimensionMismatchError, "nodes[0]",
+        DimensionMismatchError, "nodes[0]: embedding must have shape (384,), got (1,)",
     ),
 }
+# version 3 names an edge end by its node index, not its id
+V3_RECORD_MESSAGES = {"edge-endpoint-missing": "edges[0]: edge endpoint 1 not in store"}
 
 
 @pytest.mark.parametrize(
@@ -782,18 +786,19 @@ def as_columns(payload: dict, vectors: dict) -> dict:
     }
 
 
-def assert_refused_and_exits_one(path: Path, error, where: str) -> None:
-    """Loading ``path`` raises ``error`` naming the file and ``where``, and
-    ``causeway stats`` on it exits 1 with that message and no traceback."""
+def assert_refused_and_exits_one(path: Path, error, message: str) -> None:
+    """Loading ``path`` raises ``error`` (that class exactly) with the message
+    ``<path>: snapshot <message>``, and ``causeway stats`` on it prints that
+    message and exits 1."""
     with pytest.raises(error) as info:
         GraphStore.load(path)
-    assert str(info.value).startswith(f"{path}: snapshot {where}")
+    assert type(info.value) is error
+    assert str(info.value) == f"{path}: snapshot {message}"
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--store", str(path), "stats"])
     assert code == 1
-    assert err.getvalue().startswith(f"error: {path}: snapshot {where}")
-    assert "Traceback" not in err.getvalue()
+    assert err.getvalue() == f"error: {path}: snapshot {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -803,7 +808,7 @@ def assert_refused_and_exits_one(path: Path, error, where: str) -> None:
     + [(name, v) for v in (2, 3) for name in REFUSED_RECORDS if name != "node-embedding-short"],
 )
 def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
-    payload, error, where = REFUSED_RECORDS[name]
+    payload, error, message = REFUSED_RECORDS[name]
     path = tmp_path / "graph.json"
     if version == 2:  # the same records, their vectors (none) beside them
         write_v2_snapshot(GraphStore(), path)
@@ -813,8 +818,12 @@ def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
     elif version == 3:
         GraphStore().save(path)
         payload = as_columns(payload, json.loads(path.read_text(encoding="utf-8"))["vectors"])
+        message = V3_RECORD_MESSAGES.get(name, message)
     path.write_text(json.dumps(payload), encoding="utf-8")
-    assert_refused_and_exits_one(path, error, where)
+    assert_refused_and_exits_one(path, error, message)
+
+
+SCORING_NOT_A_COUNT = "vectors 'scoring' must be an integer from 0 to the row count"
 
 
 def v3_base(path: Path) -> dict:
@@ -850,64 +859,187 @@ def put(*changes):
     return apply
 
 
-# version 3 faults of v3_base's document: the change, the error, what it names
+# version 3 faults of v3_base's document: the change, the error and its
+# message after "<path>: snapshot "
+NOT_A_ROW = "vector_row {} is not a row of the vector file"
+NOT_SCORING = "vector_row {} is a scoring row, but the node is not an event with text"
 V3_REFUSALS = {
-    "vector-row-past-the-file": (put(("nodes", "vector_row", 2, 4)), ValueError, "nodes[2]"),
-    "vector-row-below-none": (put(("nodes", "vector_row", 4, -2)), ValueError, "nodes[4]"),
-    "vector-row-huge": (put(("nodes", "vector_row", 3, 2**70)), ValueError, "nodes[3]"),
-    "vector-row-not-integer": (put(("nodes", "vector_row", 1, 1.0)), ValueError, "nodes[1]"),
-    "vector-row-bool": (put(("nodes", "vector_row", 1, True)), ValueError, "nodes[1]"),
-    "scoring-row-shared": (put(("nodes", "vector_row", 1, 0)), ValueError, "nodes[0] and nodes[1]"),
-    "scoring-event-on-shared-row": (put(("nodes", "vector_row", 0, 2)), ValueError, "nodes[0]"),
-    "shared-node-on-scoring-row": (put(("nodes", "vector_row", 2, 1)), ValueError, "nodes[2]"),
-    "untexted-event-on-scoring-row": (put(("nodes", "texts", 0, None)), ValueError, "nodes[0]"),
-    "edge-end-past-the-nodes": (put(("edges", "src", 1, 5)), MissingEndpointError, "edges[1]"),
-    "edge-end-negative": (put(("edges", "dst", 0, -1)), MissingEndpointError, "edges[0]"),
-    "edge-end-huge": (put(("edges", "src", 2, 2**64)), MissingEndpointError, "edges[2]"),
-    "edge-end-not-integer": (put(("edges", "dst", 2, "event:1")), ValueError, "edges[2]"),
-    "edge-ends-wrong-kinds": (put(("edges", "src", 2, 4)), KindViolationError, "edges[2]"),
-    "edge-kind-unknown": (put(("edges", "kind", 1, "PRECEDES")), ValueError, "edges[1]"),
-    "node-id-repeated": (put(("nodes", "ids", 3, "cause:0")), ValueError, "nodes[2] and nodes[3]"),
+    "vector-row-past-the-file": (
+        put(("nodes", "vector_row", 2, 4)), ValueError, "nodes[2]: " + NOT_A_ROW.format(4)
+    ),
+    "vector-row-below-none": (
+        put(("nodes", "vector_row", 4, -2)), ValueError, "nodes[4]: " + NOT_A_ROW.format(-2)
+    ),
+    "vector-row-huge": (
+        put(("nodes", "vector_row", 3, 2**70)), ValueError, "nodes[3]: " + NOT_A_ROW.format(2**70)
+    ),
+    "vector-row-not-integer": (
+        put(("nodes", "vector_row", 1, 1.0)), ValueError, "nodes[1] 'vector_row' must not be float"
+    ),
+    "vector-row-bool": (
+        put(("nodes", "vector_row", 1, True)), ValueError, "nodes[1] 'vector_row' must not be bool"
+    ),
+    "scoring-row-shared": (
+        put(("nodes", "vector_row", 1, 0)), ValueError,
+        "nodes[0] and nodes[1] share the scoring row 0",
+    ),
+    "scoring-event-on-shared-row": (
+        put(("nodes", "vector_row", 0, 2)), ValueError,
+        "nodes[0]: a scoring event's vector_row must be below 2",
+    ),
+    "shared-node-on-scoring-row": (
+        put(("nodes", "vector_row", 2, 1)), ValueError, "nodes[2]: " + NOT_SCORING.format(1)
+    ),
+    "untexted-event-on-scoring-row": (
+        put(("nodes", "texts", 0, None)), ValueError, "nodes[0]: " + NOT_SCORING.format(0)
+    ),
+    "edge-end-past-the-nodes": (
+        put(("edges", "src", 1, 5)), MissingEndpointError,
+        "edges[1]: edge endpoint 5 not in store",
+    ),
+    "edge-end-negative": (
+        put(("edges", "dst", 0, -1)), MissingEndpointError,
+        "edges[0]: edge endpoint -1 not in store",
+    ),
+    "edge-end-huge": (
+        put(("edges", "src", 2, 2**64)), MissingEndpointError,
+        f"edges[2]: edge endpoint {2**64} not in store",
+    ),
+    "edge-end-not-integer": (
+        put(("edges", "dst", 2, "event:1")), ValueError, "edges[2] 'dst' must not be str"
+    ),
+    "edge-ends-wrong-kinds": (
+        put(("edges", "src", 2, 4)), KindViolationError,
+        "edges[2]: CAUSES requires Cause->Event, got Effect->Event",
+    ),
+    "edge-kind-unknown": (
+        put(("edges", "kind", 1, "PRECEDES")), ValueError,
+        "edges[1]: 'PRECEDES' is not a valid EdgeKind",
+    ),
+    "node-id-repeated": (
+        put(("nodes", "ids", 3, "cause:0")), ValueError,
+        "nodes[2] and nodes[3] repeat the node id 'cause:0'",
+    ),
     "node-id-changes-kind": (
-        put(("nodes", "ids", 2, "event:1")), KindViolationError, "nodes[1] and nodes[2]"
+        put(("nodes", "ids", 2, "event:1")), KindViolationError,
+        "nodes[1] and nodes[2]: node 'event:1' is Event, cannot change to Cause",
     ),
     # several faults: the first record in file order is named
     "first-node-named": (
-        put(("nodes", "kinds", 3, "Foo"), ("nodes", "vector_row", 1, 9)), ValueError, "nodes[1]"
+        put(("nodes", "kinds", 3, "Foo"), ("nodes", "vector_row", 1, 9)), ValueError,
+        "nodes[1]: " + NOT_A_ROW.format(9),
     ),
     "kind-before-a-later-type-fault": (
-        put(("nodes", "kinds", 1, "Foo"), ("nodes", "ids", 3, 7)), ValueError, "nodes[1]"
+        put(("nodes", "kinds", 1, "Foo"), ("nodes", "ids", 3, 7)), ValueError,
+        "nodes[1]: 'Foo' is not a valid NodeKind",
     ),
     "type-fault-before-a-later-kind": (
-        put(("nodes", "ids", 1, 7), ("nodes", "kinds", 3, "Foo")), ValueError, "nodes[1] 'ids'"
+        put(("nodes", "ids", 1, 7), ("nodes", "kinds", 3, "Foo")), ValueError,
+        "nodes[1] 'ids' must not be int",
     ),
     "first-edge-named": (
         put(("edges", "kind", 2, "PRECEDES"), ("edges", "src", 1, 9)),
-        MissingEndpointError, "edges[1]",
+        MissingEndpointError, "edges[1]: edge endpoint 9 not in store",
     ),
     "edge-kinds-before-a-later-type-fault": (
-        put(("edges", "src", 0, 1), ("edges", "dst", 2, None)), KindViolationError, "edges[0]"
+        put(("edges", "src", 0, 1), ("edges", "dst", 2, None)), KindViolationError,
+        "edges[0]: CAUSES requires Cause->Event, got Event->Event",
     ),
-    "nodes-not-columns": (put(("nodes", "ids", None, "x")), ValueError, "'nodes'"),
-    "edge-lists-of-two-lengths": (put(("edges", "kind", None, ["CAUSES"])), ValueError, "'edges'"),
+    "nodes-not-columns": (
+        put(("nodes", "ids", None, "x")), ValueError,
+        "'nodes' must be an object of lists ['ids', 'kinds', 'texts', 'vector_row']",
+    ),
+    "edge-lists-of-two-lengths": (
+        put(("edges", "kind", None, ["CAUSES"])), ValueError,
+        "'edges' lists must be of one length",
+    ),
     "scoring-past-the-rows": (
-        put(("vectors", "scoring", None, 5)), ValueError, "vectors 'scoring'"
+        put(("vectors", "scoring", None, 5)), ValueError, SCORING_NOT_A_COUNT
     ),
     "scoring-not-integer": (
-        put(("vectors", "scoring", None, True)), ValueError, "vectors 'scoring'"
+        put(("vectors", "scoring", None, True)), ValueError, SCORING_NOT_A_COUNT
     ),
-    "shape-not-rows": (put(("vectors", "shape", None, ["4", 384])), ValueError, "vectors 'shape'"),
+    "shape-not-rows": (
+        put(("vectors", "shape", None, ["4", 384])), ValueError,
+        "vectors 'shape' must be [rows, 384]",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", V3_REFUSALS)
 def test_v3_refusal_is_named_and_exits_one(tmp_path, name):
-    change, error, where = V3_REFUSALS[name]
+    change, error, message = V3_REFUSALS[name]
     path = tmp_path / "graph.json"
     doc = v3_base(path)
     change(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert_refused_and_exits_one(path, error, where)
+    assert_refused_and_exits_one(path, error, message)
+
+
+# one record with two faults, for each pair of checks that load applies one
+# after the other: node kind, repeated id, vector; edge kind, missing src,
+# missing dst, endpoint kinds; a version 3 vector_row out of range, then a
+# scoring event's row at or above `scoring`. The earlier check's refusal
+# names the record. The later row checks, another node on a scoring row and
+# a shared scoring row, cannot pair up so: a record is a scoring event or
+# not, and the first node on a shared row has every other row fault its
+# partner has. Each fault: its version, the change to the version's base
+# document, the error and its message after "<path>: snapshot ".
+FAULT_PAIRS = {
+    "node-kind-then-repeated-id": (
+        1, put(("nodes", 1, None, {**NODE, "kind": "Foo"})), ValueError,
+        "nodes[1]: 'Foo' is not a valid NodeKind",
+    ),
+    "repeated-id-then-vector": (
+        1, put(("nodes", 1, None, {**NODE, "embedding": [1.0]})), ValueError,
+        "nodes[0] and nodes[1] repeat the node id 'event:1'",
+    ),
+    "edge-kind-then-missing-src": (
+        1, put(("edges", 0, None, {**EDGE, "kind": "PRECEDES", "src": "ghost"})), ValueError,
+        "edges[0]: 'PRECEDES' is not a valid EdgeKind",
+    ),
+    "missing-src-then-missing-dst": (
+        1, put(("edges", 0, None, {**EDGE, "src": "ghost", "dst": "phantom"})),
+        MissingEndpointError, "edges[0]: edge endpoint 'ghost' not in store",
+    ),
+    "missing-dst-then-endpoint-kinds": (
+        1, put(("edges", 0, None, {**EDGE, "src": "event:1", "dst": "ghost"})),
+        MissingEndpointError, "edges[0]: edge endpoint 'ghost' not in store",
+    ),
+    "v3-node-kind-then-repeated-id": (
+        3, put(("nodes", "ids", 3, "cause:0"), ("nodes", "kinds", 3, "Foo")), ValueError,
+        "nodes[3]: 'Foo' is not a valid NodeKind",
+    ),
+    "v3-repeated-id-then-vector-row": (
+        3, put(("nodes", "ids", 3, "cause:0"), ("nodes", "vector_row", 3, 9)), ValueError,
+        "nodes[2] and nodes[3] repeat the node id 'cause:0'",
+    ),
+    "v3-edge-kind-then-missing-src": (
+        3, put(("edges", "kind", 1, "PRECEDES"), ("edges", "src", 1, 9)), ValueError,
+        "edges[1]: 'PRECEDES' is not a valid EdgeKind",
+    ),
+    "v3-missing-src-then-missing-dst": (
+        3, put(("edges", "src", 1, 9), ("edges", "dst", 1, -1)), MissingEndpointError,
+        "edges[1]: edge endpoint 9 not in store",
+    ),
+    "v3-missing-dst-then-endpoint-kinds": (
+        3, put(("edges", "src", 1, 2), ("edges", "dst", 1, 9)), MissingEndpointError,
+        "edges[1]: edge endpoint 9 not in store",
+    ),
+    "v3-row-out-of-range-then-scoring-row-too-high": (
+        3, put(("nodes", "vector_row", 0, 4)), ValueError, "nodes[0]: " + NOT_A_ROW.format(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FAULT_PAIRS)
+def test_a_record_with_two_faults_gets_the_earlier_checks_refusal(tmp_path, name):
+    version, change, error, message = FAULT_PAIRS[name]
+    path = tmp_path / "graph.json"
+    doc = v3_base(path) if version == 3 else {**HEADER, "nodes": [NODE, CAUSE], "edges": [EDGE]}
+    change(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert_refused_and_exits_one(path, error, message)
 
 
 JSON_SCALARS = (
@@ -967,23 +1099,52 @@ def npy_bytes(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-# the `record` fault's sub-cases, per snapshot version: a `vectors` key and
-# the value it gets
-SHARED_RECORD_FAULTS = [
-    ("dtype", "<f4"), ("dtype", ">f8"), ("shape", [0, EMBEDDING_DIM]), ("shape", "x"),
-    ("shape", [1, EMBEDDING_DIM, 1]), ("file", None), ("drop-row", None), ("no-record", None),
-]
-RECORD_FAULTS = {
-    2: SHARED_RECORD_FAULTS + [("rows", "event:0"), ("rows", [])],
-    3: SHARED_RECORD_FAULTS + [
-        ("shape", ["6", EMBEDDING_DIM]), ("scoring", "x"), ("scoring", None), ("scoring", -1),
-        ("scoring", 10**6),
+# the `record` fault's sub-cases, per snapshot version: a `vectors` key, the
+# value it gets and the refusal's message after "<path>: snapshot ", for
+# broken_snapshot's store (25 vector rows, 5 of them scoring rows)
+NOT_25_ROWS = "vectors must be <f8 of shape (25, 384)"
+FILE_NOT_STRING = ("file", None, "'vectors' 'file' must not be NoneType")
+SHAPE_NOT_LIST = ("shape", "x", "'vectors' 'shape' must not be str")
+SHAPE_NOT_ROWS = "vectors 'shape' must be [rows, 384]"
+RECORD_REFUSALS = {
+    2: [
+        ("dtype", "<f4", NOT_25_ROWS),
+        ("dtype", ">f8", NOT_25_ROWS),
+        ("shape", [0, EMBEDDING_DIM], NOT_25_ROWS),
+        SHAPE_NOT_LIST,
+        ("shape", [1, EMBEDDING_DIM, 1], NOT_25_ROWS),
+        FILE_NOT_STRING,
+        ("drop-row", None, "vectors must be <f8 of shape (24, 384)"),
+        ("no-record", None,
+         "'vectors' must be an object with keys ['dtype', 'file', 'rows', 'shape']"),
+        ("rows", "event:0", "'vectors' 'rows' must not be str"),
+        ("rows", [], "vectors must be <f8 of shape (0, 384)"),
     ],
+    3: [
+        ("dtype", "<f4", NOT_25_ROWS),
+        ("dtype", ">f8", NOT_25_ROWS),
+        ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
+        SHAPE_NOT_LIST,
+        ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
+        FILE_NOT_STRING,
+        ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
+        ("no-record", None,
+         "'vectors' must be an object with keys ['dtype', 'file', 'scoring', 'shape']"),
+        ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
+        ("scoring", "x", "'vectors' 'scoring' must not be str"),
+        ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
+        ("scoring", -1, SCORING_NOT_A_COUNT),
+        ("scoring", 10**6, SCORING_NOT_A_COUNT),
+    ],
+}
+RECORD_FAULTS = {
+    version: [(key, value) for key, value, _ in refusals]
+    for version, refusals in RECORD_REFUSALS.items()
 }
 
 
 def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True,
-                 name="", record=SHARED_RECORD_FAULTS[0], provider=5):
+                 name="", record=("dtype", "<f4"), provider=5):
     """``(fault, version, apply)``: ``apply`` breaks a saved snapshot of
     that version, its ``vectors`` record or nodes (the parsed JSON ``doc``)
     or its vector file, in place."""
@@ -1076,13 +1237,10 @@ def each_record_fault(test):
     return test
 
 
-# 250 examples per version, as version 2 had before version 3 was drawn too
-@settings(max_examples=500, deadline=None)
-@given(fault=vector_faults)
-@each_record_fault
-def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
+def broken_snapshot(path: Path, fault) -> None:
+    """Save a small store as a snapshot of ``fault``'s version at ``path``,
+    then break it as ``fault`` says."""
     kind, version, apply = fault
-    path = tmp_path_factory.mktemp("broken") / "graph.json"
     store = random_store(random.Random(1), n_events=6, embed_fraction=1.0, text_fraction=1.0)
     batch_embed(store, mock_provider())
     if version == 2:
@@ -1092,13 +1250,32 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     doc = json.loads(path.read_text(encoding="utf-8"))
     apply(doc, path.with_name(doc["vectors"]["file"]))
     path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+# 250 examples per version, as version 2 had before version 3 was drawn too
+@settings(max_examples=500, deadline=None)
+@given(fault=vector_faults)
+@each_record_fault
+def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
+    path = tmp_path_factory.mktemp("broken") / "graph.json"
+    broken_snapshot(path, fault)
     with pytest.raises((ValueError, CausewayError)):
         GraphStore.load(path)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(["--store", str(path), "stats"])
-    assert code == 1, kind
+    assert code == 1, fault[0]
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "version, key, value, message",
+    [(version, *refusal) for version, refusals in RECORD_REFUSALS.items() for refusal in refusals],
+)
+def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, version, key, value, message):
+    path = tmp_path / "graph.json"
+    broken_snapshot(path, vector_fault("record", version, record=(key, value)))
+    assert_refused_and_exits_one(path, ValueError, message)
 
 
 def test_reader_writer_lock_smoke():
