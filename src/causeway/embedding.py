@@ -8,8 +8,8 @@ The full cycle mirrors the graph-side embedding update procedure:
     3. verify             - per-kind totals vs embedded counts
 
 The store remembers which provider made its vectors (``embedded_by``), so
-a later run with the same provider can skip step 1 and embed only the
-nodes that have no vector yet.
+a later run with the same provider can skip step 1, embed only the nodes
+that have no vector yet, and reuse the vectors it holds for their texts.
 
 An event's vector lives in its store scoring row, any other node's on the
 node; there is no separate vector index. Providers must be deterministic,
@@ -197,10 +197,6 @@ class EmbedReport:
         }
 
 
-def _eligible_nodes(store: GraphStore) -> list[Node]:
-    return [n for n in store.nodes() if n.text is not None and n.embedding is None]
-
-
 def _embed_texts(provider: EmbeddingProvider, texts: list[str], report: EmbedReport) -> list:
     """The provider's vectors for ``texts``, retried once on failure."""
     try:
@@ -230,13 +226,15 @@ def batch_embed(
     """Embed every node with non-null text that has no embedding yet.
 
     Each distinct text goes to the provider once, and its one unit vector
-    (read-only) goes to every node that holds it. A batch is the shortest
-    run of these nodes, in store order, that holds ``batch_size`` texts
-    not embedded by an earlier batch; its nodes are written in that order
-    under one writer lock. Each batch is retried once on provider failure;
-    a second failure aborts with a ProviderFailureError carrying the
-    partial-progress report. Re-running after completion embeds nothing
-    (idempotent).
+    (read-only) goes to every node that holds it. If the store's vectors
+    are this provider's, a text a node other than an event already holds
+    a read-only vector for is not sent again: that vector is reused. A
+    batch is the shortest run of these nodes, in store order, that holds
+    ``batch_size`` texts neither held so nor embedded by an earlier batch;
+    its nodes are written in that order under one writer lock. Each batch
+    is retried once on provider failure; a second failure aborts with a
+    ProviderFailureError carrying the partial-progress report. Re-running
+    after completion embeds nothing (idempotent).
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -244,9 +242,21 @@ def batch_embed(
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} != {EMBEDDING_DIM}"
         )
-    eligible = _eligible_nodes(store)
+    nodes = store.nodes()
+    eligible = [n for n in nodes if n.text is not None and n.embedding is None]
     report = EmbedReport()
     unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
+    if store.embedded_by == provider.identity:
+        # the vectors this provider made for texts the store holds, but an
+        # event's: it is a view of its scoring row, which sharing would keep
+        # alive after compaction; and a writable array is its caller's
+        unit = {
+            n.text: n.embedding
+            for n in nodes
+            if n.kind is not NodeKind.EVENT
+            and n.embedding is not None
+            and not n.embedding.flags.writeable
+        }
     start = 0
     while start < len(eligible):
         fresh: dict[str, Node] = {}  # the batch's new texts -> first node holding each

@@ -19,9 +19,12 @@ none); per edge the indexes of its two nodes and a kind. The file holds
 the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row, and after a load they
-share one read-only array. Loading checks every column in bulk
-and builds the store in one pass; versions 1 and 2, which held one
-record per node and edge, are read into the same columns.
+share one read-only array. Loading checks every column in bulk and builds
+the store in one pass; versions 1 and 2, which held one record per node
+and edge, are read into the same columns. Each check is a mask over the
+records and the refusal of a record it flags, the refusal built as the
+store's writers build theirs; a load names the first faulty record, with
+the refusal of the first check that flags it.
 
 Every event with both text and an embedding owns one scoring row: its
 vector, written once into a fixed-size chunk, plus the vector's norm, a
@@ -222,43 +225,15 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-class _Record:
-    """The keys a snapshot record must hold and the JSON types each one's
-    value may take. One ``itemgetter`` call fetches a record's values: a
-    per-key check cost 3 ms more of a 21 ms load of 500 events (2-vCPU VM)."""
-
-    def __init__(self, **types):
-        self.types = types
-        self._values = operator.itemgetter(*types)
-        self._each = tuple(types.values())
-
-    def values(self, path, where: str, rec) -> tuple:
-        """The values of these keys in ``rec``, the snapshot's ``where``, if
-        it is an object holding each of them with one of its types."""
-        try:
-            # only an object takes a string key; a key missing is a KeyError
-            values = self._values(rec)
-        except (TypeError, KeyError):
-            raise ValueError(
-                f"{path}: snapshot {where} must be an object with keys {sorted(self.types)}"
-            ) from None
-        if not all(map(isinstance, values, self._each)):
-            for (name, types), value in zip(self.types.items(), values):
-                if not isinstance(value, types):
-                    raise ValueError(
-                        f"{path}: snapshot {where} {name!r} must not be {type(value).__name__}"
-                    )
-        return values
-
-
-# versions 1 and 2 hold one record per node and edge: a version 1 node
-# carries its embedding, a version 2 vector record names each row's node
-_NODE = _Record(id=str, kind=str, text=(str, type(None)))
-_V1_NODE = _Record(**_NODE.types, embedding=(list, type(None)))
-_EDGE = _Record(src=str, dst=str, kind=str)
-_V2_VECTORS = _Record(file=str, dtype=str, shape=list, rows=list)
-_VECTORS = _Record(file=str, dtype=str, shape=list, scoring=int)
-# version 3 holds columns instead: the JSON types each column's entries may take
+# the JSON types each key's values may take: versions 1 and 2 hold one record
+# per node and edge (a version 1 node carries its embedding, a version 2
+# vector record names each row's node), version 3 holds columns
+_NODE = {"id": {str}, "kind": {str}, "text": {str, type(None)}}
+_V1_NODE = {**_NODE, "embedding": {list, type(None)}}
+_EDGE = {"src": {str}, "dst": {str}, "kind": {str}}
+_V2_VECTORS = {"file": {str}, "dtype": {str}, "shape": {list}, "rows": {list}}
+# a bool passes, to be refused as a count with the other values that are not one
+_VECTORS = {"file": {str}, "dtype": {str}, "shape": {list}, "scoring": {int, bool}}
 _NODE_COLUMNS = {"ids": {str}, "kinds": {str}, "texts": {str, type(None)}, "vector_row": {int}}
 _EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
 # a kind's code is its index here; the columns are checked and built on codes
@@ -280,6 +255,18 @@ def _in_record(path, where: str, exc: Exception) -> Exception:
     """``exc`` again, of its own class, its message naming the snapshot
     and the record."""
     return type(exc)(f"{path}: snapshot {where}: {exc}")
+
+
+def _not_a(kind: type[Enum], value) -> ValueError:
+    return ValueError(f"{value!r} is not a valid {kind.__name__}")
+
+
+def _kind_change(node_id: str, old: NodeKind, new: NodeKind) -> KindViolationError:
+    return KindViolationError(f"node {node_id!r} is {old.value}, cannot change to {new.value}")
+
+
+def _missing_endpoint(node_id) -> MissingEndpointError:
+    return MissingEndpointError(f"edge endpoint {node_id!r} not in store")
 
 
 def _endpoint_fault(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> KindViolationError | None:
@@ -307,22 +294,36 @@ def _read_document(path: Path) -> dict:
     return payload
 
 
-def _record_columns(
-    path, payload: dict, key: str, record: _Record
-) -> tuple[list, Exception | None]:
+def _wrong_type(path, where: str, key: str, value) -> ValueError:
+    return ValueError(f"{path}: snapshot {where} {key!r} must not be {type(value).__name__}")
+
+
+def _fields(path, where: str, rec, types: dict) -> tuple:
+    """The values of ``types``' keys in ``rec``, the snapshot's ``where``, if
+    it is an object holding each key with a value of one of its JSON types."""
+    if not isinstance(rec, dict) or not rec.keys() >= types.keys():
+        raise ValueError(f"{path}: snapshot {where} must be an object with keys {sorted(types)}")
+    values = tuple(map(rec.__getitem__, types))
+    for (key, allowed), value in zip(types.items(), values):
+        if type(value) not in allowed:
+            raise _wrong_type(path, where, key, value)
+    return values
+
+
+def _record_columns(path, payload: dict, key: str, types: dict) -> tuple[list, Exception | None]:
     """The columns of a version 1 or 2 snapshot's ``key`` records, up to the
-    first record that ``record`` refuses, and that refusal (None if none)."""
+    first record that ``_fields`` refuses, and that refusal (None if none)."""
     records = payload.get(key)
     if not isinstance(records, list):
         raise ValueError(f"{path}: snapshot {key!r} must be a list")
     values, fault = [], None
     for i, rec in enumerate(records):
         try:
-            values.append(record.values(path, f"{key}[{i}]", rec))
+            values.append(_fields(path, f"{key}[{i}]", rec, types))
         except ValueError as exc:
             fault = exc
             break
-    return [list(column) for column in zip(*values)] or [[] for _ in record.types], fault
+    return [list(column) for column in zip(*values)] or [[] for _ in types], fault
 
 
 def _column_table(path, payload: dict, key: str, columns: dict) -> tuple[list, Exception | None]:
@@ -339,10 +340,7 @@ def _column_table(path, payload: dict, key: str, columns: dict) -> tuple[list, E
         if not set(map(type, column)) <= types:
             i = next(i for i, value in enumerate(column) if type(value) not in types)
             if i < end:
-                end = i
-                fault = ValueError(
-                    f"{path}: snapshot {key}[{i}] {name!r} must not be {type(column[i]).__name__}"
-                )
+                end, fault = i, _wrong_type(path, f"{key}[{i}]", name, column[i])
     return (values, None) if fault is None else ([c[:end] for c in values], fault)
 
 
@@ -359,77 +357,69 @@ def _indexes(values: list[int]) -> np.ndarray:
         return np.array([v if -2 <= v < 2**62 else -2 for v in values], dtype=np.int64)
 
 
-def _refuse_first(masks: list[np.ndarray], explain, fault: Exception | None) -> None:
-    """Call ``explain(i)``, which raises for a faulty record ``i``, on each
-    record some mask flags, in file order; then raise ``fault``, the
-    refusal of the record after the masks' last, if any. The masks must flag
-    every faulty record, so the first refusal names the first of them."""
-    for i in np.flatnonzero(np.logical_or.reduce(masks)).tolist():
-        explain(i)
+def _refuse_first(checks: list, fault: Exception | None) -> None:
+    """Raise the refusal of the first record, in file order, that a check
+    flags, from the first of ``checks`` that flags it: a check is a mask over
+    the records and a function giving the refusal of a record it flags. If
+    none flags one, raise ``fault``, the refusal of the record after the
+    masks' last, if any."""
+    flagged = [(int(mask.argmax()), n) for n, (mask, _) in enumerate(checks) if mask.any()]
+    if flagged:
+        i, n = min(flagged)
+        raise checks[n][1](i)
     if fault is not None:
         raise fault
 
 
-def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_masks=(), vector_fault=None):
+def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_checks=()):
     """Each node id's index, if every node is good: else the first node that
     is not, in file order, raises, named. ``codes`` are the kind codes of
-    ``kinds``; ``vector_fault(i)`` raises if node ``i``'s vector is refused,
-    and ``vector_masks`` flag each node it may refuse."""
-    masks = [codes < 0, *vector_masks]
+    ``kinds``. A node's kind is checked first, then whether its id repeats
+    an earlier node's, then ``vector_checks``, the checks of its vector."""
+
+    def repeated(i: int) -> Exception:
+        j = first[ids[i]]
+        old, new = _NODE_KINDS[codes[j]], _NODE_KINDS[codes[i]]
+        where = f"nodes[{j}] and nodes[{i}]"
+        if old is not new:
+            return _in_record(path, where, _kind_change(ids[i], old, new))
+        return ValueError(f"{path}: snapshot {where} repeat the node id {ids[i]!r}")
+
+    checks = [(codes < 0, lambda i: _in_record(path, f"nodes[{i}]", _not_a(NodeKind, kinds[i])))]
     index = first = dict(zip(ids, range(len(ids))))
     if len(index) < len(ids):  # each id's first index, and every later one flagged
         first = {}
         repeats = (first.setdefault(node_id, i) != i for i, node_id in enumerate(ids))
-        masks.append(np.fromiter(repeats, bool, len(ids)))
-
-    def explain(i: int) -> None:
-        where = f"nodes[{i}]"
-        if codes[i] < 0:
-            raise ValueError(f"{path}: snapshot {where}: {kinds[i]!r} is not a valid NodeKind")
-        j = first[ids[i]]
-        if j < i:
-            old, new = _NODE_KINDS[codes[j]], _NODE_KINDS[codes[i]]
-            where = f"nodes[{j}] and {where}"
-            if old is not new:
-                raise KindViolationError(
-                    f"{path}: snapshot {where}: node {ids[i]!r} is {old.value}, "
-                    f"cannot change to {new.value}"
-                )
-            raise ValueError(f"{path}: snapshot {where} repeat the node id {ids[i]!r}")
-        if vector_fault is not None:
-            vector_fault(i)
-
-    _refuse_first(masks, explain, fault)
+        checks.append((np.fromiter(repeats, bool, len(ids)), repeated))
+    _refuse_first([*checks, *vector_checks], fault)
     return index
 
 
 def _check_edges(path, src: list, dst: list, kinds: list, ends, node_codes, fault):
     """The kind code of each edge, if every edge is good: else the first
     that is not, in file order, raises, named. ``ends`` are the node indexes
-    of ``src`` and ``dst``, each index past the nodes for a missing one."""
+    of ``src`` and ``dst``, each index past the nodes for a missing one. An
+    edge's kind is checked first, then a missing ``src``, then a missing
+    ``dst``, then the kinds of its ends."""
     n = len(node_codes)
     codes = _codes(kinds, _EDGE_CODES)
     # a missing end indexes the -1 past the nodes, which no edge kind wants
     end_codes = np.append(node_codes, -1)
     src_codes, dst_codes = (end_codes[np.where((e >= 0) & (e < n), e, n)] for e in ends)
-    masks = [codes < 0, src_codes != _WANT_SRC[codes], dst_codes != _WANT_DST[codes]]
 
-    def explain(j: int) -> None:
-        where = f"edges[{j}]"
-        if codes[j] < 0:
-            raise ValueError(f"{path}: snapshot {where}: {kinds[j]!r} is not a valid EdgeKind")
-        for end, label in ((src_codes[j], src[j]), (dst_codes[j], dst[j])):
-            if end < 0:
-                raise MissingEndpointError(
-                    f"{path}: snapshot {where}: edge endpoint {label!r} not in store"
-                )
-        exc = _endpoint_fault(
-            _EDGE_KINDS[codes[j]], _NODE_KINDS[src_codes[j]], _NODE_KINDS[dst_codes[j]]
-        )
-        if exc is not None:
-            raise _in_record(path, where, exc)
+    def refuse(j: int, exc: Exception) -> Exception:
+        return _in_record(path, f"edges[{j}]", exc)
 
-    _refuse_first(masks, explain, fault)
+    _refuse_first([
+        (codes < 0, lambda j: refuse(j, _not_a(EdgeKind, kinds[j]))),
+        (src_codes < 0, lambda j: refuse(j, _missing_endpoint(src[j]))),
+        (dst_codes < 0, lambda j: refuse(j, _missing_endpoint(dst[j]))),
+        ((src_codes != _WANT_SRC[codes]) | (dst_codes != _WANT_DST[codes]), lambda j: refuse(
+            j, _endpoint_fault(
+                _EDGE_KINDS[codes[j]], _NODE_KINDS[src_codes[j]], _NODE_KINDS[dst_codes[j]]
+            )
+        )),
+    ], fault)
     return codes
 
 
@@ -446,9 +436,9 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _vectors_record(path: Path, payload: dict, record: _Record) -> tuple[tuple, str | None]:
+def _vectors_record(path: Path, payload: dict, types: dict) -> tuple[tuple, str | None]:
     """The values of the snapshot's ``vectors`` record, and its ``provider``."""
-    values = record.values(path, "'vectors'", payload.get("vectors"))
+    values = _fields(path, "'vectors'", payload.get("vectors"), types)
     # absent from snapshots written before the identity was recorded
     embedded_by = payload["vectors"].get("provider")
     if not isinstance(embedded_by, (str, type(None))):
@@ -536,8 +526,8 @@ def _read_snapshot(path: Path) -> _Snapshot:
         codes = _codes(kinds, _NODE_CODES)
         file_rows = _indexes(vector_row)
         scores = _scoring(codes, texts, file_rows)
-        masks, vector_fault = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
-        _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
+        checks = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
+        _check_nodes(path, ids, kinds, codes, node_fault, checks)
         ends = _indexes(src), _indexes(dst)
     else:
         node_record = _V1_NODE if version == 1 else _NODE
@@ -548,8 +538,8 @@ def _read_snapshot(path: Path) -> _Snapshot:
         codes = _codes(kinds, _NODE_CODES)
         if version == 1:
             embedded_by = None
-            vectors, file_rows, masks, vector_fault = _inline_vectors(path, inline[0])
-            index = _check_nodes(path, ids, kinds, codes, node_fault, masks, vector_fault)
+            vectors, file_rows, checks = _inline_vectors(path, inline[0])
+            index = _check_nodes(path, ids, kinds, codes, node_fault, checks)
         else:
             (file, dtype, shape, row_ids), embedded_by = _vectors_record(
                 path, payload, _V2_VECTORS
@@ -579,8 +569,8 @@ def _scoring(codes: np.ndarray, texts: list, file_rows: np.ndarray) -> np.ndarra
 def _inline_vectors(path, embeddings: list):
     """A version 1 snapshot's vectors: each node's checked ``embeddings``
     entry in a row of one array, in node order; the row of each node (-1
-    for none); and, as ``_check_nodes`` takes them, the mask of refused
-    vectors and the check that raises a node's refusal."""
+    for none); and the check of each node's vector, as ``_check_nodes``
+    takes it."""
     vectors = np.empty((sum(e is not None for e in embeddings), EMBEDDING_DIM))
     rows = np.full(len(embeddings), -1, dtype=np.int64)
     refused: dict[int, CausewayError] = {}
@@ -595,49 +585,41 @@ def _inline_vectors(path, embeddings: list):
                 continue
             rows[i] = row
             row += 1
-
-    def vector_fault(i: int) -> None:
-        if i in refused:
-            raise _in_record(path, f"nodes[{i}]", refused[i]) from refused[i]
-
     mask = np.zeros(len(embeddings), dtype=bool)
     mask[list(refused)] = True
-    return vectors, rows, [mask], vector_fault
+    return vectors, rows, [(mask, lambda i: _in_record(path, f"nodes[{i}]", refused[i]))]
 
 
 def _row_checks(path, scores, vector_row: list, rows: np.ndarray, count: int, scoring: int):
-    """The masks and the check that ``_check_nodes`` takes for a version 3
-    snapshot's ``vector_row`` (``rows`` as an array): each row is one of
-    the ``count`` rows or -1, the first ``scoring`` rows belong to the
-    nodes that ``scores`` flags, one each, and the rest to every other
-    node with a vector."""
-    n = len(rows)
-    out_of_range = (rows < -1) | (rows >= count)
-    misplaced = scores != ((rows >= 0) & (rows < scoring))
+    """The checks, as ``_check_nodes`` takes them, of a version 3 snapshot's
+    ``vector_row`` (``rows`` as an array), in this order: each row is one of
+    the ``count`` rows or -1; each node that ``scores`` flags has one of the
+    first ``scoring`` rows; no other node has one; and no two share one."""
+    below = (rows >= 0) & (rows < scoring)
     scored = np.flatnonzero(scores)
-    scored = scored[np.argsort(rows[scored], kind="stable")]
-    shared = np.zeros(n, dtype=bool)
-    shared[scored[1:][rows[scored[1:]] == rows[scored[:-1]]]] = True
+    scored = scored[np.argsort(rows[scored], kind="stable")]  # by row, then by node
+    on_row = rows[scored]
+    shared = np.zeros(len(rows), dtype=bool)
+    shared[scored[1:][on_row[1:] == on_row[:-1]]] = True
+    where = f"{path}: snapshot nodes"
 
-    def vector_fault(i: int) -> None:
-        row = vector_row[i]
-        where = f"{path}: snapshot nodes[{i}]"
-        if out_of_range[i]:
-            raise ValueError(f"{where}: vector_row {row} is not a row of the vector file")
-        if misplaced[i] and scores[i]:
-            raise ValueError(f"{where}: a scoring event's vector_row must be below {scoring}")
-        if misplaced[i]:
-            raise ValueError(
-                f"{where}: vector_row {row} is a scoring row, but the node is not an event "
-                "with text"
-            )
-        if shared[i]:
-            j = next(j for j in scored.tolist() if vector_row[j] == row)
-            raise ValueError(
-                f"{path}: snapshot nodes[{j}] and nodes[{i}] share the scoring row {row}"
-            )
+    def share(i: int) -> ValueError:
+        j = scored[np.searchsorted(on_row, rows[i])]  # the first node on the row
+        return ValueError(f"{where}[{j}] and nodes[{i}] share the scoring row {vector_row[i]}")
 
-    return [out_of_range, misplaced, shared], vector_fault
+    return [
+        ((rows < -1) | (rows >= count), lambda i: ValueError(
+            f"{where}[{i}]: vector_row {vector_row[i]} is not a row of the vector file"
+        )),
+        (scores & ~below, lambda i: ValueError(
+            f"{where}[{i}]: a scoring event's vector_row must be below {scoring}"
+        )),
+        (~scores & below, lambda i: ValueError(
+            f"{where}[{i}]: vector_row {vector_row[i]} is a scoring row, but the node is not "
+            "an event with text"
+        )),
+        (shared, share),
+    ]
 
 
 def _write_atomic(path: Path, write) -> str:
@@ -744,10 +726,7 @@ class GraphStore:
             if existing is None:
                 existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
             elif existing.kind is not node.kind:
-                raise KindViolationError(
-                    f"node {node.id!r} is {existing.kind.value}, "
-                    f"cannot change to {node.kind.value}"
-                )
+                raise _kind_change(node.id, existing.kind, node.kind)
             else:
                 existing.text = node.text
             self._place(existing, checked)
@@ -871,8 +850,7 @@ class GraphStore:
         src = self._nodes.get(edge.src)
         dst = self._nodes.get(edge.dst)
         if src is None or dst is None:
-            missing = edge.src if src is None else edge.dst
-            raise MissingEndpointError(f"edge endpoint {missing!r} not in store")
+            raise _missing_endpoint(edge.src if src is None else edge.dst)
         fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
         if fault is not None:
             raise fault
@@ -899,37 +877,27 @@ class GraphStore:
 
     # --- neighbor primitives ---
 
-    def _require_event(self, event_id: str) -> Node:
+    def _neighbors(self, event_id: str) -> tuple[list[str], ...]:
+        """The (cause, effect, trigger) neighbor ids of one event, each in
+        edge-insertion order; the caller holds the read lock."""
         node = self._nodes.get(event_id)
         if node is None:
             raise UnknownIdError(f"no node with id {event_id!r}")
         if node.kind is not NodeKind.EVENT:
             raise NotAnEventError(f"{event_id!r} is a {node.kind.value}, not an Event")
-        return node
+        adjacent = self._adjacent.get(event_id, {})
+        return tuple(adjacent.get(kind, []) for kind in _EDGE_KINDS)
 
     def neighbor_counts(self, event_id: str) -> tuple[int, int, int]:
         """(cause, effect, trigger) edge counts for one event."""
         with self.lock.read():
-            self._require_event(event_id)
-            adjacent = self._adjacent.get(event_id, {})
-            n_cause = len(adjacent.get(EdgeKind.CAUSES, ()))
-            n_effect = len(adjacent.get(EdgeKind.RESULTS_IN, ()))
-            n_trigger = len(adjacent.get(EdgeKind.HAS_TRIGGER, ()))
-        return n_cause, n_effect, n_trigger
+            return tuple(map(len, self._neighbors(event_id)))
 
     def collect_texts(self, event_id: str) -> tuple[list[str], list[str], list[str]]:
         """(cause, effect, trigger) neighbor texts in edge-insertion order."""
         with self.lock.read():
-            self._require_event(event_id)
-            adjacent = self._adjacent.get(event_id, {})
-            causes = adjacent.get(EdgeKind.CAUSES, [])
-            effects = adjacent.get(EdgeKind.RESULTS_IN, [])
-            triggers = adjacent.get(EdgeKind.HAS_TRIGGER, [])
-
-            def texts(ids: list[str]) -> list[str]:
-                return [self._nodes[i].text or "" for i in ids]
-
-            return texts(causes), texts(effects), texts(triggers)
+            nodes = self._nodes
+            return tuple([nodes[i].text or "" for i in ids] for ids in self._neighbors(event_id))
 
     # --- reporting ---
 

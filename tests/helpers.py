@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 import random
 import re
 from collections import Counter
@@ -173,6 +174,47 @@ def write_v2_snapshot(store: GraphStore, path) -> None:
         "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
     }
     path.write_text(json.dumps(payload), encoding="utf-8")
+
+
+class ReferenceRecord:
+    """The keys a snapshot record must hold and the types (for ``isinstance``)
+    each one's value may take: the record check that ``store._fields``
+    replaced, kept as its reference. So ``True`` passes as an int here."""
+
+    def __init__(self, **types):
+        self.types = types
+        self._values = operator.itemgetter(*types)
+        self._each = tuple(types.values())
+
+    def values(self, path, where: str, rec) -> tuple:
+        """The values of these keys in ``rec``, the snapshot's ``where``, if
+        it is an object holding each of them with one of its types."""
+        try:
+            # only an object takes a string key; a key missing is a KeyError
+            values = self._values(rec)
+        except (TypeError, KeyError):
+            raise ValueError(
+                f"{path}: snapshot {where} must be an object with keys {sorted(self.types)}"
+            ) from None
+        if not all(map(isinstance, values, self._each)):
+            for (name, types), value in zip(self.types.items(), values):
+                if not isinstance(value, types):
+                    raise ValueError(
+                        f"{path}: snapshot {where} {name!r} must not be {type(value).__name__}"
+                    )
+        return values
+
+
+# per type table in causeway.store, its reference record check
+REFERENCE_RECORDS = {
+    "_NODE": ReferenceRecord(id=str, kind=str, text=(str, type(None))),
+    "_V1_NODE": ReferenceRecord(
+        id=str, kind=str, text=(str, type(None)), embedding=(list, type(None))
+    ),
+    "_EDGE": ReferenceRecord(src=str, dst=str, kind=str),
+    "_V2_VECTORS": ReferenceRecord(file=str, dtype=str, shape=list, rows=list),
+    "_VECTORS": ReferenceRecord(file=str, dtype=str, shape=list, scoring=int),
+}
 
 
 def live_row_ids(store: GraphStore) -> list[str]:

@@ -481,7 +481,8 @@ def test_embed_after_ingest_embeds_only_the_new_nodes(workspace, tmp_path, capsy
     want = clean_and_embed(workspace["store"], mock_provider(0), tmp_path / "want" / "graph.json")
     doc = embed_json(workspace, capsys)
     assert doc["cleared"] == 0  # the vectors the same provider made are kept
-    assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 7
+    # 7 distinct new texts, of which the store already held 4 (span texts)
+    assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 3
     assert doc["verify"]["ok"] is True
     assert snapshot_pair(workspace["store"]) == want
     assert embed_json(workspace, capsys)["embed"]["total_embedded"] == 0

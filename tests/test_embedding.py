@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from causeway.annotation import ingest_corpus
 from causeway.embedding import (
     EmbedReport,
     EmbeddingProvider,
@@ -390,6 +391,38 @@ def test_each_distinct_text_is_embedded_once_as_one_text_per_node_would(
             assert np.array_equal(got, reference.get_node(node.id).embedding)
         else:
             assert got is None
+
+
+RAIN = {"id": "a", "gold_label": 1, "tagged_text":
+        "<cause>heavy rain</cause> <trigger>led to</trigger> <effect>floods</effect>"}
+WIND = {"id": "b", "gold_label": 1, "tagged_text":
+        "<cause>heavy rain</cause> <trigger>caused</trigger> <effect>floods</effect>"}
+
+
+def test_after_ingest_only_texts_the_store_does_not_hold_are_sent(tmp_path):
+    store = GraphStore()
+    ingest_corpus([RAIN], store)
+    batch_embed(store, mock_provider(0))
+    path = tmp_path / "graph.json"
+    store.save(path)
+    store = GraphStore.load(path)
+    ingest_corpus([WIND], store)
+    provider = CountingProvider()
+    report = batch_embed(store, provider)
+    # the cause and effect texts are held already; an event's vector is never reused
+    assert provider.sent == Counter({"heavy rain caused floods": 1, "caused": 1})
+    assert (report.total_embedded, report.texts_sent) == (4, 2)
+    reference = GraphStore()
+    ingest_corpus([RAIN, WIND], reference)
+    batch_embed(reference, mock_provider(0))
+    for node in reference.nodes():
+        assert np.array_equal(store.get_node(node.id).embedding, node.embedding), node.id
+    # once a vector not known to be this provider's is written, none is reused
+    store.set_embedding("event:a", store.get_node("event:a").embedding.copy())
+    store.set_embedding("cause:a:0", None)
+    provider = CountingProvider()
+    batch_embed(store, provider)
+    assert provider.sent == Counter({"heavy rain": 1})
 
 
 def test_a_bad_vector_names_the_first_node_holding_its_text():

@@ -38,7 +38,9 @@ from causeway.store import (
     check_embedding,
 )
 
+from causeway import store as store_module
 from helpers import (
+    REFERENCE_RECORDS,
     live_row_ids,
     oracle_neighbor_counts,
     random_store,
@@ -712,7 +714,8 @@ REFUSED_RECORDS = {
     ),
     "node-id-changes-kind": (
         {**HEADER, "nodes": [NODE, {**NODE, "kind": "Cause"}], "edges": []},
-        KindViolationError, "nodes[0] and nodes[1]: node 'event:1' is Event, cannot change to Cause",
+        KindViolationError,
+        "nodes[0] and nodes[1]: node 'event:1' is Event, cannot change to Cause",
     ),
     "node-embedding-short": (
         {**HEADER, "nodes": [{**NODE, "embedding": [1.0]}], "edges": []},
@@ -1091,6 +1094,44 @@ def test_snapshot_field_value_loads_or_raises_documented_error(
         GraphStore.load(path)
     except (ValueError, CausewayError):
         pass
+
+
+# a value of each JSON type a record key may take
+FIELD_VALUES = {
+    str: st.text(max_size=4), type(None): st.none(), list: st.lists(JSON_SCALARS, max_size=3),
+    int: st.integers() | st.booleans(),
+}
+
+
+@st.composite
+def records(draw, types: dict):
+    """An object holding most of ``types``' keys, each mostly with a value of
+    one of its types, and perhaps other keys; or any JSON value."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(JSON_VALUES)
+    rec = {}
+    for key, allowed in types.items():
+        allowed = allowed if isinstance(allowed, tuple) else (allowed,)
+        if draw(st.integers(0, 9)):
+            rec[key] = draw(st.one_of(*(FIELD_VALUES[t] for t in allowed)) | JSON_VALUES)
+    rec.update(draw(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)))
+    return rec
+
+
+@settings(max_examples=400, deadline=None)
+@given(table=st.sampled_from(sorted(REFERENCE_RECORDS)), data=st.data())
+def test_fields_checks_a_record_as_the_reference_does(table, data):
+    reference = REFERENCE_RECORDS[table]
+    rec = data.draw(records(reference.types), label="record")
+
+    def outcome(check):
+        try:
+            return check()
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: store_module._fields("g.json", "r", rec, getattr(store_module, table)))
+    assert got == outcome(lambda: reference.values("g.json", "r", rec))
 
 
 def npy_bytes(array, allow_pickle=False) -> bytes:
