@@ -216,28 +216,45 @@ def ingest_corpus(records: Iterable[Mapping], store: GraphStore) -> IngestReport
     return report
 
 
+def _json_object(text: str) -> dict | None:
+    """``text`` as a JSON object, or None if it is not one or nests too
+    deeply to decode."""
+    try:
+        record = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    return record if isinstance(record, dict) else None
+
+
 def iter_jsonl_records(path: str | Path) -> Iterable[Mapping]:
     """Yield one record per JSONL line; bad lines become skip markers.
 
-    A line that is not a JSON object, or nests too deeply to decode, yields
-    ``{"id": "line-N", "tagged_text": None}`` so ingest_corpus lists it as
-    skipped instead of aborting.
+    Lines end at ``"\\n"`` alone, so a line break that ``json.dumps`` leaves
+    raw inside a string (U+2028, U+0085) stays in its record. A line that
+    is not one JSON object is split again at every line break
+    ``str.splitlines`` knows, and each nonblank piece read on its own. A
+    line that is not UTF-8, or a piece that is not a JSON object or nests
+    too deeply to decode, yields ``{"id": "line-N", "tagged_text": None}``
+    so ingest_corpus lists it as skipped instead of aborting.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise SourceUnreadableError(f"cannot read corpus {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(data.split(b"\n"), start=1):
         try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError):
-            record = None
-        if not isinstance(record, dict):
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
             yield {"id": f"line-{lineno}", "tagged_text": None}
             continue
-        yield record
+        record = _json_object(line)
+        if record is not None:
+            yield record
+            continue
+        for piece in line.splitlines():  # not one object: each piece on its own
+            if piece.strip():
+                record = _json_object(piece)
+                yield {"id": f"line-{lineno}", "tagged_text": None} if record is None else record
 
 
 def ingest_corpus_file(path: str | Path, store: GraphStore) -> IngestReport:

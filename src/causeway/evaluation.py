@@ -157,16 +157,18 @@ class EvalRecord:
 def load_eval_dataset(path: str | Path) -> list[EvalRecord]:
     """JSONL with id, text or tagged_text, and a mandatory 0/1 gold_label."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # lines end at "\n" alone: json.dumps leaves U+2028 and U+0085 raw in strings
+        lines = Path(path).read_bytes().split(b"\n")
     except OSError as exc:
         raise SourceUnreadableError(f"cannot read dataset {path}: {exc}") from exc
     records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, raw in enumerate(lines, start=1):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             row = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # not JSON, or nested too deeply
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deeply
             raise BadLabelError(f"line {lineno}: not a JSON record: {exc}") from exc
         if not isinstance(row, dict):
             raise BadLabelError(f"line {lineno}: record must be a JSON object")

@@ -144,7 +144,10 @@ class HttpLLMClient(LLMClient):
             payload = post_json(
                 self.session, self.endpoint, self.api_key_env, body, LLM_TIMEOUT_SECONDS
             )
-            return payload["choices"][0]["message"]["content"]
+            content = payload["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"reply content must be a string, not {type(content).__name__}")
+            return content
         except Exception as exc:
             raise TransportError(f"LLM request failed: {exc}") from exc
 
@@ -159,6 +162,9 @@ class RateBudgeter:
         clock: Callable[[], float] = time.monotonic,
         sleeper: Callable[[float], None] = time.sleep,
     ):
+        for name, limit in (("requests", requests_per_minute), ("tokens", tokens_per_minute)):
+            if limit is not None and limit < 1:
+                raise ValueError(f"{name}_per_minute must be at least 1, got {limit!r}")
         self.requests_per_minute = requests_per_minute
         self.tokens_per_minute = tokens_per_minute
         self._clock = clock
@@ -327,11 +333,10 @@ def _classify_examples(
         spec = token_budget_trim(spec, max_prompt_tokens)
     prompt = build_prompt(spec)
 
-    if budgeter is not None:
-        budgeter.acquire(estimate_tokens(prompt))
-
     retries = 0
     while True:
+        if budgeter is not None:  # every attempt is a request
+            budgeter.acquire(estimate_tokens(prompt))
         try:
             raw = client.complete(prompt)
             break

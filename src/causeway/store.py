@@ -26,13 +26,13 @@ records and the refusal of a record it flags, the refusal built as the
 store's writers build theirs; a load names the first faulty record, with
 the refusal of the first check that flags it.
 
-Every event with both text and an embedding owns one scoring row: its
-vector, written once into a fixed-size chunk, plus the vector's norm, a
-linked bit (the event has a causal edge) and an alive flag. The event's
-``embedding`` is a read-only view of that row, so each vector is held
-once. A new vector gets a new row and only marks the old one dead, so a
-view a caller holds never changes; live rows are copied into fresh
-chunks once dead rows outnumber them by a chunk.
+Every event with both text and an embedding owns one scoring row in a
+fixed-size chunk: its vector, the vector's norm, a linked bit (the event
+has a causal edge) and an alive flag; its ``embedding`` is a read-only
+view of the row. One bulk append writes every row, for a write, a load
+and a compaction alike. A new vector gets a new row and only marks the
+old one dead, so a view a caller holds never changes; once dead rows
+outnumber the live ones by a chunk, the live ones are appended afresh.
 """
 
 from __future__ import annotations
@@ -720,17 +720,15 @@ class GraphStore:
     def upsert_node(self, node: Node) -> str:
         checked = None if node.embedding is None else check_embedding(node.embedding)
         with self.lock.write():
-            if checked is not None:
-                self._embedded_by = None
             existing = self._nodes.get(node.id)
             if existing is None:
                 existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
+                if checked is None:  # nothing to write
+                    return node.id
             elif existing.kind is not node.kind:
                 raise _kind_change(node.id, existing.kind, node.kind)
-            else:
-                existing.text = node.text
-            self._place(existing, checked)
-            self._compact_if_sparse()
+            existing.text = node.text
+            self._write([(node.id, checked)], None)
         return node.id
 
     def get_node(self, node_id: str) -> Node:
@@ -745,7 +743,8 @@ class GraphStore:
         self.set_embeddings([(node_id, vector)])
 
     def set_embeddings(self, pairs, embedded_by: str | None = None) -> None:
-        """Set several embeddings under a single writer-lock acquisition.
+        """Set several embeddings under a single writer-lock acquisition, as
+        if one pair at a time, or none if a pair names no node.
 
         ``embedded_by`` names the provider that made the vectors; the store
         keeps it as ``embedded_by`` only if that provider made every vector
@@ -764,63 +763,81 @@ class GraphStore:
             else:
                 checked.append((node_id, check_embedding(vec)))
         with self.lock.write():
-            if any(vector is not None for _, vector in checked):
-                if self._embedded and self._embedded_by != embedded_by:
-                    embedded_by = None
-                self._embedded_by = embedded_by
-            for node_id, vector in checked:
-                node = self._nodes.get(node_id)
-                if node is None:
-                    raise UnknownIdError(f"no node with id {node_id!r}")
-                self._place(node, vector)
-            self._compact_if_sparse()
+            self._write(checked, embedded_by)
 
-    def _place(self, node: Node, checked: tuple[np.ndarray, float | None] | None) -> None:
-        """Give ``node`` an (embedding, norm) from ``check_embedding``, or
-        none; an event with text gets a fresh row. Only a row needs the norm.
+    def _write(self, checked: list, embedded_by: str | None) -> None:
+        """Write each (node id, ``check_embedding`` result or None) of ``checked``,
+        or nothing if an id names no node; an old row is only marked dead."""
+        try:
+            nodes = [self._nodes[node_id] for node_id, _ in checked]
+        except KeyError as exc:
+            raise UnknownIdError(f"no node with id {exc.args[0]!r}") from None
+        if any(check is not None for _, check in checked):
+            kept = not self._embedded or self._embedded_by == embedded_by
+            self._embedded_by = embedded_by if kept else None
+        self._alive.put([self._row_of.pop(n.id) for n in nodes if n.id in self._row_of], False)
+        fresh = {}  # event id -> (its vector, the norm) for a new row, in the order of last writes
+        for node, (_, check) in zip(nodes, checked):
+            self._embedded += (check is not None) - (node.embedding is not None)
+            fresh.pop(node.id, None)
+            node.embedding = None if check is None else check[0]
+            if check is not None and node.kind is NodeKind.EVENT and node.text is not None:
+                fresh[node.id] = check
+        if fresh:
+            vectors, norms = zip(*fresh.values())
+            self._append_rows(list(map(self._nodes.__getitem__, fresh)), vectors, norms)
+        self._compact_if_sparse()
 
-        The node's old row, if any, is only marked dead; rows are written
-        once, so views of them that callers hold keep their values.
-        """
-        self._embedded += (checked is not None) - (node.embedding is not None)
-        row = self._row_of.pop(node.id, None)
-        if row is not None:
-            self._alive[row] = False
-        if checked is None or node.kind is not NodeKind.EVENT or node.text is None:
-            node.embedding = None if checked is None else checked[0]
-            return
-        embedding, norm = checked
-        row = len(self._row_ids)
-        chunk, offset = divmod(row, CHUNK_ROWS)
-        if chunk == len(self._chunks):
-            self._chunks.append(np.empty((CHUNK_ROWS, EMBEDDING_DIM)))
-            self._norms = np.concatenate((self._norms, np.empty(CHUNK_ROWS)))
-            self._linked = np.concatenate((self._linked, np.zeros(CHUNK_ROWS, dtype=bool)))
-            self._alive = np.concatenate((self._alive, np.zeros(CHUNK_ROWS, dtype=bool)))
-        view = self._chunks[chunk][offset]
-        view[:] = embedding
-        view.flags.writeable = False
-        self._norms[row] = norm
-        self._linked[row] = node.id in self._adjacent
-        self._alive[row] = True
-        self._row_ids.append(node.id)
-        self._row_of[node.id] = row
-        node.embedding = view
+    def _append_rows(self, nodes, vectors, norms, rows=None) -> None:
+        """Append a row for each of ``nodes``, events with text and no live
+        row, and make its ``embedding`` a read-only view of the row: vector
+        ``vectors[rows[i]]`` (``vectors[i]`` if ``rows`` is None), norm
+        ``norms[i]`` (if None, ``check_embedding``'s, so scores survive a load)."""
+        start, end = len(self._row_ids), len(self._row_ids) + len(nodes)
+        more = -(-end // CHUNK_ROWS) * CHUNK_ROWS - len(self._alive)  # rows of new chunks
+        if more > 0:
+            self._chunks += map(np.empty, repeat((CHUNK_ROWS, EMBEDDING_DIM), more // CHUNK_ROWS))
+            self._norms, self._linked, self._alive = (
+                np.concatenate((a, np.zeros(more, a.dtype)))
+                for a in (self._norms, self._linked, self._alive)
+            )
+        at = start
+        for chunk in self._chunks[start // CHUNK_ROWS :]:
+            part = chunk[at % CHUNK_ROWS : at % CHUNK_ROWS + end - at]
+            mine = slice(at - start, at - start + len(part))
+            if rows is None:  # part's rows are contiguous, so reshape gives a view of them
+                np.concatenate(vectors[mine], out=part.reshape(-1))
+            else:  # one copy straight into the chunk; every index is a row of ``vectors``
+                np.take(vectors, rows[mine], axis=0, out=part, mode="clip")
+            self._norms[at : at + len(part)] = (
+                [math.sqrt(np.vdot(v, v)) for v in part] if norms is None else norms[mine]
+            )
+            part = part.view()
+            part.flags.writeable = False
+            for node, row in zip(nodes[mine], part):
+                node.embedding = row
+            at += len(part)
+        ids = [node.id for node in nodes]
+        self._linked[start:end] = np.fromiter(map(self._adjacent.__contains__, ids), bool)
+        self._alive[start:end] = True
+        self._row_of.update(zip(ids, range(start, end)))
+        self._row_ids += ids
 
     def _compact_if_sparse(self) -> None:
-        """Copy the live rows into fresh chunks once dead rows outnumber them
-        by a chunk, so the row count stays below twice the live rows plus one
-        chunk. Old chunks live on only in views that callers still hold."""
+        """Once dead rows outnumber the live ones by a chunk, rebuild the rows
+        from the live ones as a load builds them, one append per old chunk:
+        so the row count stays below twice the live rows plus one chunk. Old
+        chunks live on only in views that callers still hold."""
         if len(self._row_ids) - 2 * len(self._row_of) < CHUNK_ROWS:
             return
-        live, ids, norms = sorted(self._row_of.values()), self._row_ids, self._norms
+        live = np.flatnonzero(self._alive[: len(self._row_ids)])
+        chunks, ids, norms = self._chunks, self._row_ids, self._norms
         self._chunks, self._row_ids, self._row_of = [], [], {}
-        self._norms = np.empty(0)
-        self._linked = np.empty(0, dtype=bool)
-        self._alive = np.empty(0, dtype=bool)
-        for row in live:
-            node = self._nodes[ids[row]]
-            self._place(node, (node.embedding, norms[row]))
+        self._norms, self._linked, self._alive = norms[:0], self._linked[:0], self._alive[:0]
+        ends = np.searchsorted(live, np.arange(1, len(chunks)) * CHUNK_ROWS)
+        for chunk, rows in zip(chunks, np.split(live, ends)):
+            nodes = [self._nodes[ids[row]] for row in rows.tolist()]
+            self._append_rows(nodes, chunk, norms[rows], rows % CHUNK_ROWS)
 
     def scoring_rows(self) -> ScoringRows:
         """The scoring rows as arrays, for retrieval to score in bulk."""
@@ -844,23 +861,20 @@ class GraphStore:
 
     def add_edge(self, edge: Edge) -> None:
         with self.lock.write():
-            self._link(edge)
-
-    def _link(self, edge: Edge) -> None:
-        src = self._nodes.get(edge.src)
-        dst = self._nodes.get(edge.dst)
-        if src is None or dst is None:
-            raise _missing_endpoint(edge.src if src is None else edge.dst)
-        fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
-        if fault is not None:
-            raise fault
-        if edge in self._edges:
-            return
-        self._edges[edge] = None
-        self._adjoin((edge,))
-        row = self._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
-        if row is not None:
-            self._linked[row] = True
+            src = self._nodes.get(edge.src)
+            dst = self._nodes.get(edge.dst)
+            if src is None or dst is None:
+                raise _missing_endpoint(edge.src if src is None else edge.dst)
+            fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
+            if fault is not None:
+                raise fault
+            if edge in self._edges:
+                return
+            self._edges[edge] = None
+            self._adjoin((edge,))
+            row = self._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
+            if row is not None:
+                self._linked[row] = True
 
     def _adjoin(self, edges) -> None:
         """Add each of the new ``edges`` to the adjacency of its event."""
@@ -1035,44 +1049,20 @@ class GraphStore:
         nodes = list(map(Node, ids, map(_NODE_KINDS.__getitem__, codes.tolist()), snapshot.texts))
         self._nodes = dict(zip(ids, nodes))
         self._embedded_by = snapshot.embedded_by
-        scored = np.flatnonzero(scores)
-        scored = scored[np.argsort(file_rows[scored])]
-        n = len(scored)
-        self._chunks = [np.empty((CHUNK_ROWS, EMBEDDING_DIM)) for _ in range(0, n, CHUNK_ROWS)]
-        capacity = len(self._chunks) * CHUNK_ROWS
-        self._norms = np.empty(capacity)
-        self._linked = np.zeros(capacity, dtype=bool)
-        self._alive = np.zeros(capacity, dtype=bool)
-        self._alive[:n] = True
-        self._row_ids = [ids[i] for i in scored.tolist()]
-        self._row_of = dict(zip(self._row_ids, range(n)))
-        for start, chunk in zip(range(0, n, CHUNK_ROWS), self._chunks):
-            batch = scored[start : start + CHUNK_ROWS]
-            part = chunk[: len(batch)]
-            # one copy straight into the chunk; every index is a row of ``vectors``
-            np.take(vectors, file_rows[batch], axis=0, out=part, mode="clip")
-            # check_embedding's norm exactly, so scores survive a save and load
-            self._norms[start : start + len(part)] = [
-                math.sqrt(np.vdot(row, row)) for row in part
-            ]
-            part = part.view()
-            part.flags.writeable = False
-            for i, row in zip(batch.tolist(), part):
-                nodes[i].embedding = row
+        # tuple.__new__ builds each Edge in C; one expression, so its lists die before the rows
+        self._edges = dict.fromkeys(map(tuple.__new__, repeat(Edge), zip(
+            *(map(ids.__getitem__, end.tolist()) for end in (snapshot.src, snapshot.dst)),
+            map(_EDGE_KINDS.__getitem__, snapshot.edge_kinds.tolist()),
+        )))
+        self._adjoin(self._edges)  # before the rows, which read their linked bits from it
+        scored = np.flatnonzero(scores)[np.argsort(file_rows[scores])]  # in file row order
+        self._append_rows([nodes[i] for i in scored.tolist()], vectors, None, file_rows[scored])
         others = np.flatnonzero(~scores & (file_rows >= 0))
         rows, which = np.unique(file_rows[others], return_inverse=True)
-        rest = np.empty((len(rows), EMBEDDING_DIM))
-        np.take(vectors, rows, axis=0, out=rest, mode="clip")
+        rest = vectors[rows]  # a copy, not a view of a mapped file
         rest.flags.writeable = False
         shared = list(rest)  # one array per row, so its nodes share it
         for i, row in zip(others.tolist(), which.tolist()):
             nodes[i].embedding = shared[row]
-        self._embedded = n + len(others)
-        src, dst, kinds = snapshot.src.tolist(), snapshot.dst.tolist(), snapshot.edge_kinds.tolist()
-        ends = zip(map(ids.__getitem__, src), map(ids.__getitem__, dst),
-                   map(_EDGE_KINDS.__getitem__, kinds))
-        # tuple.__new__ builds each Edge in C, not through its Python __new__
-        self._edges = dict.fromkeys(map(tuple.__new__, repeat(Edge), ends))
-        self._adjoin(self._edges)
-        self._linked[:n] = np.fromiter(map(self._adjacent.__contains__, self._row_ids), bool, n)
+        self._embedded = len(scored) + len(others)
         return self

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -272,6 +274,36 @@ def test_jsonl_yields_a_record_per_nonblank_line(tmp_path_factory, content):
     records = list(iter_jsonl_records(path))
     assert all(isinstance(record, dict) for record in records)
     assert len(records) == sum(1 for line in content.splitlines() if line.strip())
+
+
+GOOD_LINE = '{"id": "a", "tagged_text": "<cause>x</cause> made <effect>y</effect>"}'
+
+
+def test_jsonl_line_that_is_not_utf8_is_skipped_alone(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(GOOD_LINE.encode() + b'\n{"id": "b", "tagged_text": "caf\xff"}\n'
+                     + GOOD_LINE.replace('"a"', '"c"').encode() + b"\n")
+    report = ingest_corpus_file(path, GraphStore())
+    assert report.ingested == 2
+    assert report.skipped == [("line-2", "missing tagged_text")]
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+def test_jsonl_line_break_inside_a_string_stays_in_its_record(tmp_path, char):
+    path = tmp_path / "corpus.jsonl"
+    record = {"id": "a", "tagged_text": f"<cause>x{char}z</cause> made <effect>y</effect>"}
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert char in path.read_text(encoding="utf-8")  # written raw, not escaped
+    assert list(iter_jsonl_records(path)) == [record]
+    report = ingest_corpus_file(path, GraphStore())
+    assert (report.ingested, report.skipped) == (1, [])
+
+
+def test_jsonl_keeps_its_line_numbers_with_crlf_endings(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(f"{GOOD_LINE}\r\nnot json\r\n\r\n{GOOD_LINE}\r\n[1]\r\n".encode())
+    records = list(iter_jsonl_records(path))
+    assert [r["id"] for r in records] == ["a", "line-2", "a", "line-5"]
 
 
 def test_jsonl_missing_file():

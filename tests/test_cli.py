@@ -507,6 +507,38 @@ class MockVectorSession:
         return Reply({"data": [{"embedding": v.tolist()} for v in vectors]})
 
 
+class NullContentSession:
+    """A chat-completions endpoint whose reply has no message content."""
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return Reply({"choices": [{"message": {"content": None}}]})
+
+
+def test_llm_reply_without_string_content_exits_three_and_fails_each_sentence(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    import requests
+
+    from causeway import inference
+
+    monkeypatch.setattr(requests, "Session", NullContentSession)
+    monkeypatch.setattr(inference, "RETRY_BACKOFF_SECONDS", 0.0)
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    settings = {"client": {"kind": "http", "endpoint": "http://llm.local", "model": "m"}}
+    (tmp_path / "config.json").write_text(json.dumps(settings), encoding="utf-8")
+    config = ["--config", str(tmp_path / "config.json")]
+    capsys.readouterr()
+    message = "LLM request failed: reply content must be a string, not NoneType"
+    assert run([*config, "classify", "--sentence", "rain caused floods"], workspace) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+    out = tmp_path / "report.json"
+    args = ["evaluate", "--test", str(workspace["testset"]), "--k", "1", "--out", str(out)]
+    assert run([*config, *args], workspace) == 0
+    [report] = json.loads(out.read_text(encoding="utf-8"))
+    assert report["failures"] == [["t1", message], ["t2", message]]
+
+
 def drop_provider_record(path) -> None:
     write_v2_snapshot(GraphStore.load(path), path)
     doc = json.loads(path.read_text(encoding="utf-8"))
@@ -619,6 +651,24 @@ def test_deeply_nested_json_is_an_operational_error(workspace, capsys):
     workspace["testset"].write_text(DEEP_JSON + "\n", encoding="utf-8")
     assert run(["evaluate", "--test", str(workspace["testset"])], workspace) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_jsonl_lines_end_at_newline_and_a_bad_byte_fails_only_its_line(workspace, capsys):
+    corpus = workspace["corpus"]
+    corpus.write_bytes(CORPUS.encode().replace(b"markets", b"mark\xffets"))
+    assert run(["ingest", "--corpus", str(corpus), "--format", "json"], workspace) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["ingested"] == 2 and doc["skipped"] == [["line-2", "missing tagged_text"],
+                                                       ["d", "d: unclosed <cause>"]]
+    run(["embed"], workspace)
+    rows = [{"id": "t1", "text": "rain\x85fell and caused floods", "gold_label": 1}]
+    workspace["testset"].write_text(json.dumps(rows[0], ensure_ascii=False) + "\n",
+                                    encoding="utf-8")
+    out = workspace["dir"] / "report.json"
+    args = ["evaluate", "--test", str(workspace["testset"]), "--k", "1", "--out", str(out)]
+    assert run(args, workspace) == 0
+    [report] = json.loads(out.read_text(encoding="utf-8"))
+    assert report["failures"] == [] and report["confusion"]["tp"] + report["confusion"]["fn"] == 1
 
 
 @pytest.mark.parametrize("record", [{"text": 5}, {"text": None}, {"tagged_text": ["x"]}])

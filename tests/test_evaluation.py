@@ -170,6 +170,29 @@ def test_load_eval_dataset_requires_gold(tmp_path):
             load_eval_dataset(path)
 
 
+@pytest.mark.parametrize("char", ["\x85", "\u2028"])
+def test_eval_line_break_inside_a_string_stays_in_its_record(tmp_path, char):
+    path = tmp_path / "test.jsonl"
+    rows = [{"id": "a", "text": f"rain{char}fell", "gold_label": 1},
+            {"id": "b", "text": "calm", "gold_label": 0}]
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\r\n" for r in rows),
+                    encoding="utf-8")
+    assert load_eval_dataset(path) == [EvalRecord("a", f"rain{char}fell", 1),
+                                       EvalRecord("b", "calm", 0)]
+
+
+def test_eval_line_that_is_not_utf8_is_refused_by_its_number(tmp_path):
+    path = tmp_path / "test.jsonl"
+    path.write_bytes(b'{"id": "a", "text": "s", "gold_label": 1}\n\n'
+                     b'{"id": "b", "text": "caf\xe9", "gold_label": 0}\n')
+    # the position is within the line, which is decoded on its own
+    with pytest.raises(BadLabelError, match=(
+        "^line 3: not a JSON record: 'utf-8' codec can't decode byte 0xe9 in position 24: "
+        "invalid continuation byte$"
+    )):
+        load_eval_dataset(path)
+
+
 EVAL_VALUES = st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text(max_size=12)
 EVAL_LINES = st.dictionaries(
     st.sampled_from(["id", "text", "tagged_text", "gold_label"]),

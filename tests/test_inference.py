@@ -29,6 +29,7 @@ from causeway.inference import (
     prompt_hash,
     self_evaluate_tagging,
 )
+from causeway.prompting import estimate_tokens
 from causeway.retrieval import HybridConfig
 from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
 
@@ -252,6 +253,44 @@ def test_classify_gives_up_after_max_retries(provider):
     assert client.calls == 4  # initial attempt + 3 retries
 
 
+class CountingBudgeter(RateBudgeter):
+    """Admits every request at once and records each one's tokens."""
+
+    def __init__(self):
+        super().__init__()
+        self.acquired = []
+
+    def acquire(self, tokens: int) -> None:
+        self.acquired.append(tokens)
+
+
+class PromptRecordingClient(FlakyClient):
+    def complete(self, prompt: str) -> str:
+        self.prompt = prompt
+        return super().complete(prompt)
+
+
+def test_every_transport_attempt_acquires_the_rate_budget(provider):
+    budgeter = CountingBudgeter()
+    client = PromptRecordingClient(2, '{"tagged_sentence": "t", "label": 0}')
+    _, trace = classify("t", GraphStore(), provider, client, budgeter=budgeter,
+                        retry_sleeper=lambda _: None)
+    assert (client.calls, trace.retries) == (3, 2)
+    assert budgeter.acquired == [estimate_tokens(client.prompt)] * 3
+
+
+@pytest.mark.parametrize("limits", [
+    {"requests_per_minute": 0}, {"requests_per_minute": -1},
+    {"tokens_per_minute": 0}, {"tokens_per_minute": -5, "requests_per_minute": 10},
+])
+def test_rate_budgeter_refuses_limits_below_one(limits):
+    name = next(key for key, value in limits.items() if value < 1)
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got {limits[name]}"):
+        RateBudgeter(**limits)
+    RateBudgeter(requests_per_minute=1, tokens_per_minute=1)  # the least each allows
+    RateBudgeter()
+
+
 def test_classify_propagates_parse_failure(provider):
     client = CannedClient("the model rambled and produced no JSON at all")
     with pytest.raises(NoJsonFoundError):
@@ -437,6 +476,31 @@ def test_http_client_payload_and_errors(monkeypatch):
     bad = FakeSession({}, status=503)
     client = HttpLLMClient("http://llm.local/v1/chat", model="m", session=bad)
     with pytest.raises(TransportError):
+        client.complete("prompt")
+
+
+class ReplySession:
+    """A chat-completions endpoint whose reply holds ``content`` as its message."""
+
+    def __init__(self, content):
+        self.content = content
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+@pytest.mark.parametrize("content", [None, 5, 1.5, ["a"], {"label": 1}, True])
+def test_http_client_refuses_reply_content_that_is_not_a_string(content):
+    client = HttpLLMClient("http://llm.local/v1/chat", model="m", session=ReplySession(content))
+    with pytest.raises(TransportError, match=(
+        f"LLM request failed: reply content must be a string, not {type(content).__name__}$"
+    )):
         client.complete("prompt")
 
 

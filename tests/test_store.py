@@ -7,6 +7,7 @@ import os
 import pickle
 import random
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -676,6 +677,93 @@ def test_load_gives_the_store_the_public_writers_give(
     queries += [n.embedding for n in store.nodes(NodeKind.EVENT)[:4] if n.embedding is not None]
     cfg = HybridConfig(k=25, tau=-2.0)
     assert [query(loaded, q, cfg) for q in queries] == [query(want, q, cfg) for q in queries]
+
+
+def store_state(store: GraphStore) -> tuple:
+    """Everything a write can change, each vector and norm to the bit: the
+    nodes, every scoring row (dead ones too), ``embedded_by`` and stats."""
+    rows = store.scoring_rows()
+    n = len(rows.ids)
+    return (
+        [(node.id, node.kind, node.text,
+          None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
+        list(rows.ids),
+        b"".join(chunk.tobytes() for chunk in rows.chunks),
+        rows.norms[:n].tobytes(), rows.linked[:n].tobytes(), rows.alive[:n].tobytes(),
+        store.embedded_by,
+        store.stats().as_dict(),
+    )
+
+
+def test_a_refused_set_embeddings_writes_nothing(provider):
+    store = GraphStore()
+    for i in (1, 2):
+        small_event(store, f"event:{i}", f"text {i}")
+    batch_embed(store, provider)
+    before = store_state(store)
+    np_rng = np.random.default_rng(5)
+    pairs = [("event:1", random_unit_vector(np_rng)), ("event:2", None),
+             ("event:3", random_unit_vector(np_rng))]
+    with pytest.raises(UnknownIdError, match="'event:3'"):
+        store.set_embeddings(pairs)
+    assert store_state(store) == before
+    assert store.embedded_by == provider.identity
+
+
+def test_a_refused_upsert_node_keeps_embedded_by(provider):
+    store = GraphStore()
+    small_event(store)
+    batch_embed(store, provider)
+    before = store_state(store)
+    vector = random_unit_vector(np.random.default_rng(6))
+    with pytest.raises(KindViolationError):
+        store.upsert_node(Node("event:1", NodeKind.CAUSE, text="it happened", embedding=vector))
+    assert store_state(store) == before
+    assert store.embedded_by == provider.identity
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_events=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(-1, 3)), max_size=30),
+    keep_identity=st.booleans(),
+)
+def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
+    tmp_path_factory, n_events, seed, picks, keep_identity
+):
+    np_rng = np.random.default_rng(seed)
+    pool = [random_unit_vector(np_rng) * scale for scale in (1.0, 0.5, 3.0)]
+    shared = pool[0].copy()
+    shared.flags.writeable = False  # one read-only array for many nodes, as batch_embed gives
+    pool.append(shared)
+    stores = []
+    # many chunks, so that one call's rows span several, and early compaction
+    with mock.patch.object(store_module, "CHUNK_ROWS", 3):
+        for _ in range(2):
+            stores.append(written_store(n_events, seed, 3))
+        ids = [n.id for n in stores[0].nodes()]  # events, with and without text, and spans
+        if not ids:
+            return
+        pairs = [(ids[i % len(ids)], None if v < 0 else pool[v]) for i, v in picks]
+        # one call decides embedded_by from the vectors held before it, so a call that
+        # clears them all and then writes others may differ from one call per pair
+        embedded_by = stores[0].embedded_by if keep_identity else None
+        stores[0].set_embeddings(pairs, embedded_by)
+        for pair in pairs:
+            stores[1].set_embeddings([pair], embedded_by)
+        paths = [tmp_path_factory.mktemp("pairs") / "graph.json" for _ in stores]
+        for store, path in zip(stores, paths):
+            store.save(path)
+    assert snapshot_files(paths[0]) == snapshot_files(paths[1])
+    one, each = stores
+    assert one.nodes() == each.nodes()
+    for a, b in zip(one.nodes(), each.nodes()):
+        assert (a.embedding is None) == (b.embedding is None)
+        assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
+    assert live_rows(one) == live_rows(each)
+    assert one.embedded_by == each.embedded_by
+    assert one.stats() == each.stats()
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
