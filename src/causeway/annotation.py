@@ -183,10 +183,14 @@ def ingest_corpus(records: Iterable[Mapping], store: GraphStore) -> IngestReport
 
     Each record needs ``id`` and ``tagged_text``; ``gold_label`` (0/1/null)
     and ``relevant`` (default true) are optional. A malformed record never
-    aborts the batch. The batch expects exclusive write access: do not read
-    from or write to the store concurrently while it runs.
+    aborts the batch. Every fragment goes to the store in one ``insert``,
+    under one write lock: readers see the store before the ingest or after
+    it, and a node the store refuses (one whose kind would change) aborts
+    the ingest with nothing written.
     """
     report = IngestReport()
+    nodes: list[Node] = []
+    edges: list[Edge] = []
     for position, record in enumerate(records):
         rec_id = str(record.get("id", f"record-{position}"))
         if not record.get("relevant", True):
@@ -204,13 +208,14 @@ def ingest_corpus(records: Iterable[Mapping], store: GraphStore) -> IngestReport
             report.skipped.append((rec_id, str(exc)))
             continue
         fragment = build_causal_fragment(sentence)
+        nodes += fragment.nodes
+        edges += fragment.edges
         for node in fragment.nodes:
-            store.upsert_node(node)
             report.node_counts[node.kind] += 1
         for edge in fragment.edges:
-            store.add_edge(edge)
             report.edge_counts[edge.kind] += 1
         report.ingested += 1
+    store.insert(nodes, edges)
     if report.skipped:
         logger.info("ingest skipped %d record(s)", len(report.skipped))
     return report
@@ -232,10 +237,11 @@ def iter_jsonl_records(path: str | Path) -> Iterable[Mapping]:
     Lines end at ``"\\n"`` alone, so a line break that ``json.dumps`` leaves
     raw inside a string (U+2028, U+0085) stays in its record. A line that
     is not one JSON object is split again at every line break
-    ``str.splitlines`` knows, and each nonblank piece read on its own. A
-    line that is not UTF-8, or a piece that is not a JSON object or nests
-    too deeply to decode, yields ``{"id": "line-N", "tagged_text": None}``
-    so ingest_corpus lists it as skipped instead of aborting.
+    ``str.splitlines`` knows, and each nonblank piece read on its own; a
+    line that is its own one piece is not read again. A line that is not
+    UTF-8, or a piece that is not a JSON object or nests too deeply to
+    decode, yields ``{"id": "line-N", "tagged_text": None}`` so
+    ingest_corpus lists it as skipped instead of aborting.
     """
     try:
         data = Path(path).read_bytes()
@@ -251,10 +257,13 @@ def iter_jsonl_records(path: str | Path) -> Iterable[Mapping]:
         if record is not None:
             yield record
             continue
-        for piece in line.splitlines():  # not one object: each piece on its own
-            if piece.strip():
-                record = _json_object(piece)
-                yield {"id": f"line-{lineno}", "tagged_text": None} if record is None else record
+        pieces = line.splitlines()
+        if pieces == [line.rstrip("\r")]:  # its own one piece, read already: JSON skips a "\r"
+            records = [None] if line.strip() else []
+        else:  # each nonblank piece on its own
+            records = [_json_object(piece) for piece in pieces if piece.strip()]
+        for record in records:
+            yield {"id": f"line-{lineno}", "tagged_text": None} if record is None else record
 
 
 def ingest_corpus_file(path: str | Path, store: GraphStore) -> IngestReport:

@@ -246,17 +246,23 @@ def batch_embed(
     eligible = [n for n in nodes if n.text is not None and n.embedding is None]
     report = EmbedReport()
     unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
-    if store.embedded_by == provider.identity:
-        # the vectors this provider made for texts the store holds, but an
-        # event's: it is a view of its scoring row, which sharing would keep
-        # alive after compaction; and a writable array is its caller's
-        unit = {
-            n.text: n.embedding
-            for n in nodes
-            if n.kind is not NodeKind.EVENT
-            and n.embedding is not None
-            and not n.embedding.flags.writeable
-        }
+    if eligible and store.embedded_by == provider.identity:
+        # the vector this provider made for each eligible text that the
+        # store holds, the last node's; but not an event's: it is a view of
+        # its scoring row, which sharing would keep alive after compaction;
+        # and a writable array is its caller's
+        wanted = {n.text for n in eligible}
+        for n in reversed(nodes):
+            if (
+                n.text in wanted
+                and n.kind is not NodeKind.EVENT
+                and n.embedding is not None
+                and not n.embedding.flags.writeable
+            ):
+                unit[n.text] = n.embedding
+                wanted.discard(n.text)
+                if not wanted:
+                    break
     start = 0
     while start < len(eligible):
         fresh: dict[str, Node] = {}  # the batch's new texts -> first node holding each

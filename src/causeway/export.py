@@ -2,7 +2,9 @@
 
 DOT output is one node or edge statement per line so it stays trivially
 machine-countable. The Cypher export emits CREATE statements mirroring the
-three relationship types for loading into an external graph database.
+three relationship types for loading into an external graph database, one
+per line too: a line break in an id or a text is escaped as ``\\n`` or
+``\\r``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ _NODE_SHAPES = {
 }
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r"})
+
+
 def _escape(value: str) -> str:
-    """Backslash-escape a DOT or Cypher double-quoted string."""
-    return value.replace("\\", "\\\\").replace('"', '\\"')
+    """Backslash-escape a DOT or Cypher double-quoted string, line breaks
+    too, so that each statement stays on one line."""
+    return value.translate(_ESCAPES)
 
 
 def render_dot(

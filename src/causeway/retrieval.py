@@ -101,10 +101,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     Considers exactly the events with non-null embedding and text, scored
     elementwise in float64, so each result's ``hybrid_score`` equals
     ``hybrid_score(embedding_similarity, structural_score, cfg)``. S is the
-    row's linked bit; neighbor texts are collected only for the top-k, and
-    their lengths are the counts. The whole query holds one read lock, so
-    it sees a single consistent store. ``q`` must pass ``check_embedding``,
-    as every stored vector has.
+    row's linked bit; the top-k's texts and neighbor texts are collected in
+    one store call, and the neighbor lists' lengths are the counts. The
+    whole query holds one read lock, so it sees a single consistent store.
+    ``q`` must pass ``check_embedding``, as every stored vector has.
     """
     qv, q_norm = check_embedding(q)
 
@@ -127,28 +127,24 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
             kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
             candidates = candidates[top >= kth]
         # a Python sort on the ids: numpy string arrays drop trailing NULs
-        ranked = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))
-
-        results = []
-        for row in ranked[: cfg.k]:
-            event_id = rows.ids[row]
-            cause_texts, effect_texts, trigger_texts = store.collect_texts(event_id)
-            results.append(
-                RetrievalResult(
-                    event_id=event_id,
-                    event_text=store.get_node(event_id).text,
-                    hybrid_score=float(scores[row]),
-                    embedding_similarity=float(sims[row]),
-                    structural_score=int(rows.linked[row]),
-                    cause_count=len(cause_texts),
-                    effect_count=len(effect_texts),
-                    trigger_count=len(trigger_texts),
-                    cause_texts=tuple(cause_texts),
-                    effect_texts=tuple(effect_texts),
-                    trigger_texts=tuple(trigger_texts),
-                )
+        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))[: cfg.k]
+        texts = store.event_texts([rows.ids[row] for row in best])
+        return [
+            RetrievalResult(
+                event_id=rows.ids[row],
+                event_text=event_text,
+                hybrid_score=float(scores[row]),
+                embedding_similarity=float(sims[row]),
+                structural_score=int(rows.linked[row]),
+                cause_count=len(cause_texts),
+                effect_count=len(effect_texts),
+                trigger_count=len(trigger_texts),
+                cause_texts=tuple(cause_texts),
+                effect_texts=tuple(effect_texts),
+                trigger_texts=tuple(trigger_texts),
             )
-    return results
+            for row, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
+        ]
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ Storage is in-memory with optional snapshot persistence: a JSON document
 of nodes and edges plus one ``.npy`` file of their vectors. Edges have
 set semantics (duplicates are idempotent) but preserve first-insertion
 order, which fixes the order of collected neighbor texts; adjacency is
-kept on each edge's one Event endpoint. Many readers or one writer.
+kept on each edge's one Event endpoint. Many readers or one writer: one
+``insert`` writes any number of nodes and edges under one write lock, and
+one ``event_texts`` reads the texts of any number of events (a query's
+results) under one read lock.
 
 A snapshot (version 3) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` file (-1 for
@@ -119,7 +122,9 @@ def check_embedding(vector) -> tuple[np.ndarray, float]:
     return arr, math.sqrt(squared_norm)
 
 
-@dataclass(eq=False)
+# slots: a store holds one per node, and an ingest holds its records' nodes
+# beside the store's own until its one insert
+@dataclass(eq=False, slots=True)
 class Node:
     id: str
     kind: NodeKind
@@ -259,6 +264,27 @@ def _in_record(path, where: str, exc: Exception) -> Exception:
 
 def _not_a(kind: type[Enum], value) -> ValueError:
     return ValueError(f"{value!r} is not a valid {kind.__name__}")
+
+
+def _checked(vectors) -> tuple[list, CausewayError | None]:
+    """``check_embedding`` of each of ``vectors`` (None for None) up to the
+    first it refuses, and that refusal (None if none). A read-only array is
+    checked once however many times it comes: ``batch_embed`` gives every
+    node of one text the same one."""
+    checks, seen = [], {}  # id of a read-only array -> (the array, its check)
+    for vec in vectors:
+        try:
+            if vec is None:
+                checks.append(None)
+            elif isinstance(vec, np.ndarray) and not vec.flags.writeable:
+                if id(vec) not in seen:
+                    seen[id(vec)] = (vec, check_embedding(vec))
+                checks.append(seen[id(vec)][1])
+            else:
+                checks.append(check_embedding(vec))
+        except CausewayError as exc:
+            return checks, exc
+    return checks, None
 
 
 def _kind_change(node_id: str, old: NodeKind, new: NodeKind) -> KindViolationError:
@@ -718,18 +744,60 @@ class GraphStore:
     # --- nodes ---
 
     def upsert_node(self, node: Node) -> str:
-        checked = None if node.embedding is None else check_embedding(node.embedding)
-        with self.lock.write():
-            existing = self._nodes.get(node.id)
-            if existing is None:
-                existing = self._nodes[node.id] = Node(node.id, node.kind, node.text)
-                if checked is None:  # nothing to write
-                    return node.id
-            elif existing.kind is not node.kind:
-                raise _kind_change(node.id, existing.kind, node.kind)
-            existing.text = node.text
-            self._write([(node.id, checked)], None)
+        self.insert((node,))
         return node.id
+
+    def insert(self, nodes, edges=()) -> None:
+        """Write ``nodes``, then ``edges``, under one write-lock hold, as if
+        by ``upsert_node`` and ``add_edge`` one at a time, or write nothing:
+        the whole call is checked first, and a refused call raises what the
+        first refused node or edge would raise, nodes in order, then edges.
+
+        A node's text replaces the stored one, and so does its embedding: a
+        node without one clears the stored vector. An edge already held, or
+        given twice, is added once, in first-insertion order.
+        """
+        nodes, edges = list(nodes), list(edges)
+        checks, fault = _checked([node.embedding for node in nodes])
+        with self.lock.write():
+            stored = self._nodes
+            added: dict[str, NodeKind] = {}  # id -> kind of each node the call adds
+            for node in nodes[: len(checks)]:  # a node with a refused vector is refused first
+                existing = stored.get(node.id)
+                kind = added.setdefault(node.id, node.kind) if existing is None else existing.kind
+                if kind is not node.kind:
+                    raise _kind_change(node.id, kind, node.kind)
+            if fault is not None:
+                raise fault
+            for edge in edges:
+                src, dst = stored.get(edge.src), stored.get(edge.dst)
+                src_kind = added.get(edge.src) if src is None else src.kind
+                dst_kind = added.get(edge.dst) if dst is None else dst.kind
+                if src_kind is None or dst_kind is None:
+                    raise _missing_endpoint(edge.src if src_kind is None else edge.dst)
+                refused = _endpoint_fault(edge.kind, src_kind, dst_kind)
+                if refused is not None:
+                    raise refused
+            writes = []  # (id, check) of every node but one the call adds without a vector
+            for node, check in zip(nodes, checks):
+                existing = stored.get(node.id)
+                if existing is None:
+                    stored[node.id] = Node(node.id, node.kind, node.text)
+                    if check is None:  # nothing to write
+                        continue
+                else:
+                    existing.text = node.text
+                writes.append((node.id, check))
+            if writes:
+                self._write(writes, None)
+            new = []  # the edges the store lacks, each once, in order
+            for edge in edges:
+                if edge not in self._edges:
+                    self._edges[edge] = None
+                    new.append(edge)
+            self._adjoin(new)
+            rows = (self._row_of.get(e.src if _EVENT_AT_SRC[e.kind] else e.dst) for e in new)
+            self._linked.put([row for row in rows if row is not None], True)
 
     def get_node(self, node_id: str) -> Node:
         with self.lock.read():
@@ -750,20 +818,13 @@ class GraphStore:
         keeps it as ``embedded_by`` only if that provider made every vector
         it held before, and writing a vector without it clears that.
         """
-        checked, seen = [], {}  # id of a read-only array -> (the array, its check)
-        for node_id, vec in pairs:
-            if vec is None:
-                checked.append((node_id, None))
-            elif isinstance(vec, np.ndarray) and not vec.flags.writeable:
-                # checked once however many nodes hold it: batch_embed gives
-                # every node of one text the same read-only array
-                if id(vec) not in seen:
-                    seen[id(vec)] = (vec, check_embedding(vec))
-                checked.append((node_id, seen[id(vec)][1]))
-            else:
-                checked.append((node_id, check_embedding(vec)))
+        pairs = list(pairs)
+        checks, fault = _checked([vec for _, vec in pairs])
+        if fault is not None:
+            raise fault
         with self.lock.write():
-            self._write(checked, embedded_by)
+            self._write([(node_id, check) for (node_id, _), check in zip(pairs, checks)],
+                        embedded_by)
 
     def _write(self, checked: list, embedded_by: str | None) -> None:
         """Write each (node id, ``check_embedding`` result or None) of ``checked``,
@@ -860,21 +921,7 @@ class GraphStore:
     # --- edges ---
 
     def add_edge(self, edge: Edge) -> None:
-        with self.lock.write():
-            src = self._nodes.get(edge.src)
-            dst = self._nodes.get(edge.dst)
-            if src is None or dst is None:
-                raise _missing_endpoint(edge.src if src is None else edge.dst)
-            fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
-            if fault is not None:
-                raise fault
-            if edge in self._edges:
-                return
-            self._edges[edge] = None
-            self._adjoin((edge,))
-            row = self._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
-            if row is not None:
-                self._linked[row] = True
+        self.insert((), (edge,))
 
     def _adjoin(self, edges) -> None:
         """Add each of the new ``edges`` to the adjacency of its event."""
@@ -909,9 +956,18 @@ class GraphStore:
 
     def collect_texts(self, event_id: str) -> tuple[list[str], list[str], list[str]]:
         """(cause, effect, trigger) neighbor texts in edge-insertion order."""
+        return self.event_texts((event_id,))[0][1:]
+
+    def event_texts(self, event_ids) -> list[tuple[str | None, list[str], list[str], list[str]]]:
+        """Per event id, under one read lock: the event's text, then its
+        cause, effect and trigger neighbor texts as ``collect_texts`` gives them."""
         with self.lock.read():
-            nodes = self._nodes
-            return tuple([nodes[i].text or "" for i in ids] for ids in self._neighbors(event_id))
+            nodes, texts = self._nodes, []
+            for event_id in event_ids:
+                neighbors = self._neighbors(event_id)  # refuses an unknown id or a non-event
+                neighbor_texts = ([nodes[i].text or "" for i in ids] for ids in neighbors)
+                texts.append((nodes[event_id].text, *neighbor_texts))
+            return texts
 
     # --- reporting ---
 

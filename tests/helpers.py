@@ -3,7 +3,8 @@
 Oracles here deliberately avoid the code paths they check: offsets come
 from a naive substring scanner, neighbor counts from a raw edge scan,
 retrieval scores from math.fsum arithmetic instead of numpy, prompts from
-ElementTree instead of string assembly.
+ElementTree instead of string assembly, node and edge writes from the
+one-at-a-time writers that ``GraphStore.insert`` replaced.
 """
 
 from __future__ import annotations
@@ -23,12 +24,17 @@ import numpy as np
 from causeway.errors import XmlCharacterError
 from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec
 from causeway.store import (
+    _EVENT_AT_SRC,
     EMBEDDING_DIM,
     Edge,
     EdgeKind,
     GraphStore,
     Node,
     NodeKind,
+    _endpoint_fault,
+    _kind_change,
+    _missing_endpoint,
+    check_embedding,
 )
 
 # fixed-width distinct tokens: span texts can only match at token boundaries,
@@ -221,6 +227,69 @@ def live_row_ids(store: GraphStore) -> list[str]:
     """Event ids of the store's live scoring rows, in row order."""
     rows = store.scoring_rows()
     return [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive]
+
+
+def store_state(store: GraphStore) -> tuple:
+    """Everything a node write can change, each vector and norm to the bit:
+    the nodes, every scoring row (dead ones too), ``embedded_by`` and stats."""
+    rows = store.scoring_rows()
+    n = len(rows.ids)
+    return (
+        [(node.id, node.kind, node.text,
+          None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
+        list(rows.ids),
+        b"".join(chunk.tobytes() for chunk in rows.chunks),
+        rows.norms[:n].tobytes(), rows.linked[:n].tobytes(), rows.alive[:n].tobytes(),
+        store.embedded_by,
+        store.stats().as_dict(),
+    )
+
+
+def reference_upsert_node(store: GraphStore, node: Node) -> str:
+    """``GraphStore.upsert_node`` as it was before it became a one-node
+    ``insert``: one node, under a write lock of its own. Kept as the
+    reference that ``insert`` must match call for call."""
+    checked = None if node.embedding is None else check_embedding(node.embedding)
+    with store.lock.write():
+        existing = store._nodes.get(node.id)
+        if existing is None:
+            existing = store._nodes[node.id] = Node(node.id, node.kind, node.text)
+            if checked is None:  # nothing to write
+                return node.id
+        elif existing.kind is not node.kind:
+            raise _kind_change(node.id, existing.kind, node.kind)
+        existing.text = node.text
+        store._write([(node.id, checked)], None)
+    return node.id
+
+
+def reference_add_edge(store: GraphStore, edge: Edge) -> None:
+    """``GraphStore.add_edge`` as it was before it became a one-edge
+    ``insert``: one edge, under a write lock of its own."""
+    with store.lock.write():
+        src = store._nodes.get(edge.src)
+        dst = store._nodes.get(edge.dst)
+        if src is None or dst is None:
+            raise _missing_endpoint(edge.src if src is None else edge.dst)
+        fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
+        if fault is not None:
+            raise fault
+        if edge in store._edges:
+            return
+        store._edges[edge] = None
+        store._adjoin((edge,))
+        row = store._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
+        if row is not None:
+            store._linked[row] = True
+
+
+def reference_insert(store: GraphStore, nodes, edges) -> None:
+    """What ``GraphStore.insert`` must write: each node, then each edge, one
+    call at a time through the reference writers."""
+    for node in nodes:
+        reference_upsert_node(store, node)
+    for edge in edges:
+        reference_add_edge(store, edge)
 
 
 def oracle_neighbor_counts(store: GraphStore, event_id: str) -> tuple[int, int, int]:

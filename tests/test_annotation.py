@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from causeway import annotation
 from causeway.annotation import (
     AnnotatedSentence,
     build_causal_fragment,
@@ -16,15 +18,17 @@ from causeway.annotation import (
     parse_tagged_sentence,
     strip_tags,
 )
+from causeway.embedding import batch_embed
 from causeway.errors import (
     CausewayError,
+    KindViolationError,
     MalformedTagError,
     SourceUnreadableError,
     UnknownTagKindError,
 )
-from causeway.store import EdgeKind, GraphStore, NodeKind
+from causeway.store import EdgeKind, GraphStore, Node, NodeKind
 
-from helpers import make_tagged_sentence, naive_span_offsets, reference_corpus
+from helpers import make_tagged_sentence, naive_span_offsets, reference_corpus, store_state
 
 
 def test_parse_basic_cause_effect():
@@ -245,6 +249,42 @@ def test_ingest_reference_profile_counts():
     assert report.total_edges == stats.total_edges
 
 
+def test_a_refused_ingest_writes_nothing(provider):
+    store = GraphStore()
+    ingest_corpus([{"id": "c", "tagged_text": "<cause>heat</cause> <trigger>led to</trigger> "
+                                             "<effect>fires</effect>"}], store)
+    store.upsert_node(Node("event:b", NodeKind.CAUSE, text="a cause"))
+    batch_embed(store, provider)
+    before = store_state(store), store.edges()
+    records = [
+        {"id": "a", "tagged_text": "<cause>rain</cause> made <effect>floods</effect>"},
+        {"id": "b", "tagged_text": "<cause>wind</cause> made <effect>damage</effect>"},
+    ]
+    with pytest.raises(KindViolationError,
+                       match=re.escape("node 'event:b' is Cause, cannot change to Event")):
+        ingest_corpus(records, store)
+    # nodes, embeddings, scoring rows, embedded_by and edges as they were
+    assert (store_state(store), store.edges()) == before
+    assert store.embedded_by == provider.identity
+
+
+def test_ingest_holds_the_write_lock_once(rng):
+    store = GraphStore()
+    records = [{"id": f"r{i}", "tagged_text": make_tagged_sentence(rng)[0]} for i in range(30)]
+    records.append({"id": "r0", "tagged_text": records[0]["tagged_text"]})  # ingested again
+    entries = []
+    write = store.lock.write
+
+    def counted_write():
+        entries.append(1)
+        return write()
+
+    store.lock.write = counted_write
+    report = ingest_corpus(records, store)
+    assert report.ingested == 31
+    assert len(entries) == 1
+
+
 def test_jsonl_ingest_roundtrip(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(
@@ -304,6 +344,24 @@ def test_jsonl_keeps_its_line_numbers_with_crlf_endings(tmp_path):
     path.write_bytes(f"{GOOD_LINE}\r\nnot json\r\n\r\n{GOOD_LINE}\r\n[1]\r\n".encode())
     records = list(iter_jsonl_records(path))
     assert [r["id"] for r in records] == ["a", "line-2", "a", "line-5"]
+
+
+def test_jsonl_reads_a_line_that_is_not_one_object_once(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("[" * 100_000 + f"\nnot json\n{GOOD_LINE}\n[1]\r\n", encoding="utf-8")
+    read = []
+    json_object = annotation._json_object
+
+    def counted(text):
+        read.append(len(text))
+        return json_object(text)
+
+    monkeypatch.setattr(annotation, "_json_object", counted)
+    records = list(iter_jsonl_records(path))
+    assert records == [{"id": "line-1", "tagged_text": None}, {"id": "line-2", "tagged_text": None},
+                       json.loads(GOOD_LINE), {"id": "line-4", "tagged_text": None}]
+    # each line once, the last (empty) one too; JSON reads "[1]\r" as "[1]"
+    assert read == [100_000, 8, len(GOOD_LINE), 4, 0]
 
 
 def test_jsonl_missing_file():

@@ -425,6 +425,59 @@ def test_after_ingest_only_texts_the_store_does_not_hold_are_sent(tmp_path):
     assert provider.sent == Counter({"heavy rain": 1})
 
 
+def whole_store_reuse(store: GraphStore, provider) -> dict:
+    """Text -> the read-only array ``batch_embed`` reused for it when it
+    scanned the whole store: the last non-event node's, in store order."""
+    if store.embedded_by != provider.identity:
+        return {}
+    return {
+        n.text: n.embedding
+        for n in store.nodes()
+        if n.kind is not NodeKind.EVENT and n.embedding is not None
+        and not n.embedding.flags.writeable
+    }
+
+
+def span_records(rng: random.Random, prefix: str, n: int) -> list[dict]:
+    """``n`` records, each of its own event text, with a cause, a trigger and
+    an effect from 20, 8 and 20 texts, every one of which the first 20 use."""
+    records = []
+    for i in range(n):
+        picks = [i if i < 20 else rng.randrange(20) for _ in range(3)]
+        records.append({"id": f"{prefix}{i}", "tagged_text": (
+            f"<cause>cause {picks[0]}</cause> <trigger>trigger {picks[1] % 8}</trigger> "
+            f"<effect>effect {picks[2]}</effect> in {prefix}{i}"
+        )})
+    return records
+
+
+def test_only_new_texts_are_sent_and_the_reused_array_is_the_last_nodes(provider):
+    rng = random.Random(11)
+    store = GraphStore()
+    ingest_corpus(span_records(rng, "base", 1000), store)
+    batch_embed(store, provider)
+    sent = 0
+    for r in range(10):
+        # a read-only copy on some span nodes: one text, several arrays to pick from
+        spans = [n for n in store.nodes() if n.kind is not NodeKind.EVENT]
+        copies = []
+        for node in rng.sample(spans, 30):
+            copy = node.embedding.copy()
+            copy.flags.writeable = False
+            copies.append((node.id, copy))
+        store.set_embeddings(copies, provider.identity)
+        ingest_corpus(span_records(rng, f"g{r}-", 100), store)
+        want = whole_store_reuse(store, provider)
+        new = [n for n in store.nodes() if n.text is not None and n.embedding is None]
+        report = batch_embed(store, provider)
+        sent += report.texts_sent
+        assert report.total_embedded == len(new) == 400
+        for node in new:
+            if node.kind is not NodeKind.EVENT:
+                assert store.get_node(node.id).embedding is want[node.text], node.id
+    assert sent == 1000  # each new event's text, and no span text again
+
+
 def test_a_bad_vector_names_the_first_node_holding_its_text():
     store = GraphStore()
     for i, text in enumerate(["fine", "bad", "bad"]):

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from causeway.annotation import build_causal_fragment, parse_tagged_sentence
+from causeway.annotation import build_causal_fragment, ingest_corpus, parse_tagged_sentence
 from causeway.errors import NotAnEventError, UnknownIdError
 from causeway.export import (
     event_subgraph_dot,
@@ -102,3 +102,19 @@ def test_cypher_edges_reference_node_ids():
     text = store_to_cypher(store)
     assert 'MATCH (a {id: "cause:1:0"}), (b {id: "event:1"}) ' in text
     assert "CREATE (a)-[:CAUSES]->(b);" in text
+
+
+@pytest.mark.parametrize("cut", ["\n", "\r", "\r\n"])
+def test_a_line_break_in_a_text_keeps_one_statement_per_line(cut):
+    store = GraphStore()
+    tagged = f"<cause>rain{cut}fall</cause> led to <effect>flo{cut}ods</effect>"
+    ingest_corpus([{"id": f"s{cut}1", "tagged_text": tagged}], store)
+    nodes, edges = len(store.nodes()), len(store.edges())
+    assert (nodes, edges) == (3, 2)
+    dot = store_to_dot(store)
+    # the opening line, rankdir and the closing brace
+    assert len(dot.splitlines()) == 3 + nodes + edges
+    assert count_dot_statements(dot) == (nodes, edges)
+    assert f"rain{cut}fall" not in dot
+    # the comment line
+    assert len(store_to_cypher(store).splitlines()) == 1 + nodes + edges

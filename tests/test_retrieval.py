@@ -341,7 +341,7 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
 
 def test_query_holds_one_read_lock_against_writers(rng):
     store = random_store(rng, n_events=20)
-    original = store.collect_texts
+    scoring_rows, event_texts = store.scoring_rows, store.event_texts
     writer_done = threading.Event()
     seen_done = []
 
@@ -351,19 +351,41 @@ def test_query_holds_one_read_lock_against_writers(rng):
 
     writer = threading.Thread(target=write, daemon=True)
 
-    def collect_texts(event_id):
-        if not seen_done:
-            writer.start()
-            writer_done.wait(0.2)  # room for the writer between two scan steps
+    def started_scan():
+        writer.start()
+        writer_done.wait(0.2)  # room for the writer between two scan steps
         seen_done.append(writer_done.is_set())
-        return original(event_id)
+        return scoring_rows()
 
-    store.collect_texts = collect_texts
+    def collected(event_ids):
+        seen_done.append(writer_done.is_set())
+        return event_texts(event_ids)
+
+    store.scoring_rows, store.event_texts = started_scan, collected
     query(store, random_unit_vector(np.random.default_rng(3)), HybridConfig(tau=-1.0))
     assert len(seen_done) > 1
     assert not any(seen_done)  # the writer stayed blocked for the whole query
     writer.join(timeout=5)
     assert writer_done.is_set()
+
+
+def test_query_enters_the_read_lock_as_often_whatever_k(rng):
+    store = random_store(rng, n_events=60, embed_fraction=1.0, text_fraction=1.0)
+    read = store.lock.read
+    entries = []
+
+    def counted_read():
+        entries.append(1)
+        return read()
+
+    store.lock.read = counted_read
+    q = random_unit_vector(np.random.default_rng(4))
+    counts = []
+    for k in (1, 5, 20, 60):
+        entries.clear()
+        assert len(query(store, q, HybridConfig(tau=-1.0, k=k))) == k
+        counts.append(len(entries))
+    assert counts == [counts[0]] * 4
 
 
 def test_query_threshold_superset_prefix(rng):

@@ -46,6 +46,8 @@ from helpers import (
     oracle_neighbor_counts,
     random_store,
     random_unit_vector,
+    reference_insert,
+    store_state,
     write_v1_snapshot,
     write_v2_snapshot,
 )
@@ -245,6 +247,28 @@ def test_collect_texts_agrees_with_counts(rng):
         assert (len(causes), len(effects), len(triggers)) == store.neighbor_counts(
             node.id
         )
+
+
+def test_event_texts_gives_each_events_text_and_collect_texts(rng):
+    store = random_store(rng, n_events=40)
+    ids = [node.id for node in store.nodes(NodeKind.EVENT)]
+    ids += ids[:3]  # an id asked for twice is given twice
+    want = [(store.get_node(i).text, *store.collect_texts(i)) for i in ids]
+    assert store.event_texts(ids) == want
+    assert store.event_texts([]) == []
+
+
+@pytest.mark.parametrize("bad", ["event:ghost", "cause:x"])
+def test_event_texts_refuses_what_collect_texts_refuses(bad):
+    store = GraphStore()
+    small_event(store)
+    store.upsert_node(Node("cause:x", NodeKind.CAUSE, text="c"))
+    with pytest.raises(CausewayError) as want:
+        store.collect_texts(bad)
+    assert type(want.value) in (UnknownIdError, NotAnEventError)
+    with pytest.raises(type(want.value)) as got:
+        store.event_texts(["event:1", bad])
+    assert str(got.value) == str(want.value)
 
 
 def test_stats_empty_store():
@@ -679,22 +703,6 @@ def test_load_gives_the_store_the_public_writers_give(
     assert [query(loaded, q, cfg) for q in queries] == [query(want, q, cfg) for q in queries]
 
 
-def store_state(store: GraphStore) -> tuple:
-    """Everything a write can change, each vector and norm to the bit: the
-    nodes, every scoring row (dead ones too), ``embedded_by`` and stats."""
-    rows = store.scoring_rows()
-    n = len(rows.ids)
-    return (
-        [(node.id, node.kind, node.text,
-          None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
-        list(rows.ids),
-        b"".join(chunk.tobytes() for chunk in rows.chunks),
-        rows.norms[:n].tobytes(), rows.linked[:n].tobytes(), rows.alive[:n].tobytes(),
-        store.embedded_by,
-        store.stats().as_dict(),
-    )
-
-
 def test_a_refused_set_embeddings_writes_nothing(provider):
     store = GraphStore()
     for i in (1, 2):
@@ -764,6 +772,99 @@ def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
     assert live_rows(one) == live_rows(each)
     assert one.embedded_by == each.embedded_by
     assert one.stats() == each.stats()
+
+
+# per kind, ids some of which written_store holds; "event:9" it never holds
+INSERT_IDS = {kind: [f"{kind.value.lower()}:{i}" for i in range(3)] for kind in NodeKind}
+ALL_INSERT_IDS = [node_id for ids in INSERT_IDS.values() for node_id in ids] + ["event:9"]
+KINDS = list(NodeKind)
+
+
+@st.composite
+def insert_calls(draw):
+    """Nodes and edges for one ``insert`` call: repeated ids, missing texts,
+    vectors or none (a shared read-only one, a scaled one, now and then a
+    zero one), a node now and then of another kind than its id's, and
+    edges mostly between nodes of the kinds their kind wants."""
+    nodes = []
+    for kind, i, other, text, vector in draw(st.lists(st.tuples(
+        st.sampled_from(KINDS), st.integers(0, 2), st.integers(0, 11),
+        st.sampled_from([None, "a", "b", "c"]),
+        st.sampled_from([None, None, 0, 1, 2, 3, 3, 4]),
+    ), max_size=12)):
+        node_kind = KINDS[(KINDS.index(kind) + 1) % 4] if other == 0 else kind
+        nodes.append((INSERT_IDS[kind][i], node_kind, text, vector))
+    edges = []
+    for kind, i, j, wild in draw(st.lists(st.tuples(
+        st.sampled_from(list(EdgeKind)), st.integers(0, 2), st.integers(0, 2),
+        st.integers(0, 9),
+    ), max_size=10)):
+        src_kind, dst_kind = store_module.EDGE_ENDPOINTS[kind]
+        src, dst = INSERT_IDS[src_kind][i], INSERT_IDS[dst_kind][j]
+        if wild == 0:
+            src = ALL_INSERT_IDS[(i * 5 + j) % len(ALL_INSERT_IDS)]
+        elif wild == 1:
+            dst = ALL_INSERT_IDS[(j * 7 + i) % len(ALL_INSERT_IDS)]
+        edges.append(Edge(src, dst, kind))
+    return nodes, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_events=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+    call=insert_calls(),
+)
+@example(  # a kind refused after a write the loop makes: insert makes none
+    n_events=2, seed=0,
+    call=([("cause:0", NodeKind.CAUSE, "a", 0), ("event:1", NodeKind.CAUSE, None, None)], []),
+)
+@example(  # a zero vector after a kind refusal: the kind is refused first
+    n_events=2, seed=0,
+    call=([("event:1", NodeKind.CAUSE, "a", None), ("cause:2", NodeKind.CAUSE, "b", 4)], []),
+)
+@example(  # an edge to a node the call itself adds
+    n_events=0, seed=0,
+    call=([("event:0", NodeKind.EVENT, "a", 0), ("trigger:1", NodeKind.TRIGGER, "t", None)],
+          [Edge("event:0", "trigger:1", EdgeKind.HAS_TRIGGER)] * 2),
+)
+def test_insert_writes_what_one_call_per_node_and_edge_writes(
+    tmp_path_factory, n_events, seed, call
+):
+    np_rng = np.random.default_rng(seed)
+    pool = [random_unit_vector(np_rng) * scale for scale in (1.0, 0.5, 3.0)]
+    shared = pool[0].copy()
+    shared.flags.writeable = False  # one read-only array for many nodes, as batch_embed gives
+    pool += [shared, np.zeros(EMBEDDING_DIM)]
+    nodes = [Node(i, kind, text, None if v is None else pool[v]) for i, kind, text, v in call[0]]
+    edges = call[1]
+    # many chunks, so that one call's rows span several, and early compaction
+    with mock.patch.object(store_module, "CHUNK_ROWS", 3):
+        one, each = (written_store(n_events, seed, 3) for _ in range(2))
+        try:
+            reference_insert(each, nodes, edges)
+        except CausewayError as exc:
+            before = (store_state(one), one.edges())
+            with pytest.raises(type(exc)) as refused:
+                one.insert(nodes, edges)
+            assert str(refused.value) == str(exc)
+            assert (store_state(one), one.edges()) == before  # a refused call writes nothing
+            return
+        one.insert(nodes, edges)
+        paths = [tmp_path_factory.mktemp("insert") / "graph.json" for _ in range(2)]
+        for store, path in zip((one, each), paths):
+            store.save(path)
+    assert snapshot_files(paths[0]) == snapshot_files(paths[1])
+    assert one.nodes() == each.nodes()
+    for a, b in zip(one.nodes(), each.nodes()):
+        assert (a.embedding is None) == (b.embedding is None)
+        assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
+    assert one.edges() == each.edges()
+    assert live_rows(one) == live_rows(each)  # row order, norms and linked bits
+    assert one.embedded_by == each.embedded_by
+    assert one.stats() == each.stats()
+    for event in each.nodes(NodeKind.EVENT):
+        assert one.collect_texts(event.id) == each.collect_texts(event.id)
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
