@@ -216,6 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="5,10,15,20", help="comma-separated k values")
     p.add_argument("--out", help="report path (.json or .md)")
     _add_weights(p)
+    p.add_argument("--max-prompt-tokens", type=int)
 
     p = sub.add_parser("export", help="emit DOT or Cypher text")
     p.add_argument("--format", choices=["dot", "cypher"], required=True)
@@ -357,6 +358,7 @@ def _cmd_evaluate(config: Config, args) -> int:
         client,
         cfg_base=cfg,
         rules=config.load_rules(),
+        max_prompt_tokens=args.max_prompt_tokens,
         budgeter=config.make_budgeter(),
     )
     if args.out:

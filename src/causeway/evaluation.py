@@ -25,6 +25,7 @@ from causeway.errors import (
 from causeway import retrieval
 from causeway.inference import LLMClient, RateBudgeter, _classify_examples
 from causeway.inference import classify  # noqa: F401  bench/tracer.py patches this name
+from causeway.prompting import PromptSpec, default_rules, render_pieces
 from causeway.store import GraphStore
 
 logger = logging.getLogger(__name__)
@@ -201,16 +202,19 @@ def sweep(
 
     A k at which every sentence failed gets all-zero ``EMPTY_METRICS``.
 
-    Each sentence is embedded, ranked and turned into few-shot examples
-    once, at the largest k; every k classifies against a prefix of that
-    ranking and of its examples. The prefix is exact: the ranking is a total
-    order (score, then id), tau is the same for all k, and an example depends
-    only on its result and rank.
+    Each sentence is embedded, ranked, turned into few-shot examples and
+    rendered into prompt pieces once, at the largest k; every k classifies
+    against a prefix of that ranking and joins a prefix of its pieces. The
+    prefix is exact: the ranking is a total order (score, then id), tau is
+    the same for all k, and an example depends only on its result and rank.
     """
     cfg_base = cfg_base or retrieval.HybridConfig()
     cfgs = [replace(cfg_base, k=k) for k in k_values]  # rejects a bad k up front
+    if max_prompt_tokens is not None and max_prompt_tokens < 1:
+        raise ValueError("max_tokens must be positive")
     if not cfgs:
         return []
+    rules = rules if rules is not None else default_rules()
     deepest = max(cfgs, key=lambda cfg: cfg.k)
     outcomes = [([], [], []) for _ in cfgs]  # per k: preds, golds, failures
     for record in dataset:
@@ -221,16 +225,11 @@ def sweep(
                 failures.append((record.id, str(exc)))
             continue
         examples = retrieval.to_fewshot_examples(results)
+        pieces = render_pieces(PromptSpec(record.text, examples, rules))
         for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
             try:
-                verdict, _ = _classify_examples(
-                    record.text,
-                    results[: cfg.k],
-                    examples[: cfg.k],
-                    client,
-                    rules=rules,
-                    max_prompt_tokens=max_prompt_tokens,
-                    budgeter=budgeter,
+                verdict, *_ = _classify_examples(
+                    min(cfg.k, len(results)), pieces, client, max_prompt_tokens, budgeter
                 )
             except CausewayError as exc:
                 failures.append((record.id, str(exc)))

@@ -4,7 +4,7 @@ classify() embeds the sentence, retrieves few-shot examples, renders the
 XML prompt, calls the client (with bounded retries on transport errors)
 and salvages a strict two-key JSON verdict from the raw output. Everything
 after retrieval is classify_retrieved(); a top-k sweep runs its body once
-per k on prefixes of one ranking and of that ranking's few-shot examples.
+per k on prefixes of one ranking and of its prompt, rendered once.
 The mock client makes the whole pipeline deterministic and
 offline-testable.
 """
@@ -35,15 +35,10 @@ from causeway.errors import (
     TransportError,
 )
 from causeway.export import render_dot
-from causeway.prompting import (
-    PromptSpec,
-    build_prompt,
-    default_rules,
-    estimate_tokens,
-    token_budget_trim,
-)
+from causeway.prompting import PromptPieces, PromptSpec, default_rules, render_pieces
+# bench/tracer.py patches these two names here
+from causeway.prompting import build_prompt, token_budget_trim  # noqa: F401
 from causeway.retrieval import (
-    FewShotExample,
     HybridConfig,
     RetrievalResult,
     query,
@@ -305,38 +300,49 @@ def classify_retrieved(
     ``results`` are used as given, in rank order, as the few-shot examples;
     a prefix of a deeper ranking is exactly a shallower query's results.
     """
-    return _classify_examples(
-        sentence, results, to_fewshot_examples(results), client,
-        rules, max_prompt_tokens, budgeter, retry_sleeper,
+    spec = PromptSpec(
+        query_sentence=sentence,
+        examples=to_fewshot_examples(results),
+        rules=rules if rules is not None else default_rules(),
     )
+    verdict, kept, prompt, salvaged, retries = _classify_examples(
+        len(results), render_pieces(spec), client, max_prompt_tokens, budgeter, retry_sleeper
+    )
+    used = results[:kept]  # a budget drops a suffix
+    trace = RetrievalTrace(
+        k_used=kept,
+        event_ids=[r.event_id for r in used],
+        hybrid_scores=[r.hybrid_score for r in used],
+        prompt_hash=prompt_hash(prompt),
+        salvaged=salvaged,
+        retries=retries,
+    )
+    return verdict, trace
 
 
 def _classify_examples(
-    sentence: str,
-    results: list[RetrievalResult],
-    examples: list[FewShotExample],
+    n: int,
+    pieces: PromptPieces,
     client: LLMClient,
-    rules: list[str] | None,
     max_prompt_tokens: int | None,
     budgeter: RateBudgeter | None,
     retry_sleeper: Callable[[float], None] = time.sleep,
-) -> tuple[Verdict, RetrievalTrace]:
-    """classify_retrieved() with ``examples = to_fewshot_examples(results)``
-    given. An example depends only on its result and rank, so a sweep passes
-    prefixes of one deep ranking's examples."""
-    spec = PromptSpec(
-        query_sentence=sentence,
-        examples=examples,
-        rules=rules if rules is not None else default_rules(),
-    )
+) -> tuple[Verdict, int, str, bool, int]:
+    """classify_retrieved() without the trace, once the prompt's pieces are
+    rendered: the prompt holds the first ``n`` examples of ``pieces``, fewer
+    if the budget drops some. Returns the verdict, the examples kept, the
+    prompt sent, the salvage flag and the transport retries. An example
+    depends only on its result and rank, so a sweep renders one deep
+    ranking's pieces and passes each k's prefix length."""
+    kept = n
     if max_prompt_tokens is not None:
-        spec = token_budget_trim(spec, max_prompt_tokens)
-    prompt = build_prompt(spec)
+        kept = pieces.fit(kept, max_prompt_tokens)
+    prompt = pieces.prompt(kept)
 
     retries = 0
     while True:
         if budgeter is not None:  # every attempt is a request
-            budgeter.acquire(estimate_tokens(prompt))
+            budgeter.acquire(pieces.tokens(kept))
         try:
             raw = client.complete(prompt)
             break
@@ -347,16 +353,7 @@ def _classify_examples(
             retries += 1
 
     verdict, salvaged = _extract_json_with_flag(raw)
-    used = results[: len(spec.examples)]  # budget trim drops a suffix
-    trace = RetrievalTrace(
-        k_used=len(spec.examples),
-        event_ids=[r.event_id for r in used],
-        hybrid_scores=[r.hybrid_score for r in used],
-        prompt_hash=prompt_hash(prompt),
-        salvaged=salvaged,
-        retries=retries,
-    )
-    return verdict, trace
+    return verdict, kept, prompt, salvaged, retries
 
 
 @dataclass

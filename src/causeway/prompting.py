@@ -30,6 +30,9 @@ With no examples the block is ``<examples count="0" zero_shot="true" />``.
 Text has ``&``, ``<`` and ``>`` escaped; identical specs render
 byte-identically. Text holding a character that XML 1.0 cannot carry is
 refused.
+
+``render_pieces`` renders each part once; the prompt holding any prefix of
+the examples, and its token estimate, are then built from those pieces.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import accumulate
 from pathlib import Path
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
@@ -65,11 +69,18 @@ TOKEN_SAFETY_FACTOR = 1.3
 # any character outside the XML 1.0 Char production (controls, surrogates,
 # U+FFFE/U+FFFF); escaping leaves them as they are and no parser reads them back
 _XML_INVALID = re.compile(r"[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# the ASCII characters XML 1.0 can carry: deleting them from an ASCII text's
+# bytes finds a fault several times faster than the pattern does
+_XML_ASCII = bytes([0x09, 0x0A, 0x0D, *range(0x20, 0x80)])
 
 
 def estimate_tokens(text: str) -> int:
     """Whitespace token count scaled by a safety factor."""
-    return math.ceil(len(text.split()) * TOKEN_SAFETY_FACTOR)
+    return _tokens(len(text.split()))
+
+
+def _tokens(words: int) -> int:
+    return math.ceil(words * TOKEN_SAFETY_FACTOR)
 
 
 def default_rules() -> list[str]:
@@ -137,47 +148,107 @@ def _example(example: FewShotExample) -> str:
     )
 
 
+# the examples block with no examples: 4 words, as many as the open and close
+# lines around a block that holds some
+_NO_EXAMPLES = '  <examples count="0" zero_shot="true" />'
+
+
+@dataclass(frozen=True)
+class PromptPieces:
+    """One spec's prompt, rendered once in pieces that each sit on lines of
+    their own: ``head`` (``<prompt>`` through ``</rules>``), one ``<example>``
+    element per example, and ``tail`` (``<query>`` through ``</prompt>``).
+    The prompt holding the first n examples is a join of these, for any n.
+
+    ``faults`` holds (example index, or -1 for head and tail; the first
+    character XML 1.0 cannot carry) for each piece holding one, in prompt
+    order.
+    """
+
+    head: str
+    examples: tuple[str, ...]
+    tail: str
+    faults: tuple[tuple[int, str], ...]
+
+    @functools.cached_property
+    def words(self) -> tuple[int, ...]:
+        """``words[n]``: the whitespace word count of the prompt holding the
+        first n examples, the zero-shot prompt's plus each example's own (a
+        budget needs them; a prompt alone does not)."""
+        zero_shot = sum(len(piece.split()) for piece in (self.head, _NO_EXAMPLES, self.tail))
+        counts = (len(example.split()) for example in self.examples)
+        return tuple(accumulate(counts, initial=zero_shot))
+
+    def prompt(self, n: int) -> str:
+        """The prompt holding the first ``n`` examples."""
+        self._check(n)
+        if not n:
+            return f"{self.head}\n{_NO_EXAMPLES}\n{self.tail}"
+        return "\n".join([
+            self.head,
+            f'  <examples count="{n}" zero_shot="false">',
+            *self.examples[:n],
+            "  </examples>",
+            self.tail,
+        ])
+
+    def tokens(self, n: int) -> int:
+        """``estimate_tokens`` of the prompt holding the first ``n`` examples."""
+        return _tokens(self.words[n])
+
+    def fit(self, n: int, max_tokens: int) -> int:
+        """How many of the first ``n`` examples the prompt keeps within
+        ``max_tokens``: the lowest-ranked go first, and no piece is rendered
+        again. Rules, query and output contract are never dropped; if the
+        zero-shot prompt still exceeds the budget, raises BudgetTooSmallError.
+        """
+        if max_tokens <= 0:
+            raise ValueError("max_tokens must be positive")
+        self._check(n)
+        while self.tokens(n) > max_tokens:
+            if not n:
+                raise BudgetTooSmallError(
+                    f"zero-shot prompt exceeds budget of {max_tokens} tokens"
+                )
+            n -= 1
+        return n
+
+    def _check(self, n: int) -> None:
+        """Refuse the prompt holding the first ``n`` examples if it holds a
+        character XML 1.0 cannot carry, naming the first."""
+        for at, char in self.faults:
+            if at < n:
+                raise XmlCharacterError(
+                    f"prompt text holds {char!r}, which XML 1.0 cannot carry"
+                )
+
+
+def render_pieces(spec: PromptSpec) -> PromptPieces:
+    """Render each part of ``spec``'s prompt once; nothing is refused yet."""
+    rules = [_leaf("rule", rule, "    ", f' n="{n}"') for n, rule in enumerate(spec.rules, 1)]
+    head = f"<prompt>\n{_leaf('instructions', INSTRUCTIONS, '  ')}\n{_group('rules', rules, '  ')}"
+    tail = (
+        f"{_leaf('query', spec.query_sentence, '  ')}\n"
+        f"{_leaf('output_format', OUTPUT_CONTRACT, '  ')}\n</prompt>"
+    )
+    examples = tuple(map(_example, spec.examples))
+    faults = []
+    for at, piece in zip([-1, *range(len(examples)), -1], [head, *examples, tail]):
+        if piece.isascii() and not piece.encode("ascii").translate(None, _XML_ASCII):
+            continue
+        bad = _XML_INVALID.search(piece)
+        if bad is not None:
+            faults.append((at, bad.group()))
+    return PromptPieces(head, examples, tail, tuple(faults))
+
+
 def build_prompt(spec: PromptSpec) -> str:
     """Deterministic well-formed XML string for one classification call."""
-    examples = spec.examples
-    rules = [_leaf("rule", rule, "    ", f' n="{n}"') for n, rule in enumerate(spec.rules, 1)]
-    prompt = _group(
-        "prompt",
-        [
-            _leaf("instructions", INSTRUCTIONS, "  "),
-            _group("rules", rules, "  "),
-            _group(
-                "examples",
-                [_example(example) for example in examples],
-                "  ",
-                f' count="{len(examples)}" zero_shot="{"false" if examples else "true"}"',
-            ),
-            _leaf("query", spec.query_sentence, "  "),
-            _leaf("output_format", OUTPUT_CONTRACT, "  "),
-        ],
-        "",
-    )
-    bad = _XML_INVALID.search(prompt)
-    if bad is not None:
-        raise XmlCharacterError(
-            f"prompt text holds {bad.group()!r}, which XML 1.0 cannot carry"
-        )
-    return prompt
+    return render_pieces(spec).prompt(len(spec.examples))
 
 
 def token_budget_trim(spec: PromptSpec, max_tokens: int) -> PromptSpec:
-    """Drop lowest-ranked examples until the rendered prompt fits.
-
-    Rules, query and output contract are never dropped; if the zero-shot
-    prompt still exceeds the budget, raises BudgetTooSmallError.
-    """
-    if max_tokens <= 0:
-        raise ValueError("max_tokens must be positive")
-    current = spec
-    while estimate_tokens(build_prompt(current)) > max_tokens:
-        if not current.examples:
-            raise BudgetTooSmallError(
-                f"zero-shot prompt exceeds budget of {max_tokens} tokens"
-            )
-        current = replace(current, examples=current.examples[:-1])
-    return current
+    """``spec`` without the lowest-ranked examples its prompt cannot hold
+    within ``max_tokens`` (see ``PromptPieces.fit``)."""
+    kept = render_pieces(spec).fit(len(spec.examples), max_tokens)
+    return replace(spec, examples=spec.examples[:kept])

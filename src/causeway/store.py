@@ -816,7 +816,8 @@ class GraphStore:
 
         ``embedded_by`` names the provider that made the vectors; the store
         keeps it as ``embedded_by`` only if that provider made every vector
-        it held before, and writing a vector without it clears that.
+        it held before, and writing a vector without it clears that; pair by
+        pair, so a vector the call clears first does not count.
         """
         pairs = list(pairs)
         checks, fault = _checked([vec for _, vec in pairs])
@@ -833,12 +834,12 @@ class GraphStore:
             nodes = [self._nodes[node_id] for node_id, _ in checked]
         except KeyError as exc:
             raise UnknownIdError(f"no node with id {exc.args[0]!r}") from None
-        if any(check is not None for _, check in checked):
-            kept = not self._embedded or self._embedded_by == embedded_by
-            self._embedded_by = embedded_by if kept else None
         self._alive.put([self._row_of.pop(n.id) for n in nodes if n.id in self._row_of], False)
         fresh = {}  # event id -> (its vector, the norm) for a new row, in the order of last writes
         for node, (_, check) in zip(nodes, checked):
+            if check is not None:  # the vectors held just before this pair
+                kept = not self._embedded or self._embedded_by == embedded_by
+                self._embedded_by = embedded_by if kept else None
             self._embedded += (check is not None) - (node.embedding is not None)
             fresh.pop(node.id, None)
             node.embedding = None if check is None else check[0]

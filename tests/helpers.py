@@ -3,8 +3,9 @@
 Oracles here deliberately avoid the code paths they check: offsets come
 from a naive substring scanner, neighbor counts from a raw edge scan,
 retrieval scores from math.fsum arithmetic instead of numpy, prompts from
-ElementTree instead of string assembly, node and edge writes from the
-one-at-a-time writers that ``GraphStore.insert`` replaced.
+ElementTree instead of string assembly, a token budget by rendering every
+candidate prompt instead of by word-count prefix sums, node and edge writes
+from the one-at-a-time writers that ``GraphStore.insert`` replaced.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import operator
 import random
 import re
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from causeway.errors import XmlCharacterError
-from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec
+from causeway.errors import BudgetTooSmallError, XmlCharacterError
+from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec, estimate_tokens
 from causeway.store import (
     _EVENT_AT_SRC,
     EMBEDDING_DIM,
@@ -449,3 +451,18 @@ def reference_build_prompt(spec: PromptSpec) -> str:
             f"prompt text holds {bad.group()!r}, which XML 1.0 cannot carry"
         )
     return prompt
+
+
+def reference_token_budget_trim(spec: PromptSpec, max_tokens: int) -> PromptSpec:
+    """The trim loop ``token_budget_trim`` replaced: render the prompt, drop
+    the lowest-ranked example while it exceeds the budget, render again."""
+    if max_tokens <= 0:
+        raise ValueError("max_tokens must be positive")
+    current = spec
+    while estimate_tokens(reference_build_prompt(current)) > max_tokens:
+        if not current.examples:
+            raise BudgetTooSmallError(
+                f"zero-shot prompt exceeds budget of {max_tokens} tokens"
+            )
+        current = replace(current, examples=current.examples[:-1])
+    return current

@@ -11,6 +11,10 @@ from causeway import cli
 from causeway.cli import Config, main
 from causeway.embedding import HttpEmbeddingProvider, batch_embed, clean_embeddings, mock_provider
 from causeway.errors import CausewayError
+from causeway.evaluation import load_eval_dataset, reports_to_json, sweep
+from causeway.inference import MockLLMClient
+from causeway.prompting import PromptSpec, build_prompt, default_rules, estimate_tokens
+from causeway.retrieval import HybridConfig
 from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
 from helpers import count_dot_statements, write_v1_snapshot, write_v2_snapshot
@@ -218,6 +222,37 @@ def test_evaluate_writes_reports(workspace, capsys):
     payload = json.loads(out_json.read_text(encoding="utf-8"))
     assert payload[0]["k"] == 1
     assert payload[0]["model"] == "mock-trigger-lexicon"
+
+
+def evaluate_json(workspace, *extra) -> str:
+    out = workspace["dir"] / "report.json"
+    args = ["evaluate", "--test", str(workspace["testset"]), "--k", "1,2,3", "--tau", "-1.0",
+            "--out", str(out), *extra]
+    assert run(args, workspace) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def test_evaluate_max_prompt_tokens_reports_what_a_library_sweep_at_that_budget_does(workspace):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    rules = default_rules()
+    dataset = load_eval_dataset(workspace["testset"])
+    zero_shot = estimate_tokens(build_prompt(PromptSpec(dataset[0].text, rules=rules)))
+    store = GraphStore.load(workspace["store"])
+    docs = []
+    for budget in (zero_shot + 25, zero_shot + 200):
+        want = sweep(dataset, [1, 2, 3], store, mock_provider(), MockLLMClient(),
+                     cfg_base=HybridConfig(tau=-1.0), rules=rules, max_prompt_tokens=budget)
+        docs.append(evaluate_json(workspace, "--max-prompt-tokens", str(budget)))
+        assert docs[-1] == reports_to_json(want)
+    assert docs[0] != docs[1]  # the tight budget drops an example a verdict needs
+    # below the zero-shot prompt every sentence fails at every k
+    reports = json.loads(evaluate_json(workspace, "--max-prompt-tokens", "5"))
+    assert [r["failures"] for r in reports] == [
+        [[record.id, "zero-shot prompt exceeds budget of 5 tokens"] for record in dataset]
+    ] * 3
+    assert run(["evaluate", "--test", str(workspace["testset"]), "--max-prompt-tokens", "0"],
+               workspace) == 1
 
 
 def test_export_dot_and_cypher(workspace, capsys):

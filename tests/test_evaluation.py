@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from causeway import inference, retrieval
+from causeway import inference, prompting, retrieval
 from causeway.embedding import EmbeddingProvider
 from causeway.errors import (
     BadLabelError,
@@ -477,7 +477,7 @@ def test_sweep_builds_examples_once_and_fails_only_the_ks_that_reach_a_bad_examp
         budget = estimate_tokens(zero_shot) + 60
 
     fewshot_calls, inference_fewshot_calls, renders = [], [], []
-    real_fewshot, real_render = retrieval.to_fewshot_examples, inference.build_prompt
+    real_fewshot, real_render = retrieval.to_fewshot_examples, prompting._example
 
     def counting_fewshot(results):
         fewshot_calls.append(len(results))
@@ -487,20 +487,20 @@ def test_sweep_builds_examples_once_and_fails_only_the_ks_that_reach_a_bad_examp
         inference_fewshot_calls.append(len(results))
         return real_fewshot(results)
 
-    def counting_render(spec):
-        renders.append(len(spec.examples))
-        return real_render(spec)
+    def counting_render(example):
+        renders.append(example.rank)
+        return real_render(example)
 
     monkeypatch.setattr(retrieval, "to_fewshot_examples", counting_fewshot)
     monkeypatch.setattr(inference, "to_fewshot_examples", counting_inference_fewshot)
-    monkeypatch.setattr(inference, "build_prompt", counting_render)
+    monkeypatch.setattr(prompting, "_example", counting_render)
     reports = sweep(
         dataset, k_values, store, provider, MockLLMClient(), max_prompt_tokens=budget
     )
     assert fewshot_calls == [max(k_values)] * len(dataset)
     assert inference_fewshot_calls == []
-    if not budgeted:
-        assert len(renders) == len(dataset) * len(k_values)
+    # each example is rendered once per sentence, whatever the k and the budget
+    assert renders == list(range(1, max(k_values) + 1)) * len(dataset)
     # each sentence fails exactly at the k whose prefix reaches the bad example
     assert [report.failures for report in reports] == [
         [],
@@ -534,6 +534,17 @@ def test_sweep_checks_every_k_before_any_work(provider):
     with pytest.raises(ValueError):
         sweep(dataset, [5, 0], store, counting, ThresholdClient())
     assert counting.embeds == 0
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_sweep_refuses_a_nonpositive_budget_before_any_work(provider, budget):
+    store, dataset = sweep_fixture(provider)
+    # the second set fails every sentence before it reaches a prompt
+    for records in (dataset, [EvalRecord("zero", "zero vector", 0)]):
+        counting = CountingProvider(provider)
+        with pytest.raises(ValueError, match="^max_tokens must be positive$"):
+            sweep(records, [5], store, counting, ThresholdClient(), max_prompt_tokens=budget)
+        assert counting.embeds == 0
 
 
 def test_report_serialization_shapes(provider):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
+from causeway.inference import LLMClient, _classify_examples
 from causeway.prompting import (
     _XML_INVALID,
     OUTPUT_CONTRACT,
@@ -17,10 +18,11 @@ from causeway.prompting import (
     default_rules,
     estimate_tokens,
     load_rules,
+    render_pieces,
     token_budget_trim,
 )
 from causeway.retrieval import FewShotExample
-from helpers import REFERENCE_XML_INVALID, reference_build_prompt
+from helpers import REFERENCE_XML_INVALID, reference_build_prompt, reference_token_budget_trim
 
 
 def example(rank: int, text: str | None = None) -> FewShotExample:
@@ -239,3 +241,76 @@ def test_every_xml_invalid_character_is_refused_as_elementtree_refuses_it(field)
         message = f"prompt text holds {char!r}, which XML 1.0 cannot carry"
         assert rendered(build_prompt, spec) == ("refused", message)
         assert rendered(reference_build_prompt, spec) == ("refused", message)
+
+
+def test_both_examples_blocks_are_four_words():
+    # so a prompt's word count is the zero-shot prompt's plus its examples'
+    for n in (0, 1, 12):
+        prompt = build_prompt(PromptSpec("q", examples=[example(i) for i in range(1, n + 1)]))
+        block = [
+            line for line in prompt.splitlines() if line.startswith(("  <examples", "  </examples"))
+        ]
+        assert block == (
+            ['  <examples count="0" zero_shot="true" />'] if not n
+            else [f'  <examples count="{n}" zero_shot="false">', "  </examples>"]
+        )
+        assert sum(len(line.split()) for line in block) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=SPECS)
+def test_every_prefix_prompt_counts_the_words_its_pieces_sum_to(spec):
+    pieces = render_pieces(spec)
+    for n in range(len(spec.examples) + 1):
+        prefix = replace(spec, examples=spec.examples[:n])
+        want = rendered(reference_build_prompt, prefix)
+        assert rendered(pieces.prompt, n) == want
+        if isinstance(want, str):
+            assert pieces.words[n] == len(want.split())
+            assert pieces.tokens(n) == estimate_tokens(want)
+
+
+class RecordingClient(LLMClient):
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt: str) -> str:
+        self.prompts.append(prompt)
+        return '{"tagged_sentence": "", "label": 0}'
+
+
+def outcome(call):
+    """What ``call`` returns, or the class and message of what it raises."""
+    try:
+        return call()
+    except (ValueError, BudgetTooSmallError, XmlCharacterError) as exc:
+        return (type(exc), str(exc))
+
+
+# the zero-shot prompts of SPECS estimate at 137 tokens and up
+BUDGETS = st.integers(-2, 260)
+
+
+THREE = PromptSpec("q", examples=[example(1), example(2), example(3)], rules=[])
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=SPECS, budget=BUDGETS)
+@hypothesis.example(spec=THREE, budget=136)  # tokens 137, 177, 218, 258 for 0-3 examples
+@hypothesis.example(spec=THREE, budget=137)
+@hypothesis.example(spec=THREE, budget=217)
+@hypothesis.example(spec=THREE, budget=258)
+@hypothesis.example(spec=PromptSpec("q", examples=[example(1, "\x01")], rules=[]), budget=0)
+@hypothesis.example(spec=PromptSpec("q", examples=[example(1, "\x01")], rules=[]), budget=1)
+def test_a_budget_keeps_and_sends_what_the_reference_trim_loop_keeps(spec, budget):
+    want = outcome(lambda: reference_token_budget_trim(spec, budget))
+    assert outcome(lambda: token_budget_trim(spec, budget)) == want
+
+    client = RecordingClient()
+    n = len(spec.examples)
+    sent = outcome(lambda: _classify_examples(n, render_pieces(spec), client, budget, None))
+    if isinstance(want, PromptSpec):
+        assert client.prompts == [reference_build_prompt(want)]
+        assert sent[1:3] == (len(want.examples), client.prompts[0])
+    else:
+        assert (client.prompts, sent) == ([], want)

@@ -735,10 +735,10 @@ def test_a_refused_upsert_node_keeps_embedded_by(provider):
     n_events=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
     picks=st.lists(st.tuples(st.integers(0, 10**6), st.integers(-1, 3)), max_size=30),
-    keep_identity=st.booleans(),
+    identity=st.sampled_from(["none", "own", "third"]),
 )
 def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
-    tmp_path_factory, n_events, seed, picks, keep_identity
+    tmp_path_factory, n_events, seed, picks, identity
 ):
     np_rng = np.random.default_rng(seed)
     pool = [random_unit_vector(np_rng) * scale for scale in (1.0, 0.5, 3.0)]
@@ -754,9 +754,9 @@ def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
         if not ids:
             return
         pairs = [(ids[i % len(ids)], None if v < 0 else pool[v]) for i, v in picks]
-        # one call decides embedded_by from the vectors held before it, so a call that
-        # clears them all and then writes others may differ from one call per pair
-        embedded_by = stores[0].embedded_by if keep_identity else None
+        embedded_by = {"none": None, "own": stores[0].embedded_by, "third": "third-provider"}[
+            identity
+        ]
         stores[0].set_embeddings(pairs, embedded_by)
         for pair in pairs:
             stores[1].set_embeddings([pair], embedded_by)
@@ -773,6 +773,22 @@ def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
     assert one.embedded_by == each.embedded_by
     assert one.stats() == each.stats()
 
+
+def test_a_call_that_clears_then_writes_sets_embedded_by_as_one_call_per_pair_does():
+    # the store's only vector is provider Q's; the call clears it, then writes P's
+    vector = random_unit_vector(np.random.default_rng(8))
+    stores = []
+    for _ in range(2):
+        store = GraphStore()
+        small_event(store, "event:a", "a")
+        small_event(store, "event:b", "b")
+        store.set_embeddings([("event:a", vector)], "Q")
+        stores.append(store)
+    pairs = [("event:a", None), ("event:b", vector)]
+    stores[0].set_embeddings(pairs, "P")
+    for pair in pairs:
+        stores[1].set_embeddings([pair], "P")
+    assert [store.embedded_by for store in stores] == ["P", "P"]
 
 # per kind, ids some of which written_store holds; "event:9" it never holds
 INSERT_IDS = {kind: [f"{kind.value.lower()}:{i}" for i in range(3)] for kind in NodeKind}
