@@ -81,6 +81,8 @@ class Config:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except RecursionError as exc:
             raise ValueError(f"{path}: config JSON nests too deeply") from exc
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{path}: config is not UTF-8 JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ValueError(f"{path}: config must be a JSON object")
         cfg = cls()
@@ -417,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ProviderFailureError, TransportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROVIDER
-    except (CausewayError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CausewayError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OPERATIONAL
 

@@ -17,7 +17,9 @@ import logging
 import threading
 import time
 from abc import ABC, abstractmethod
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable
 from xml.etree import ElementTree as ET
 
@@ -71,6 +73,21 @@ class LLMClient(ABC):
         ...
 
 
+def _span_of(sentence: str, lowered: str, needle: str) -> tuple[int, int]:
+    """The start and end, in ``sentence``, of ``needle``'s first occurrence in
+    ``lowered`` (``sentence.lower()``) that begins and ends between two of
+    the sentence's characters; if none does, of the characters its first
+    occurrence touches. A character may lowercase to more than one (``İ``
+    to ``i`` and a combining dot above), so the two strings' indexes differ."""
+    ends = list(accumulate(len(c.lower()) for c in sentence))  # in ``lowered``
+    bounds = {0, *ends}
+    first = at = lowered.find(needle)
+    while at != -1 and not (at in bounds and at + len(needle) in bounds):
+        at = lowered.find(needle, at + 1)
+    at = first if at == -1 else at
+    return bisect_right(ends, at), bisect_left(ends, at + len(needle)) + 1
+
+
 class MockLLMClient(LLMClient):
     """Offline trigger-lexicon stand-in for a hosted model.
 
@@ -93,12 +110,11 @@ class MockLLMClient(LLMClient):
         lowered = sentence.lower()
         for trigger in triggers:
             needle = trigger.lower()
-            idx = lowered.find(needle)
-            if idx != -1 and len(needle) == len(trigger):
-                end = idx + len(trigger)
+            if needle in lowered and len(needle) == len(trigger):
+                start, end = _span_of(sentence, lowered, needle)
                 tagged = (
-                    sentence[:idx]
-                    + f"<trigger>{sentence[idx:end]}</trigger>"
+                    sentence[:start]
+                    + f"<trigger>{sentence[start:end]}</trigger>"
                     + sentence[end:]
                 )
                 label = 1

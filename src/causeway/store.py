@@ -23,11 +23,12 @@ the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row, and after a load they
 share one read-only array. Loading checks every column in bulk and builds
-the store in one pass; versions 1 and 2, which held one record per node
-and edge, are read into the same columns. Each check is a mask over the
-records and the refusal of a record it flags, the refusal built as the
-store's writers build theirs; a load names the first faulty record, with
-the refusal of the first check that flags it.
+the store in one pass. Each check is a mask over the records and the
+refusal of a record it flags, the refusal built as the store's writers
+build theirs; a load names the first faulty record, with the refusal of
+the first check that flags it. Versions 1 and 2, which held one record
+per node and edge, are refused: such a store is built again by ``ingest``
+and ``embed``.
 
 Every event with both text and an embedding owns one scoring row in a
 fixed-size chunk: its vector, the vector's norm, a linked bit (the event
@@ -72,7 +73,7 @@ EMBEDDING_DIM = 384
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
-SNAPSHOT_VERSION = 3  # what save writes; load also reads versions 1 and 2
+SNAPSHOT_VERSION = 3  # the one version save writes and load reads
 VECTOR_DTYPE = "<f8"
 # hex digits of the vectors' sha256 in the sidecar's name
 _HASH_CHARS = 16
@@ -230,15 +231,12 @@ class _RWLock:
                 self._cond.notify_all()
 
 
-# the JSON types each key's values may take: versions 1 and 2 hold one record
-# per node and edge (a version 1 node carries its embedding, a version 2
-# vector record names each row's node), version 3 holds columns
-_NODE = {"id": {str}, "kind": {str}, "text": {str, type(None)}}
-_V1_NODE = {**_NODE, "embedding": {list, type(None)}}
-_EDGE = {"src": {str}, "dst": {str}, "kind": {str}}
-_V2_VECTORS = {"file": {str}, "dtype": {str}, "shape": {list}, "rows": {list}}
-# a bool passes, to be refused as a count with the other values that are not one
-_VECTORS = {"file": {str}, "dtype": {str}, "shape": {list}, "scoring": {int, bool}}
+# the JSON types each key's values may take; a bool passes as `scoring`, to
+# be refused as a count with the other values that are not one
+_VECTORS = {
+    "file": {str}, "dtype": {str}, "shape": {list}, "scoring": {int, bool},
+    "provider": {str, type(None)},
+}
 _NODE_COLUMNS = {"ids": {str}, "kinds": {str}, "texts": {str, type(None)}, "vector_row": {int}}
 _EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
 # a kind's code is its index here; the columns are checked and built on codes
@@ -307,15 +305,22 @@ def _endpoint_fault(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> KindViolati
 
 
 def _read_document(path: Path) -> dict:
-    """The snapshot document at ``path``, if it is of a version load reads."""
+    """The snapshot document at ``path``, if it is of the version load reads."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except RecursionError as exc:
         raise ValueError(f"{path}: snapshot JSON nests too deeply") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{path}: snapshot is not UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
     version = payload.get("version")
-    if type(version) is not int or version not in (1, 2, 3):
+    if type(version) is int and version in (1, 2):  # one record per node and edge
+        raise ValueError(
+            f"{path}: snapshot version {version} is no longer read; move the file aside "
+            "and run `ingest` and `embed` again"
+        )
+    if type(version) is not int or version != SNAPSHOT_VERSION:
         raise ValueError(f"{path}: unsupported snapshot version")
     return payload
 
@@ -336,24 +341,8 @@ def _fields(path, where: str, rec, types: dict) -> tuple:
     return values
 
 
-def _record_columns(path, payload: dict, key: str, types: dict) -> tuple[list, Exception | None]:
-    """The columns of a version 1 or 2 snapshot's ``key`` records, up to the
-    first record that ``_fields`` refuses, and that refusal (None if none)."""
-    records = payload.get(key)
-    if not isinstance(records, list):
-        raise ValueError(f"{path}: snapshot {key!r} must be a list")
-    values, fault = [], None
-    for i, rec in enumerate(records):
-        try:
-            values.append(_fields(path, f"{key}[{i}]", rec, types))
-        except ValueError as exc:
-            fault = exc
-            break
-    return [list(column) for column in zip(*values)] or [[] for _ in types], fault
-
-
 def _column_table(path, payload: dict, key: str, columns: dict) -> tuple[list, Exception | None]:
-    """A version 3 snapshot's ``key`` columns, up to the first record holding
+    """The snapshot's ``key`` columns, up to the first record holding
     a value of a type its column does not take, and that refusal (None if none)."""
     table = payload.get(key)
     if not isinstance(table, dict) or not all(isinstance(table.get(c), list) for c in columns):
@@ -397,11 +386,11 @@ def _refuse_first(checks: list, fault: Exception | None) -> None:
         raise fault
 
 
-def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_checks=()):
-    """Each node id's index, if every node is good: else the first node that
-    is not, in file order, raises, named. ``codes`` are the kind codes of
-    ``kinds``. A node's kind is checked first, then whether its id repeats
-    an earlier node's, then ``vector_checks``, the checks of its vector."""
+def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_checks: list) -> None:
+    """Raise, named, for the first node in file order that is not good, if
+    any. ``codes`` are the kind codes of ``kinds``. A node's kind is checked
+    first, then whether its id repeats an earlier node's, then
+    ``vector_checks``, the checks of its vector."""
 
     def repeated(i: int) -> Exception:
         j = first[ids[i]]
@@ -412,13 +401,11 @@ def _check_nodes(path, ids: list, kinds: list, codes, fault, vector_checks=()):
         return ValueError(f"{path}: snapshot {where} repeat the node id {ids[i]!r}")
 
     checks = [(codes < 0, lambda i: _in_record(path, f"nodes[{i}]", _not_a(NodeKind, kinds[i])))]
-    index = first = dict(zip(ids, range(len(ids))))
-    if len(index) < len(ids):  # each id's first index, and every later one flagged
-        first = {}
+    first: dict[str, int] = {}  # each id's first index, and every later one flagged
+    if len(set(ids)) < len(ids):
         repeats = (first.setdefault(node_id, i) != i for i, node_id in enumerate(ids))
         checks.append((np.fromiter(repeats, bool, len(ids)), repeated))
     _refuse_first([*checks, *vector_checks], fault)
-    return index
 
 
 def _check_edges(path, src: list, dst: list, kinds: list, ends, node_codes, fault):
@@ -462,21 +449,10 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _vectors_record(path: Path, payload: dict, types: dict) -> tuple[tuple, str | None]:
-    """The values of the snapshot's ``vectors`` record, and its ``provider``."""
-    values = _fields(path, "'vectors'", payload.get("vectors"), types)
-    # absent from snapshots written before the identity was recorded
-    embedded_by = payload["vectors"].get("provider")
-    if not isinstance(embedded_by, (str, type(None))):
-        raise ValueError(f"{path}: snapshot vectors 'provider' must be a string or null")
-    return values, embedded_by
-
-
-def _open_vectors(path: Path, file, dtype, shape, rows: int, names: list | None) -> np.ndarray:
+def _open_vectors(path: Path, file, dtype, shape, rows: int) -> np.ndarray:
     """The ``rows`` vectors of the vector file ``file``, mapped read-only,
     after checking its ``dtype`` and ``shape``. A zero or non-finite vector
-    raises what ``check_embedding`` raises, naming its row's node in
-    ``names``, or the row if there are none."""
+    raises what ``check_embedding`` raises, naming its row."""
     want = (rows, EMBEDDING_DIM)
     if dtype != VECTOR_DTYPE or shape != list(want):
         raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {want}")
@@ -500,11 +476,10 @@ def _open_vectors(path: Path, file, dtype, shape, rows: int, names: list | None)
     bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
     if bad.size:
         row = bad[0]
-        vector = f"vector row {row}" if names is None else f"vector of {names[row]!r}"
         if squared[row] == 0.0:
-            raise ZeroVectorError(f"{sidecar}: {vector} is a zero vector")
+            raise ZeroVectorError(f"{sidecar}: vector row {row} is a zero vector")
         raise DimensionMismatchError(
-            f"{sidecar}: {vector} must have finite entries and a finite norm"
+            f"{sidecar}: vector row {row} must have finite entries and a finite norm"
         )
     return mapped
 
@@ -529,57 +504,31 @@ class _Snapshot(NamedTuple):
 
 
 def _read_snapshot(path: Path) -> _Snapshot:
-    """The snapshot at ``path``, of any version, checked, as columns. The
-    checks run in this order, each refusing the first bad record in file
-    order: the document, the vector record and file, the nodes with their
-    vectors, the edges."""
+    """The snapshot at ``path``, checked, as columns. The checks run in this
+    order, each refusing the first bad record in file order: the document,
+    the vector record and file, the nodes with their vectors, the edges."""
     payload = _read_document(path)
-    version = payload["version"]
-    if version == 3:
-        (ids, kinds, texts, vector_row), node_fault = _column_table(
-            path, payload, "nodes", _NODE_COLUMNS
+    (ids, kinds, texts, vector_row), node_fault = _column_table(
+        path, payload, "nodes", _NODE_COLUMNS
+    )
+    (src, dst, edge_kinds), edge_fault = _column_table(path, payload, "edges", _EDGE_COLUMNS)
+    file, dtype, shape, scoring, embedded_by = _fields(
+        path, "'vectors'", payload.get("vectors"), _VECTORS
+    )
+    rows = shape[0] if len(shape) == 2 and type(shape[0]) is int else -1
+    if rows < 0:
+        raise ValueError(f"{path}: snapshot vectors 'shape' must be [rows, {EMBEDDING_DIM}]")
+    if type(scoring) is not int or not 0 <= scoring <= rows:
+        raise ValueError(
+            f"{path}: snapshot vectors 'scoring' must be an integer from 0 to the row count"
         )
-        (src, dst, edge_kinds), edge_fault = _column_table(path, payload, "edges", _EDGE_COLUMNS)
-        (file, dtype, shape, scoring), embedded_by = _vectors_record(path, payload, _VECTORS)
-        rows = shape[0] if len(shape) == 2 and type(shape[0]) is int else -1
-        if rows < 0:
-            raise ValueError(f"{path}: snapshot vectors 'shape' must be [rows, {EMBEDDING_DIM}]")
-        if type(scoring) is not int or not 0 <= scoring <= rows:
-            raise ValueError(
-                f"{path}: snapshot vectors 'scoring' must be an integer from 0 to the row count"
-            )
-        vectors = _open_vectors(path, file, dtype, shape, rows, None)
-        codes = _codes(kinds, _NODE_CODES)
-        file_rows = _indexes(vector_row)
-        scores = _scoring(codes, texts, file_rows)
-        checks = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
-        _check_nodes(path, ids, kinds, codes, node_fault, checks)
-        ends = _indexes(src), _indexes(dst)
-    else:
-        node_record = _V1_NODE if version == 1 else _NODE
-        (ids, kinds, texts, *inline), node_fault = _record_columns(
-            path, payload, "nodes", node_record
-        )
-        (src, dst, edge_kinds), edge_fault = _record_columns(path, payload, "edges", _EDGE)
-        codes = _codes(kinds, _NODE_CODES)
-        if version == 1:
-            embedded_by = None
-            vectors, file_rows, checks = _inline_vectors(path, inline[0])
-            index = _check_nodes(path, ids, kinds, codes, node_fault, checks)
-        else:
-            (file, dtype, shape, row_ids), embedded_by = _vectors_record(
-                path, payload, _V2_VECTORS
-            )
-            vectors = _open_vectors(path, file, dtype, shape, len(row_ids), row_ids)
-            index = _check_nodes(path, ids, kinds, codes, node_fault)
-        if version == 2:
-            known = all(isinstance(r, str) and r in index for r in row_ids)
-            if not known or len(set(row_ids)) < len(row_ids):
-                raise ValueError(f"{path}: snapshot vector rows must be distinct node ids")
-            file_rows = np.full(len(ids), -1, dtype=np.int64)
-            file_rows[list(map(index.__getitem__, row_ids))] = np.arange(len(row_ids))
-        scores = _scoring(codes, texts, file_rows)
-        ends = tuple(_codes(labels, index) for labels in (src, dst))
+    vectors = _open_vectors(path, file, dtype, shape, rows)
+    codes = _codes(kinds, _NODE_CODES)
+    file_rows = _indexes(vector_row)
+    scores = _scoring(codes, texts, file_rows)
+    checks = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
+    _check_nodes(path, ids, kinds, codes, node_fault, checks)
+    ends = _indexes(src), _indexes(dst)
     edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
     return _Snapshot(
         ids, codes, texts, file_rows, scores, vectors, *ends, edge_codes, embedded_by
@@ -592,32 +541,8 @@ def _scoring(codes: np.ndarray, texts: list, file_rows: np.ndarray) -> np.ndarra
     return (codes == _EVENT) & has_text & (file_rows >= 0)
 
 
-def _inline_vectors(path, embeddings: list):
-    """A version 1 snapshot's vectors: each node's checked ``embeddings``
-    entry in a row of one array, in node order; the row of each node (-1
-    for none); and the check of each node's vector, as ``_check_nodes``
-    takes it."""
-    vectors = np.empty((sum(e is not None for e in embeddings), EMBEDDING_DIM))
-    rows = np.full(len(embeddings), -1, dtype=np.int64)
-    refused: dict[int, CausewayError] = {}
-    row = 0
-    for i, embedding in enumerate(embeddings):
-        if embedding is not None:
-            try:
-                # each checked vector straight into its row, not kept in a list
-                vectors[row] = check_embedding(embedding)[0]
-            except CausewayError as exc:
-                refused[i] = exc
-                continue
-            rows[i] = row
-            row += 1
-    mask = np.zeros(len(embeddings), dtype=bool)
-    mask[list(refused)] = True
-    return vectors, rows, [(mask, lambda i: _in_record(path, f"nodes[{i}]", refused[i]))]
-
-
 def _row_checks(path, scores, vector_row: list, rows: np.ndarray, count: int, scoring: int):
-    """The checks, as ``_check_nodes`` takes them, of a version 3 snapshot's
+    """The checks, as ``_check_nodes`` takes them, of the snapshot's
     ``vector_row`` (``rows`` as an array), in this order: each row is one of
     the ``count`` rows or -1; each node that ``scores`` flags has one of the
     first ``scoring`` rows; no other node has one; and no two share one."""
@@ -1082,9 +1007,11 @@ class GraphStore:
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
-        """Read a snapshot of any version. Every refusal names the file: a
-        malformed document or vector file is a ValueError, and a record the
-        store refuses names the first such record in file order too
+        """Read a snapshot of version 3. Every refusal names the file: a
+        document that is not UTF-8 JSON, of version 1 or 2 (the message says
+        to run ``ingest`` and ``embed`` again) or otherwise malformed, and a
+        malformed vector file, is a ValueError; a record the store refuses
+        names the first such record in file order too
         (``nodes[i]``, ``edges[j]``) with the error its writer raises:
         ValueError for an unknown kind or a repeated node id,
         KindViolationError for a repeated id of another kind, what

@@ -10,15 +10,12 @@ from the one-at-a-time writers that ``GraphStore.insert`` replaced.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import operator
 import random
 import re
 from collections import Counter
 from dataclasses import replace
-from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -133,57 +130,6 @@ def random_store(
     return store
 
 
-def write_v1_snapshot(store: GraphStore, path) -> None:
-    """Write ``store`` as a version 1 snapshot: one JSON document with every
-    embedding inline as a list of floats."""
-    payload = {
-        "format": "causeway-graph-snapshot",
-        "version": 1,
-        "embedding_dim": EMBEDDING_DIM,
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                "text": n.text,
-                "embedding": None if n.embedding is None else n.embedding.tolist(),
-            }
-            for n in store.nodes()
-        ],
-        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-
-def write_v2_snapshot(store: GraphStore, path) -> None:
-    """Write ``store`` as a version 2 snapshot: one record per node and edge,
-    and a vector file of one row per embedded node, the live scoring rows
-    first in scoring order, then every other embedded node in node order,
-    with a ``vectors`` record that names each row's node."""
-    path = Path(path)
-    nodes = {n.id: n for n in store.nodes()}
-    rows = live_row_ids(store)
-    scored = set(rows)
-    rows += [i for i, n in nodes.items() if n.embedding is not None and i not in scored]
-    vectors = np.array([nodes[i].embedding for i in rows], dtype="<f8").reshape(-1, EMBEDDING_DIM)
-    name = f".{path.name}.{hashlib.sha256(vectors.tobytes()).hexdigest()[:16]}.npy"
-    np.save(path.with_name(name), vectors, allow_pickle=False)
-    payload = {
-        "format": "causeway-graph-snapshot",
-        "version": 2,
-        "embedding_dim": EMBEDDING_DIM,
-        "vectors": {
-            "file": name,
-            "dtype": "<f8",
-            "shape": list(vectors.shape),
-            "rows": rows,
-            "provider": store.embedded_by,
-        },
-        "nodes": [{"id": n.id, "kind": n.kind.value, "text": n.text} for n in nodes.values()],
-        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind.value} for e in store.edges()],
-    }
-    path.write_text(json.dumps(payload), encoding="utf-8")
-
-
 class ReferenceRecord:
     """The keys a snapshot record must hold and the types (for ``isinstance``)
     each one's value may take: the record check that ``store._fields``
@@ -213,16 +159,10 @@ class ReferenceRecord:
         return values
 
 
-# per type table in causeway.store, its reference record check
-REFERENCE_RECORDS = {
-    "_NODE": ReferenceRecord(id=str, kind=str, text=(str, type(None))),
-    "_V1_NODE": ReferenceRecord(
-        id=str, kind=str, text=(str, type(None)), embedding=(list, type(None))
-    ),
-    "_EDGE": ReferenceRecord(src=str, dst=str, kind=str),
-    "_V2_VECTORS": ReferenceRecord(file=str, dtype=str, shape=list, rows=list),
-    "_VECTORS": ReferenceRecord(file=str, dtype=str, shape=list, scoring=int),
-}
+# the reference record check of causeway.store's `vectors` type table
+REFERENCE_VECTORS = ReferenceRecord(
+    file=str, dtype=str, shape=list, scoring=int, provider=(str, type(None))
+)
 
 
 def live_row_ids(store: GraphStore) -> list[str]:

@@ -17,7 +17,7 @@ from causeway.prompting import PromptSpec, build_prompt, default_rules, estimate
 from causeway.retrieval import HybridConfig
 from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
-from helpers import count_dot_statements, write_v1_snapshot, write_v2_snapshot
+from helpers import count_dot_statements
 
 
 CORPUS = (
@@ -324,6 +324,8 @@ def test_invalid_config_rejected(tmp_path, capsys):
     assert main(["--config", str(config), "stats"]) == 1
     assert "gamma" in capsys.readouterr().err
     for raw in (
+        b'{"hybrid": {"alpha": 0.',  # cut short
+        b"\xff{}",  # not UTF-8
         5,
         [1],
         {"hybrid": 5},
@@ -348,9 +350,15 @@ def test_invalid_config_rejected(tmp_path, capsys):
         {"provider": {"sed": 1}},
         {"stor_path": "x"},
     ):
-        config.write_text(json.dumps(raw), encoding="utf-8")
+        if isinstance(raw, bytes):
+            config.write_bytes(raw)
+        else:
+            config.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["--config", str(config), "--store", str(snapshot), "stats"]) == 1, raw
-        assert capsys.readouterr().err.startswith("error: "), raw
+        err = capsys.readouterr().err
+        assert err.startswith("error: "), raw
+        if isinstance(raw, bytes):
+            assert err.startswith(f"error: {config}: config is not UTF-8 JSON: "), raw
 
 
 JSON_VALUES = st.recursive(
@@ -421,10 +429,52 @@ def test_overflowing_vector_provider_exits_three(workspace, monkeypatch, capsys)
 
 def test_malformed_snapshot_is_operational_error(workspace, capsys):
     workspace["store"].write_text(
-        json.dumps({"format": "causeway-graph-snapshot", "version": 1}), encoding="utf-8"
+        json.dumps({"format": "causeway-graph-snapshot", "version": 3}), encoding="utf-8"
     )
     assert run(["stats"], workspace) == 1
     assert "nodes" in capsys.readouterr().err
+
+
+# the smallest snapshots of versions 1 and 2: one event, its vector inline
+# (version 1) or in a vector file whose rows name their nodes (version 2)
+ONE_ROW = [1.0] + [0.0] * (EMBEDDING_DIM - 1)
+OLD_SNAPSHOTS = {
+    1: {
+        "format": "causeway-graph-snapshot", "version": 1, "embedding_dim": EMBEDDING_DIM,
+        "nodes": [{"id": "event:a", "kind": "Event", "text": "rain", "embedding": ONE_ROW}],
+        "edges": [],
+    },
+    2: {
+        "format": "causeway-graph-snapshot", "version": 2, "embedding_dim": EMBEDDING_DIM,
+        "vectors": {"file": ".graph.json.0123456789abcdef.npy", "dtype": "<f8",
+                    "shape": [1, EMBEDDING_DIM], "rows": ["event:a"], "provider": "mock-hash-0"},
+        "nodes": [{"id": "event:a", "kind": "Event", "text": "rain"}],
+        "edges": [],
+    },
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_SNAPSHOTS))
+def test_old_snapshot_is_refused_by_every_command_and_left_as_it_is(workspace, capsys, version):
+    path = workspace["store"]
+    path.write_text(json.dumps(OLD_SNAPSHOTS[version]), encoding="utf-8")
+    if version == 2:
+        np.save(path.with_name(OLD_SNAPSHOTS[2]["vectors"]["file"]), np.array([ONE_ROW]))
+    files = {p.name: p.read_bytes() for p in workspace["dir"].iterdir()}
+    message = (
+        f"{path}: snapshot version {version} is no longer read; move the file aside "
+        "and run `ingest` and `embed` again"
+    )
+    with pytest.raises(ValueError) as info:
+        GraphStore.load(path)
+    assert type(info.value) is ValueError and str(info.value) == message
+    for command in (["stats"], ["retrieve", "--query", "rain"], ["embed"],
+                    ["ingest", "--corpus", str(workspace["corpus"])]):
+        capsys.readouterr()
+        assert run(command, workspace) == 1, command
+        assert capsys.readouterr().err == f"error: {message}\n", command
+        # neither overwritten by a new store nor deleted, nor a file added
+        assert {p.name: p.read_bytes() for p in workspace["dir"].iterdir()} == files, command
 
 
 def test_non_object_eval_line_is_operational_error(workspace, capsys):
@@ -574,13 +624,6 @@ def test_llm_reply_without_string_content_exits_three_and_fails_each_sentence(
     assert report["failures"] == [["t1", message], ["t2", message]]
 
 
-def drop_provider_record(path) -> None:
-    write_v2_snapshot(GraphStore.load(path), path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    del doc["vectors"]["provider"]  # as written before the identity was recorded
-    path.write_text(json.dumps(doc), encoding="utf-8")
-
-
 def write_vector_directly(path) -> None:
     store = GraphStore.load(path)
     node = store.get_node("event:a")
@@ -588,9 +631,7 @@ def write_vector_directly(path) -> None:
     store.save(path)
 
 
-@pytest.mark.parametrize(
-    "case", ["other-seed", "http", "v1", "v2-without-provider", "vector-upserted"]
-)
+@pytest.mark.parametrize("case", ["other-seed", "http", "vector-upserted"])
 def test_embed_cleans_when_the_vectors_provider_is_not_known_to_be_this_one(
     workspace, tmp_path, monkeypatch, capsys, case
 ):
@@ -612,10 +653,6 @@ def test_embed_cleans_when_the_vectors_provider_is_not_known_to_be_this_one(
             provider = HttpEmbeddingProvider("http://embed.local", session=MockVectorSession())
         (tmp_path / "config.json").write_text(json.dumps({"provider": settings}), encoding="utf-8")
         config = ["--config", str(tmp_path / "config.json")]
-    elif case == "v1":
-        write_v1_snapshot(GraphStore.load(path), path)
-    elif case == "v2-without-provider":
-        drop_provider_record(path)
     else:
         write_vector_directly(path)
     assert GraphStore.load(path).embedded_by != provider.identity

@@ -5,7 +5,7 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from causeway.errors import (
@@ -29,8 +29,8 @@ from causeway.inference import (
     prompt_hash,
     self_evaluate_tagging,
 )
-from causeway.prompting import estimate_tokens
-from causeway.retrieval import HybridConfig
+from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
+from causeway.retrieval import FewShotExample, HybridConfig
 from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
 
 from helpers import count_dot_statements, random_store
@@ -421,7 +421,6 @@ def test_emit_graph_downgrades_unparseable_tagging():
 # --- clients and budgeter ---
 
 def test_mock_client_emits_two_key_json(provider):
-    from causeway.prompting import PromptSpec, build_prompt
     from causeway.retrieval import query, to_fewshot_examples
 
     store = causal_store(provider, [("x happened due to y", "due to")])
@@ -432,6 +431,48 @@ def test_mock_client_emits_two_key_json(provider):
     parsed = json.loads(MockLLMClient().complete(prompt))
     assert set(parsed) == {"tagged_sentence", "label"}
     assert parsed["label"] == 1
+
+
+def lexicon_reply(sentence: str, triggers: list[str]) -> dict:
+    """What the mock client answers for ``sentence`` with one few-shot
+    example per trigger."""
+    examples = [
+        FewShotExample(i, f"event:{i}", "e", (), (), (trigger,), "e", 1, True)
+        for i, trigger in enumerate(triggers)
+    ]
+    return json.loads(MockLLMClient().complete(build_prompt(PromptSpec(sentence, examples))))
+
+
+# letters whose lowercase is one letter whatever their neighbours, and İ,
+# whose lowercase is two (i and a combining dot above)
+LETTERS = "aiksAIKS\u0130\u1e9e\u212a"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sentence=st.text(alphabet=LETTERS + " ", max_size=12),
+    triggers=st.lists(st.text(alphabet=LETTERS, min_size=1, max_size=3), min_size=1, max_size=3),
+)
+@example(sentence="\u0130stanbul rain caused floods", triggers=["caused"])
+@example(sentence="\u0130i", triggers=["i"])  # i first occurs inside the lowercase \u0130
+@example(sentence="\u0130", triggers=["i"])  # and only there
+def test_mock_client_tags_the_trigger_in_the_sentences_own_characters(sentence, triggers):
+    reply = lexicon_reply(sentence, triggers)
+    lowered = sentence.lower()
+    hits = [t for t in triggers if t.lower() in lowered and len(t.lower()) == len(t)]
+    assert reply["label"] == int(bool(hits))
+    tagged = reply["tagged_sentence"]
+    assert tagged.replace("<trigger>", "").replace("</trigger>", "") == sentence
+    if not hits:
+        assert tagged == sentence
+        return
+    span = tagged.split("<trigger>")[1].split("</trigger>")[0]
+    needle = hits[0].lower()
+    n = len(sentence)
+    if any(sentence[i:j].lower() == needle for i in range(n) for j in range(i + 1, n + 1)):
+        assert span.lower() == needle
+    else:  # the trigger lies inside one character's lowercase: that character is tagged
+        assert needle in span.lower()
 
 
 def test_http_client_payload_and_errors(monkeypatch):

@@ -41,15 +41,13 @@ from causeway.store import (
 
 from causeway import store as store_module
 from helpers import (
-    REFERENCE_RECORDS,
+    REFERENCE_VECTORS,
     live_row_ids,
     oracle_neighbor_counts,
     random_store,
     random_unit_vector,
     reference_insert,
     store_state,
-    write_v1_snapshot,
-    write_v2_snapshot,
 )
 
 
@@ -102,11 +100,11 @@ def test_zero_norm_embedding_rejected(tmp_path):
         store.set_embeddings([("event:1", zero)])
     assert store.get_node("event:1").embedding is None
     path = tmp_path / "zero.json"
-    node = {"id": "event:1", "kind": "Event", "text": "a", "embedding": zero.tolist()}
-    path.write_text(
-        json.dumps({**HEADER, "nodes": [node], "edges": []}), encoding="utf-8"
-    )
-    with pytest.raises(ZeroVectorError):
+    store.set_embedding("event:1", random_unit_vector(np.random.default_rng(0)))
+    store.save(path)
+    sidecar = path.with_name(json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"])
+    sidecar.write_bytes(npy_bytes(zero[None]))
+    with pytest.raises(ZeroVectorError, match="vector row 0 is a zero vector"):
         GraphStore.load(path)
 
 
@@ -478,26 +476,6 @@ def test_load_rereads_the_snapshot_once_if_its_vectors_vanish(tmp_path, rng, mon
     assert loaded.nodes() == newer.nodes() and loaded.edges() == newer.edges()
 
 
-def test_snapshot_writes_version_2_with_rows_in_scoring_order(tmp_path, rng, provider):
-    # version 2 files are no longer written by save; this one comes from
-    # the helper that writes that format, and load must keep its row order
-    store = random_store(rng, n_events=30)
-    batch_embed(store, provider)  # every span node gets a vector too
-    store.set_embedding("event:0", random_unit_vector(np.random.default_rng(3)))
-    path = tmp_path / "graph.json"
-    write_v2_snapshot(store, path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["version"] == 2
-    assert all("embedding" not in n for n in doc["nodes"])
-    rows = doc["vectors"]["rows"]
-    assert rows[: len(live_row_ids(store))] == live_row_ids(store)  # event:0 is now last
-    assert sorted(rows) == sorted(n.id for n in store.nodes() if n.embedding is not None)
-    assert doc["vectors"]["shape"] == [len(rows), EMBEDDING_DIM]
-    loaded = GraphStore.load(path)
-    assert live_row_ids(loaded) == live_row_ids(store)
-    assert loaded.nodes() == store.nodes()
-
-
 def share_span_texts(store: GraphStore, texts: int) -> None:
     """Give the store's span nodes one of ``texts`` texts each, so that
     ``batch_embed`` hands each group of them one shared array."""
@@ -556,47 +534,6 @@ def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, pr
     assert snapshot_files(again) == snapshot_files(path)
 
 
-def test_v1_snapshot_round_trips_through_v2_bit_for_bit(tmp_path, rng, provider):
-    # versions 1 and 2 each load, save as version 3, and load and save again
-    # to the same bytes; every store scores queries to the bit alike
-    store = random_store(rng, n_events=80)
-    share_span_texts(store, 5)
-    batch_embed(store, provider)
-    for i in range(0, 80, 7):  # re-embedded events move to the end of the rows
-        store.set_embedding(f"event:{i}", random_unit_vector(np.random.default_rng(i)))
-    write_v1_snapshot(store, tmp_path / "v1.json")
-    write_v2_snapshot(store, tmp_path / "v2.json")
-    stores = [store]
-    for version in ("v1", "v2"):
-        stores.append(GraphStore.load(tmp_path / f"{version}.json"))
-        for name in ("one", "two"):  # v1/v2 -> v3 -> v3
-            path = tmp_path / version / name / "graph.json"
-            path.parent.mkdir(parents=True)
-            stores[-1].save(path)
-            stores.append(GraphStore.load(path))
-        assert snapshot_files(tmp_path / version / "one" / "graph.json") == snapshot_files(
-            tmp_path / version / "two" / "graph.json"
-        )
-    np_rng = np.random.default_rng(5)
-    queries = [random_unit_vector(np_rng) for _ in range(111)]
-    queries += [provider.embed(f"event sentence {i}") for i in range(0, 80, 9)]
-    assert len(queries) == 120
-    cfg = HybridConfig(k=20, tau=-2.0)
-    want = [query(store, q, cfg) for q in queries]
-    def live_norms(s: GraphStore) -> dict[str, float]:
-        rows = s.scoring_rows()
-        return {i: n for i, n, a in zip(rows.ids, rows.norms.tolist(), rows.alive) if a}
-
-    for other in stores[1:]:
-        assert [query(other, q, cfg) for q in queries] == want  # ids and scores to the bit
-        assert live_norms(other) == live_norms(store)
-        assert other.nodes() == store.nodes() and other.edges() == store.edges()
-    # v1 lists no row order, so its rows follow the nodes; v2 and v3 keep the order
-    assert live_row_ids(stores[1]) == live_row_ids(stores[2]) == live_row_ids(stores[3])
-    assert live_row_ids(stores[4]) == live_row_ids(stores[5]) == live_row_ids(store)
-    assert live_row_ids(stores[6]) == live_row_ids(store)
-
-
 def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
     """A store built through the public writers: event and span texts drawn
     from ``texts`` distinct ones or missing, events with and without edges,
@@ -633,24 +570,15 @@ def replay(path: Path) -> GraphStore:
     writers, record by record, as ``load`` once did."""
     doc = json.loads(path.read_text(encoding="utf-8"))
     store = GraphStore()
-    if doc["version"] == 3:
-        nodes, edges = doc["nodes"], doc["edges"]
-        ids = nodes["ids"]
-        for rec in zip(ids, nodes["kinds"], nodes["texts"]):
-            store.upsert_node(Node(rec[0], NodeKind(rec[1]), rec[2]))
-        vectors = np.load(path.with_name(doc["vectors"]["file"]))
-        held = sorted((row, i) for i, row in zip(ids, nodes["vector_row"]) if row >= 0)
-        store.set_embeddings([(i, vectors[row]) for row, i in held], doc["vectors"]["provider"])
-        for src, dst, kind in zip(edges["src"], edges["dst"], edges["kind"]):
-            store.add_edge(Edge(ids[src], ids[dst], EdgeKind(kind)))
-        return store
-    for rec in doc["nodes"]:
-        store.upsert_node(Node(rec["id"], NodeKind(rec["kind"]), rec["text"], rec.get("embedding")))
-    if doc["version"] == 2:
-        vectors = np.load(path.with_name(doc["vectors"]["file"]))
-        store.set_embeddings(zip(doc["vectors"]["rows"], vectors), doc["vectors"]["provider"])
-    for rec in doc["edges"]:
-        store.add_edge(Edge(rec["src"], rec["dst"], EdgeKind(rec["kind"])))
+    nodes, edges = doc["nodes"], doc["edges"]
+    ids = nodes["ids"]
+    for rec in zip(ids, nodes["kinds"], nodes["texts"]):
+        store.upsert_node(Node(rec[0], NodeKind(rec[1]), rec[2]))
+    vectors = np.load(path.with_name(doc["vectors"]["file"]))
+    held = sorted((row, i) for i, row in zip(ids, nodes["vector_row"]) if row >= 0)
+    store.set_embeddings([(i, vectors[row]) for row, i in held], doc["vectors"]["provider"])
+    for src, dst, kind in zip(edges["src"], edges["dst"], edges["kind"]):
+        store.add_edge(Edge(ids[src], ids[dst], EdgeKind(kind)))
     return store
 
 
@@ -665,42 +593,36 @@ def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
     )
 
 
-# 10 examples per version, as the two versions once had 20 between them
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=10, deadline=None)
 @given(
     n_events=st.integers(0, 40),
     seed=st.integers(0, 2**32 - 1),
     texts=st.sampled_from([1, 3, 10**6]),
-    version=st.sampled_from([1, 2, 3]),
 )
-@example(n_events=620, seed=1, texts=3, version=1)  # more than one chunk of rows
-@example(n_events=620, seed=2, texts=10**6, version=2)
-@example(n_events=620, seed=3, texts=3, version=3)
-def test_load_gives_the_store_the_public_writers_give(
-    tmp_path_factory, n_events, seed, texts, version
-):
+@example(n_events=620, seed=1, texts=3)  # more than one chunk of rows
+@example(n_events=620, seed=2, texts=10**6)
+@example(n_events=620, seed=3, texts=3)
+def test_load_gives_the_store_the_public_writers_give(tmp_path_factory, n_events, seed, texts):
     store = written_store(n_events, seed, texts)
     path = tmp_path_factory.mktemp("equal") / "graph.json"
-    if version == 1:
-        write_v1_snapshot(store, path)
-    elif version == 2:
-        write_v2_snapshot(store, path)
-    else:
-        store.save(path)
+    store.save(path)
     loaded, want = GraphStore.load(path), replay(path)
-    assert loaded.nodes() == want.nodes()  # ids, kinds, texts and vectors to the bit
+    assert loaded.nodes() == want.nodes() == store.nodes()  # ids, kinds, texts, vectors to the bit
     assert loaded.edges() == want.edges()
     for event in want.nodes(NodeKind.EVENT):
         assert loaded.collect_texts(event.id) == want.collect_texts(event.id)
-    assert live_rows(loaded) == live_rows(want)
+    # row order, norms to the bit and linked bits, as the writers gave them
+    assert live_rows(loaded) == live_rows(want) == live_rows(store)
     if n_events >= 600:
         assert len(live_rows(loaded)[0]) > CHUNK_ROWS
-    assert loaded.embedded_by == (None if version == 1 else store.embedded_by)
+    assert loaded.embedded_by == store.embedded_by
     np_rng = np.random.default_rng(seed)
     queries = [random_unit_vector(np_rng) for _ in range(4)]
     queries += [n.embedding for n in store.nodes(NodeKind.EVENT)[:4] if n.embedding is not None]
     cfg = HybridConfig(k=25, tau=-2.0)
-    assert [query(loaded, q, cfg) for q in queries] == [query(want, q, cfg) for q in queries]
+    want_results = [query(store, q, cfg) for q in queries]  # ids and scores to the bit
+    assert [query(loaded, q, cfg) for q in queries] == want_results
+    assert [query(want, q, cfg) for q in queries] == want_results
 
 
 def test_a_refused_set_embeddings_writes_nothing(provider):
@@ -871,100 +793,64 @@ def test_insert_writes_what_one_call_per_node_and_edge_writes(
 
 def test_snapshot_rejects_foreign_file(tmp_path):
     path = tmp_path / "other.json"
-    path.write_text('{"format": "something-else", "version": 1}', encoding="utf-8")
+    path.write_text('{"format": "something-else", "version": 3}', encoding="utf-8")
     with pytest.raises(ValueError):
         GraphStore.load(path)
 
 
-HEADER = {"format": SNAPSHOT_FORMAT, "version": 1}  # the format with inline embeddings
-NODE = {"id": "event:1", "kind": "Event", "text": "t", "embedding": None}
-CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c", "embedding": None}
+# nodes and edges in record notation, written as version 3 columns by as_columns
+NODE = {"id": "event:1", "kind": "Event", "text": "t"}
+CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c"}
 EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
 # records the store refuses, each with its error and its message after
 # "<path>: snapshot "
 REFUSED_RECORDS = {
     "node-kind-unknown": (
-        {**HEADER, "nodes": [NODE, {**CAUSE, "kind": "Foo"}], "edges": []},
+        {"nodes": [NODE, {**CAUSE, "kind": "Foo"}], "edges": []},
         ValueError, "nodes[1]: 'Foo' is not a valid NodeKind",
     ),
     "edge-kind-unknown": (
-        {**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "kind": "PRECEDES"}]},
+        {"nodes": [NODE, CAUSE], "edges": [{**EDGE, "kind": "PRECEDES"}]},
         ValueError, "edges[0]: 'PRECEDES' is not a valid EdgeKind",
     ),
     "edge-endpoint-missing": (
-        {**HEADER, "nodes": [NODE], "edges": [EDGE]},
-        MissingEndpointError, "edges[0]: edge endpoint 'cause:1' not in store",
+        {"nodes": [NODE], "edges": [EDGE]},
+        MissingEndpointError, "edges[0]: edge endpoint 1 not in store",
     ),
     "edge-kinds-wrong": (
-        {**HEADER, "nodes": [NODE, CAUSE], "edges": [EDGE, {**EDGE, "kind": "RESULTS_IN"}]},
+        {"nodes": [NODE, CAUSE], "edges": [EDGE, {**EDGE, "kind": "RESULTS_IN"}]},
         KindViolationError, "edges[1]: RESULTS_IN requires Event->Effect, got Cause->Event",
     ),
     "node-id-repeated": (
-        {**HEADER, "nodes": [NODE, CAUSE, {**NODE, "text": "u"}], "edges": []},
+        {"nodes": [NODE, CAUSE, {**NODE, "text": "u"}], "edges": []},
         ValueError, "nodes[0] and nodes[2] repeat the node id 'event:1'",
     ),
     "node-id-changes-kind": (
-        {**HEADER, "nodes": [NODE, {**NODE, "kind": "Cause"}], "edges": []},
+        {"nodes": [NODE, {**NODE, "kind": "Cause"}], "edges": []},
         KindViolationError,
         "nodes[0] and nodes[1]: node 'event:1' is Event, cannot change to Cause",
     ),
-    "node-embedding-short": (
-        {**HEADER, "nodes": [{**NODE, "embedding": [1.0]}], "edges": []},
-        DimensionMismatchError, "nodes[0]: embedding must have shape (384,), got (1,)",
-    ),
 }
-# version 3 names an edge end by its node index, not its id
-V3_RECORD_MESSAGES = {"edge-endpoint-missing": "edges[0]: edge endpoint 1 not in store"}
 
 
-@pytest.mark.parametrize(
-    "payload, error",
-    [
-        ([1, 2], ValueError),
-        ("text", ValueError),
-        ({**HEADER, "edges": []}, ValueError),
-        ({**HEADER, "nodes": {}, "edges": []}, ValueError),
-        ({**HEADER, "nodes": []}, ValueError),
-        ({**HEADER, "nodes": [], "edges": None}, ValueError),
-        ({**HEADER, "nodes": [1], "edges": []}, ValueError),
-        ({**HEADER, "nodes": [{"id": "event:1", "kind": "Event"}], "edges": []}, ValueError),
-        ({**HEADER, "nodes": [NODE], "edges": [["event:1", "cause:1", "CAUSES"]]}, ValueError),
-        ({**HEADER, "nodes": [NODE], "edges": [{"src": "cause:1", "kind": "CAUSES"}]}, ValueError),
-        ({**HEADER, "nodes": [{**NODE, "id": ["event:1"]}], "edges": []}, ValueError),
-        ({**HEADER, "nodes": [{**NODE, "text": 5}], "edges": []}, ValueError),
-        ({**HEADER, "nodes": [{**NODE, "embedding": {}}], "edges": []}, ValueError),
-        ({**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "src": ["cause:1"]}]}, ValueError),
-        ({**HEADER, "nodes": [NODE, CAUSE], "edges": [{**EDGE, "dst": 1}]}, ValueError),
-    ] + [(payload, error) for payload, error, _ in REFUSED_RECORDS.values()],
-    ids=[
-        "list", "string", "no-nodes", "nodes-not-list", "no-edges", "edges-not-list",
-        "node-not-object", "node-missing-key", "edge-not-object", "edge-missing-key",
-        "node-id-list", "node-text-number", "node-embedding-object", "edge-src-list",
-        "edge-dst-number", *REFUSED_RECORDS,
-    ],
-)
-def test_snapshot_rejects_malformed_shape(tmp_path, payload, error):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(payload), encoding="utf-8")
-    with pytest.raises(error, match="bad.json"):
-        GraphStore.load(path)
-
-
-def as_columns(payload: dict, vectors: dict) -> dict:
-    """A version 1 ``payload`` of records as version 3 columns, with the
-    ``vectors`` record of an empty store's snapshot: each edge end is the
-    index of the first node of its id, or one past the nodes if there is none."""
-    nodes = payload["nodes"]
+def as_columns(path: Path, records: dict) -> dict:
+    """``records`` as a version 3 document, with the ``vectors`` record of an
+    empty store's snapshot, saved at ``path``: each edge end is the index of
+    the first node of its id, or one past the nodes if there is none."""
+    GraphStore().save(path)
+    vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
+    nodes = records["nodes"]
     first = {}
     for i, n in enumerate(nodes):
         first.setdefault(n["id"], i)
     ends = [
         (first.get(e["src"], len(nodes)), first.get(e["dst"], len(nodes)))
-        for e in payload["edges"]
+        for e in records["edges"]
     ]
     return {
-        **payload,
-        "version": 3,
+        "format": SNAPSHOT_FORMAT,
+        "version": SNAPSHOT_VERSION,
+        "embedding_dim": EMBEDDING_DIM,
         "vectors": vectors,
         "nodes": {
             "ids": [n["id"] for n in nodes],
@@ -975,9 +861,86 @@ def as_columns(payload: dict, vectors: dict) -> dict:
         "edges": {
             "src": [src for src, _ in ends],
             "dst": [dst for _, dst in ends],
-            "kind": [e["kind"] for e in payload["edges"]],
+            "kind": [e["kind"] for e in records["edges"]],
         },
     }
+
+
+GONE = object()  # a value that deletes its key
+NOT_NODE_COLUMNS = (
+    "snapshot 'nodes' must be an object of lists ['ids', 'kinds', 'texts', 'vector_row']"
+)
+NOT_EDGE_COLUMNS = "snapshot 'edges' must be an object of lists ['src', 'dst', 'kind']"
+# malformed documents: the keys of a value in the document of NODE, CAUSE
+# and EDGE (none for the whole document), the value it gets instead (bytes
+# are the whole file), and the refusal's message after "<path>: "
+MALFORMED = {
+    "list": ((), [1, 2], f"not a {SNAPSHOT_FORMAT} file"),
+    "string": ((), "text", f"not a {SNAPSHOT_FORMAT} file"),
+    "truncated": (
+        (), b'{"format": "causeway-graph-snapshot", "version": 3, "nodes": {"ids": [',
+        "snapshot is not UTF-8 JSON: Expecting value: line 1 column 71 (char 70)",
+    ),
+    "not-utf-8": (
+        (), b"\xff{}",
+        "snapshot is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte",
+    ),
+    "no-nodes": (("nodes",), GONE, NOT_NODE_COLUMNS),
+    "nodes-not-list": (("nodes",), {}, NOT_NODE_COLUMNS),
+    "no-edges": (("edges",), GONE, NOT_EDGE_COLUMNS),
+    "edges-not-list": (("edges",), None, NOT_EDGE_COLUMNS),
+    "node-not-object": (("nodes",), [1], NOT_NODE_COLUMNS),
+    "node-missing-key": (("nodes", "texts"), GONE, NOT_NODE_COLUMNS),
+    "edge-not-object": (("edges",), [[1, 0, "CAUSES"]], NOT_EDGE_COLUMNS),
+    "edge-missing-key": (("edges", "dst"), GONE, NOT_EDGE_COLUMNS),
+    "node-id-list": (("nodes", "ids", 0), ["event:1"], "snapshot nodes[0] 'ids' must not be list"),
+    "node-text-number": (("nodes", "texts", 0), 5, "snapshot nodes[0] 'texts' must not be int"),
+    "node-embedding-object": (
+        ("nodes", "vector_row", 0), {}, "snapshot nodes[0] 'vector_row' must not be dict"
+    ),
+    "node-embedding-short": (
+        ("vectors", "shape"), [1, 1], f"snapshot vectors must be <f8 of shape (1, {EMBEDDING_DIM})"
+    ),
+    "edge-src-list": (("edges", "src", 0), [1], "snapshot edges[0] 'src' must not be list"),
+    "edge-dst-number": (("edges", "dst", 0), 0.0, "snapshot edges[0] 'dst' must not be float"),
+}
+
+
+def changed(doc, keys: tuple, value):
+    """``doc`` with the value at ``keys`` (the whole document for none) set
+    to ``value``, or deleted if ``value`` is GONE."""
+    if not keys:
+        return value
+    *outer, last = keys
+    target = doc
+    for key in outer:
+        target = target[key]
+    if value is GONE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("name", [*MALFORMED, *REFUSED_RECORDS])
+def test_snapshot_rejects_malformed_shape(tmp_path, name):
+    path = tmp_path / "bad.json"
+    if name in MALFORMED:
+        keys, value, message = MALFORMED[name]
+        error, payload = ValueError, changed(
+            as_columns(path, {"nodes": [NODE, CAUSE], "edges": [EDGE]}), keys, value
+        )
+    else:
+        records, error, message = REFUSED_RECORDS[name]
+        payload, message = as_columns(path, records), f"snapshot {message}"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(error) as info:
+        GraphStore.load(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def assert_refused_and_exits_one(path: Path, error, message: str) -> None:
@@ -995,25 +958,12 @@ def assert_refused_and_exits_one(path: Path, error, message: str) -> None:
     assert err.getvalue() == f"error: {path}: snapshot {message}\n"
 
 
-@pytest.mark.parametrize(
-    "name, version",
-    # versions 2 and 3 hold no inline vector
-    [(name, 1) for name in REFUSED_RECORDS]
-    + [(name, v) for v in (2, 3) for name in REFUSED_RECORDS if name != "node-embedding-short"],
-)
-def test_refused_record_is_named_and_exits_one(tmp_path, name, version):
-    payload, error, message = REFUSED_RECORDS[name]
+# each case keeps the id it had when it also ran on versions 1 and 2
+@pytest.mark.parametrize("name", REFUSED_RECORDS, ids=lambda name: f"{name}-3")
+def test_refused_record_is_named_and_exits_one(tmp_path, name):
+    records, error, message = REFUSED_RECORDS[name]
     path = tmp_path / "graph.json"
-    if version == 2:  # the same records, their vectors (none) beside them
-        write_v2_snapshot(GraphStore(), path)
-        vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
-        nodes = [{k: v for k, v in n.items() if k != "embedding"} for n in payload["nodes"]]
-        payload = {**payload, "version": 2, "vectors": vectors, "nodes": nodes}
-    elif version == 3:
-        GraphStore().save(path)
-        payload = as_columns(payload, json.loads(path.read_text(encoding="utf-8"))["vectors"])
-        message = V3_RECORD_MESSAGES.get(name, message)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(json.dumps(as_columns(path, records)), encoding="utf-8")
     assert_refused_and_exits_one(path, error, message)
 
 
@@ -1171,66 +1121,46 @@ def test_v3_refusal_is_named_and_exits_one(tmp_path, name):
 
 
 # one record with two faults, for each pair of checks that load applies one
-# after the other: node kind, repeated id, vector; edge kind, missing src,
-# missing dst, endpoint kinds; a version 3 vector_row out of range, then a
+# after the other: node kind, repeated id, vector_row; edge kind, missing
+# src, missing dst, endpoint kinds; a vector_row out of range, then a
 # scoring event's row at or above `scoring`. The earlier check's refusal
 # names the record. The later row checks, another node on a scoring row and
 # a shared scoring row, cannot pair up so: a record is a scoring event or
 # not, and the first node on a shared row has every other row fault its
-# partner has. Each fault: its version, the change to the version's base
-# document, the error and its message after "<path>: snapshot ".
+# partner has. Each fault: the change to v3_base's document, the error and
+# its message after "<path>: snapshot ".
 FAULT_PAIRS = {
-    "node-kind-then-repeated-id": (
-        1, put(("nodes", 1, None, {**NODE, "kind": "Foo"})), ValueError,
-        "nodes[1]: 'Foo' is not a valid NodeKind",
-    ),
-    "repeated-id-then-vector": (
-        1, put(("nodes", 1, None, {**NODE, "embedding": [1.0]})), ValueError,
-        "nodes[0] and nodes[1] repeat the node id 'event:1'",
-    ),
-    "edge-kind-then-missing-src": (
-        1, put(("edges", 0, None, {**EDGE, "kind": "PRECEDES", "src": "ghost"})), ValueError,
-        "edges[0]: 'PRECEDES' is not a valid EdgeKind",
-    ),
-    "missing-src-then-missing-dst": (
-        1, put(("edges", 0, None, {**EDGE, "src": "ghost", "dst": "phantom"})),
-        MissingEndpointError, "edges[0]: edge endpoint 'ghost' not in store",
-    ),
-    "missing-dst-then-endpoint-kinds": (
-        1, put(("edges", 0, None, {**EDGE, "src": "event:1", "dst": "ghost"})),
-        MissingEndpointError, "edges[0]: edge endpoint 'ghost' not in store",
-    ),
     "v3-node-kind-then-repeated-id": (
-        3, put(("nodes", "ids", 3, "cause:0"), ("nodes", "kinds", 3, "Foo")), ValueError,
+        put(("nodes", "ids", 3, "cause:0"), ("nodes", "kinds", 3, "Foo")), ValueError,
         "nodes[3]: 'Foo' is not a valid NodeKind",
     ),
     "v3-repeated-id-then-vector-row": (
-        3, put(("nodes", "ids", 3, "cause:0"), ("nodes", "vector_row", 3, 9)), ValueError,
+        put(("nodes", "ids", 3, "cause:0"), ("nodes", "vector_row", 3, 9)), ValueError,
         "nodes[2] and nodes[3] repeat the node id 'cause:0'",
     ),
     "v3-edge-kind-then-missing-src": (
-        3, put(("edges", "kind", 1, "PRECEDES"), ("edges", "src", 1, 9)), ValueError,
+        put(("edges", "kind", 1, "PRECEDES"), ("edges", "src", 1, 9)), ValueError,
         "edges[1]: 'PRECEDES' is not a valid EdgeKind",
     ),
     "v3-missing-src-then-missing-dst": (
-        3, put(("edges", "src", 1, 9), ("edges", "dst", 1, -1)), MissingEndpointError,
+        put(("edges", "src", 1, 9), ("edges", "dst", 1, -1)), MissingEndpointError,
         "edges[1]: edge endpoint 9 not in store",
     ),
     "v3-missing-dst-then-endpoint-kinds": (
-        3, put(("edges", "src", 1, 2), ("edges", "dst", 1, 9)), MissingEndpointError,
+        put(("edges", "src", 1, 2), ("edges", "dst", 1, 9)), MissingEndpointError,
         "edges[1]: edge endpoint 9 not in store",
     ),
     "v3-row-out-of-range-then-scoring-row-too-high": (
-        3, put(("nodes", "vector_row", 0, 4)), ValueError, "nodes[0]: " + NOT_A_ROW.format(4)
+        put(("nodes", "vector_row", 0, 4)), ValueError, "nodes[0]: " + NOT_A_ROW.format(4)
     ),
 }
 
 
 @pytest.mark.parametrize("name", FAULT_PAIRS)
 def test_a_record_with_two_faults_gets_the_earlier_checks_refusal(tmp_path, name):
-    version, change, error, message = FAULT_PAIRS[name]
+    change, error, message = FAULT_PAIRS[name]
     path = tmp_path / "graph.json"
-    doc = v3_base(path) if version == 3 else {**HEADER, "nodes": [NODE, CAUSE], "edges": [EDGE]}
+    doc = v3_base(path)
     change(doc)
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert_refused_and_exits_one(path, error, message)
@@ -1249,37 +1179,27 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
     max_leaves=8,
 ) | JSON_SCALARS.map(lambda x: [x] * EMBEDDING_DIM)  # right length, any entry
-# (version, section, where, key): a version 1 record's key, or a version 3
-# column's entry or the vectors record's key
+# (section, where, key): a column's entry, or the vectors record's key
 SNAPSHOT_FIELDS = (
-    [(1, "nodes", 0, key) for key in NODE]
-    + [(1, "edges", 0, key) for key in EDGE]
-    + [(3, "nodes", i, key) for key in ("ids", "kinds", "texts", "vector_row") for i in (0, 2)]
-    + [(3, "edges", 0, key) for key in ("src", "dst", "kind")]
-    + [(3, "vectors", None, key) for key in ("shape", "scoring", "provider")]
+    [("nodes", i, key) for key in ("ids", "kinds", "texts", "vector_row") for i in (0, 2)]
+    + [("edges", 0, key) for key in ("src", "dst", "kind")]
+    + [("vectors", None, key) for key in ("shape", "scoring", "provider")]
 )
 
 
-# 7 of the 21 fields are version 1's, which had 200 examples to themselves
-@settings(max_examples=600, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(field=st.sampled_from(SNAPSHOT_FIELDS), value=JSON_VALUES)
 def test_snapshot_field_value_loads_or_raises_documented_error(
     tmp_path_factory, field, value
 ):
-    version, section, where, key = field
-    if version == 1:
-        event = {**NODE, "embedding": [1.0] + [0.0] * (EMBEDDING_DIM - 1)}
-        payload = {**HEADER, "nodes": [event, CAUSE], "edges": [dict(EDGE)]}
-        payload[section][where][key] = value
-        path = tmp_path_factory.getbasetemp() / "field-value.json"
+    section, where, key = field
+    path = tmp_path_factory.getbasetemp() / "field-value" / "graph.json"
+    path.parent.mkdir(exist_ok=True)
+    payload = v3_base(path)
+    if where is None:
+        payload[section][key] = value
     else:
-        path = tmp_path_factory.getbasetemp() / "field-value" / "graph.json"
-        path.parent.mkdir(exist_ok=True)
-        payload = v3_base(path)
-        if where is None:
-            payload[section][key] = value
-        else:
-            payload[section][key][where] = value
+        payload[section][key][where] = value
     path.write_text(json.dumps(payload), encoding="utf-8")
     try:
         GraphStore.load(path)
@@ -1309,20 +1229,17 @@ def records(draw, types: dict):
     return rec
 
 
-@settings(max_examples=400, deadline=None)
-@given(table=st.sampled_from(sorted(REFERENCE_RECORDS)), data=st.data())
-def test_fields_checks_a_record_as_the_reference_does(table, data):
-    reference = REFERENCE_RECORDS[table]
-    rec = data.draw(records(reference.types), label="record")
-
+@settings(max_examples=200, deadline=None)
+@given(rec=records(REFERENCE_VECTORS.types))
+def test_fields_checks_a_record_as_the_reference_does(rec):
     def outcome(check):
         try:
             return check()
         except ValueError as exc:
             return type(exc), str(exc)
 
-    got = outcome(lambda: store_module._fields("g.json", "r", rec, getattr(store_module, table)))
-    assert got == outcome(lambda: reference.values("g.json", "r", rec))
+    got = outcome(lambda: store_module._fields("g.json", "r", rec, store_module._VECTORS))
+    assert got == outcome(lambda: REFERENCE_VECTORS.values("g.json", "r", rec))
 
 
 def npy_bytes(array, allow_pickle=False) -> bytes:
@@ -1331,63 +1248,44 @@ def npy_bytes(array, allow_pickle=False) -> bytes:
     return buf.getvalue()
 
 
-# the `record` fault's sub-cases, per snapshot version: a `vectors` key, the
-# value it gets and the refusal's message after "<path>: snapshot ", for
-# broken_snapshot's store (25 vector rows, 5 of them scoring rows)
+# the `record` fault's sub-cases: a `vectors` key, the value it gets and the
+# refusal's message after "<path>: snapshot ", for broken_snapshot's store
+# (25 vector rows, 5 of them scoring rows)
 NOT_25_ROWS = "vectors must be <f8 of shape (25, 384)"
-FILE_NOT_STRING = ("file", None, "'vectors' 'file' must not be NoneType")
-SHAPE_NOT_LIST = ("shape", "x", "'vectors' 'shape' must not be str")
 SHAPE_NOT_ROWS = "vectors 'shape' must be [rows, 384]"
-RECORD_REFUSALS = {
-    2: [
-        ("dtype", "<f4", NOT_25_ROWS),
-        ("dtype", ">f8", NOT_25_ROWS),
-        ("shape", [0, EMBEDDING_DIM], NOT_25_ROWS),
-        SHAPE_NOT_LIST,
-        ("shape", [1, EMBEDDING_DIM, 1], NOT_25_ROWS),
-        FILE_NOT_STRING,
-        ("drop-row", None, "vectors must be <f8 of shape (24, 384)"),
-        ("no-record", None,
-         "'vectors' must be an object with keys ['dtype', 'file', 'rows', 'shape']"),
-        ("rows", "event:0", "'vectors' 'rows' must not be str"),
-        ("rows", [], "vectors must be <f8 of shape (0, 384)"),
-    ],
-    3: [
-        ("dtype", "<f4", NOT_25_ROWS),
-        ("dtype", ">f8", NOT_25_ROWS),
-        ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
-        SHAPE_NOT_LIST,
-        ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
-        FILE_NOT_STRING,
-        ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
-        ("no-record", None,
-         "'vectors' must be an object with keys ['dtype', 'file', 'scoring', 'shape']"),
-        ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
-        ("scoring", "x", "'vectors' 'scoring' must not be str"),
-        ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
-        ("scoring", -1, SCORING_NOT_A_COUNT),
-        ("scoring", 10**6, SCORING_NOT_A_COUNT),
-    ],
-}
-RECORD_FAULTS = {
-    version: [(key, value) for key, value, _ in refusals]
-    for version, refusals in RECORD_REFUSALS.items()
-}
+VECTORS_KEYS = (
+    "'vectors' must be an object with keys ['dtype', 'file', 'provider', 'scoring', 'shape']"
+)
+RECORD_REFUSALS = [
+    ("dtype", "<f4", NOT_25_ROWS),
+    ("dtype", ">f8", NOT_25_ROWS),
+    ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
+    ("shape", "x", "'vectors' 'shape' must not be str"),
+    ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
+    ("file", None, "'vectors' 'file' must not be NoneType"),
+    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
+    ("no-record", None, VECTORS_KEYS),
+    ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
+    ("scoring", "x", "'vectors' 'scoring' must not be str"),
+    ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
+    ("scoring", -1, SCORING_NOT_A_COUNT),
+    ("scoring", 10**6, SCORING_NOT_A_COUNT),
+    ("no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
+    ("provider", 5, "'vectors' 'provider' must not be int"),
+    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
+]
+RECORD_FAULTS = [(key, value) for key, value, _ in RECORD_REFUSALS]
 
 
-def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True,
-                 name="", record=("dtype", "<f4"), provider=5):
-    """``(fault, version, apply)``: ``apply`` breaks a saved snapshot of
-    that version, its ``vectors`` record or nodes (the parsed JSON ``doc``)
-    or its vector file, in place."""
+def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
+                 record=("dtype", "<f4"), provider=5):
+    """``(fault, apply)``: ``apply`` breaks a saved snapshot, its ``vectors``
+    record or nodes (the parsed JSON ``doc``) or its vector file, in place."""
 
     def apply(doc: dict, sidecar: Path) -> None:
         vectors = np.load(sidecar)
         i, j = row % len(vectors), (row + 1) % len(vectors)
-        if version == 2:
-            rows = doc["vectors"]["rows"]
-        else:
-            vector_row, scoring = doc["nodes"]["vector_row"], doc["vectors"]["scoring"]
+        vector_row, scoring = doc["nodes"]["vector_row"], doc["vectors"]["scoring"]
         data = sidecar.read_bytes()
         if fault == "truncated":
             sidecar.write_bytes(data[: int(cut * len(data))])
@@ -1407,8 +1305,8 @@ def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole
             key, new = record
             if key == "no-record":
                 del doc["vectors"]
-            elif key == "drop-row" and version == 2:
-                rows.pop()
+            elif key == "no-provider":
+                del doc["vectors"]["provider"]
             elif key == "drop-row":  # the last scoring event now holds a shared row
                 doc["vectors"]["scoring"] -= 1
             else:
@@ -1420,12 +1318,8 @@ def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole
             else:
                 vectors[i, j % EMBEDDING_DIM] = value if value != 0.0 else np.nan
             sidecar.write_bytes(npy_bytes(vectors))
-        elif fault == "unknown-id" and version == 2:
-            rows[i] = "event:ghost"
         elif fault == "unknown-id":  # a row past the vector file
             vector_row[vector_row.index(i)] = len(vectors) + row % 3
-        elif fault == "duplicate-id" and version == 2:
-            rows[i] = rows[j]
         elif fault == "duplicate-id":  # two scoring events on one row
             vector_row[vector_row.index(i % scoring)] = (i + 1) % scoring
         elif fault == "name":
@@ -1435,16 +1329,15 @@ def vector_fault(fault, version=3, row=0, cut=0.0, junk=b"", value=np.nan, whole
         else:
             sidecar.unlink()
 
-    return fault, version, apply
+    return fault, apply
 
 
-vector_faults = st.sampled_from(sorted(RECORD_FAULTS)).flatmap(lambda version: st.builds(
+vector_faults = st.builds(
     vector_fault,
     st.sampled_from([
         "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
         "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
     ]),
-    version=st.just(version),
     row=st.integers(0, 10**6),
     cut=st.floats(0, 1, exclude_max=True),
     junk=st.binary(max_size=200),
@@ -1456,36 +1349,30 @@ vector_faults = st.sampled_from(sorted(RECORD_FAULTS)).flatmap(lambda version: s
         ".other.json.0123456789abcdef.npy", ".graph.json.0123456789abcdef.npy/",
         ".graph.json.0123456789abcdef.npy", "", 5, None,
     ]),
-    record=st.sampled_from(RECORD_FAULTS[version]),
+    record=st.sampled_from(RECORD_FAULTS),
     provider=st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]),
-))
+)
 
 
 def each_record_fault(test):
-    """An ``@example`` per version and `record` sub-case, so each runs on every run."""
-    for version, records in RECORD_FAULTS.items():
-        for record in records:
-            test = example(fault=vector_fault("record", version, record=record))(test)
+    """An ``@example`` per `record` sub-case, so each runs on every run."""
+    for record in RECORD_FAULTS:
+        test = example(fault=vector_fault("record", record=record))(test)
     return test
 
 
 def broken_snapshot(path: Path, fault) -> None:
-    """Save a small store as a snapshot of ``fault``'s version at ``path``,
-    then break it as ``fault`` says."""
-    kind, version, apply = fault
+    """Save a small store as a snapshot at ``path``, then break it as
+    ``fault`` says."""
     store = random_store(random.Random(1), n_events=6, embed_fraction=1.0, text_fraction=1.0)
     batch_embed(store, mock_provider())
-    if version == 2:
-        write_v2_snapshot(store, path)
-    else:
-        store.save(path)
+    store.save(path)
     doc = json.loads(path.read_text(encoding="utf-8"))
-    apply(doc, path.with_name(doc["vectors"]["file"]))
+    fault[1](doc, path.with_name(doc["vectors"]["file"]))
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
-# 250 examples per version, as version 2 had before version 3 was drawn too
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(fault=vector_faults)
 @each_record_fault
 def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
@@ -1500,13 +1387,20 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
+def record_refusal_id(i: int, key: str, value, message: str) -> str:
+    """The id each case had when version 2's ten cases came first: pytest
+    names a list value by its case's index."""
+    shown = f"value{i + 10}" if isinstance(value, list) else value
+    return f"3-{key}-{shown}-{message}"
+
+
 @pytest.mark.parametrize(
-    "version, key, value, message",
-    [(version, *refusal) for version, refusals in RECORD_REFUSALS.items() for refusal in refusals],
+    "key, value, message", RECORD_REFUSALS,
+    ids=[record_refusal_id(i, *refusal) for i, refusal in enumerate(RECORD_REFUSALS)],
 )
-def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, version, key, value, message):
+def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, key, value, message):
     path = tmp_path / "graph.json"
-    broken_snapshot(path, vector_fault("record", version, record=(key, value)))
+    broken_snapshot(path, vector_fault("record", record=(key, value)))
     assert_refused_and_exits_one(path, ValueError, message)
 
 
