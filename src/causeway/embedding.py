@@ -10,9 +10,11 @@ The full cycle mirrors the graph-side embedding update procedure:
 The store remembers which provider made its vectors (``embedded_by``), so
 a later run with the same provider can skip step 1, embed only the nodes
 that have no vector yet, and reuse the vectors it holds for their texts.
+Each step reads the store's columns (``embedded_ids``,
+``unembedded_nodes``, ``held_vectors``, ``stats``), never every node.
 
-An event's vector lives in its store scoring row, any other node's on the
-node; there is no separate vector index. Providers must be deterministic,
+An event's vector lives in its store scoring row, any other node's in the
+store's vector column; there is no separate vector index. Providers must be deterministic,
 and their vectors are L2-normalized at ingestion; retrieval still divides
 by each row's stored norm, as vectors given to ``upsert_node`` or ``load``
 need not be unit.
@@ -30,8 +32,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causeway.errors import DimensionMismatchError, ProviderFailureError, ZeroVectorError
-from causeway.store import EMBEDDING_DIM, GraphStore, Node, NodeKind, check_embedding
+from causeway.errors import CausewayError, DimensionMismatchError, ProviderFailureError
+from causeway.store import (
+    EMBEDDING_DIM,
+    GraphStore,
+    Node,
+    NodeKind,
+    check_embedding,
+    check_embeddings,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -65,10 +74,23 @@ def provider_vector(vector, source: str, report=None) -> tuple[np.ndarray, float
     a vector it refuses is the provider's fault, a ProviderFailureError."""
     try:
         return check_embedding(vector)
-    except (DimensionMismatchError, ZeroVectorError) as exc:
-        raise ProviderFailureError(
-            f"provider returned an unusable vector for {source}: {exc}", report=report
-        ) from exc
+    except CausewayError as exc:
+        raise _unusable(source, exc, report) from exc
+
+
+def provider_vectors(vectors, sources, report=None) -> list[tuple[np.ndarray, float]]:
+    """``provider_vector`` of each of ``vectors``, one per source, with one
+    ``check_embeddings`` call."""
+    checks, fault = check_embeddings(vectors)
+    if fault is not None:
+        raise _unusable(sources[len(checks)], fault, report) from fault
+    return checks
+
+
+def _unusable(source: str, exc: CausewayError, report) -> ProviderFailureError:
+    return ProviderFailureError(
+        f"provider returned an unusable vector for {source}: {exc}", report=report
+    )
 
 
 class HashEmbeddingProvider(EmbeddingProvider):
@@ -162,7 +184,7 @@ class HttpEmbeddingProvider(EmbeddingProvider):
 
 def clean_embeddings(store: GraphStore) -> int:
     """Null every node embedding; returns how many were cleared."""
-    embedded = [n.id for n in store.nodes() if n.embedding is not None]
+    embedded = store.embedded_ids()
     store.set_embeddings((node_id, None) for node_id in embedded)
     return len(embedded)
 
@@ -228,7 +250,9 @@ def batch_embed(
     Each distinct text goes to the provider once, and its one unit vector
     (read-only) goes to every node that holds it. If the store's vectors
     are this provider's, a text a node other than an event already holds
-    a read-only vector for is not sent again: that vector is reused. A
+    a vector for is not sent again: the last such node's vector is reused
+    (an event's is a view of its scoring row, which sharing would keep
+    alive after compaction). A
     batch is the shortest run of these nodes, in store order, that holds
     ``batch_size`` texts neither held so nor embedded by an earlier batch;
     its nodes are written in that order under one writer lock. Each batch
@@ -242,27 +266,11 @@ def batch_embed(
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} != {EMBEDDING_DIM}"
         )
-    nodes = store.nodes()
-    eligible = [n for n in nodes if n.text is not None and n.embedding is None]
+    eligible = store.unembedded_nodes()
     report = EmbedReport()
     unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
     if eligible and store.embedded_by == provider.identity:
-        # the vector this provider made for each eligible text that the
-        # store holds, the last node's; but not an event's: it is a view of
-        # its scoring row, which sharing would keep alive after compaction;
-        # and a writable array is its caller's
-        wanted = {n.text for n in eligible}
-        for n in reversed(nodes):
-            if (
-                n.text in wanted
-                and n.kind is not NodeKind.EVENT
-                and n.embedding is not None
-                and not n.embedding.flags.writeable
-            ):
-                unit[n.text] = n.embedding
-                wanted.discard(n.text)
-                if not wanted:
-                    break
+        unit = store.held_vectors({n.text for n in eligible})
     start = 0
     while start < len(eligible):
         fresh: dict[str, Node] = {}  # the batch's new texts -> first node holding each
@@ -275,8 +283,8 @@ def batch_embed(
         batch = eligible[start:end]
         if fresh:
             vectors = _embed_texts(provider, list(fresh), report)
-            for (text, node), vec in zip(fresh.items(), vectors):
-                arr, norm = provider_vector(vec, f"node {node.id!r}", report)
+            sources = [f"node {node.id!r}" for node in fresh.values()]
+            for text, (arr, norm) in zip(fresh, provider_vectors(vectors, sources, report)):
                 vector = arr / norm
                 vector.flags.writeable = False  # shared by every node with this text
                 unit[text] = vector
@@ -338,15 +346,9 @@ class VerificationReport:
 
 def verify(store: GraphStore) -> VerificationReport:
     """Per-kind totals, text-bearing counts and embedded counts."""
-    rows = []
-    for kind in NodeKind:
-        nodes = store.nodes(kind)
-        rows.append(
-            VerificationRow(
-                kind=kind,
-                total=len(nodes),
-                with_text=sum(1 for n in nodes if n.text is not None),
-                embedded=sum(1 for n in nodes if n.embedding is not None),
-            )
-        )
-    return VerificationReport(rows)
+    stats = store.stats()
+    return VerificationReport([
+        VerificationRow(kind, stats.node_counts[kind], stats.text_counts[kind],
+                        stats.embedded_counts[kind])
+        for kind in NodeKind
+    ])

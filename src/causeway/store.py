@@ -8,13 +8,19 @@ fixed endpoint table:
     HAS_TRIGGER: Event  -> Trigger
 
 Storage is in-memory with optional snapshot persistence: a JSON document
-of nodes and edges plus one ``.npy`` file of their vectors. Edges have
-set semantics (duplicates are idempotent) but preserve first-insertion
-order, which fixes the order of collected neighbor texts; adjacency is
-kept on each edge's one Event endpoint. Many readers or one writer: one
-``insert`` writes any number of nodes and edges under one write lock, and
-one ``event_texts`` reads the texts of any number of events (a query's
-results) under one read lock.
+of nodes and edges plus one ``.npy`` file of their vectors. The store
+holds the graph as columns, as a snapshot does: per node (numbered in
+insertion order) an id, a kind code, a text and a vector; per edge its
+two node numbers and a kind code. Edges have set semantics (duplicates
+are idempotent) but preserve first-insertion order, which fixes the order
+of collected neighbor texts; each event keeps its neighbours' numbers in
+that order, one list per edge kind, so it is linked when it has any. Reads
+build ``Node`` and ``Edge`` values: changing one changes nothing stored,
+and every vector a read gives is read-only (a writable array a caller
+writes is copied; a read-only one is kept, so nodes given one array share
+it). Many readers or one writer: one ``insert`` writes any number of
+nodes and edges under one write lock, and one ``event_texts`` reads the
+texts of any number of events (a query's results) under one read lock.
 
 A snapshot (version 3) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` file (-1 for
@@ -22,8 +28,11 @@ none); per edge the indexes of its two nodes and a kind. The file holds
 the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row, and after a load they
-share one read-only array. Loading checks every column in bulk and builds
-the store in one pass. Each check is a mask over the records and the
+share one read-only array. Loading checks every column in bulk and fills
+the store's columns from the file's, with no step per record: each norm
+is the root of the vector's row of the one ``einsum`` that checks the whole
+file, the kernel ``check_embedding`` runs on one row, so a norm is the same
+to the bit either way. Each check is a mask over the records and the
 refusal of a record it flags, the refusal built as the store's writers
 build theirs; a load names the first faulty record, with the refusal of
 the first check that flags it. Versions 1 and 2, which held one record
@@ -32,9 +41,9 @@ and ``embed``.
 
 Every event with both text and an embedding owns one scoring row in a
 fixed-size chunk: its vector, the vector's norm, a linked bit (the event
-has a causal edge) and an alive flag; its ``embedding`` is a read-only
-view of the row. One bulk append writes every row, for a write, a load
-and a compaction alike. A new vector gets a new row and only marks the
+has a causal edge) and an alive flag; a read gives its ``embedding`` as a
+read-only view of the row. One bulk append writes every row, for a write,
+a load and a compaction alike. A new vector gets a new row and only marks the
 old one dead, so a view a caller holds never changes; once dead rows
 outnumber the live ones by a chunk, the live ones are appended afresh.
 """
@@ -100,9 +109,9 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 }
 
 
-def check_embedding(vector) -> tuple[np.ndarray, float]:
-    """The vector as a float64 array, and its L2 norm; enforce dimension
-    and a finite nonzero norm."""
+def _as_embedding(vector) -> np.ndarray:
+    """``vector`` as a contiguous float64 array of the embedding's shape:
+    the norm kernel sums a strided row in another order."""
     try:
         arr = np.asarray(vector, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -111,22 +120,63 @@ def check_embedding(vector) -> tuple[np.ndarray, float]:
         raise DimensionMismatchError(
             f"embedding must have shape ({EMBEDDING_DIM},), got {arr.shape}"
         )
+    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
+
+
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared L2 norm of each row of the C-contiguous ``rows``: the one
+    kernel every stored norm comes from, a row's the same to the bit in a
+    stack of any height. It raises no numpy floating-point warning."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def _norm_refusal(squared: float) -> CausewayError | None:
     # squares are non-negative, so a nan or inf entry makes the sum non-finite,
-    # and so do finite entries whose squares overflow: no cosine exists for
-    # either. np.vdot, unlike ndarray.dot, raises no numpy floating-point
-    # warning, and costs far less than entering np.errstate on every call.
-    squared_norm = float(np.vdot(arr, arr))
-    if not math.isfinite(squared_norm):
-        raise DimensionMismatchError("embedding must have finite entries and a finite norm")
-    if squared_norm == 0.0:  # cosine would reject it at query time
-        raise ZeroVectorError("embedding is a zero vector")
-    return arr, math.sqrt(squared_norm)
+    # and so do finite entries whose squares overflow: no cosine exists for either
+    if not math.isfinite(squared):
+        return DimensionMismatchError("embedding must have finite entries and a finite norm")
+    if squared == 0.0:  # cosine would reject it at query time
+        return ZeroVectorError("embedding is a zero vector")
+    return None
 
 
-# slots: a store holds one per node, and an ingest holds its records' nodes
-# beside the store's own until its one insert
+def check_embedding(vector) -> tuple[np.ndarray, float]:
+    """The vector as a float64 array, and its L2 norm; enforce dimension
+    and a finite nonzero norm."""
+    arr = _as_embedding(vector)
+    squared = float(_squared_norms(arr[None])[0])
+    refusal = _norm_refusal(squared)
+    if refusal is not None:
+        raise refusal
+    return arr, math.sqrt(squared)
+
+
+def check_embeddings(vectors) -> tuple[list[tuple[np.ndarray, float]], CausewayError | None]:
+    """``check_embedding`` of each of ``vectors`` up to the first it
+    refuses, and that refusal (None if none), with one kernel call for
+    every norm."""
+    arrays, fault = [], None
+    try:
+        for vector in vectors:
+            arrays.append(_as_embedding(vector))
+    except CausewayError as exc:
+        fault = exc
+    squared = _squared_norms(np.stack(arrays)).tolist() if arrays else []
+    checks = []
+    for arr, sq in zip(arrays, squared):
+        refusal = _norm_refusal(sq)
+        if refusal is not None:
+            return checks, refusal
+        checks.append((arr, math.sqrt(sq)))
+    return checks, fault
+
+
+# slots: an ingest holds one per span of its records until its one insert
 @dataclass(eq=False, slots=True)
 class Node:
+    """A node as a value: the store keeps its fields in columns and builds a
+    new ``Node`` for each read, so changing one changes nothing stored."""
+
     id: str
     kind: NodeKind
     text: str | None = None
@@ -168,9 +218,13 @@ class ScoringRows:
 
 @dataclass
 class StoreStats:
+    """Counts per kind. ``text_counts`` (nodes with text) feeds ``verify``;
+    ``as_dict``, what ``stats`` prints, leaves it out."""
+
     node_counts: dict[NodeKind, int]
     edge_counts: dict[EdgeKind, int]
     embedded_counts: dict[NodeKind, int]
+    text_counts: dict[NodeKind, int]
 
     @property
     def total_nodes(self) -> int:
@@ -242,16 +296,21 @@ _EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
 # a kind's code is its index here; the columns are checked and built on codes
 _NODE_KINDS = tuple(NodeKind)
 _EDGE_KINDS = tuple(EdgeKind)
+# a kind's code by its value, as a snapshot holds it, and by the kind itself
 _NODE_CODES = {kind.value: code for code, kind in enumerate(_NODE_KINDS)}
 _EDGE_CODES = {kind.value: code for code, kind in enumerate(_EDGE_KINDS)}
+_NODE_CODE = {kind: code for code, kind in enumerate(_NODE_KINDS)}
+_EDGE_CODE = {kind: code for code, kind in enumerate(_EDGE_KINDS)}
 _EVENT = _NODE_CODES[NodeKind.EVENT.value]
+_KIND_VALUES = tuple(kind.value for kind in _NODE_KINDS)
+_EDGE_VALUES = tuple(kind.value for kind in _EDGE_KINDS)
 # per edge kind code, the node kind code its source and its destination must have
 _WANT_SRC, _WANT_DST = (
     np.array([_NODE_CODES[EDGE_ENDPOINTS[kind][end].value] for kind in _EDGE_KINDS])
     for end in (0, 1)
 )
-# per edge kind, whether its source (else its destination) is the Event
-_EVENT_AT_SRC = {kind: EDGE_ENDPOINTS[kind][0] is NodeKind.EVENT for kind in EdgeKind}
+# per edge kind code, whether its source (else its destination) is the Event
+_EVENT_AT_SRC = tuple(EDGE_ENDPOINTS[kind][0] is NodeKind.EVENT for kind in _EDGE_KINDS)
 
 
 def _in_record(path, where: str, exc: Exception) -> Exception:
@@ -266,9 +325,11 @@ def _not_a(kind: type[Enum], value) -> ValueError:
 
 def _checked(vectors) -> tuple[list, CausewayError | None]:
     """``check_embedding`` of each of ``vectors`` (None for None) up to the
-    first it refuses, and that refusal (None if none). A read-only array is
-    checked once however many times it comes: ``batch_embed`` gives every
-    node of one text the same one."""
+    first it refuses, and that refusal (None if none). Each checked array is
+    read-only: a read-only float64 array is kept as it is, and checked once
+    however many times it comes (``batch_embed`` gives every node of one
+    text the same one); anything else is copied, so that no caller can
+    change a stored vector."""
     checks, seen = [], {}  # id of a read-only array -> (the array, its check)
     for vec in vectors:
         try:
@@ -276,13 +337,21 @@ def _checked(vectors) -> tuple[list, CausewayError | None]:
                 checks.append(None)
             elif isinstance(vec, np.ndarray) and not vec.flags.writeable:
                 if id(vec) not in seen:
-                    seen[id(vec)] = (vec, check_embedding(vec))
+                    seen[id(vec)] = (vec, _read_only(check_embedding(vec)))
                 checks.append(seen[id(vec)][1])
             else:
-                checks.append(check_embedding(vec))
+                checks.append(_read_only(check_embedding(vec)))
         except CausewayError as exc:
             return checks, exc
     return checks, None
+
+
+def _read_only(check: tuple[np.ndarray, float]) -> tuple[np.ndarray, float]:
+    arr, norm = check
+    if arr.flags.writeable:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr, norm
 
 
 def _kind_change(node_id: str, old: NodeKind, new: NodeKind) -> KindViolationError:
@@ -449,10 +518,11 @@ def _sidecar_path(path: Path, name) -> Path:
     return path.with_name(name)
 
 
-def _open_vectors(path: Path, file, dtype, shape, rows: int) -> np.ndarray:
+def _open_vectors(path: Path, file, dtype, shape, rows: int) -> tuple[np.ndarray, np.ndarray]:
     """The ``rows`` vectors of the vector file ``file``, mapped read-only,
-    after checking its ``dtype`` and ``shape``. A zero or non-finite vector
-    raises what ``check_embedding`` raises, naming its row."""
+    after checking its ``dtype`` and ``shape``, and each one's squared norm,
+    as ``check_embedding`` computes it. A zero or non-finite vector raises
+    what ``check_embedding`` raises, naming its row."""
     want = (rows, EMBEDDING_DIM)
     if dtype != VECTOR_DTYPE or shape != list(want):
         raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {want}")
@@ -471,8 +541,7 @@ def _open_vectors(path: Path, file, dtype, shape, rows: int) -> np.ndarray:
     if mapped.dtype != np.dtype(VECTOR_DTYPE) or mapped.shape != want:
         raise ValueError(f"{sidecar}: vectors must be {VECTOR_DTYPE} of shape {want}")
     # the refusals of check_embedding, for every row at once
-    with np.errstate(over="ignore", invalid="ignore"):
-        squared = np.einsum("ij,ij->i", mapped, mapped)
+    squared = _squared_norms(np.ascontiguousarray(mapped))
     bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
     if bad.size:
         row = bad[0]
@@ -481,22 +550,25 @@ def _open_vectors(path: Path, file, dtype, shape, rows: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"{sidecar}: vector row {row} must have finite entries and a finite norm"
         )
-    return mapped
+    return mapped, squared
 
 
 class _Snapshot(NamedTuple):
     """A snapshot's checked content as columns: node ``i`` is ``ids[i]``,
-    of kind code ``kinds[i]``, with ``texts[i]`` and the vector in row
-    ``vector_row[i]`` of ``vectors`` (-1 for none), and owns a scoring row
-    if ``scores[i]``; edge ``j`` runs from node ``src[j]`` to node
+    of kind code ``kinds[i]``, with ``texts[i]`` (``has_text[i]`` if not
+    None) and the vector in row ``vector_row[i]`` of ``vectors`` (-1 for
+    none), and owns a scoring row if ``scores[i]``; ``squared`` holds each
+    vector's squared norm; edge ``j`` runs from node ``src[j]`` to node
     ``dst[j]`` and is of kind code ``edge_kinds[j]``."""
 
     ids: list[str]
     kinds: np.ndarray
     texts: list[str | None]
+    has_text: np.ndarray
     vector_row: np.ndarray
     scores: np.ndarray
     vectors: np.ndarray
+    squared: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     edge_kinds: np.ndarray
@@ -522,23 +594,20 @@ def _read_snapshot(path: Path) -> _Snapshot:
         raise ValueError(
             f"{path}: snapshot vectors 'scoring' must be an integer from 0 to the row count"
         )
-    vectors = _open_vectors(path, file, dtype, shape, rows)
+    vectors, squared = _open_vectors(path, file, dtype, shape, rows)
     codes = _codes(kinds, _NODE_CODES)
     file_rows = _indexes(vector_row)
-    scores = _scoring(codes, texts, file_rows)
+    has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(texts))
+    # the events with text and a vector own a scoring row
+    scores = (codes == _EVENT) & has_text & (file_rows >= 0)
     checks = _row_checks(path, scores, vector_row, file_rows, rows, scoring)
     _check_nodes(path, ids, kinds, codes, node_fault, checks)
     ends = _indexes(src), _indexes(dst)
     edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
     return _Snapshot(
-        ids, codes, texts, file_rows, scores, vectors, *ends, edge_codes, embedded_by
+        ids, codes, texts, has_text, file_rows, scores, vectors, squared, *ends, edge_codes,
+        embedded_by,
     )
-
-
-def _scoring(codes: np.ndarray, texts: list, file_rows: np.ndarray) -> np.ndarray:
-    """Which nodes own a scoring row: the events with text and a vector."""
-    has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(texts))
-    return (codes == _EVENT) & has_text & (file_rows >= 0)
 
 
 def _row_checks(path, scores, vector_row: list, rows: np.ndarray, count: int, scoring: int):
@@ -632,30 +701,69 @@ def _discard(path: Path) -> None:
         path.unlink(missing_ok=True)
 
 
+def _room(arrays: tuple, fills: tuple, n: int) -> tuple:
+    """``arrays``, each with room for ``n`` entries: as they are, or grown to
+    at least twice their length, each new entry its array's ``fills`` value."""
+    size = len(arrays[0])
+    if n <= size:
+        return arrays
+    more = max(n, 2 * size) - size
+    return tuple(
+        np.concatenate((a, np.full(more, fill, a.dtype))) for a, fill in zip(arrays, fills)
+    )
+
+
 class GraphStore:
-    """In-memory causal property graph.
+    """In-memory causal property graph, held as columns.
 
     Nodes are keyed by caller-assigned string ids (conventionally
-    namespaced by kind, e.g. ``event:17``). Each fact is held once: an
-    event's embedding is a read-only view of its scoring row, any other
-    node's embedding lives on the node alone.
+    namespaced by kind, e.g. ``event:17``) and numbered in insertion
+    order; per node number the store holds an id, a kind code, a text and
+    a vector. Each fact is held once: an event with text and a vector
+    holds it in its scoring row, any other node's vector is a read-only
+    array, one array for every node that ``batch_embed`` or a load gave the
+    same vector. Edges are columns of node numbers in first-insertion
+    order, and each event keeps the numbers of its neighbours (its edges'
+    other ends) in that order. Reads build ``Node`` and ``Edge`` values.
     """
 
     def __init__(self):
-        self._nodes: dict[str, Node] = {}
-        # every edge once, in first-insertion order
-        self._edges: dict[Edge, None] = {}
-        # event id -> edge kind -> other-endpoint ids in insertion order
-        self._adjacent: dict[str, dict[EdgeKind, list[str]]] = {}
+        # node columns: entry i of each is node i's; the arrays have room to
+        # grow, and only their first len(self._ids) entries are nodes
+        self._ids: list[str] = []
+        self._index: dict[str, int] = {}  # id -> node number
+        self._texts: list[str | None] = []
+        self._kinds = np.empty(0, dtype=np.int8)
+        self._has_text = np.empty(0, dtype=bool)
+        self._has_vector = np.empty(0, dtype=bool)
+        self._vectors: list[np.ndarray | None] = []  # a vector not in a scoring row
+        # text -> the last node other than an event with that text and a
+        # vector; None once a write may have removed one, until held_vectors
+        self._holder: dict[str | None, int] | None = {}
+        self._row = np.empty(0, dtype=np.int64)  # the node's live scoring row, else -1
+        self._degree = np.empty(0, dtype=np.int64)  # an event's edge count
+        # edge columns, every edge once, in first-insertion order
+        self._src = np.empty(0, dtype=np.int64)
+        self._dst = np.empty(0, dtype=np.int64)
+        self._edge_kinds = np.empty(0, dtype=np.int8)
+        self._edge_count = 0
+        # each event's (cause, effect, trigger) neighbours in edge-insertion
+        # order, a list per edge kind code: the ones a load gave, in one
+        # array (event i's of code k from _loaded_start[3i + k] up to the
+        # next start), then the ones written since
+        self._loaded = np.empty(0, dtype=np.int64)
+        self._loaded_start = np.zeros(1, dtype=np.int64)
+        self._written: dict[int, tuple[list[int], list[int], list[int]]] = {}
         # scoring rows in write order, CHUNK_ROWS per chunk; dead rows stay
         # (alive False) until _compact_if_sparse copies the live ones out
         self._chunks: list[np.ndarray] = []
         self._row_ids: list[str] = []
+        self._row_node = np.empty(0, dtype=np.int64)
         self._norms = np.empty(0)
         self._linked = np.empty(0, dtype=bool)
         self._alive = np.empty(0, dtype=bool)
-        self._row_of: dict[str, int] = {}  # event id -> its live row
-        self._embedded = 0  # nodes with an embedding
+        self._live_rows = 0
+        self._embedded = 0  # nodes with a vector
         self._embedded_by: str | None = None
         self.lock = _RWLock()
 
@@ -685,51 +793,82 @@ class GraphStore:
         nodes, edges = list(nodes), list(edges)
         checks, fault = _checked([node.embedding for node in nodes])
         with self.lock.write():
-            stored = self._nodes
+            index, kinds = self._index, self._kinds
             added: dict[str, NodeKind] = {}  # id -> kind of each node the call adds
             for node in nodes[: len(checks)]:  # a node with a refused vector is refused first
-                existing = stored.get(node.id)
-                kind = added.setdefault(node.id, node.kind) if existing is None else existing.kind
+                i = index.get(node.id)
+                kind = added.setdefault(node.id, node.kind) if i is None else _NODE_KINDS[kinds[i]]
                 if kind is not node.kind:
                     raise _kind_change(node.id, kind, node.kind)
             if fault is not None:
                 raise fault
             for edge in edges:
-                src, dst = stored.get(edge.src), stored.get(edge.dst)
-                src_kind = added.get(edge.src) if src is None else src.kind
-                dst_kind = added.get(edge.dst) if dst is None else dst.kind
+                src, dst = index.get(edge.src), index.get(edge.dst)
+                src_kind = added.get(edge.src) if src is None else _NODE_KINDS[kinds[src]]
+                dst_kind = added.get(edge.dst) if dst is None else _NODE_KINDS[kinds[dst]]
                 if src_kind is None or dst_kind is None:
                     raise _missing_endpoint(edge.src if src_kind is None else edge.dst)
                 refused = _endpoint_fault(edge.kind, src_kind, dst_kind)
                 if refused is not None:
                     raise refused
-            writes = []  # (id, check) of every node but one the call adds without a vector
-            for node, check in zip(nodes, checks):
-                existing = stored.get(node.id)
-                if existing is None:
-                    stored[node.id] = Node(node.id, node.kind, node.text)
-                    if check is None:  # nothing to write
-                        continue
-                else:
-                    existing.text = node.text
-                writes.append((node.id, check))
-            if writes:
-                self._write(writes, None)
-            new = []  # the edges the store lacks, each once, in order
-            for edge in edges:
-                if edge not in self._edges:
-                    self._edges[edge] = None
-                    new.append(edge)
-            self._adjoin(new)
-            rows = (self._row_of.get(e.src if _EVENT_AT_SRC[e.kind] else e.dst) for e in new)
-            self._linked.put([row for row in rows if row is not None], True)
+            self._add_nodes(nodes, checks)
+            self._add_edges(edges)
+
+    def _add_nodes(self, nodes: list[Node], checks: list) -> None:
+        """Write the checked ``nodes``, each with its ``_checked`` result."""
+        ids, index, texts = self._ids, self._index, self._texts
+        first = len(ids)
+        codes = []  # the kind code of each node the call adds
+        writes, kept = [], []  # (number, check) of every node but one added without a vector
+        for node, check in zip(nodes, checks):
+            i = index.get(node.id)
+            if i is None:
+                i = index[node.id] = len(ids)
+                ids.append(node.id)
+                texts.append(node.text)
+                codes.append(_NODE_CODE[node.kind])
+                if check is None:  # nothing to write
+                    continue
+            else:
+                if node.text != texts[i] and self._holder and self._holder.get(texts[i]) == i:
+                    self._holder = None
+                texts[i] = node.text
+                kept.append(i)
+            writes.append((i, check))
+        if len(ids) > first:
+            self._kinds, self._has_text, self._has_vector, self._row, self._degree = _room(
+                (self._kinds, self._has_text, self._has_vector, self._row, self._degree),
+                (0, False, False, -1, 0), len(ids),
+            )
+            self._vectors += repeat(None, len(ids) - first)
+            self._kinds[first : len(ids)] = codes
+            self._has_text[first : len(ids)] = [text is not None for text in texts[first:]]
+        if kept:
+            self._has_text[kept] = [texts[i] is not None for i in kept]
+        if writes:
+            self._write(writes, None)
 
     def get_node(self, node_id: str) -> Node:
+        """The node as a new ``Node``: changing it changes nothing stored."""
         with self.lock.read():
-            node = self._nodes.get(node_id)
-        if node is None:
+            return self._node(self._number(node_id))
+
+    def _number(self, node_id: str) -> int:
+        i = self._index.get(node_id)
+        if i is None:
             raise UnknownIdError(f"no node with id {node_id!r}")
-        return node
+        return i
+
+    def _node(self, i: int) -> Node:
+        """Node ``i`` as a new ``Node``; the caller holds the read lock."""
+        row = self._row[i]
+        if row < 0:
+            vector = self._vectors[i]
+        else:
+            rows = len(self._chunks[0])  # CHUNK_ROWS as the chunks were made
+            vector = self._chunks[row // rows][row % rows]
+            vector.flags.writeable = False
+        return Node(self._ids[i], _NODE_KINDS[self._kinds[i]], self._texts[i], vector)
 
     def set_embedding(self, node_id: str, vector) -> None:
         """Set or clear (vector=None) one node's embedding."""
@@ -749,44 +888,61 @@ class GraphStore:
         if fault is not None:
             raise fault
         with self.lock.write():
-            self._write([(node_id, check) for (node_id, _), check in zip(pairs, checks)],
-                        embedded_by)
+            index = self._index
+            try:
+                numbers = [index[node_id] for node_id, _ in pairs]
+            except KeyError as exc:
+                raise UnknownIdError(f"no node with id {exc.args[0]!r}") from None
+            self._write(list(zip(numbers, checks)), embedded_by)
 
-    def _write(self, checked: list, embedded_by: str | None) -> None:
-        """Write each (node id, ``check_embedding`` result or None) of ``checked``,
-        or nothing if an id names no node; an old row is only marked dead."""
-        try:
-            nodes = [self._nodes[node_id] for node_id, _ in checked]
-        except KeyError as exc:
-            raise UnknownIdError(f"no node with id {exc.args[0]!r}") from None
-        self._alive.put([self._row_of.pop(n.id) for n in nodes if n.id in self._row_of], False)
-        fresh = {}  # event id -> (its vector, the norm) for a new row, in the order of last writes
-        for node, (_, check) in zip(nodes, checked):
+    def _write(self, writes: list, embedded_by: str | None) -> None:
+        """Write each (node number, ``_checked`` result or None) of
+        ``writes``; an old row is only marked dead."""
+        numbers = [i for i, _ in writes]
+        rows = self._row[numbers]
+        rows = rows[rows >= 0]
+        self._alive[rows] = False
+        self._live_rows -= len(rows)
+        self._row[numbers] = -1
+        vectors, texts = self._vectors, self._texts
+        had = dict(zip(numbers, self._has_vector[numbers].tolist()))  # a vector, as the call goes
+        events = (self._kinds[numbers] == _EVENT).tolist()
+        fresh = {}  # event number -> (its vector, the norm) for a new row, in the order of last writes
+        for (i, check), event in zip(writes, events):
             if check is not None:  # the vectors held just before this pair
                 kept = not self._embedded or self._embedded_by == embedded_by
                 self._embedded_by = embedded_by if kept else None
-            self._embedded += (check is not None) - (node.embedding is not None)
-            fresh.pop(node.id, None)
-            node.embedding = None if check is None else check[0]
-            if check is not None and node.kind is NodeKind.EVENT and node.text is not None:
-                fresh[node.id] = check
+            self._embedded += (check is not None) - had[i]
+            had[i] = check is not None
+            fresh.pop(i, None)
+            if check is not None and event and texts[i] is not None:
+                fresh[i] = check
+                vectors[i] = None
+            else:
+                vectors[i] = None if check is None else check[0]
+            holder = self._holder
+            if not event and holder is not None:
+                if check is None and holder.get(texts[i]) == i:
+                    self._holder = None
+                elif check is not None and holder.get(texts[i], -1) < i:
+                    holder[texts[i]] = i
+        self._has_vector[list(had)] = list(had.values())
         if fresh:
-            vectors, norms = zip(*fresh.values())
-            self._append_rows(list(map(self._nodes.__getitem__, fresh)), vectors, norms)
+            fresh_vectors, norms = zip(*fresh.values())
+            self._append_rows(list(fresh), fresh_vectors, norms)
         self._compact_if_sparse()
 
-    def _append_rows(self, nodes, vectors, norms, rows=None) -> None:
-        """Append a row for each of ``nodes``, events with text and no live
-        row, and make its ``embedding`` a read-only view of the row: vector
-        ``vectors[rows[i]]`` (``vectors[i]`` if ``rows`` is None), norm
-        ``norms[i]`` (if None, ``check_embedding``'s, so scores survive a load)."""
-        start, end = len(self._row_ids), len(self._row_ids) + len(nodes)
+    def _append_rows(self, numbers, vectors, norms, rows=None) -> None:
+        """Append a row for each of nodes ``numbers``, events with text and
+        no live row: vector ``vectors[rows[i]]`` (``vectors[i]`` if ``rows``
+        is None), norm ``norms[i]``."""
+        start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
         more = -(-end // CHUNK_ROWS) * CHUNK_ROWS - len(self._alive)  # rows of new chunks
         if more > 0:
             self._chunks += map(np.empty, repeat((CHUNK_ROWS, EMBEDDING_DIM), more // CHUNK_ROWS))
-            self._norms, self._linked, self._alive = (
+            self._norms, self._linked, self._alive, self._row_node = (
                 np.concatenate((a, np.zeros(more, a.dtype)))
-                for a in (self._norms, self._linked, self._alive)
+                for a in (self._norms, self._linked, self._alive, self._row_node)
             )
         at = start
         for chunk in self._chunks[start // CHUNK_ROWS :]:
@@ -796,35 +952,32 @@ class GraphStore:
                 np.concatenate(vectors[mine], out=part.reshape(-1))
             else:  # one copy straight into the chunk; every index is a row of ``vectors``
                 np.take(vectors, rows[mine], axis=0, out=part, mode="clip")
-            self._norms[at : at + len(part)] = (
-                [math.sqrt(np.vdot(v, v)) for v in part] if norms is None else norms[mine]
-            )
-            part = part.view()
-            part.flags.writeable = False
-            for node, row in zip(nodes[mine], part):
-                node.embedding = row
             at += len(part)
-        ids = [node.id for node in nodes]
-        self._linked[start:end] = np.fromiter(map(self._adjacent.__contains__, ids), bool)
+        numbers = np.asarray(numbers, dtype=np.int64)
+        self._norms[start:end] = norms
+        self._linked[start:end] = self._degree[numbers] > 0
         self._alive[start:end] = True
-        self._row_of.update(zip(ids, range(start, end)))
-        self._row_ids += ids
+        self._live_rows += len(numbers)
+        self._row_node[start:end] = numbers
+        self._row[numbers] = np.arange(start, end)
+        self._row_ids += map(self._ids.__getitem__, numbers.tolist())
 
     def _compact_if_sparse(self) -> None:
         """Once dead rows outnumber the live ones by a chunk, rebuild the rows
         from the live ones as a load builds them, one append per old chunk:
         so the row count stays below twice the live rows plus one chunk. Old
         chunks live on only in views that callers still hold."""
-        if len(self._row_ids) - 2 * len(self._row_of) < CHUNK_ROWS:
+        if len(self._row_ids) - 2 * self._live_rows < CHUNK_ROWS:
             return
         live = np.flatnonzero(self._alive[: len(self._row_ids)])
-        chunks, ids, norms = self._chunks, self._row_ids, self._norms
-        self._chunks, self._row_ids, self._row_of = [], [], {}
-        self._norms, self._linked, self._alive = norms[:0], self._linked[:0], self._alive[:0]
+        chunks, nodes, norms = self._chunks, self._row_node, self._norms
+        self._chunks, self._row_ids, self._live_rows = [], [], 0
+        self._norms, self._linked, self._alive, self._row_node = (
+            a[:0] for a in (norms, self._linked, self._alive, nodes)
+        )
         ends = np.searchsorted(live, np.arange(1, len(chunks)) * CHUNK_ROWS)
         for chunk, rows in zip(chunks, np.split(live, ends)):
-            nodes = [self._nodes[ids[row]] for row in rows.tolist()]
-            self._append_rows(nodes, chunk, norms[rows], rows % CHUNK_ROWS)
+            self._append_rows(nodes[rows], chunk, norms[rows], rows % CHUNK_ROWS)
 
     def scoring_rows(self) -> ScoringRows:
         """The scoring rows as arrays, for retrieval to score in bulk."""
@@ -839,41 +992,114 @@ class GraphStore:
             )
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
+        """Every node, or every node of ``kind``, in insertion order, each a
+        new ``Node``."""
         with self.lock.read():
+            n = len(self._ids)
             if kind is None:
-                return list(self._nodes.values())
-            return [n for n in self._nodes.values() if n.kind is kind]
+                return list(map(self._node, range(n)))
+            numbers = np.flatnonzero(self._kinds[:n] == _NODE_CODE[kind])
+            return list(map(self._node, numbers.tolist()))
+
+    def embedded_ids(self) -> list[str]:
+        """The ids of the nodes with a vector, in insertion order."""
+        with self.lock.read():
+            numbers = np.flatnonzero(self._has_vector[: len(self._ids)])
+            return list(map(self._ids.__getitem__, numbers.tolist()))
+
+    def unembedded_nodes(self) -> list[Node]:
+        """The nodes with text and no vector, in insertion order."""
+        with self.lock.read():
+            n = len(self._ids)
+            numbers = np.flatnonzero(self._has_text[:n] & ~self._has_vector[:n])
+            kinds = map(_NODE_KINDS.__getitem__, self._kinds[numbers].tolist())
+            numbers = numbers.tolist()
+            ids, texts = map(self._ids.__getitem__, numbers), map(self._texts.__getitem__, numbers)
+            return list(map(Node, ids, kinds, texts))
+
+    def held_vectors(self, texts) -> dict[str, np.ndarray]:
+        """For each of ``texts`` that a node other than an event holds a
+        vector for, the vector of the last such node in insertion order (a
+        read-only array; an event's is a view of its scoring row instead).
+        The writers keep that node per text, so a call costs what it asks;
+        after a load, or a write that took a vector or a text from such a
+        node, one call finds them all again."""
+        with self.lock.read():
+            holder = self._holder
+            if holder is None:
+                n = len(self._ids)
+                numbers = np.flatnonzero(self._has_vector[:n] & (self._kinds[:n] != _EVENT))
+                numbers = numbers.tolist()
+                # readers that race here each build the same map
+                holder = self._holder = dict(zip(map(self._texts.__getitem__, numbers), numbers))
+            return {text: self._vectors[holder[text]] for text in texts if text in holder}
 
     # --- edges ---
 
     def add_edge(self, edge: Edge) -> None:
         self.insert((), (edge,))
 
-    def _adjoin(self, edges) -> None:
-        """Add each of the new ``edges`` to the adjacency of its event."""
-        adjacent = self._adjacent
-        for src, dst, kind in edges:
-            if _EVENT_AT_SRC[kind]:
-                adjacent.setdefault(src, {}).setdefault(kind, []).append(dst)
-            else:
-                adjacent.setdefault(dst, {}).setdefault(kind, []).append(src)
+    def _add_edges(self, edges: list[Edge]) -> None:
+        """Add each of the checked ``edges`` that the store lacks, once, in order."""
+        index, written = self._index, self._written
+        loaded = len(self._loaded_start) // len(_EDGE_KINDS)  # the events a load gave neighbours
+        src, dst, codes, events = [], [], [], []
+        for edge in edges:
+            ends = index[edge.src], index[edge.dst]
+            code = _EDGE_CODE[edge.kind]
+            event, other = ends if _EVENT_AT_SRC[code] else ends[::-1]
+            since = written.get(event)
+            if since is None:
+                since = written[event] = ([], [], [])
+            if other in since[code] or (event < loaded and other in self._loaded_of(event)[code]):
+                continue
+            since[code].append(other)
+            src.append(ends[0])
+            dst.append(ends[1])
+            codes.append(code)
+            events.append(event)
+        if not events:
+            return
+        m, end = self._edge_count, self._edge_count + len(events)
+        self._src, self._dst, self._edge_kinds = _room(
+            (self._src, self._dst, self._edge_kinds), (0, 0, 0), end
+        )
+        self._src[m:end], self._dst[m:end], self._edge_kinds[m:end] = src, dst, codes
+        self._edge_count = end
+        np.add.at(self._degree, events, 1)
+        rows = self._row[events]
+        self._linked[rows[rows >= 0]] = True
+
+    def _loaded_of(self, event: int) -> list[list[int]]:
+        """The (cause, effect, trigger) neighbours a load gave ``event``."""
+        kinds = len(_EDGE_KINDS)
+        start = self._loaded_start[kinds * event : kinds * event + kinds + 1].tolist()
+        return [self._loaded[a:b].tolist() for a, b in zip(start, start[1:])]
 
     def edges(self) -> list[Edge]:
+        """Every edge, in first-insertion order, each a new ``Edge``."""
         with self.lock.read():
-            return list(self._edges)
+            m, ids = self._edge_count, self._ids
+            return list(map(
+                Edge,
+                map(ids.__getitem__, self._src[:m].tolist()),
+                map(ids.__getitem__, self._dst[:m].tolist()),
+                map(_EDGE_KINDS.__getitem__, self._edge_kinds[:m].tolist()),
+            ))
 
     # --- neighbor primitives ---
 
-    def _neighbors(self, event_id: str) -> tuple[list[str], ...]:
-        """The (cause, effect, trigger) neighbor ids of one event, each in
+    def _neighbors(self, event_id: str) -> tuple[list[int], list[int], list[int]]:
+        """The (cause, effect, trigger) neighbor numbers of one event, each in
         edge-insertion order; the caller holds the read lock."""
-        node = self._nodes.get(event_id)
-        if node is None:
-            raise UnknownIdError(f"no node with id {event_id!r}")
-        if node.kind is not NodeKind.EVENT:
-            raise NotAnEventError(f"{event_id!r} is a {node.kind.value}, not an Event")
-        adjacent = self._adjacent.get(event_id, {})
-        return tuple(adjacent.get(kind, []) for kind in _EDGE_KINDS)
+        i = self._number(event_id)
+        if self._kinds[i] != _EVENT:
+            kind = _KIND_VALUES[self._kinds[i]]
+            raise NotAnEventError(f"{event_id!r} is a {kind}, not an Event")
+        written = self._written.get(i, ([], [], []))
+        if i < len(self._loaded_start) // len(_EDGE_KINDS):
+            return tuple(map(operator.add, self._loaded_of(i), written))
+        return written
 
     def neighbor_counts(self, event_id: str) -> tuple[int, int, int]:
         """(cause, effect, trigger) edge counts for one event."""
@@ -888,27 +1114,27 @@ class GraphStore:
         """Per event id, under one read lock: the event's text, then its
         cause, effect and trigger neighbor texts as ``collect_texts`` gives them."""
         with self.lock.read():
-            nodes, texts = self._nodes, []
+            texts, out = self._texts, []
             for event_id in event_ids:
                 neighbors = self._neighbors(event_id)  # refuses an unknown id or a non-event
-                neighbor_texts = ([nodes[i].text or "" for i in ids] for ids in neighbors)
-                texts.append((nodes[event_id].text, *neighbor_texts))
-            return texts
+                neighbor_texts = ([texts[i] or "" for i in numbers] for numbers in neighbors)
+                out.append((texts[self._index[event_id]], *neighbor_texts))
+            return out
 
     # --- reporting ---
 
     def stats(self) -> StoreStats:
         with self.lock.read():
-            node_counts = {k: 0 for k in NodeKind}
-            embedded_counts = {k: 0 for k in NodeKind}
-            for node in self._nodes.values():
-                node_counts[node.kind] += 1
-                if node.embedding is not None:
-                    embedded_counts[node.kind] += 1
-            edge_counts = {k: 0 for k in EdgeKind}
-            for edge in self._edges:
-                edge_counts[edge.kind] += 1
-        return StoreStats(node_counts, edge_counts, embedded_counts)
+            n = len(self._ids)
+            kinds = self._kinds[:n]
+            edge_counts = np.bincount(self._edge_kinds[: self._edge_count], minlength=len(EdgeKind))
+            node_counts, embedded_counts, text_counts = (
+                dict(zip(NodeKind, np.bincount(counted, minlength=len(NodeKind)).tolist()))
+                for counted in (kinds, kinds[self._has_vector[:n]], kinds[self._has_text[:n]])
+            )
+        return StoreStats(
+            node_counts, dict(zip(EdgeKind, edge_counts.tolist())), embedded_counts, text_counts
+        )
 
     # --- snapshot persistence ---
 
@@ -924,42 +1150,42 @@ class GraphStore:
         old JSON named is then deleted.
         """
         with self.lock.read():  # nodes, edges and vectors from one consistent view
+            n, m = len(self._ids), self._edge_count
             live = np.flatnonzero(self._alive[: len(self._row_ids)])
-            scoring = dict(zip(map(self._row_ids.__getitem__, live.tolist()), range(len(live))))
+            rank = np.empty(len(self._row_ids), dtype=np.int64)  # a live row's place in the file
+            rank[live] = np.arange(len(live))
+            rows = self._row[:n]
+            vector_row = np.full(n, -1, dtype=np.int64)
+            scored = np.flatnonzero(rows >= 0)
+            vector_row[scored] = rank[rows[scored]]
             # nodes with equal vectors share a row, so the files depend on the
             # vectors alone, not on which nodes hold one array (batch_embed
             # shares one per text); an array seen before is not read again
             by_id: dict[int, int] = {}
             by_value: dict[bytes, int] = {}
             others: list[np.ndarray] = []
-            vector_row = []
-            for node in self._nodes.values():
-                row = scoring.get(node.id, -1)
-                if row < 0 and node.embedding is not None:
-                    row = by_id.get(id(node.embedding))
-                    if row is None:
-                        row = by_value.setdefault(
-                            node.embedding.tobytes(), len(live) + len(others)
-                        )
-                        if row == len(live) + len(others):
-                            others.append(node.embedding)
-                        by_id[id(node.embedding)] = row
-                vector_row.append(row)
-            index = dict(zip(self._nodes, range(len(self._nodes))))
-            # kinds are str enums, which JSON writes as their values
+            for i in np.flatnonzero(self._has_vector[:n] & (rows < 0)).tolist():
+                vector = self._vectors[i]
+                row = by_id.get(id(vector))
+                if row is None:
+                    row = by_value.setdefault(vector.tobytes(), len(live) + len(others))
+                    if row == len(live) + len(others):
+                        others.append(vector)
+                    by_id[id(vector)] = row
+                vector_row[i] = row
             nodes = {
-                "ids": list(self._nodes),
-                "kinds": [n.kind for n in self._nodes.values()],
-                "texts": [n.text for n in self._nodes.values()],
-                "vector_row": vector_row,
+                "ids": list(self._ids),
+                "kinds": list(map(_KIND_VALUES.__getitem__, self._kinds[:n].tolist())),
+                "texts": list(self._texts),
+                "vector_row": vector_row.tolist(),
             }
             edges = {
-                "src": [index[e.src] for e in self._edges],
-                "dst": [index[e.dst] for e in self._edges],
-                "kind": [e.kind for e in self._edges],
+                "src": self._src[:m].tolist(),
+                "dst": self._dst[:m].tolist(),
+                "kind": list(map(_EDGE_VALUES.__getitem__, self._edge_kinds[:m].tolist())),
             }
-            # rows are written once and an embedding is replaced, not changed,
-            # so these arrays still hold this view's vectors after the lock
+            # rows are written once and a vector is replaced, not changed, so
+            # these arrays still hold this view's vectors after the lock
             blocks = _vector_blocks(list(self._chunks), live, others)
             embedded_by = self._embedded_by
         path = Path(path)
@@ -1024,29 +1250,50 @@ class GraphStore:
             return cls()._fill(_read_snapshot(path))
 
     def _fill(self, snapshot: _Snapshot) -> "GraphStore":
-        """Fill this new, unshared store from the checked ``snapshot`` in
-        bulk. Each event with text and a vector gets a scoring row, in the
-        order of its file rows; every other node with a vector gets the one
-        read-only array of its file row, which all nodes of that row share."""
-        ids, codes, scores = snapshot.ids, snapshot.kinds, snapshot.scores
-        file_rows, vectors = snapshot.vector_row, snapshot.vectors
-        nodes = list(map(Node, ids, map(_NODE_KINDS.__getitem__, codes.tolist()), snapshot.texts))
-        self._nodes = dict(zip(ids, nodes))
+        """Fill this new, unshared store's columns from the checked
+        ``snapshot``'s. Each event with text and a vector gets a scoring
+        row, in the order of its file rows, its norm from the file's squared
+        norms; every other node with a vector gets the one read-only array
+        of its file row, which all nodes of that row share."""
+        ids, n = snapshot.ids, len(snapshot.ids)
+        file_rows, scores = snapshot.vector_row, snapshot.scores
+        self._ids, self._texts = ids, snapshot.texts
+        self._index = dict(zip(ids, range(n)))
+        self._kinds = snapshot.kinds.astype(np.int8)
+        self._has_text = snapshot.has_text
+        self._has_vector = file_rows >= 0
+        self._row = np.full(n, -1, dtype=np.int64)
+        self._embedded = int(np.count_nonzero(self._has_vector))
         self._embedded_by = snapshot.embedded_by
-        # tuple.__new__ builds each Edge in C; one expression, so its lists die before the rows
-        self._edges = dict.fromkeys(map(tuple.__new__, repeat(Edge), zip(
-            *(map(ids.__getitem__, end.tolist()) for end in (snapshot.src, snapshot.dst)),
-            map(_EDGE_KINDS.__getitem__, snapshot.edge_kinds.tolist()),
-        )))
-        self._adjoin(self._edges)  # before the rows, which read their linked bits from it
+        self._holder = None  # found on first use
+        # an edge the file repeats is held once, where it first comes
+        src, dst, kinds = snapshot.src, snapshot.dst, snapshot.edge_kinds
+        pairs = src * n + dst
+        if len(np.unique(pairs)) < len(pairs):
+            first = np.sort(np.unique(pairs, return_index=True)[1])
+            src, dst, kinds = src[first], dst[first], kinds[first]
+        self._src, self._dst, self._edge_kinds = src, dst, kinds.astype(np.int8)
+        self._edge_count = len(src)
+        at_src = np.array(_EVENT_AT_SRC)[kinds]
+        events = np.where(at_src, src, dst)
+        # before the rows, which read their linked bits from the degrees
+        self._degree = np.bincount(events, minlength=n)
+        runs = events * len(_EDGE_KINDS) + kinds  # the (event, edge kind) list of each edge
+        self._loaded = np.where(at_src, dst, src)[np.argsort(runs, kind="stable")]
+        self._loaded_start = np.concatenate(
+            ([0], np.cumsum(np.bincount(runs, minlength=n * len(_EDGE_KINDS))))
+        )
         scored = np.flatnonzero(scores)[np.argsort(file_rows[scores])]  # in file row order
-        self._append_rows([nodes[i] for i in scored.tolist()], vectors, None, file_rows[scored])
+        rows = file_rows[scored]
+        self._append_rows(scored, snapshot.vectors, np.sqrt(snapshot.squared[rows]), rows)
         others = np.flatnonzero(~scores & (file_rows >= 0))
         rows, which = np.unique(file_rows[others], return_inverse=True)
-        rest = vectors[rows]  # a copy, not a view of a mapped file
+        rest = snapshot.vectors[rows]  # a copy, not a view of a mapped file
         rest.flags.writeable = False
-        shared = list(rest)  # one array per row, so its nodes share it
-        for i, row in zip(others.tolist(), which.tolist()):
-            nodes[i].embedding = shared[row]
-        self._embedded = len(scored) + len(others)
+        shared = np.empty(len(rest), dtype=object)  # one array per row, so its nodes share it
+        for k, vector in enumerate(rest):
+            shared[k] = vector
+        vectors = np.empty(n, dtype=object)
+        vectors[others] = shared[which]
+        self._vectors = vectors.tolist()
         return self

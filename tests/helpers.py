@@ -23,13 +23,14 @@ import numpy as np
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
 from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec, estimate_tokens
 from causeway.store import (
-    _EVENT_AT_SRC,
     EMBEDDING_DIM,
     Edge,
     EdgeKind,
     GraphStore,
     Node,
     NodeKind,
+    ScoringRows,
+    StoreStats,
     _endpoint_fault,
     _kind_change,
     _missing_endpoint,
@@ -187,51 +188,113 @@ def store_state(store: GraphStore) -> tuple:
     )
 
 
-def reference_upsert_node(store: GraphStore, node: Node) -> str:
+class ReferenceGraph:
+    """A plain-Python model of a store: a dict of nodes, an ordered edge
+    list, the events that own a live scoring row (in row order) and
+    ``embedded_by``, written by ``reference_upsert_node`` and
+    ``reference_add_edge``. It answers the public reads a store comparison
+    makes (``nodes``, ``edges``, ``scoring_rows``, ``stats``,
+    ``collect_texts``) from that model alone."""
+
+    def __init__(self, store: GraphStore):
+        """The model of ``store``'s content, read through its public reads."""
+        self.node_map = {node.id: node for node in store.nodes()}
+        self.edge_list = store.edges()
+        self.row_order = live_row_ids(store)
+        self.embedded_by = store.embedded_by
+
+    def write(self, node_id: str, checked) -> None:
+        """One vector write, as the store made it before ``insert``: the old
+        row dies, and an event with text and a vector gets a new last row;
+        any vector written without a provider clears ``embedded_by``."""
+        node = self.node_map[node_id]
+        if node_id in self.row_order:
+            self.row_order.remove(node_id)
+        if checked is not None:
+            self.embedded_by = None
+        node.embedding = None if checked is None else checked[0]
+        if checked is not None and node.kind is NodeKind.EVENT and node.text is not None:
+            self.row_order.append(node_id)
+
+    def nodes(self, kind: NodeKind | None = None) -> list[Node]:
+        return [n for n in self.node_map.values() if kind is None or n.kind is kind]
+
+    def edges(self) -> list[Edge]:
+        return list(self.edge_list)
+
+    def scoring_rows(self) -> ScoringRows:
+        """The live rows alone: ids, vectors, norms and linked bits."""
+        linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
+        vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
+        return ScoringRows(
+            ids=list(self.row_order),
+            chunks=[np.array(vectors).reshape(-1, EMBEDDING_DIM)],
+            norms=np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64),
+            linked=np.array([node_id in linked for node_id in self.row_order], dtype=bool),
+            alive=np.ones(len(vectors), dtype=bool),
+        )
+
+    def stats(self) -> StoreStats:
+        node_counts, embedded_counts, text_counts = ({k: 0 for k in NodeKind} for _ in range(3))
+        for node in self.node_map.values():
+            node_counts[node.kind] += 1
+            embedded_counts[node.kind] += node.embedding is not None
+            text_counts[node.kind] += node.text is not None
+        edge_counts = {k: 0 for k in EdgeKind}
+        for edge in self.edge_list:
+            edge_counts[edge.kind] += 1
+        return StoreStats(node_counts, edge_counts, embedded_counts, text_counts)
+
+    def collect_texts(self, event_id: str) -> tuple[list[str], list[str], list[str]]:
+        """(cause, effect, trigger) neighbor texts, from a scan of the edges."""
+        texts = ([], [], [])
+        for edge in self.edge_list:
+            if edge.kind is EdgeKind.CAUSES and edge.dst == event_id:
+                texts[0].append(self.node_map[edge.src].text or "")
+            elif edge.kind is not EdgeKind.CAUSES and edge.src == event_id:
+                n = 1 if edge.kind is EdgeKind.RESULTS_IN else 2
+                texts[n].append(self.node_map[edge.dst].text or "")
+        return texts
+
+
+def reference_upsert_node(graph: ReferenceGraph, node: Node) -> str:
     """``GraphStore.upsert_node`` as it was before it became a one-node
-    ``insert``: one node, under a write lock of its own. Kept as the
-    reference that ``insert`` must match call for call."""
+    ``insert``: one node at a time. Kept as the reference that ``insert``
+    must match call for call."""
     checked = None if node.embedding is None else check_embedding(node.embedding)
-    with store.lock.write():
-        existing = store._nodes.get(node.id)
-        if existing is None:
-            existing = store._nodes[node.id] = Node(node.id, node.kind, node.text)
-            if checked is None:  # nothing to write
-                return node.id
-        elif existing.kind is not node.kind:
-            raise _kind_change(node.id, existing.kind, node.kind)
-        existing.text = node.text
-        store._write([(node.id, checked)], None)
+    existing = graph.node_map.get(node.id)
+    if existing is None:
+        existing = graph.node_map[node.id] = Node(node.id, node.kind, node.text)
+        if checked is None:  # nothing to write
+            return node.id
+    elif existing.kind is not node.kind:
+        raise _kind_change(node.id, existing.kind, node.kind)
+    existing.text = node.text
+    graph.write(node.id, checked)
     return node.id
 
 
-def reference_add_edge(store: GraphStore, edge: Edge) -> None:
+def reference_add_edge(graph: ReferenceGraph, edge: Edge) -> None:
     """``GraphStore.add_edge`` as it was before it became a one-edge
-    ``insert``: one edge, under a write lock of its own."""
-    with store.lock.write():
-        src = store._nodes.get(edge.src)
-        dst = store._nodes.get(edge.dst)
-        if src is None or dst is None:
-            raise _missing_endpoint(edge.src if src is None else edge.dst)
-        fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
-        if fault is not None:
-            raise fault
-        if edge in store._edges:
-            return
-        store._edges[edge] = None
-        store._adjoin((edge,))
-        row = store._row_of.get(edge.src if _EVENT_AT_SRC[edge.kind] else edge.dst)
-        if row is not None:
-            store._linked[row] = True
+    ``insert``: one edge at a time, held once."""
+    src = graph.node_map.get(edge.src)
+    dst = graph.node_map.get(edge.dst)
+    if src is None or dst is None:
+        raise _missing_endpoint(edge.src if src is None else edge.dst)
+    fault = _endpoint_fault(edge.kind, src.kind, dst.kind)
+    if fault is not None:
+        raise fault
+    if edge not in graph.edge_list:
+        graph.edge_list.append(edge)
 
 
-def reference_insert(store: GraphStore, nodes, edges) -> None:
+def reference_insert(graph: ReferenceGraph, nodes, edges) -> None:
     """What ``GraphStore.insert`` must write: each node, then each edge, one
     call at a time through the reference writers."""
     for node in nodes:
-        reference_upsert_node(store, node)
+        reference_upsert_node(graph, node)
     for edge in edges:
-        reference_add_edge(store, edge)
+        reference_add_edge(graph, edge)
 
 
 def oracle_neighbor_counts(store: GraphStore, event_id: str) -> tuple[int, int, int]:

@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from causeway import cli
 from causeway.cli import Config, main
-from causeway.embedding import HttpEmbeddingProvider, batch_embed, clean_embeddings, mock_provider
+from causeway.annotation import ingest_corpus, iter_jsonl_records
+from causeway.embedding import (
+    HttpEmbeddingProvider,
+    batch_embed,
+    clean_embeddings,
+    mock_provider,
+    verify,
+)
 from causeway.errors import CausewayError
 from causeway.evaluation import load_eval_dataset, reports_to_json, sweep
 from causeway.inference import MockLLMClient
@@ -140,6 +147,35 @@ def test_embed_then_retrieve_flow(workspace, capsys):
         "cause_texts",
         "trigger_texts",
     }
+
+
+def test_the_embedding_lifecycle_and_the_commands_build_no_node_per_stored_node(
+    workspace, monkeypatch, capsys
+):
+    def refused(*_args, **_kwargs):
+        raise AssertionError("GraphStore.nodes called")
+
+    monkeypatch.setattr(GraphStore, "nodes", refused)
+    store = GraphStore()
+    ingest_corpus(iter_jsonl_records(workspace["corpus"]), store)
+    embedded = batch_embed(store, mock_provider()).total_embedded
+    assert verify(store).ok and embedded == store.stats().total_embedded == 9
+    assert clean_embeddings(store) == 9 and store.stats().total_embedded == 0
+    assert run(["ingest", "--corpus", str(workspace["corpus"])], workspace) == 0
+    capsys.readouterr()
+    assert run(["embed", "--format", "json"], workspace) == 0
+    assert json.loads(capsys.readouterr().out)["verify"]["ok"] is True
+    for command in (
+        ["stats", "--format", "json"],
+        ["retrieve", "--query", "heavy rain led to flooding", "--format", "json"],
+        ["classify", "--sentence", "the strike caused delays"],
+        ["ingest", "--corpus", str(workspace["corpus"])],
+        ["embed"],
+        ["evaluate", "--test", str(workspace["testset"])],
+    ):
+        assert run(command, workspace) == 0, command
+    out = capsys.readouterr().out
+    assert '"event:a"' in out and '"total_nodes": 9' in out
 
 
 def test_classify_writes_graph(workspace, capsys):

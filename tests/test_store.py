@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import pickle
 import random
@@ -46,6 +47,7 @@ from helpers import (
     oracle_neighbor_counts,
     random_store,
     random_unit_vector,
+    ReferenceGraph,
     reference_insert,
     store_state,
 )
@@ -355,6 +357,113 @@ def test_held_views_survive_compaction(provider):
     batch_embed(store, mock_provider(seed=1))
     assert all(np.array_equal(v, b) for v, b in zip(held, before))
     assert not np.array_equal(store.get_node("event:0").embedding, before[0])
+
+
+def test_a_read_node_is_a_copy_and_its_vector_is_read_only(provider):
+    store = GraphStore()
+    small_event(store)
+    for i, kind in enumerate((NodeKind.CAUSE, NodeKind.TRIGGER)):
+        store.upsert_node(Node(f"span:{i}", kind, text="led to"))
+    batch_embed(store, provider)
+    mine = random_unit_vector(np.random.default_rng(3))
+    store.set_embedding("span:1", mine)  # a writable array: the store keeps its own copy
+    mine[0] = 7.0
+    before = store_state(store)
+    for node in [*store.nodes(), *map(store.get_node, ("event:1", "span:0", "span:1"))]:
+        assert node.embedding is not None and not node.embedding.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            node.embedding[0] = 1.0
+        node.embedding, node.text = mine, "changed"
+        assert store_state(store) == before
+    assert store.get_node("span:1").embedding[0] != 7.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    steps=st.lists(st.tuples(
+        st.sampled_from(["vector", "clear", "text", "event", "load"]),
+        st.integers(0, 7), st.integers(0, 3),
+    ), max_size=25),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_held_vectors_gives_each_texts_last_holder(tmp_path_factory, steps, seed):
+    np_rng = np.random.default_rng(seed)
+    texts = ["a", "b", "c", None]
+    store = GraphStore()
+    for step, i, t in steps:
+        node_id = f"cause:{i}"
+        held = node_id in {n.id for n in store.nodes()}
+        if step == "vector":
+            vector = random_unit_vector(np_rng)
+            vector.flags.writeable = bool(t % 2)
+            store.upsert_node(Node(node_id, NodeKind.CAUSE, texts[t], vector))
+        elif step == "clear" and held:
+            store.set_embedding(node_id, None)
+        elif step == "text" and held:  # a new text, the vector kept
+            node = store.get_node(node_id)
+            store.upsert_node(Node(node_id, NodeKind.CAUSE, texts[t], node.embedding))
+        elif step == "event":  # an event's vector is never held for reuse
+            store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, texts[t],
+                                   random_unit_vector(np_rng)))
+        elif step == "load":
+            path = tmp_path_factory.mktemp("held") / "graph.json"
+            store.save(path)
+            store = GraphStore.load(path)
+        want = {}  # the last node's, in insertion order
+        for node in store.nodes():
+            if node.kind is not NodeKind.EVENT and node.embedding is not None:
+                want[node.text] = node.embedding
+        got = store.held_vectors(texts[:3])
+        assert got.keys() == want.keys() - {None}
+        assert all(got[text] is want[text] for text in got)
+
+
+SLICES = st.sampled_from(["whole", "rows", "misaligned"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    height=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-150, 1e-3, 1.0, 7.5, 1e150]),
+    kind=SLICES,
+)
+def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale, kind):
+    """``check_embedding``'s norm is the root of the vector's row of
+    ``einsum("ij,ij->i")`` over any C-contiguous stack holding it, so the
+    norms a load takes from the whole vector file equal the writers' own."""
+    rows = np.random.default_rng(seed).standard_normal((height + 3, EMBEDDING_DIM)) * scale
+    if kind == "rows":  # a view of some rows of a larger stack, as a scoring chunk gives
+        rows = rows[2 : 2 + height]
+    elif kind == "misaligned":  # data at an odd address
+        buffer = np.empty(rows.nbytes + 1, dtype=np.uint8)[1:]
+        stack = buffer.view(np.float64).reshape(rows.shape)
+        stack[:] = rows
+        rows = stack
+        assert not rows.flags.aligned
+    squared = np.einsum("ij,ij->i", rows, rows)
+    checks, fault = store_module.check_embeddings(list(rows))
+    assert fault is None and len(checks) == len(rows)
+    for row, sq, (_, norm) in zip(rows, squared, checks):
+        assert check_embedding(row)[1] == math.sqrt(sq) == norm
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_events=st.integers(1, 30), seed=st.integers(0, 2**32 - 1))
+def test_norms_and_scores_survive_save_and_load_to_the_bit(tmp_path_factory, n_events, seed):
+    np_rng = np.random.default_rng(seed)
+    store = GraphStore()
+    for i in range(n_events):  # vectors of any length, some of them strided views
+        vector = np_rng.standard_normal(2 * EMBEDDING_DIM)[:: 1 + i % 2][:EMBEDDING_DIM]
+        store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"t{i}",
+                               embedding=vector * 10.0 ** np_rng.integers(-3, 4)))
+    path = tmp_path_factory.mktemp("norms") / "graph.json"
+    store.save(path)
+    loaded = GraphStore.load(path)
+    assert live_rows(loaded) == live_rows(store)
+    cfg = HybridConfig(k=n_events, tau=-2.0)
+    for q in [random_unit_vector(np_rng) for _ in range(3)]:
+        assert query(loaded, q, cfg) == query(store, q, cfg)
 
 
 @pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
@@ -764,7 +873,8 @@ def test_insert_writes_what_one_call_per_node_and_edge_writes(
     edges = call[1]
     # many chunks, so that one call's rows span several, and early compaction
     with mock.patch.object(store_module, "CHUNK_ROWS", 3):
-        one, each = (written_store(n_events, seed, 3) for _ in range(2))
+        one = written_store(n_events, seed, 3)
+        each = ReferenceGraph(written_store(n_events, seed, 3))
         try:
             reference_insert(each, nodes, edges)
         except CausewayError as exc:
@@ -775,20 +885,20 @@ def test_insert_writes_what_one_call_per_node_and_edge_writes(
             assert (store_state(one), one.edges()) == before  # a refused call writes nothing
             return
         one.insert(nodes, edges)
-        paths = [tmp_path_factory.mktemp("insert") / "graph.json" for _ in range(2)]
-        for store, path in zip((one, each), paths):
-            store.save(path)
-    assert snapshot_files(paths[0]) == snapshot_files(paths[1])
-    assert one.nodes() == each.nodes()
-    for a, b in zip(one.nodes(), each.nodes()):
-        assert (a.embedding is None) == (b.embedding is None)
-        assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
-    assert one.edges() == each.edges()
-    assert live_rows(one) == live_rows(each)  # row order, norms and linked bits
-    assert one.embedded_by == each.embedded_by
-    assert one.stats() == each.stats()
-    for event in each.nodes(NodeKind.EVENT):
-        assert one.collect_texts(event.id) == each.collect_texts(event.id)
+        path = tmp_path_factory.mktemp("insert") / "graph.json"
+        one.save(path)
+    # the store, and its snapshot loaded back, hold what the model holds
+    for got in (one, GraphStore.load(path)):
+        assert got.nodes() == each.nodes()
+        for a, b in zip(got.nodes(), each.nodes()):
+            assert (a.embedding is None) == (b.embedding is None)
+            assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
+        assert got.edges() == each.edges()
+        assert live_rows(got) == live_rows(each)  # row order, norms and linked bits
+        assert got.embedded_by == each.embedded_by
+        assert got.stats() == each.stats()
+        for event in each.nodes(NodeKind.EVENT):
+            assert got.collect_texts(event.id) == each.collect_texts(event.id)
 
 
 def test_snapshot_rejects_foreign_file(tmp_path):
@@ -1256,25 +1366,27 @@ SHAPE_NOT_ROWS = "vectors 'shape' must be [rows, 384]"
 VECTORS_KEYS = (
     "'vectors' must be an object with keys ['dtype', 'file', 'provider', 'scoring', 'shape']"
 )
+# (case id, key, value, the refusal's message after the path)
 RECORD_REFUSALS = [
-    ("dtype", "<f4", NOT_25_ROWS),
-    ("dtype", ">f8", NOT_25_ROWS),
-    ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
-    ("shape", "x", "'vectors' 'shape' must not be str"),
-    ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
-    ("file", None, "'vectors' 'file' must not be NoneType"),
-    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
-    ("no-record", None, VECTORS_KEYS),
-    ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
-    ("scoring", "x", "'vectors' 'scoring' must not be str"),
-    ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
-    ("scoring", -1, SCORING_NOT_A_COUNT),
-    ("scoring", 10**6, SCORING_NOT_A_COUNT),
-    ("no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
-    ("provider", 5, "'vectors' 'provider' must not be int"),
-    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
+    ("dtype-f4", "dtype", "<f4", NOT_25_ROWS),
+    ("dtype-big-endian", "dtype", ">f8", NOT_25_ROWS),
+    ("shape-no-rows", "shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
+    ("shape-str", "shape", "x", "'vectors' 'shape' must not be str"),
+    ("shape-three-axes", "shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
+    ("file-null", "file", None, "'vectors' 'file' must not be NoneType"),
+    ("scoring-one-short", "drop-row", None,
+     "nodes[21]: a scoring event's vector_row must be below 5"),
+    ("no-record", "no-record", None, VECTORS_KEYS),
+    ("shape-rows-str", "shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
+    ("scoring-str", "scoring", "x", "'vectors' 'scoring' must not be str"),
+    ("scoring-null", "scoring", None, "'vectors' 'scoring' must not be NoneType"),
+    ("scoring-negative", "scoring", -1, SCORING_NOT_A_COUNT),
+    ("scoring-past-rows", "scoring", 10**6, SCORING_NOT_A_COUNT),
+    ("no-provider", "no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
+    ("provider-int", "provider", 5, "'vectors' 'provider' must not be int"),
+    ("provider-list", "provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
 ]
-RECORD_FAULTS = [(key, value) for key, value, _ in RECORD_REFUSALS]
+RECORD_FAULTS = [(key, value) for _, key, value, _ in RECORD_REFUSALS]
 
 
 def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
@@ -1387,16 +1499,9 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
-def record_refusal_id(i: int, key: str, value, message: str) -> str:
-    """The id each case had when version 2's ten cases came first: pytest
-    names a list value by its case's index."""
-    shown = f"value{i + 10}" if isinstance(value, list) else value
-    return f"3-{key}-{shown}-{message}"
-
-
 @pytest.mark.parametrize(
-    "key, value, message", RECORD_REFUSALS,
-    ids=[record_refusal_id(i, *refusal) for i, refusal in enumerate(RECORD_REFUSALS)],
+    "key, value, message",
+    [pytest.param(key, value, message, id=case) for case, key, value, message in RECORD_REFUSALS],
 )
 def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, key, value, message):
     path = tmp_path / "graph.json"
