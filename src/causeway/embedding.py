@@ -14,8 +14,8 @@ Each step reads the store's columns (``embedded_ids``,
 ``unembedded_nodes``, ``held_vectors``, ``stats``), never every node.
 
 An event's vector lives in its store scoring row, any other node's in the
-store's vector column; there is no separate vector index. Providers must be deterministic,
-and their vectors are L2-normalized at ingestion; retrieval still divides
+store's vector column; there is no separate vector index. Providers must
+be deterministic, and their vectors are L2-normalized at ingestion; retrieval still divides
 by each row's stored norm, as vectors given to ``upsert_node`` or ``load``
 need not be unit.
 """
@@ -32,15 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causeway.errors import CausewayError, DimensionMismatchError, ProviderFailureError
-from causeway.store import (
-    EMBEDDING_DIM,
-    GraphStore,
-    Node,
-    NodeKind,
-    check_embedding,
-    check_embeddings,
-)
+from causeway.errors import DimensionMismatchError, ProviderFailureError, ZeroVectorError
+from causeway.store import EMBEDDING_DIM, GraphStore, Node, NodeKind, check_embedding
 
 logger = logging.getLogger(__name__)
 
@@ -74,23 +67,10 @@ def provider_vector(vector, source: str, report=None) -> tuple[np.ndarray, float
     a vector it refuses is the provider's fault, a ProviderFailureError."""
     try:
         return check_embedding(vector)
-    except CausewayError as exc:
-        raise _unusable(source, exc, report) from exc
-
-
-def provider_vectors(vectors, sources, report=None) -> list[tuple[np.ndarray, float]]:
-    """``provider_vector`` of each of ``vectors``, one per source, with one
-    ``check_embeddings`` call."""
-    checks, fault = check_embeddings(vectors)
-    if fault is not None:
-        raise _unusable(sources[len(checks)], fault, report) from fault
-    return checks
-
-
-def _unusable(source: str, exc: CausewayError, report) -> ProviderFailureError:
-    return ProviderFailureError(
-        f"provider returned an unusable vector for {source}: {exc}", report=report
-    )
+    except (DimensionMismatchError, ZeroVectorError) as exc:
+        raise ProviderFailureError(
+            f"provider returned an unusable vector for {source}: {exc}", report=report
+        ) from exc
 
 
 class HashEmbeddingProvider(EmbeddingProvider):
@@ -252,10 +232,10 @@ def batch_embed(
     are this provider's, a text a node other than an event already holds
     a vector for is not sent again: the last such node's vector is reused
     (an event's is a view of its scoring row, which sharing would keep
-    alive after compaction). A
-    batch is the shortest run of these nodes, in store order, that holds
-    ``batch_size`` texts neither held so nor embedded by an earlier batch;
-    its nodes are written in that order under one writer lock. Each batch
+    alive after compaction). A batch is the shortest run of these nodes, in
+    store order, that holds ``batch_size`` texts neither held so nor
+    embedded by an earlier batch; its nodes are written in that order under
+    one writer lock. Each batch
     is retried once on provider failure; a second failure aborts with a
     ProviderFailureError carrying the partial-progress report. Re-running
     after completion embeds nothing (idempotent).
@@ -283,8 +263,8 @@ def batch_embed(
         batch = eligible[start:end]
         if fresh:
             vectors = _embed_texts(provider, list(fresh), report)
-            sources = [f"node {node.id!r}" for node in fresh.values()]
-            for text, (arr, norm) in zip(fresh, provider_vectors(vectors, sources, report)):
+            for (text, node), vec in zip(fresh.items(), vectors):
+                arr, norm = provider_vector(vec, f"node {node.id!r}", report)
                 vector = arr / norm
                 vector.flags.writeable = False  # shared by every node with this text
                 unit[text] = vector

@@ -109,9 +109,16 @@ EDGE_ENDPOINTS: dict[EdgeKind, tuple[NodeKind, NodeKind]] = {
 }
 
 
-def _as_embedding(vector) -> np.ndarray:
-    """``vector`` as a contiguous float64 array of the embedding's shape:
-    the norm kernel sums a strided row in another order."""
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """The squared L2 norm of each row of the C-contiguous ``rows``: the one
+    kernel every stored norm comes from, a row's the same to the bit in a
+    stack of any height. It raises no numpy floating-point warning."""
+    return np.einsum("ij,ij->i", rows, rows)
+
+
+def check_embedding(vector) -> tuple[np.ndarray, float]:
+    """The vector as a contiguous float64 array, and its L2 norm; enforce
+    dimension and a finite nonzero norm."""
     try:
         arr = np.asarray(vector, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -120,55 +127,16 @@ def _as_embedding(vector) -> np.ndarray:
         raise DimensionMismatchError(
             f"embedding must have shape ({EMBEDDING_DIM},), got {arr.shape}"
         )
-    return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
-
-
-def _squared_norms(rows: np.ndarray) -> np.ndarray:
-    """The squared L2 norm of each row of the C-contiguous ``rows``: the one
-    kernel every stored norm comes from, a row's the same to the bit in a
-    stack of any height. It raises no numpy floating-point warning."""
-    return np.einsum("ij,ij->i", rows, rows)
-
-
-def _norm_refusal(squared: float) -> CausewayError | None:
+    if not arr.flags.c_contiguous:  # the kernel sums a strided row in another order
+        arr = np.ascontiguousarray(arr)
     # squares are non-negative, so a nan or inf entry makes the sum non-finite,
     # and so do finite entries whose squares overflow: no cosine exists for either
-    if not math.isfinite(squared):
-        return DimensionMismatchError("embedding must have finite entries and a finite norm")
-    if squared == 0.0:  # cosine would reject it at query time
-        return ZeroVectorError("embedding is a zero vector")
-    return None
-
-
-def check_embedding(vector) -> tuple[np.ndarray, float]:
-    """The vector as a float64 array, and its L2 norm; enforce dimension
-    and a finite nonzero norm."""
-    arr = _as_embedding(vector)
-    squared = float(_squared_norms(arr[None])[0])
-    refusal = _norm_refusal(squared)
-    if refusal is not None:
-        raise refusal
-    return arr, math.sqrt(squared)
-
-
-def check_embeddings(vectors) -> tuple[list[tuple[np.ndarray, float]], CausewayError | None]:
-    """``check_embedding`` of each of ``vectors`` up to the first it
-    refuses, and that refusal (None if none), with one kernel call for
-    every norm."""
-    arrays, fault = [], None
-    try:
-        for vector in vectors:
-            arrays.append(_as_embedding(vector))
-    except CausewayError as exc:
-        fault = exc
-    squared = _squared_norms(np.stack(arrays)).tolist() if arrays else []
-    checks = []
-    for arr, sq in zip(arrays, squared):
-        refusal = _norm_refusal(sq)
-        if refusal is not None:
-            return checks, refusal
-        checks.append((arr, math.sqrt(sq)))
-    return checks, fault
+    squared_norm = float(_squared_norms(arr[None])[0])
+    if not math.isfinite(squared_norm):
+        raise DimensionMismatchError("embedding must have finite entries and a finite norm")
+    if squared_norm == 0.0:  # cosine would reject it at query time
+        raise ZeroVectorError("embedding is a zero vector")
+    return arr, math.sqrt(squared_norm)
 
 
 # slots: an ingest holds one per span of its records until its one insert
@@ -302,8 +270,6 @@ _EDGE_CODES = {kind.value: code for code, kind in enumerate(_EDGE_KINDS)}
 _NODE_CODE = {kind: code for code, kind in enumerate(_NODE_KINDS)}
 _EDGE_CODE = {kind: code for code, kind in enumerate(_EDGE_KINDS)}
 _EVENT = _NODE_CODES[NodeKind.EVENT.value]
-_KIND_VALUES = tuple(kind.value for kind in _NODE_KINDS)
-_EDGE_VALUES = tuple(kind.value for kind in _EDGE_KINDS)
 # per edge kind code, the node kind code its source and its destination must have
 _WANT_SRC, _WANT_DST = (
     np.array([_NODE_CODES[EDGE_ENDPOINTS[kind][end].value] for kind in _EDGE_KINDS])
@@ -865,8 +831,8 @@ class GraphStore:
         if row < 0:
             vector = self._vectors[i]
         else:
-            rows = len(self._chunks[0])  # CHUNK_ROWS as the chunks were made
-            vector = self._chunks[row // rows][row % rows]
+            size = len(self._chunks[0])  # CHUNK_ROWS as the chunks were made
+            vector = self._chunks[row // size][row % size]
             vector.flags.writeable = False
         return Node(self._ids[i], _NODE_KINDS[self._kinds[i]], self._texts[i], vector)
 
@@ -1094,8 +1060,8 @@ class GraphStore:
         edge-insertion order; the caller holds the read lock."""
         i = self._number(event_id)
         if self._kinds[i] != _EVENT:
-            kind = _KIND_VALUES[self._kinds[i]]
-            raise NotAnEventError(f"{event_id!r} is a {kind}, not an Event")
+            kind = _NODE_KINDS[self._kinds[i]]
+            raise NotAnEventError(f"{event_id!r} is a {kind.value}, not an Event")
         written = self._written.get(i, ([], [], []))
         if i < len(self._loaded_start) // len(_EDGE_KINDS):
             return tuple(map(operator.add, self._loaded_of(i), written))
@@ -1173,16 +1139,17 @@ class GraphStore:
                         others.append(vector)
                     by_id[id(vector)] = row
                 vector_row[i] = row
+            # kinds are str enums, which JSON writes as their values
             nodes = {
                 "ids": list(self._ids),
-                "kinds": list(map(_KIND_VALUES.__getitem__, self._kinds[:n].tolist())),
+                "kinds": list(map(_NODE_KINDS.__getitem__, self._kinds[:n].tolist())),
                 "texts": list(self._texts),
                 "vector_row": vector_row.tolist(),
             }
             edges = {
                 "src": self._src[:m].tolist(),
                 "dst": self._dst[:m].tolist(),
-                "kind": list(map(_EDGE_VALUES.__getitem__, self._edge_kinds[:m].tolist())),
+                "kind": list(map(_EDGE_KINDS.__getitem__, self._edge_kinds[:m].tolist())),
             }
             # rows are written once and a vector is replaced, not changed, so
             # these arrays still hold this view's vectors after the lock
