@@ -10,8 +10,8 @@ The full cycle mirrors the graph-side embedding update procedure:
 The store remembers which provider made its vectors (``embedded_by``), so
 a later run with the same provider can skip step 1, embed only the nodes
 that have no vector yet, and reuse the vectors it holds for their texts.
-Each step reads the store's columns (``embedded_ids``,
-``unembedded_nodes``, ``held_vectors``, ``stats``), never every node.
+Each step reads the store's columns (``embedded_ids``, ``unembedded``,
+``held_vectors``, ``stats``), never every node.
 
 An event's vector lives in its store scoring row, any other node's in the
 store's vector column; there is no separate vector index. Providers must
@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causeway.errors import DimensionMismatchError, ProviderFailureError, ZeroVectorError
-from causeway.store import EMBEDDING_DIM, GraphStore, Node, NodeKind, check_embedding
+from causeway.errors import DimensionMismatchError, ProviderFailureError
+from causeway.store import EMBEDDING_DIM, GraphStore, NodeKind, check_embeddings
 
 logger = logging.getLogger(__name__)
 
@@ -65,12 +65,19 @@ class EmbeddingProvider(ABC):
 def provider_vector(vector, source: str, report=None) -> tuple[np.ndarray, float]:
     """``check_embedding`` on a vector a provider returned for ``source``;
     a vector it refuses is the provider's fault, a ProviderFailureError."""
-    try:
-        return check_embedding(vector)
-    except (DimensionMismatchError, ZeroVectorError) as exc:
+    return provider_vectors([vector], [source], report)[0]
+
+
+def provider_vectors(vectors: list, sources: list[str], report=None) -> list:
+    """``provider_vector`` of each of ``vectors``, one per source, by one
+    ``check_embeddings`` call."""
+    checks, fault = check_embeddings(vectors)
+    if fault is not None:
         raise ProviderFailureError(
-            f"provider returned an unusable vector for {source}: {exc}", report=report
-        ) from exc
+            f"provider returned an unusable vector for {sources[len(checks)]}: {fault}",
+            report=report,
+        ) from fault
+    return checks
 
 
 class HashEmbeddingProvider(EmbeddingProvider):
@@ -246,34 +253,35 @@ def batch_embed(
         raise DimensionMismatchError(
             f"provider dimension {provider.dimension} != {EMBEDDING_DIM}"
         )
-    eligible = store.unembedded_nodes()
+    eligible = store.unembedded()  # (id, kind, text) of each node to embed
     report = EmbedReport()
     unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
     if eligible and store.embedded_by == provider.identity:
-        unit = store.held_vectors({n.text for n in eligible})
+        unit = store.held_vectors({text for _, _, text in eligible})
     start = 0
     while start < len(eligible):
-        fresh: dict[str, Node] = {}  # the batch's new texts -> first node holding each
+        fresh: dict[str, str] = {}  # the batch's new texts -> first node id holding each
         end = start
         while end < len(eligible) and len(fresh) < batch_size:
-            node = eligible[end]
-            if node.text not in unit:
-                fresh.setdefault(node.text, node)
+            node_id, _, text = eligible[end]
+            if text not in unit:
+                fresh.setdefault(text, node_id)
             end += 1
         batch = eligible[start:end]
         if fresh:
             vectors = _embed_texts(provider, list(fresh), report)
-            for (text, node), vec in zip(fresh.items(), vectors):
-                arr, norm = provider_vector(vec, f"node {node.id!r}", report)
+            sources = [f"node {node_id!r}" for node_id in fresh.values()]
+            for text, (arr, norm) in zip(fresh, provider_vectors(vectors, sources, report)):
                 vector = arr / norm
                 vector.flags.writeable = False  # shared by every node with this text
                 unit[text] = vector
             report.batches_issued += 1
             report.texts_sent += len(fresh)
         # one writer-lock hold per batch
-        store.set_embeddings(((n.id, unit[n.text]) for n in batch), provider.identity)
-        for node in batch:
-            report.embedded_counts[node.kind] += 1
+        store.set_embeddings(((node_id, unit[text]) for node_id, _, text in batch),
+                             provider.identity)
+        for _, kind, _ in batch:
+            report.embedded_counts[kind] += 1
         start = end
     logger.info(
         "embedded %d node(s) from %d text(s) in %d batch(es)",

@@ -139,6 +139,27 @@ def check_embedding(vector) -> tuple[np.ndarray, float]:
     return arr, math.sqrt(squared_norm)
 
 
+def check_embeddings(vectors: list) -> tuple[list[tuple[np.ndarray, float]], CausewayError | None]:
+    """``check_embedding`` of each of ``vectors`` up to the first it
+    refuses, and that refusal (None if none). A batch that passes takes its
+    norms from one kernel call, the same to the bit."""
+    try:
+        rows = np.array(vectors, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.shape == (len(vectors), EMBEDDING_DIM):
+        squared = _squared_norms(rows)
+        if np.isfinite(squared).all() and squared.all():
+            return list(zip(rows, np.sqrt(squared).tolist())), None
+    checks = []
+    for vector in vectors:
+        try:
+            checks.append(check_embedding(vector))
+        except CausewayError as exc:
+            return checks, exc
+    return checks, None
+
+
 # slots: an ingest holds one per span of its records until its one insert
 @dataclass(eq=False, slots=True)
 class Node:
@@ -973,15 +994,16 @@ class GraphStore:
             numbers = np.flatnonzero(self._has_vector[: len(self._ids)])
             return list(map(self._ids.__getitem__, numbers.tolist()))
 
-    def unembedded_nodes(self) -> list[Node]:
-        """The nodes with text and no vector, in insertion order."""
+    def unembedded(self) -> list[tuple[str, NodeKind, str]]:
+        """(id, kind, text) of each node with text and no vector, in
+        insertion order."""
         with self.lock.read():
             n = len(self._ids)
             numbers = np.flatnonzero(self._has_text[:n] & ~self._has_vector[:n])
             kinds = map(_NODE_KINDS.__getitem__, self._kinds[numbers].tolist())
             numbers = numbers.tolist()
             ids, texts = map(self._ids.__getitem__, numbers), map(self._texts.__getitem__, numbers)
-            return list(map(Node, ids, kinds, texts))
+            return list(zip(ids, kinds, texts))
 
     def held_vectors(self, texts) -> dict[str, np.ndarray]:
         """For each of ``texts`` that a node other than an event holds a

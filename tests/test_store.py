@@ -441,8 +441,10 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
         stack[:] = rows
         rows = stack
         assert not rows.flags.aligned
-    for row, squared in zip(rows, np.einsum("ij,ij->i", rows, rows)):
-        assert check_embedding(row)[1] == math.sqrt(squared)
+    checks, fault = store_module.check_embeddings(list(rows))
+    assert fault is None
+    for row, squared, (_, norm) in zip(rows, np.einsum("ij,ij->i", rows, rows), checks, strict=True):
+        assert check_embedding(row)[1] == math.sqrt(squared) == norm
 
 
 @pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
