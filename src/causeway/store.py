@@ -894,7 +894,7 @@ class GraphStore:
         vectors, texts = self._vectors, self._texts
         had = dict(zip(numbers, self._has_vector[numbers].tolist()))  # a vector, as the call goes
         events = (self._kinds[numbers] == _EVENT).tolist()
-        fresh = {}  # event number -> (its vector, the norm) for a new row, in the order of last writes
+        fresh = {}  # event number -> (vector, norm) of a new row, in the order of last writes
         for (i, check), event in zip(writes, events):
             if check is not None:  # the vectors held just before this pair
                 kept = not self._embedded or self._embedded_by == embedded_by
