@@ -1279,9 +1279,7 @@ class GraphStore:
         rows, which = np.unique(file_rows[others], return_inverse=True)
         rest = snapshot.vectors[rows]  # a copy, not a view of a mapped file
         rest.flags.writeable = False
-        shared = np.empty(len(rest), dtype=object)  # one array per row, so its nodes share it
-        for k, vector in enumerate(rest):
-            shared[k] = vector
+        shared = np.fromiter(rest, dtype=object, count=len(rest))  # one array per row, shared
         vectors = np.empty(n, dtype=object)
         vectors[others] = shared[which]
         self._vectors = vectors.tolist()
