@@ -1368,27 +1368,25 @@ SHAPE_NOT_ROWS = "vectors 'shape' must be [rows, 384]"
 VECTORS_KEYS = (
     "'vectors' must be an object with keys ['dtype', 'file', 'provider', 'scoring', 'shape']"
 )
-# (case id, key, value, the refusal's message after the path)
 RECORD_REFUSALS = [
-    ("dtype-f4", "dtype", "<f4", NOT_25_ROWS),
-    ("dtype-big-endian", "dtype", ">f8", NOT_25_ROWS),
-    ("shape-no-rows", "shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
-    ("shape-str", "shape", "x", "'vectors' 'shape' must not be str"),
-    ("shape-three-axes", "shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
-    ("file-null", "file", None, "'vectors' 'file' must not be NoneType"),
-    ("scoring-one-short", "drop-row", None,
-     "nodes[21]: a scoring event's vector_row must be below 5"),
-    ("no-record", "no-record", None, VECTORS_KEYS),
-    ("shape-rows-str", "shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
-    ("scoring-str", "scoring", "x", "'vectors' 'scoring' must not be str"),
-    ("scoring-null", "scoring", None, "'vectors' 'scoring' must not be NoneType"),
-    ("scoring-negative", "scoring", -1, SCORING_NOT_A_COUNT),
-    ("scoring-past-rows", "scoring", 10**6, SCORING_NOT_A_COUNT),
-    ("no-provider", "no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
-    ("provider-int", "provider", 5, "'vectors' 'provider' must not be int"),
-    ("provider-list", "provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
+    ("dtype", "<f4", NOT_25_ROWS),
+    ("dtype", ">f8", NOT_25_ROWS),
+    ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
+    ("shape", "x", "'vectors' 'shape' must not be str"),
+    ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
+    ("file", None, "'vectors' 'file' must not be NoneType"),
+    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
+    ("no-record", None, VECTORS_KEYS),
+    ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
+    ("scoring", "x", "'vectors' 'scoring' must not be str"),
+    ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
+    ("scoring", -1, SCORING_NOT_A_COUNT),
+    ("scoring", 10**6, SCORING_NOT_A_COUNT),
+    ("no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
+    ("provider", 5, "'vectors' 'provider' must not be int"),
+    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
 ]
-RECORD_FAULTS = [(key, value) for _, key, value, _ in RECORD_REFUSALS]
+RECORD_FAULTS = [(key, value) for key, value, _ in RECORD_REFUSALS]
 
 
 def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
@@ -1501,9 +1499,16 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
+def record_refusal_id(i: int, key: str, value, message: str) -> str:
+    """The id each case had when version 2's ten cases came first: pytest
+    names a list value by its case's index."""
+    shown = f"value{i + 10}" if isinstance(value, list) else value
+    return f"3-{key}-{shown}-{message}"
+
+
 @pytest.mark.parametrize(
-    "key, value, message",
-    [pytest.param(key, value, message, id=case) for case, key, value, message in RECORD_REFUSALS],
+    "key, value, message", RECORD_REFUSALS,
+    ids=[record_refusal_id(i, *refusal) for i, refusal in enumerate(RECORD_REFUSALS)],
 )
 def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, key, value, message):
     path = tmp_path / "graph.json"
