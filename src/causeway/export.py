@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from causeway.errors import NotAnEventError
 from causeway.store import Edge, GraphStore, Node, NodeKind
 
 _NODE_SHAPES = {
@@ -58,16 +57,8 @@ def render_dot(
 
 def event_subgraph_dot(store: GraphStore, event_id: str) -> str:
     """DOT for one event and its direct causal neighborhood."""
-    event = store.get_node(event_id)
-    if event.kind is not NodeKind.EVENT:
-        raise NotAnEventError(f"{event_id!r} is a {event.kind.value}, not an Event")
-    keep = {event_id}
-    edges = []
-    for edge in store.edges():
-        if edge.src == event_id or edge.dst == event_id:
-            edges.append(edge)
-            keep.add(edge.src)
-            keep.add(edge.dst)
+    edges = store.event_edges(event_id)
+    keep = {event_id, *(edge.src for edge in edges), *(edge.dst for edge in edges)}
     nodes = [store.get_node(node_id) for node_id in sorted(keep)]
     return render_dot(nodes, edges, name="event_subgraph")
 

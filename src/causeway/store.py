@@ -7,14 +7,15 @@ fixed endpoint table:
     RESULTS_IN:  Event  -> Effect
     HAS_TRIGGER: Event  -> Trigger
 
-Storage is in-memory with optional snapshot persistence: a JSON document
-of nodes and edges plus one ``.npy`` file of their vectors. The store
-holds the graph as columns, as a snapshot does: per node (numbered in
-insertion order) an id, a kind code, a text and a vector; per edge its
-two node numbers and a kind code. Edges have set semantics (duplicates
-are idempotent) but preserve first-insertion order, which fixes the order
-of collected neighbor texts; each event keeps its neighbours' numbers in
-that order, one list per edge kind, so it is linked when it has any. Reads
+Storage is in-memory with optional snapshot persistence: one file, the
+NumPy ``.npy`` array of the vectors followed by a JSON document of nodes
+and edges. The store holds the graph as columns, as a snapshot does: per
+node (numbered in insertion order) an id, a kind code, a text and a
+vector; per edge its two node numbers and a kind code. Edges have set
+semantics (duplicates are idempotent) but preserve first-insertion order,
+which fixes the order of collected neighbor texts; each event keeps its
+neighbours' numbers in that order, one list per edge kind, so it is
+linked when it has any. Reads
 build ``Node`` and ``Edge`` values: changing one changes nothing stored,
 and every vector a read gives is read-only (a writable array a caller
 writes is copied; a read-only one is kept, so nodes given one array share
@@ -22,22 +23,24 @@ it). Many readers or one writer: one ``insert`` writes any number of
 nodes and edges under one write lock, and one ``event_texts`` reads the
 texts of any number of events (a query's results) under one read lock.
 
-A snapshot (version 3) holds its records as columns: per node an id, a
-kind, a text and the row of its vector in the ``.npy`` file (-1 for
-none); per edge the indexes of its two nodes and a kind. The file holds
+A snapshot (version 4) holds its records as columns: per node an id, a
+kind, a text and the row of its vector in the ``.npy`` array (-1 for
+none); per edge the indexes of its two nodes and a kind. The array holds
 the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row, and after a load they
-share one read-only array. Loading checks every column in bulk and fills
+share one read-only array. Loading reads the file through one open file
+object, mapping the rows from it, so a save that renames a new file into
+place meanwhile is not seen. It checks every column in bulk and fills
 the store's columns from the file's, with no step per record: each norm
 is the root of the vector's row of the one ``einsum`` that checks the whole
-file, the kernel ``check_embedding`` runs on one row, so a norm is the same
+array, the kernel ``check_embedding`` runs on one row, so a norm is the same
 to the bit either way. Each check is a mask over the records and the
 refusal of a record it flags, the refusal built as the store's writers
 build theirs; a load names the first faulty record, with the refusal of
-the first check that flags it. Versions 1 and 2, which held one record
-per node and edge, are refused: such a store is built again by ``ingest``
-and ``embed``.
+the first check that flags it. Versions 1 to 3, JSON documents alone or
+beside a vector file, are refused: such a store is built again by
+``ingest`` and ``embed``.
 
 Every event with both text and an embedding owns one scoring row in a
 fixed-size chunk: its vector, the vector's norm, a linked bit (the event
@@ -50,15 +53,13 @@ outnumber the live ones by a chunk, the live ones are appended afresh.
 
 from __future__ import annotations
 
-import hashlib
+import io
 import json
 import math
 import operator
 import os
-import re
 import threading
-import zipfile
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -82,10 +83,8 @@ EMBEDDING_DIM = 384
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
-SNAPSHOT_VERSION = 3  # the one version save writes and load reads
+SNAPSHOT_VERSION = 4  # the one version save writes and load reads
 VECTOR_DTYPE = "<f8"
-# hex digits of the vectors' sha256 in the sidecar's name
-_HASH_CHARS = 16
 
 
 class NodeKind(str, Enum):
@@ -142,7 +141,8 @@ def check_embedding(vector) -> tuple[np.ndarray, float]:
 def check_embeddings(vectors: list) -> tuple[list[tuple[np.ndarray, float]], CausewayError | None]:
     """``check_embedding`` of each of ``vectors`` up to the first it
     refuses, and that refusal (None if none). A batch that passes takes its
-    norms from one kernel call, the same to the bit."""
+    norms from one kernel call, the same to the bit, and gives the arrays
+    ``check_embedding`` gives."""
     try:
         rows = np.array(vectors, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -150,7 +150,8 @@ def check_embeddings(vectors: list) -> tuple[list[tuple[np.ndarray, float]], Cau
     if rows is not None and rows.shape == (len(vectors), EMBEDDING_DIM):
         squared = _squared_norms(rows)
         if np.isfinite(squared).all() and squared.all():
-            return list(zip(rows, np.sqrt(squared).tolist())), None
+            arrays = [np.ascontiguousarray(v, dtype=np.float64) for v in vectors]
+            return list(zip(arrays, np.sqrt(squared).tolist())), None
     checks = []
     for vector in vectors:
         try:
@@ -276,10 +277,7 @@ class _RWLock:
 
 # the JSON types each key's values may take; a bool passes as `scoring`, to
 # be refused as a count with the other values that are not one
-_VECTORS = {
-    "file": {str}, "dtype": {str}, "shape": {list}, "scoring": {int, bool},
-    "provider": {str, type(None)},
-}
+_VECTORS = {"scoring": {int, bool}, "provider": {str, type(None)}}
 _NODE_COLUMNS = {"ids": {str}, "kinds": {str}, "texts": {str, type(None)}, "vector_row": {int}}
 _EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
 # a kind's code is its index here; the columns are checked and built on codes
@@ -312,25 +310,27 @@ def _not_a(kind: type[Enum], value) -> ValueError:
 
 def _checked(vectors) -> tuple[list, CausewayError | None]:
     """``check_embedding`` of each of ``vectors`` (None for None) up to the
-    first it refuses, and that refusal (None if none). Each checked array is
-    read-only: a read-only float64 array is kept as it is, and checked once
-    however many times it comes (``batch_embed`` gives every node of one
-    text the same one); anything else is copied, so that no caller can
-    change a stored vector."""
-    checks, seen = [], {}  # id of a read-only array -> (the array, its check)
+    first it refuses, and that refusal (None if none), by one
+    ``check_embeddings`` call. Each checked array is read-only: a read-only
+    float64 array is kept as it is, and checked once however many times it
+    comes (``batch_embed`` gives every node of one text the same one);
+    anything else is copied, so that no caller can change a stored vector."""
+    batch, places, seen = [], [], {}  # id of a read-only array -> its place in batch
     for vec in vectors:
-        try:
-            if vec is None:
-                checks.append(None)
-            elif isinstance(vec, np.ndarray) and not vec.flags.writeable:
-                if id(vec) not in seen:
-                    seen[id(vec)] = (vec, _read_only(check_embedding(vec)))
-                checks.append(seen[id(vec)][1])
-            else:
-                checks.append(_read_only(check_embedding(vec)))
-        except CausewayError as exc:
-            return checks, exc
-    return checks, None
+        if vec is None:
+            places.append(None)
+            continue
+        place = len(batch)
+        if isinstance(vec, np.ndarray) and not vec.flags.writeable:
+            place = seen.setdefault(id(vec), place)
+        if place == len(batch):
+            batch.append(vec)
+        places.append(place)
+    checks, fault = check_embeddings(batch)
+    checks = list(map(_read_only, checks))
+    # every vector before the refused one's first place was checked
+    end = len(places) if fault is None else places.index(len(checks))
+    return [None if place is None else checks[place] for place in places[:end]], fault
 
 
 def _read_only(check: tuple[np.ndarray, float]) -> tuple[np.ndarray, float]:
@@ -360,10 +360,11 @@ def _endpoint_fault(kind: EdgeKind, src: NodeKind, dst: NodeKind) -> KindViolati
     )
 
 
-def _read_document(path: Path) -> dict:
-    """The snapshot document at ``path``, if it is of the version load reads."""
+def _read_document(path: Path, data: bytes) -> dict:
+    """The snapshot document ``data`` of the file at ``path``, if it is of
+    the version load reads."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(data.decode("utf-8"))
     except RecursionError as exc:
         raise ValueError(f"{path}: snapshot JSON nests too deeply") from exc
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -371,7 +372,7 @@ def _read_document(path: Path) -> dict:
     if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ValueError(f"{path}: not a {SNAPSHOT_FORMAT} file")
     version = payload.get("version")
-    if type(version) is int and version in (1, 2):  # one record per node and edge
+    if type(version) is int and version in (1, 2, 3):  # JSON with its vectors inline or beside it
         raise ValueError(
             f"{path}: snapshot version {version} is no longer read; move the file aside "
             "and run `ingest` and `embed` again"
@@ -492,52 +493,53 @@ def _check_edges(path, src: list, dst: list, kinds: list, ends, node_codes, faul
     return codes
 
 
-class _MissingVectors(ValueError):
-    """The vector file a snapshot names is not there."""
+# the bytes of a snapshot's .npy header that load reads: numpy refuses a
+# header longer than this, so a declared length is never read
+_MAX_HEADER = 10_000
+_HEADER_BYTES = np.lib.format.MAGIC_LEN + 4 + _MAX_HEADER
+_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0, (2, 0): np.lib.format.read_array_header_2_0,
+}
+_ROW_BYTES = EMBEDDING_DIM * np.dtype(VECTOR_DTYPE).itemsize
 
 
-def _sidecar_path(path: Path, name) -> Path:
-    """The vector file ``name`` beside the snapshot at ``path``: only a bare
-    file name ``.<snapshot name>.<hash>.npy`` is one."""
-    pattern = rf"\.{re.escape(path.name)}\.[0-9a-f]{{{_HASH_CHARS}}}\.npy"
-    if not isinstance(name, str) or not re.fullmatch(pattern, name):
-        raise ValueError(f"{path}: {name!r} is not a vector file name of this snapshot")
-    return path.with_name(name)
-
-
-def _open_vectors(path: Path, file, dtype, shape, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``rows`` vectors of the vector file ``file``, mapped read-only,
-    after checking its ``dtype`` and ``shape``, and each one's squared norm,
-    as ``check_embedding`` computes it. A zero or non-finite vector raises
-    what ``check_embedding`` raises, naming its row."""
-    want = (rows, EMBEDDING_DIM)
-    if dtype != VECTOR_DTYPE or shape != list(want):
-        raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape {want}")
-    sidecar = _sidecar_path(path, file)
+def _vector_header(path: Path, head: bytes, size: int) -> tuple[int, int]:
+    """The row count of the vectors a snapshot of ``size`` bytes begins
+    with, and the offset of their data, read from ``head``, its first bytes:
+    if the .npy header declares C-order rows of EMBEDDING_DIM
+    ``VECTOR_DTYPE`` numbers that the file holds."""
+    header = io.BytesIO(head)
     try:
-        # mapped, so a header that declares more data than the file holds
-        # fails here instead of allocating it
-        mapped = np.load(sidecar, mmap_mode="r", allow_pickle=False)
-    except FileNotFoundError as exc:
-        raise _MissingVectors(f"{path}: vector file {sidecar.name} is missing") from exc
-    except (ValueError, EOFError, OSError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"{sidecar}: not a .npy vector file: {exc}") from exc
-    if not isinstance(mapped, np.ndarray):  # an .npz archive
-        mapped.close()
-        raise ValueError(f"{sidecar}: not a .npy vector file")
-    if mapped.dtype != np.dtype(VECTOR_DTYPE) or mapped.shape != want:
-        raise ValueError(f"{sidecar}: vectors must be {VECTOR_DTYPE} of shape {want}")
-    # the refusals of check_embedding, for every row at once
-    squared = _squared_norms(np.ascontiguousarray(mapped))
+        read = _HEADER_READERS.get(np.lib.format.read_magic(header))
+        if read is None:
+            raise ValueError("not .npy version 1.0 or 2.0")
+        shape, fortran_order, dtype = read(header, max_header_size=_MAX_HEADER)
+    except ValueError as exc:
+        raise ValueError(f"{path}: snapshot vectors have no readable .npy header: {exc}") from exc
+    if (fortran_order or dtype != np.dtype(VECTOR_DTYPE) or len(shape) != 2
+            or shape[0] < 0 or shape[1] != EMBEDDING_DIM):
+        raise ValueError(f"{path}: snapshot vectors must be {VECTOR_DTYPE} of shape "
+                         f"(rows, {EMBEDDING_DIM}) in C order")
+    rows, start = int(shape[0]), header.tell()
+    if start + rows * _ROW_BYTES > size:
+        raise ValueError(f"{path}: snapshot vectors run past the end of the file")
+    return rows, start
+
+
+def _squared_row_norms(path: Path, vectors: np.ndarray) -> np.ndarray:
+    """Each of ``vectors``' squared norm, as ``check_embedding`` computes
+    it. A zero or non-finite vector raises what ``check_embedding`` raises,
+    naming its row."""
+    squared = _squared_norms(vectors)
     bad = np.flatnonzero(~np.isfinite(squared) | (squared == 0.0))
     if bad.size:
         row = bad[0]
         if squared[row] == 0.0:
-            raise ZeroVectorError(f"{sidecar}: vector row {row} is a zero vector")
+            raise ZeroVectorError(f"{path}: snapshot vector row {row} is a zero vector")
         raise DimensionMismatchError(
-            f"{sidecar}: vector row {row} must have finite entries and a finite norm"
+            f"{path}: snapshot vector row {row} must have finite entries and a finite norm"
         )
-    return mapped, squared
+    return squared
 
 
 class _Snapshot(NamedTuple):
@@ -564,24 +566,36 @@ class _Snapshot(NamedTuple):
 
 def _read_snapshot(path: Path) -> _Snapshot:
     """The snapshot at ``path``, checked, as columns. The checks run in this
-    order, each refusing the first bad record in file order: the document,
-    the vector record and file, the nodes with their vectors, the edges."""
-    payload = _read_document(path)
+    order, each refusing the first bad record in file order: the vectors'
+    header, the document, the vector record, the vectors, the nodes with
+    their vector rows, the edges."""
+    with path.open("rb") as f:
+        head = f.read(_HEADER_BYTES)
+        if not head.startswith(np.lib.format.MAGIC_PREFIX):  # JSON alone, as versions 1 to 3
+            _read_document(path, head + f.read())
+            raise ValueError(
+                f"{path}: snapshot version {SNAPSHOT_VERSION} must begin with its vectors"
+            )
+        rows, start = _vector_header(path, head, os.fstat(f.fileno()).st_size)
+        f.seek(start + rows * _ROW_BYTES)
+        document = f.read()
+        # mapped from this open file, so that a save renaming a new file into
+        # place meanwhile cannot give this document another file's vectors
+        vectors = (
+            np.memmap(f, dtype=VECTOR_DTYPE, mode="r", offset=start, shape=(rows, EMBEDDING_DIM))
+            if rows else np.empty((0, EMBEDDING_DIM))
+        )
+    payload = _read_document(path, document)
     (ids, kinds, texts, vector_row), node_fault = _column_table(
         path, payload, "nodes", _NODE_COLUMNS
     )
     (src, dst, edge_kinds), edge_fault = _column_table(path, payload, "edges", _EDGE_COLUMNS)
-    file, dtype, shape, scoring, embedded_by = _fields(
-        path, "'vectors'", payload.get("vectors"), _VECTORS
-    )
-    rows = shape[0] if len(shape) == 2 and type(shape[0]) is int else -1
-    if rows < 0:
-        raise ValueError(f"{path}: snapshot vectors 'shape' must be [rows, {EMBEDDING_DIM}]")
+    scoring, embedded_by = _fields(path, "'vectors'", payload.get("vectors"), _VECTORS)
     if type(scoring) is not int or not 0 <= scoring <= rows:
         raise ValueError(
             f"{path}: snapshot vectors 'scoring' must be an integer from 0 to the row count"
         )
-    vectors, squared = _open_vectors(path, file, dtype, shape, rows)
+    squared = _squared_row_norms(path, vectors)
     codes = _codes(kinds, _NODE_CODES)
     file_rows = _indexes(vector_row)
     has_text = np.fromiter(map(operator.is_not, texts, repeat(None)), bool, len(texts))
@@ -629,23 +643,22 @@ def _row_checks(path, scores, vector_row: list, rows: np.ndarray, count: int, sc
     ]
 
 
-def _write_atomic(path: Path, write) -> str:
+def _write_atomic(path: Path, write) -> None:
     """Call ``write`` on a temporary file beside ``path``, fsync it and
-    rename it to the file name ``write`` returns: a reader or a crash sees
-    the old file or the new one, never part of one."""
+    rename it to ``path``: a reader or a crash sees the old file or the new
+    one, never part of one."""
     # unique per process and thread, in the target's directory so that
     # os.replace stays one rename on one file system
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with tmp.open("wb") as f:
-            name = write(f)
+            write(f)
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path.with_name(name))
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    return name
 
 
 def _vector_blocks(chunks: list[np.ndarray], live: np.ndarray, others: list[np.ndarray]):
@@ -656,36 +669,6 @@ def _vector_blocks(chunks: list[np.ndarray], live: np.ndarray, others: list[np.n
         yield chunk[live[lo:hi] % CHUNK_ROWS]
     for start in range(0, len(others), CHUNK_ROWS):
         yield np.stack(others[start : start + CHUNK_ROWS])
-
-
-class _FirstObject(Exception):
-    """Raised by _stop_at_first_object with the first JSON object to close."""
-
-    def __init__(self, record: dict):
-        self.record = record
-
-
-def _stop_at_first_object(pairs):
-    raise _FirstObject(dict(pairs))
-
-
-def _named_sidecar(path: Path) -> str | None:
-    """The vector file name the snapshot at ``path`` names, if any. Its
-    ``vectors`` record is the document's first object to close, so parsing
-    stops there instead of building every node and edge."""
-    try:
-        json.loads(path.read_bytes(), object_pairs_hook=_stop_at_first_object)
-    except _FirstObject as first:
-        with suppress(ValueError):
-            return _sidecar_path(path, first.record.get("file")).name
-    except (OSError, ValueError, RecursionError):
-        pass
-    return None
-
-
-def _discard(path: Path) -> None:
-    with suppress(OSError):
-        path.unlink(missing_ok=True)
 
 
 def _room(arrays: tuple, fills: tuple, n: int) -> tuple:
@@ -1067,23 +1050,41 @@ class GraphStore:
     def edges(self) -> list[Edge]:
         """Every edge, in first-insertion order, each a new ``Edge``."""
         with self.lock.read():
-            m, ids = self._edge_count, self._ids
-            return list(map(
-                Edge,
-                map(ids.__getitem__, self._src[:m].tolist()),
-                map(ids.__getitem__, self._dst[:m].tolist()),
-                map(_EDGE_KINDS.__getitem__, self._edge_kinds[:m].tolist()),
-            ))
+            return self._edges(slice(self._edge_count))
+
+    def event_edges(self, event_id: str) -> list[Edge]:
+        """The edges of one event, in first-insertion order, each a new
+        ``Edge``: found by a mask over the edge columns, as the per-kind
+        neighbour lists do not keep the order across kinds."""
+        with self.lock.read():
+            i, m = self._event(event_id), self._edge_count
+            return self._edges(np.flatnonzero((self._src[:m] == i) | (self._dst[:m] == i)))
+
+    def _edges(self, which) -> list[Edge]:
+        """The edges ``which`` (a slice or an index array) of the edge
+        columns; the caller holds the read lock."""
+        ids = self._ids
+        return list(map(
+            Edge,
+            map(ids.__getitem__, self._src[which].tolist()),
+            map(ids.__getitem__, self._dst[which].tolist()),
+            map(_EDGE_KINDS.__getitem__, self._edge_kinds[which].tolist()),
+        ))
 
     # --- neighbor primitives ---
 
-    def _neighbors(self, event_id: str) -> tuple[list[int], list[int], list[int]]:
-        """The (cause, effect, trigger) neighbor numbers of one event, each in
-        edge-insertion order; the caller holds the read lock."""
+    def _event(self, event_id: str) -> int:
+        """The number of the event ``event_id``; the caller holds the read lock."""
         i = self._number(event_id)
         if self._kinds[i] != _EVENT:
             kind = _NODE_KINDS[self._kinds[i]]
             raise NotAnEventError(f"{event_id!r} is a {kind.value}, not an Event")
+        return i
+
+    def _neighbors(self, event_id: str) -> tuple[list[int], list[int], list[int]]:
+        """The (cause, effect, trigger) neighbor numbers of one event, each in
+        edge-insertion order; the caller holds the read lock."""
+        i = self._event(event_id)
         written = self._written.get(i, ([], [], []))
         if i < len(self._loaded_start) // len(_EDGE_KINDS):
             return tuple(map(operator.add, self._loaded_of(i), written))
@@ -1127,15 +1128,12 @@ class GraphStore:
     # --- snapshot persistence ---
 
     def save(self, path: str | Path) -> None:
-        """Write the snapshot: a JSON document at ``path`` and, beside it,
-        one ``.npy`` file of the vectors, named after their sha256. The
-        file holds the live scoring rows in scoring order, then each
-        distinct vector that other nodes hold, once.
-
-        Each file goes to a temporary name, is fsynced and renamed into
-        place, the vectors first. Renaming the JSON commits, so a reader
-        or a crash sees the old pair or the new one. The vector file the
-        old JSON named is then deleted.
+        """Write the snapshot at ``path``, one file: an ``.npy`` array of
+        the vectors, the live scoring rows in scoring order, then each
+        distinct vector that other nodes hold, once; then the JSON document
+        of the nodes and edges. It goes to a temporary file, is fsynced and
+        renamed into place, so a reader or a crash sees the old snapshot or
+        the new one.
         """
         with self.lock.read():  # nodes, edges and vectors from one consistent view
             n, m = len(self._ids), self._edge_count
@@ -1146,7 +1144,7 @@ class GraphStore:
             vector_row = np.full(n, -1, dtype=np.int64)
             scored = np.flatnonzero(rows >= 0)
             vector_row[scored] = rank[rows[scored]]
-            # nodes with equal vectors share a row, so the files depend on the
+            # nodes with equal vectors share a row, so the file depends on the
             # vectors alone, not on which nodes hold one array (batch_embed
             # shares one per text); an array seen before is not read again
             by_id: dict[int, int] = {}
@@ -1177,66 +1175,40 @@ class GraphStore:
             # these arrays still hold this view's vectors after the lock
             blocks = _vector_blocks(list(self._chunks), live, others)
             embedded_by = self._embedded_by
-        path = Path(path)
         shape = (len(live) + len(others), EMBEDDING_DIM)
-
-        def write_vectors(f) -> str:
-            header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
-            np.lib.format.write_array_header_1_0(f, header)
-            digest = hashlib.sha256()
-            for block in blocks:
-                digest.update(block)
-                f.write(block)
-            return f".{path.name}.{digest.hexdigest()[:_HASH_CHARS]}.npy"
-
-        old = _named_sidecar(path)
-        name = _write_atomic(path.with_name(f"{path.name}.npy"), write_vectors)
         payload = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "embedding_dim": EMBEDDING_DIM,
-            # before the nodes, so that _named_sidecar finds it first
-            "vectors": {
-                "file": name,
-                "dtype": VECTOR_DTYPE,
-                "shape": list(shape),
-                "scoring": len(live),
-                "provider": embedded_by,
-            },
+            "vectors": {"scoring": len(live), "provider": embedded_by},
             "nodes": nodes,
             "edges": edges,
         }
 
-        def write_document(f) -> str:
+        def write(f) -> None:
+            header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
+            np.lib.format.write_array_header_1_0(f, header)
+            for block in blocks:
+                f.write(block)
+            # encoded once the vector blocks are written, so that its text and
+            # a block are not held at once
             f.write(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
-            return path.name
 
-        try:
-            _write_atomic(path, write_document)
-        except BaseException:
-            if name != old:  # the old JSON still names its own vectors
-                _discard(path.with_name(name))
-            raise
-        if old is not None and old != name:
-            _discard(path.with_name(old))
+        _write_atomic(Path(path), write)
 
     @classmethod
     def load(cls, path: str | Path) -> "GraphStore":
-        """Read a snapshot of version 3. Every refusal names the file: a
-        document that is not UTF-8 JSON, of version 1 or 2 (the message says
-        to run ``ingest`` and ``embed`` again) or otherwise malformed, and a
-        malformed vector file, is a ValueError; a record the store refuses
-        names the first such record in file order too
-        (``nodes[i]``, ``edges[j]``) with the error its writer raises:
-        ValueError for an unknown kind or a repeated node id,
+        """Read a snapshot of version 4. Every refusal names the file: a
+        file of version 1 to 3 (the message says to run ``ingest`` and
+        ``embed`` again), a vector header that is not of ``<f8`` rows of
+        384 in C order or declares more rows than the file holds, and a
+        document that is not UTF-8 JSON or otherwise malformed, is a
+        ValueError; a record the store refuses names the first such record
+        in file order too (``nodes[i]``, ``edges[j]``) with the error its
+        writer raises: ValueError for an unknown kind or a repeated node id,
         KindViolationError for a repeated id of another kind, what
         ``add_edge`` raises for an edge. A zero or non-finite vector raises
         what ``check_embedding`` raises."""
-        path = Path(path)
-        try:
-            return cls()._fill(_read_snapshot(path))
-        except _MissingVectors:  # a save committed between the JSON and its vectors
-            return cls()._fill(_read_snapshot(path))
+        return cls()._fill(_read_snapshot(Path(path)))
 
     def _fill(self, snapshot: _Snapshot) -> "GraphStore":
         """Fill this new, unshared store's columns from the checked

@@ -10,6 +10,7 @@ from the one-at-a-time writers that ``GraphStore.insert`` replaced.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import random
@@ -161,9 +162,23 @@ class ReferenceRecord:
 
 
 # the reference record check of causeway.store's `vectors` type table
-REFERENCE_VECTORS = ReferenceRecord(
-    file=str, dtype=str, shape=list, scoring=int, provider=(str, type(None))
-)
+REFERENCE_VECTORS = ReferenceRecord(scoring=int, provider=(str, type(None)))
+
+
+def read_snapshot(path) -> tuple[dict, np.ndarray]:
+    """The JSON document and the vectors of the snapshot file at ``path``:
+    an ``.npy`` array, then the document."""
+    with open(path, "rb") as f:
+        vectors = np.lib.format.read_array(f, allow_pickle=False)
+        return json.loads(f.read().decode("utf-8")), vectors
+
+
+def write_snapshot(path, doc, vectors) -> None:
+    """Write a snapshot file at ``path``: ``vectors`` as an ``.npy`` array
+    (an object array pickled), then ``doc`` as JSON, or as it is if bytes."""
+    with open(path, "wb") as f:
+        np.lib.format.write_array(f, np.asarray(vectors), allow_pickle=True)
+        f.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
 
 
 def live_row_ids(store: GraphStore) -> list[str]:
@@ -346,6 +361,26 @@ def oracle_query(store: GraphStore, q, cfg) -> list[tuple[str, float, float, int
             rows.append((node.id, h, sim, s))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows[: cfg.k]
+
+
+def reference_event_subgraph_dot(store: GraphStore, event_id: str) -> str:
+    """``export.event_subgraph_dot`` as it was before the store gave one
+    event's edges: a scan of every stored edge."""
+    from causeway.errors import NotAnEventError
+    from causeway.export import render_dot
+
+    event = store.get_node(event_id)
+    if event.kind is not NodeKind.EVENT:
+        raise NotAnEventError(f"{event_id!r} is a {event.kind.value}, not an Event")
+    keep = {event_id}
+    edges = []
+    for edge in store.edges():
+        if edge.src == event_id or edge.dst == event_id:
+            edges.append(edge)
+            keep.add(edge.src)
+            keep.add(edge.dst)
+    nodes = [store.get_node(node_id) for node_id in sorted(keep)]
+    return render_dot(nodes, edges, name="event_subgraph")
 
 
 def count_dot_statements(dot_text: str) -> tuple[int, int]:

@@ -24,7 +24,7 @@ from causeway.prompting import PromptSpec, build_prompt, default_rules, estimate
 from causeway.retrieval import HybridConfig
 from causeway.store import EMBEDDING_DIM, GraphStore, Node
 
-from helpers import count_dot_statements
+from helpers import count_dot_statements, read_snapshot, write_snapshot
 
 
 CORPUS = (
@@ -464,15 +464,17 @@ def test_overflowing_vector_provider_exits_three(workspace, monkeypatch, capsys)
 
 
 def test_malformed_snapshot_is_operational_error(workspace, capsys):
-    workspace["store"].write_text(
-        json.dumps({"format": "causeway-graph-snapshot", "version": 3}), encoding="utf-8"
+    write_snapshot(
+        workspace["store"], {"format": "causeway-graph-snapshot", "version": 4},
+        np.empty((0, EMBEDDING_DIM)),
     )
     assert run(["stats"], workspace) == 1
     assert "nodes" in capsys.readouterr().err
 
 
-# the smallest snapshots of versions 1 and 2: one event, its vector inline
-# (version 1) or in a vector file whose rows name their nodes (version 2)
+# the smallest snapshots of versions 1 to 3: one event, its vector inline
+# (version 1) or in a vector file beside the JSON, whose rows name their
+# nodes (version 2) or whose row the node names (version 3)
 ONE_ROW = [1.0] + [0.0] * (EMBEDDING_DIM - 1)
 OLD_SNAPSHOTS = {
     1: {
@@ -487,6 +489,13 @@ OLD_SNAPSHOTS = {
         "nodes": [{"id": "event:a", "kind": "Event", "text": "rain"}],
         "edges": [],
     },
+    3: {
+        "format": "causeway-graph-snapshot", "version": 3, "embedding_dim": EMBEDDING_DIM,
+        "vectors": {"file": ".graph.json.0123456789abcdef.npy", "dtype": "<f8",
+                    "shape": [1, EMBEDDING_DIM], "scoring": 1, "provider": "mock-hash-0"},
+        "nodes": {"ids": ["event:a"], "kinds": ["Event"], "texts": ["rain"], "vector_row": [0]},
+        "edges": {"src": [], "dst": [], "kind": []},
+    },
 }
 
 
@@ -494,8 +503,8 @@ OLD_SNAPSHOTS = {
 def test_old_snapshot_is_refused_by_every_command_and_left_as_it_is(workspace, capsys, version):
     path = workspace["store"]
     path.write_text(json.dumps(OLD_SNAPSHOTS[version]), encoding="utf-8")
-    if version == 2:
-        np.save(path.with_name(OLD_SNAPSHOTS[2]["vectors"]["file"]), np.array([ONE_ROW]))
+    if version >= 2:
+        np.save(path.with_name(OLD_SNAPSHOTS[version]["vectors"]["file"]), np.array([ONE_ROW]))
     files = {p.name: p.read_bytes() for p in workspace["dir"].iterdir()}
     message = (
         f"{path}: snapshot version {version} is no longer read; move the file aside "
@@ -567,20 +576,29 @@ MORE = (
 )
 
 
-def snapshot_pair(path) -> tuple[bytes, bytes]:
-    """The snapshot JSON's bytes and those of the vector file it names."""
-    sidecar = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
-    return path.read_bytes(), path.with_name(sidecar).read_bytes()
-
-
-def clean_and_embed(store_path, provider, out) -> tuple[bytes, bytes]:
+def clean_and_embed(store_path, provider, out) -> bytes:
     """The snapshot a full clean + embed of ``store_path`` gives, saved at ``out``."""
     store = GraphStore.load(store_path)
     clean_embeddings(store)
     batch_embed(store, provider)
     out.parent.mkdir()
     store.save(out)
-    return snapshot_pair(out)
+    return out.read_bytes()
+
+
+def test_ingest_and_embed_leave_one_snapshot_file_of_the_same_bytes_each_run(workspace, tmp_path):
+    again = dict(workspace, store=tmp_path / "again" / "graph.json")
+    again["store"].parent.mkdir()
+    for space in (workspace, again):
+        before = {p.name for p in space["store"].parent.iterdir()}
+        for command in (["ingest", "--corpus", str(workspace["corpus"])], ["embed"]):
+            assert run(command, space) == 0
+            # the snapshot alone is added: no vector file, no temporary file
+            assert {p.name for p in space["store"].parent.iterdir()} == before | {"graph.json"}
+    assert again["store"].read_bytes() == workspace["store"].read_bytes()
+    doc, vectors = read_snapshot(workspace["store"])
+    assert np.array_equal(np.load(workspace["store"]), vectors)
+    assert doc["vectors"] == {"scoring": 3, "provider": "mock-hash-0"} and len(vectors) == 9
 
 
 def embed_json(workspace, capsys, *config) -> dict:
@@ -605,7 +623,7 @@ def test_embed_after_ingest_embeds_only_the_new_nodes(workspace, tmp_path, capsy
     # 7 distinct new texts, of which the store already held 4 (span texts)
     assert doc["embed"]["total_embedded"] == 9 and doc["embed"]["texts_sent"] == 3
     assert doc["verify"]["ok"] is True
-    assert snapshot_pair(workspace["store"]) == want
+    assert workspace["store"].read_bytes() == want
     assert embed_json(workspace, capsys)["embed"]["total_embedded"] == 0
 
 
@@ -696,7 +714,7 @@ def test_embed_cleans_when_the_vectors_provider_is_not_known_to_be_this_one(
     doc = embed_json(workspace, capsys, *config)
     assert doc["cleared"] == 18  # every node with text
     assert doc["embed"]["total_embedded"] == 18 and doc["verify"]["ok"] is True
-    assert snapshot_pair(path) == want
+    assert path.read_bytes() == want
     assert GraphStore.load(path).embedded_by == provider.identity
 
 

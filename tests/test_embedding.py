@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from collections import Counter
 
@@ -28,6 +27,7 @@ from causeway.store import (
     Node,
     NodeKind,
     check_embedding,
+    check_embeddings,
 )
 
 from helpers import random_store
@@ -336,11 +336,10 @@ def runs_of_new_texts(nodes: list[Node], batch_size: int) -> list[tuple[list[str
     return runs + [(ids, new)] if ids else runs
 
 
-def snapshot_bytes(store, path) -> tuple[bytes, bytes]:
+def snapshot_bytes(store, path) -> bytes:
     path.parent.mkdir()
     store.save(path)
-    sidecar = path.with_name(json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"])
-    return path.read_bytes(), sidecar.read_bytes()
+    return path.read_bytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,27 +508,28 @@ def test_nodes_with_one_text_share_one_read_only_vector(provider):
 def test_set_embeddings_checks_each_shared_array_once(provider, monkeypatch):
     from causeway import store as store_module
 
-    calls = []
+    batches = []  # the number of vectors in each check the store makes
 
-    def counted(vector):
-        calls.append(vector)
-        return check_embedding(vector)
+    def counted(vectors):
+        batches.append(len(vectors))
+        return check_embeddings(vectors)
 
-    monkeypatch.setattr(store_module, "check_embedding", counted)
+    monkeypatch.setattr(store_module, "check_embeddings", counted)
     store = GraphStore()
     texts = ["led to", "caused", "led to", "rain", "caused", "led to"]
     for i, text in enumerate(texts):
         store.upsert_node(Node(f"trigger:{i}", NodeKind.TRIGGER, text=text))
     batch_embed(store, provider)
-    assert len(calls) == len(set(texts))  # one per distinct (shared, read-only) array
-    calls.clear()
+    assert sum(batches) == len(set(texts))  # one per distinct (shared, read-only) array
+    batches.clear()
     shared = provider.embed("x")
     shared.flags.writeable = False
     writable = provider.embed("y")  # a caller may change it between nodes: checked each time
     store.set_embeddings([("trigger:0", shared), ("trigger:1", writable), ("trigger:2", shared),
                           ("trigger:3", writable), ("trigger:4", None)])
-    assert len(calls) == 3
+    assert batches == [3]  # in one check
     assert store.get_node("trigger:2").embedding is store.get_node("trigger:0").embedding
+    assert store.get_node("trigger:3").embedding is not store.get_node("trigger:1").embedding
 
 
 def test_embedded_by_holds_while_one_provider_made_every_vector():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 import re
 
 import pytest
@@ -14,7 +15,7 @@ from causeway.export import (
 )
 from causeway.store import Edge, EdgeKind, GraphStore, Node, NodeKind
 
-from helpers import count_dot_statements, random_store
+from helpers import count_dot_statements, random_store, reference_event_subgraph_dot
 
 
 def fragment_store():
@@ -69,6 +70,30 @@ def test_event_subgraph_dot_errors():
         event_subgraph_dot(store, "event:ghost")
     with pytest.raises(NotAnEventError):
         event_subgraph_dot(store, "cause:s1:0")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_event_subgraph_dot_is_the_old_scan_on_interleaved_edge_kinds(tmp_path, seed):
+    rng = random.Random(seed)
+    built = random_store(rng, n_events=rng.randint(1, 25))
+    edges = built.edges()
+    rng.shuffle(edges)  # an event's edge kinds interleave in insertion order
+    store = GraphStore()
+    store.insert(built.nodes(), edges[: len(edges) // 2])
+    if seed % 2:  # the rest written after a load
+        store.save(tmp_path / "graph.json")
+        store = GraphStore.load(tmp_path / "graph.json")
+    store.insert((), edges[len(edges) // 2 :])
+    for node in store.nodes():
+        try:
+            want = reference_event_subgraph_dot(store, node.id)
+        except NotAnEventError as exc:
+            with pytest.raises(NotAnEventError, match=re.escape(str(exc))):
+                event_subgraph_dot(store, node.id)
+        else:
+            assert event_subgraph_dot(store, node.id) == want
+    with pytest.raises(UnknownIdError, match="no node with id 'event:ghost'"):
+        event_subgraph_dot(store, "event:ghost")
 
 
 def test_cypher_statement_counts(rng):

@@ -47,9 +47,11 @@ from helpers import (
     oracle_neighbor_counts,
     random_store,
     random_unit_vector,
+    read_snapshot,
     ReferenceGraph,
     reference_insert,
     store_state,
+    write_snapshot,
 )
 
 
@@ -104,8 +106,7 @@ def test_zero_norm_embedding_rejected(tmp_path):
     path = tmp_path / "zero.json"
     store.set_embedding("event:1", random_unit_vector(np.random.default_rng(0)))
     store.save(path)
-    sidecar = path.with_name(json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"])
-    sidecar.write_bytes(npy_bytes(zero[None]))
+    write_snapshot(path, read_snapshot(path)[0], zero[None])
     with pytest.raises(ZeroVectorError, match="vector row 0 is a zero vector"):
         GraphStore.load(path)
 
@@ -476,10 +477,10 @@ def test_an_edge_a_snapshot_repeats_is_held_once(tmp_path, rng):
     store = random_store(rng, n_events=25)
     path = tmp_path / "graph.json"
     store.save(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc, vectors = read_snapshot(path)
     for column in doc["edges"].values():
         column += column[::-1]
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    write_snapshot(path, doc, vectors)
     loaded = GraphStore.load(path)
     assert loaded.edges() == store.edges()
     assert loaded.stats() == store.stats()
@@ -490,11 +491,10 @@ def test_an_edge_a_snapshot_repeats_is_held_once(tmp_path, rng):
 
 
 def snapshot_files(path) -> dict[str, bytes]:
-    """Every file in the snapshot's directory, after checking that they are
-    the JSON document and the vector file it names, and nothing else."""
-    sidecar = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
+    """Every file in the snapshot's directory, after checking that the
+    snapshot is the only one."""
     files = {p.name: p.read_bytes() for p in path.parent.iterdir()}
-    assert sorted(files) == sorted([path.name, sidecar])
+    assert list(files) == [path.name]
     return files
 
 
@@ -502,7 +502,7 @@ def test_failed_save_leaves_the_old_snapshot(tmp_path, rng, monkeypatch):
     path = tmp_path / "graph.json"
     random_store(rng, n_events=5).save(path)
     before = snapshot_files(path)
-    real_open, real_replace = io.open, os.replace
+    real_open = io.open
 
     class HalfWriter:
         """A file whose write stops halfway, as on a full disk."""
@@ -527,60 +527,44 @@ def test_failed_save_leaves_the_old_snapshot(tmp_path, rng, monkeypatch):
         f = real_open(file, mode, *args, **kwargs)
         return HalfWriter(f) if "w" in mode else f
 
-    def failing_json_rename(src, dst):
-        if Path(dst) == path:  # the vector file is already in place
-            raise OSError("rename interrupted")
-        real_replace(src, dst)
+    def failing_rename(src, dst):  # the commit, once the file is written whole
+        raise OSError("rename interrupted")
 
     for target, name, fake, error in (
-        (io, "open", failing_open, "no space"),  # the vector file, the first written
-        (os, "replace", failing_json_rename, "rename interrupted"),
+        (io, "open", failing_open, "no space"),
+        (os, "replace", failing_rename, "rename interrupted"),
     ):
         monkeypatch.setattr(target, name, fake)
         with pytest.raises(OSError, match=error):
             random_store(rng, n_events=8).save(path)
         monkeypatch.undo()
-        assert snapshot_files(path) == before  # the old pair whole, no temp file left
+        assert snapshot_files(path) == before  # the old snapshot whole, no temp file left
         assert len(GraphStore.load(path).nodes(NodeKind.EVENT)) == 5
 
 
-def test_save_deletes_only_the_vector_file_the_old_snapshot_named(tmp_path, rng):
+@pytest.mark.parametrize("hook", ["read_magic", "memmap"])
+def test_a_load_does_not_see_a_save_that_commits_during_it(tmp_path, rng, monkeypatch, hook):
     path = tmp_path / "graph.json"
-    other = tmp_path / ".graph.json.0123456789abcdef.npy"  # named like a vector file
-    other.write_bytes(b"not ours")
-    random_store(rng, n_events=5).save(path)
-    first = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
-    store = random_store(rng, n_events=6)
-    store.save(path)
-    second = json.loads(path.read_text(encoding="utf-8"))["vectors"]["file"]
-    assert second != first and not (tmp_path / first).exists()
-    assert other.read_bytes() == b"not ours"
-    other.unlink()
-    files = snapshot_files(path)
-    store.save(path)  # unchanged: the same vector file, which stays
-    assert snapshot_files(path) == files
-    assert GraphStore.load(path).nodes() == store.nodes()
+    first = random_store(rng, n_events=6)
+    batch_embed(first, mock_provider())
+    first.save(path)
+    newer = random_store(rng, n_events=9)
+    batch_embed(newer, mock_provider(1))
+    # the save commits after the load has opened the file: once its header
+    # is read, or as the vectors are about to be mapped
+    target = np.lib.format if hook == "read_magic" else np
+    real = getattr(target, hook)
 
+    def save_first(*args, **kwargs):
+        newer.save(path)
+        return real(*args, **kwargs)
 
-def test_load_rereads_the_snapshot_once_if_its_vectors_vanish(tmp_path, rng, monkeypatch):
-    path = tmp_path / "graph.json"
-    random_store(rng, n_events=5).save(path)
-    newer = random_store(rng, n_events=7)
-    real_load, calls = np.load, []
-
-    def load_after_a_save(file, *args, **kwargs):
-        # the first read of vectors comes after a writer committed a new
-        # snapshot and deleted the vector file the reader's JSON named
-        calls.append(Path(file).name)
-        if len(calls) == 1:
-            newer.save(path)
-        return real_load(file, *args, **kwargs)
-
-    monkeypatch.setattr(np, "load", load_after_a_save)
+    monkeypatch.setattr(target, hook, save_first)
     loaded = GraphStore.load(path)
     monkeypatch.undo()
-    assert len(calls) == 2 and calls[0] != calls[1]
-    assert loaded.nodes() == newer.nodes() and loaded.edges() == newer.edges()
+    assert loaded.nodes() == first.nodes() and loaded.edges() == first.edges()
+    assert live_rows(loaded) == live_rows(first) and loaded.embedded_by == first.embedded_by
+    assert GraphStore.load(path).nodes() == newer.nodes()  # the save did commit
 
 
 def share_span_texts(store: GraphStore, texts: int) -> None:
@@ -590,7 +574,7 @@ def share_span_texts(store: GraphStore, texts: int) -> None:
         store.upsert_node(Node(node.id, node.kind, f"span {i % texts}"))
 
 
-def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, provider):
+def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, provider):
     store = random_store(rng, n_events=40)
     share_span_texts(store, 4)
     batch_embed(store, provider)
@@ -602,9 +586,11 @@ def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, pr
     path = tmp_path / "first" / "graph.json"
     path.parent.mkdir()
     store.save(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    assert doc["version"] == SNAPSHOT_VERSION == 3
+    doc, array = read_snapshot(path)
+    assert doc["version"] == SNAPSHOT_VERSION == 4
+    assert list(doc) == ["format", "version", "vectors", "nodes", "edges"]
     nodes, edges, vectors = doc["nodes"], doc["edges"], doc["vectors"]
+    assert list(vectors) == ["scoring", "provider"] and vectors["provider"] is None
     assert nodes["ids"] == [n.id for n in store.nodes()]
     assert nodes["kinds"] == [n.kind.value for n in store.nodes()]
     assert nodes["texts"] == [n.text for n in store.nodes()]
@@ -615,7 +601,12 @@ def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, pr
     others = [n for n in store.nodes() if n.embedding is not None and n.id not in set(live)]
     shared = {n.embedding.tobytes() for n in others}
     # the .npy holds the live scoring rows plus each distinct shared vector once
-    assert vectors["shape"] == [len(live) + len(shared), EMBEDDING_DIM]
+    assert array.dtype == np.dtype("<f8")
+    assert array.shape == (len(live) + len(shared), EMBEDDING_DIM)
+    assert np.array_equal(np.load(path), array)
+    for node in store.nodes():
+        if node.embedding is not None:
+            assert array[row_of[node.id]].tobytes() == node.embedding.tobytes()
     assert len(shared) < len({id(n.embedding) for n in others}) < len(others)
     for a in others:
         for b in others:
@@ -637,7 +628,7 @@ def test_snapshot_writes_version_3_with_each_shared_array_once(tmp_path, rng, pr
     assert len(held) == len(shared)
     again = tmp_path / "again" / "graph.json"
     again.parent.mkdir()
-    loaded.save(again)  # save -> load -> save writes the same two files
+    loaded.save(again)  # save -> load -> save writes the same file
     assert snapshot_files(again) == snapshot_files(path)
 
 
@@ -677,13 +668,12 @@ def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
 def replay(path: Path) -> GraphStore:
     """The snapshot at ``path`` written into a new store through the public
     writers, record by record, as ``load`` once did."""
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc, vectors = read_snapshot(path)
     store = GraphStore()
     nodes, edges = doc["nodes"], doc["edges"]
     ids = nodes["ids"]
     for rec in zip(ids, nodes["kinds"], nodes["texts"]):
         store.upsert_node(Node(rec[0], NodeKind(rec[1]), rec[2]))
-    vectors = np.load(path.with_name(doc["vectors"]["file"]))
     held = sorted((row, i) for i, row in zip(ids, nodes["vector_row"]) if row >= 0)
     store.set_embeddings([(i, vectors[row]) for row, i in held], doc["vectors"]["provider"])
     for src, dst, kind in zip(edges["src"], edges["dst"], edges["kind"]):
@@ -910,7 +900,7 @@ def test_snapshot_rejects_foreign_file(tmp_path):
         GraphStore.load(path)
 
 
-# nodes and edges in record notation, written as version 3 columns by as_columns
+# nodes and edges in record notation, written as snapshot columns by as_columns
 NODE = {"id": "event:1", "kind": "Event", "text": "t"}
 CAUSE = {"id": "cause:1", "kind": "Cause", "text": "c"}
 EDGE = {"src": "cause:1", "dst": "event:1", "kind": "CAUSES"}
@@ -945,12 +935,16 @@ REFUSED_RECORDS = {
 }
 
 
+NO_VECTORS = np.empty((0, EMBEDDING_DIM))
+
+
 def as_columns(path: Path, records: dict) -> dict:
-    """``records`` as a version 3 document, with the ``vectors`` record of an
-    empty store's snapshot, saved at ``path``: each edge end is the index of
-    the first node of its id, or one past the nodes if there is none."""
+    """``records`` as a snapshot document, with the ``vectors`` record of an
+    empty store's snapshot, saved at ``path``, whose vectors are NO_VECTORS:
+    each edge end is the index of the first node of its id, or one past the
+    nodes if there is none."""
     GraphStore().save(path)
-    vectors = json.loads(path.read_text(encoding="utf-8"))["vectors"]
+    vectors = read_snapshot(path)[0]["vectors"]
     nodes = records["nodes"]
     first = {}
     for i, n in enumerate(nodes):
@@ -962,7 +956,6 @@ def as_columns(path: Path, records: dict) -> dict:
     return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
-        "embedding_dim": EMBEDDING_DIM,
         "vectors": vectors,
         "nodes": {
             "ids": [n["id"] for n in nodes],
@@ -979,18 +972,20 @@ def as_columns(path: Path, records: dict) -> dict:
 
 
 GONE = object()  # a value that deletes its key
+NOT_ROWS = f"vectors must be <f8 of shape (rows, {EMBEDDING_DIM}) in C order"
 NOT_NODE_COLUMNS = (
     "snapshot 'nodes' must be an object of lists ['ids', 'kinds', 'texts', 'vector_row']"
 )
 NOT_EDGE_COLUMNS = "snapshot 'edges' must be an object of lists ['src', 'dst', 'kind']"
 # malformed documents: the keys of a value in the document of NODE, CAUSE
-# and EDGE (none for the whole document), the value it gets instead (bytes
-# are the whole file), and the refusal's message after "<path>: "
+# and EDGE (none for the whole document, None for the vectors before it),
+# the value it gets instead (bytes are the whole document), and the
+# refusal's message after "<path>: "
 MALFORMED = {
     "list": ((), [1, 2], f"not a {SNAPSHOT_FORMAT} file"),
     "string": ((), "text", f"not a {SNAPSHOT_FORMAT} file"),
     "truncated": (
-        (), b'{"format": "causeway-graph-snapshot", "version": 3, "nodes": {"ids": [',
+        (), b'{"format": "causeway-graph-snapshot", "version": 4, "nodes": {"ids": [',
         "snapshot is not UTF-8 JSON: Expecting value: line 1 column 71 (char 70)",
     ),
     "not-utf-8": (
@@ -1011,9 +1006,7 @@ MALFORMED = {
     "node-embedding-object": (
         ("nodes", "vector_row", 0), {}, "snapshot nodes[0] 'vector_row' must not be dict"
     ),
-    "node-embedding-short": (
-        ("vectors", "shape"), [1, 1], f"snapshot vectors must be <f8 of shape (1, {EMBEDDING_DIM})"
-    ),
+    "node-embedding-short": (None, np.ones((1, 1)), f"snapshot {NOT_ROWS}"),
     "edge-src-list": (("edges", "src", 0), [1], "snapshot edges[0] 'src' must not be list"),
     "edge-dst-number": (("edges", "dst", 0), 0.0, "snapshot edges[0] 'dst' must not be float"),
 }
@@ -1038,18 +1031,18 @@ def changed(doc, keys: tuple, value):
 @pytest.mark.parametrize("name", [*MALFORMED, *REFUSED_RECORDS])
 def test_snapshot_rejects_malformed_shape(tmp_path, name):
     path = tmp_path / "bad.json"
+    vectors = NO_VECTORS
     if name in MALFORMED:
         keys, value, message = MALFORMED[name]
-        error, payload = ValueError, changed(
-            as_columns(path, {"nodes": [NODE, CAUSE], "edges": [EDGE]}), keys, value
-        )
+        error, payload = ValueError, as_columns(path, {"nodes": [NODE, CAUSE], "edges": [EDGE]})
+        if keys is None:
+            vectors = value
+        else:
+            payload = changed(payload, keys, value)
     else:
         records, error, message = REFUSED_RECORDS[name]
         payload, message = as_columns(path, records), f"snapshot {message}"
-    if isinstance(payload, bytes):
-        path.write_bytes(payload)
-    else:
-        path.write_text(json.dumps(payload), encoding="utf-8")
+    write_snapshot(path, payload, vectors)
     with pytest.raises(error) as info:
         GraphStore.load(path)
     assert str(info.value) == f"{path}: {message}"
@@ -1075,13 +1068,15 @@ def assert_refused_and_exits_one(path: Path, error, message: str) -> None:
 def test_refused_record_is_named_and_exits_one(tmp_path, name):
     records, error, message = REFUSED_RECORDS[name]
     path = tmp_path / "graph.json"
-    path.write_text(json.dumps(as_columns(path, records)), encoding="utf-8")
+    write_snapshot(path, as_columns(path, records), NO_VECTORS)
     assert_refused_and_exits_one(path, error, message)
 
 
 SCORING_NOT_A_COUNT = "vectors 'scoring' must be an integer from 0 to the row count"
 
 
+# "v3" names the tests of the columns that snapshot version 3 introduced and
+# version 4 keeps
 def v3_base(path: Path) -> dict:
     """Save, at ``path``, a small store whose two causes share one array,
     and return its document: nodes event:0, event:1 (scoring rows 0 and 1),
@@ -1097,7 +1092,7 @@ def v3_base(path: Path) -> dict:
     store.add_edge(Edge("cause:1", "event:1", EdgeKind.CAUSES))
     batch_embed(store, mock_provider())
     store.save(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = read_snapshot(path)[0]
     assert doc["nodes"]["vector_row"] == [0, 1, 2, 2, 3] and doc["vectors"]["scoring"] == 2
     return doc
 
@@ -1115,8 +1110,8 @@ def put(*changes):
     return apply
 
 
-# version 3 faults of v3_base's document: the change, the error and its
-# message after "<path>: snapshot "
+# faults of v3_base's document: the change, the error and its message after
+# "<path>: snapshot "
 NOT_A_ROW = "vector_row {} is not a row of the vector file"
 NOT_SCORING = "vector_row {} is a scoring row, but the node is not an event with text"
 V3_REFUSALS = {
@@ -1215,10 +1210,6 @@ V3_REFUSALS = {
     "scoring-not-integer": (
         put(("vectors", "scoring", None, True)), ValueError, SCORING_NOT_A_COUNT
     ),
-    "shape-not-rows": (
-        put(("vectors", "shape", None, ["4", 384])), ValueError,
-        "vectors 'shape' must be [rows, 384]",
-    ),
 }
 
 
@@ -1228,7 +1219,7 @@ def test_v3_refusal_is_named_and_exits_one(tmp_path, name):
     path = tmp_path / "graph.json"
     doc = v3_base(path)
     change(doc)
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    write_snapshot(path, doc, np.load(path))
     assert_refused_and_exits_one(path, error, message)
 
 
@@ -1274,7 +1265,7 @@ def test_a_record_with_two_faults_gets_the_earlier_checks_refusal(tmp_path, name
     path = tmp_path / "graph.json"
     doc = v3_base(path)
     change(doc)
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    write_snapshot(path, doc, np.load(path))
     assert_refused_and_exits_one(path, error, message)
 
 
@@ -1295,7 +1286,7 @@ JSON_VALUES = st.recursive(
 SNAPSHOT_FIELDS = (
     [("nodes", i, key) for key in ("ids", "kinds", "texts", "vector_row") for i in (0, 2)]
     + [("edges", 0, key) for key in ("src", "dst", "kind")]
-    + [("vectors", None, key) for key in ("shape", "scoring", "provider")]
+    + [("vectors", None, key) for key in ("scoring", "provider")]
 )
 
 
@@ -1312,7 +1303,7 @@ def test_snapshot_field_value_loads_or_raises_documented_error(
         payload[section][key] = value
     else:
         payload[section][key][where] = value
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    write_snapshot(path, payload, np.load(path))
     try:
         GraphStore.load(path)
     except (ValueError, CausewayError):
@@ -1321,8 +1312,7 @@ def test_snapshot_field_value_loads_or_raises_documented_error(
 
 # a value of each JSON type a record key may take
 FIELD_VALUES = {
-    str: st.text(max_size=4), type(None): st.none(), list: st.lists(JSON_SCALARS, max_size=3),
-    int: st.integers() | st.booleans(),
+    str: st.text(max_size=4), type(None): st.none(), int: st.integers() | st.booleans(),
 }
 
 
@@ -1354,65 +1344,56 @@ def test_fields_checks_a_record_as_the_reference_does(rec):
     assert got == outcome(lambda: REFERENCE_VECTORS.values("g.json", "r", rec))
 
 
-def npy_bytes(array, allow_pickle=False) -> bytes:
-    buf = io.BytesIO()
-    np.save(buf, array, allow_pickle=allow_pickle)
-    return buf.getvalue()
-
-
-# the `record` fault's sub-cases: a `vectors` key, the value it gets and the
-# refusal's message after "<path>: snapshot ", for broken_snapshot's store
-# (25 vector rows, 5 of them scoring rows)
-NOT_25_ROWS = "vectors must be <f8 of shape (25, 384)"
-SHAPE_NOT_ROWS = "vectors 'shape' must be [rows, 384]"
-VECTORS_KEYS = (
-    "'vectors' must be an object with keys ['dtype', 'file', 'provider', 'scoring', 'shape']"
-)
+# the `record` fault's sub-cases: a key of the `vectors` record (or of the
+# .npy header, for `dtype` and `shape`, once record keys), the value it
+# gets, the refusal's message after "<path>: snapshot " for
+# broken_snapshot's store (25 vector rows, 5 of them scoring rows), and
+# how the case's id shows the value: the ids stay as they were when a list
+# value was named by its place in the list
+VECTORS_KEYS = "'vectors' must be an object with keys ['provider', 'scoring']"
 RECORD_REFUSALS = [
-    ("dtype", "<f4", NOT_25_ROWS),
-    ("dtype", ">f8", NOT_25_ROWS),
-    ("shape", [0, EMBEDDING_DIM], SCORING_NOT_A_COUNT),
-    ("shape", "x", "'vectors' 'shape' must not be str"),
-    ("shape", [1, EMBEDDING_DIM, 1], SHAPE_NOT_ROWS),
-    ("file", None, "'vectors' 'file' must not be NoneType"),
-    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"),
-    ("no-record", None, VECTORS_KEYS),
-    ("shape", ["6", EMBEDDING_DIM], SHAPE_NOT_ROWS),
-    ("scoring", "x", "'vectors' 'scoring' must not be str"),
-    ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
-    ("scoring", -1, SCORING_NOT_A_COUNT),
-    ("scoring", 10**6, SCORING_NOT_A_COUNT),
-    ("no-provider", None, VECTORS_KEYS),  # as no version 3 save ever wrote
-    ("provider", 5, "'vectors' 'provider' must not be int"),
-    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
+    ("dtype", "<f4", NOT_ROWS, "<f4"),
+    ("dtype", ">f8", NOT_ROWS, ">f8"),
+    ("shape", (0, EMBEDDING_DIM), SCORING_NOT_A_COUNT, "value12"),
+    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5", "None"),
+    ("no-record", None, VECTORS_KEYS, "None"),
+    ("scoring", "x", "'vectors' 'scoring' must not be str", "x"),
+    ("scoring", None, "'vectors' 'scoring' must not be NoneType", "None"),
+    ("scoring", -1, SCORING_NOT_A_COUNT, "-1"),
+    ("scoring", 10**6, SCORING_NOT_A_COUNT, "1000000"),
+    ("no-provider", None, VECTORS_KEYS, "None"),  # as no save ever wrote
+    ("provider", 5, "'vectors' 'provider' must not be int", "5"),
+    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list", "value25"),
 ]
-RECORD_FAULTS = [(key, value) for key, value, _ in RECORD_REFUSALS]
+RECORD_FAULTS = [(key, value) for key, value, _, _ in RECORD_REFUSALS]
 
 
-def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, name="",
-                 record=("dtype", "<f4"), provider=5):
-    """``(fault, apply)``: ``apply`` breaks a saved snapshot, its ``vectors``
-    record or nodes (the parsed JSON ``doc``) or its vector file, in place."""
+def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True,
+                 record=("scoring", "x"), provider=5):
+    """``(fault, apply)``: ``apply(path)`` breaks the snapshot file at
+    ``path`` in place: its bytes, its vectors, or its document's
+    ``vectors`` record or nodes."""
 
-    def apply(doc: dict, sidecar: Path) -> None:
-        vectors = np.load(sidecar)
+    def apply(path: Path) -> None:
+        doc, vectors = read_snapshot(path)
         i, j = row % len(vectors), (row + 1) % len(vectors)
         vector_row, scoring = doc["nodes"]["vector_row"], doc["vectors"]["scoring"]
-        data = sidecar.read_bytes()
         if fault == "truncated":
-            sidecar.write_bytes(data[: int(cut * len(data))])
-        elif fault == "foreign":
-            sidecar.write_bytes(junk)
-        elif fault == "pickled":
-            sidecar.write_bytes(pickle.dumps(vectors))
-        elif fault == "object":
-            sidecar.write_bytes(npy_bytes(np.array(list(vectors), dtype=object), True))
+            data = path.read_bytes()
+            path.write_bytes(data[: int(cut * len(data))])
+            return
+        instead = {"foreign": junk, "pickled": pickle.dumps(vectors), "missing": b""}.get(fault)
+        if instead is not None:  # the vectors replaced, or gone
+            path.write_bytes(instead + json.dumps(doc).encode("utf-8"))
+            return
+        if fault == "object":
+            vectors = np.array(list(vectors), dtype=object)
         elif fault == "f4":
-            sidecar.write_bytes(npy_bytes(vectors.astype("<f4")))
+            vectors = vectors.astype("<f4")
         elif fault == "shape":
-            shapes = [vectors[:-1], np.vstack([vectors, vectors[:1]]), vectors[:, :-1],
-                      vectors.reshape(-1), vectors[None]]
-            sidecar.write_bytes(npy_bytes(shapes[row % len(shapes)]))
+            shapes = [vectors[:-1], vectors[:, :-1], vectors.reshape(-1), vectors[None],
+                      np.asfortranarray(vectors)]
+            vectors = shapes[row % len(shapes)]
         elif fault == "record":
             key, new = record
             if key == "no-record":
@@ -1421,6 +1402,10 @@ def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, 
                 del doc["vectors"]["provider"]
             elif key == "drop-row":  # the last scoring event now holds a shared row
                 doc["vectors"]["scoring"] -= 1
+            elif key == "dtype":
+                vectors = vectors.astype(new)
+            elif key == "shape":
+                vectors = np.ones(new)
             else:
                 doc["vectors"][key] = new
         elif fault == "bad-row":
@@ -1429,17 +1414,13 @@ def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True, 
                 vectors[i] = value
             else:
                 vectors[i, j % EMBEDDING_DIM] = value if value != 0.0 else np.nan
-            sidecar.write_bytes(npy_bytes(vectors))
-        elif fault == "unknown-id":  # a row past the vector file
+        elif fault == "unknown-id":  # a row past the vectors
             vector_row[vector_row.index(i)] = len(vectors) + row % 3
         elif fault == "duplicate-id":  # two scoring events on one row
             vector_row[vector_row.index(i % scoring)] = (i + 1) % scoring
-        elif fault == "name":
-            doc["vectors"]["file"] = name
-        elif fault == "provider":
-            doc["vectors"]["provider"] = provider
         else:
-            sidecar.unlink()
+            doc["vectors"]["provider"] = provider
+        write_snapshot(path, doc, vectors)
 
     return fault, apply
 
@@ -1448,19 +1429,13 @@ vector_faults = st.builds(
     vector_fault,
     st.sampled_from([
         "truncated", "foreign", "pickled", "object", "f4", "shape", "record",
-        "bad-row", "unknown-id", "duplicate-id", "name", "missing", "provider",
+        "bad-row", "unknown-id", "duplicate-id", "missing", "provider",
     ]),
     row=st.integers(0, 10**6),
     cut=st.floats(0, 1, exclude_max=True),
     junk=st.binary(max_size=200),
     value=st.sampled_from([np.nan, np.inf, -np.inf, 0.0, 1e200]),
     whole_row=st.booleans(),
-    name=st.sampled_from([
-        "../graph.json", "/etc/hostname", "sub/.graph.json.0123456789abcdef.npy",
-        ".graph.json.0123456789ABCDEF.npy", ".graph.json.0123.npy",
-        ".other.json.0123456789abcdef.npy", ".graph.json.0123456789abcdef.npy/",
-        ".graph.json.0123456789abcdef.npy", "", 5, None,
-    ]),
     record=st.sampled_from(RECORD_FAULTS),
     provider=st.sampled_from([5, True, ["mock-hash-0"], {"name": "mock-hash-0"}]),
 )
@@ -1479,9 +1454,7 @@ def broken_snapshot(path: Path, fault) -> None:
     store = random_store(random.Random(1), n_events=6, embed_fraction=1.0, text_fraction=1.0)
     batch_embed(store, mock_provider())
     store.save(path)
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    fault[1](doc, path.with_name(doc["vectors"]["file"]))
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    fault[1](path)
 
 
 @settings(max_examples=250, deadline=None)
@@ -1499,21 +1472,75 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
-def record_refusal_id(i: int, key: str, value, message: str) -> str:
-    """The id each case had when version 2's ten cases came first: pytest
-    names a list value by its case's index."""
-    shown = f"value{i + 10}" if isinstance(value, list) else value
-    return f"3-{key}-{shown}-{message}"
-
-
 @pytest.mark.parametrize(
-    "key, value, message", RECORD_REFUSALS,
-    ids=[record_refusal_id(i, *refusal) for i, refusal in enumerate(RECORD_REFUSALS)],
+    "key, value, message", [refusal[:3] for refusal in RECORD_REFUSALS],
+    ids=[f"3-{key}-{shown}-{message}" for key, _, message, shown in RECORD_REFUSALS],
 )
 def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, key, value, message):
     path = tmp_path / "graph.json"
     broken_snapshot(path, vector_fault("record", record=(key, value)))
     assert_refused_and_exits_one(path, ValueError, message)
+
+
+def npy_bytes(array) -> bytes:
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=True)
+    return buf.getvalue()
+
+
+def npy_version_3(vectors) -> bytes:
+    """``vectors`` as an .npy file that declares format version 3.0."""
+    data = bytearray(npy_bytes(vectors))
+    data[6] = 3
+    return bytes(data)
+
+
+# what the file of v3_base's snapshot (4 vector rows) becomes, from its
+# document's and its vectors' bytes, and the refusal's message after
+# "<path>: snapshot "
+FILE_REFUSALS = {
+    "truncated": (
+        lambda doc, vectors: (npy_bytes(vectors) + doc)[:3000],
+        "vectors run past the end of the file",
+    ),
+    "object-header": (
+        lambda doc, vectors: npy_bytes(np.array(list(vectors), dtype=object)) + doc, NOT_ROWS
+    ),
+    "f4-header": (lambda doc, vectors: npy_bytes(vectors.astype("<f4")) + doc, NOT_ROWS),
+    "big-endian-header": (lambda doc, vectors: npy_bytes(vectors.astype(">f8")) + doc, NOT_ROWS),
+    "fortran-order": (lambda doc, vectors: npy_bytes(np.asfortranarray(vectors)) + doc, NOT_ROWS),
+    "one-dimensional": (lambda doc, vectors: npy_bytes(vectors.reshape(-1)) + doc, NOT_ROWS),
+    "narrow-rows": (lambda doc, vectors: npy_bytes(vectors[:, :-1]) + doc, NOT_ROWS),
+    "npy-version-3": (
+        lambda doc, vectors: npy_version_3(vectors) + doc,
+        "vectors have no readable .npy header: not .npy version 1.0 or 2.0",
+    ),
+    "no-document": (
+        lambda doc, vectors: npy_bytes(vectors),
+        "is not UTF-8 JSON: Expecting value: line 1 column 1 (char 0)",
+    ),
+    "no-vectors": (lambda doc, vectors: doc, "version 4 must begin with its vectors"),
+}
+
+
+@pytest.mark.parametrize("name", FILE_REFUSALS)
+def test_a_broken_file_is_refused_named_with_exit_one(tmp_path, name):
+    make, message = FILE_REFUSALS[name]
+    path = tmp_path / "graph.json"
+    doc = v3_base(path)
+    path.write_bytes(make(json.dumps(doc).encode("utf-8"), np.load(path)))
+    assert_refused_and_exits_one(path, ValueError, message)
+
+
+def test_a_version_2_npy_header_is_read(tmp_path):
+    path = tmp_path / "graph.json"
+    v3_base(path)
+    store = GraphStore.load(path)
+    doc, vectors = read_snapshot(path)
+    with open(path, "wb") as f:
+        np.lib.format.write_array(f, vectors, version=(2, 0))
+        f.write(json.dumps(doc).encode("utf-8"))
+    assert GraphStore.load(path).nodes() == store.nodes()
 
 
 def test_reader_writer_lock_smoke():
