@@ -128,11 +128,9 @@ class Config:
         if missing:
             raise ValueError(f"an http {name} needs {', '.join(map(repr, missing))}")
 
-    def make_provider(self, override_kind: str | None = None):
-        kind = override_kind or self.provider.get("kind", "mock")
-        if kind == "mock":
+    def make_provider(self):
+        if self.provider.get("kind", "mock") == "mock":
             return embedding.mock_provider(**_present(self.provider, "seed"))
-        self._require_http("provider")
         return embedding.HttpEmbeddingProvider(
             **_present(self.provider, "endpoint", "model", "api_key_env")
         )
@@ -194,7 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="embed every node that has text")
     p.add_argument("--batch-size", type=int, default=embedding.DEFAULT_BATCH_SIZE)
-    p.add_argument("--provider", choices=["mock", "http"])
     p.add_argument("--format", choices=["json", "text"], default="text")
 
     p = sub.add_parser("stats", help="node/edge/embedded counts")
@@ -253,7 +250,7 @@ def _cmd_ingest(config: Config, args) -> int:
 
 def _cmd_embed(config: Config, args) -> int:
     store = _load_store(config)
-    provider = config.make_provider(override_kind=args.provider)
+    provider = config.make_provider()
     cleared = 0
     # vectors of another or an unknown provider are redone; this one's are kept
     if store.embedded_by != provider.identity:

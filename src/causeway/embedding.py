@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from causeway.errors import DimensionMismatchError, ProviderFailureError
+from causeway.errors import ProviderFailureError
 from causeway.store import EMBEDDING_DIM, GraphStore, NodeKind, check_embeddings
 
 logger = logging.getLogger(__name__)
@@ -45,7 +45,6 @@ class EmbeddingProvider(ABC):
     """Maps text to a deterministic 384-dim vector."""
 
     name: str = "provider"
-    dimension: int = EMBEDDING_DIM
 
     @abstractmethod
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
@@ -58,19 +57,16 @@ class EmbeddingProvider(ABC):
         return self.name
 
     def embed(self, text: str) -> np.ndarray:
-        """One text's vector, through the same gate as ``batch_embed``'s."""
-        return provider_vector(self.embed_batch([text])[0], f"text {text!r}")[0]
-
-
-def provider_vector(vector, source: str, report=None) -> tuple[np.ndarray, float]:
-    """``check_embedding`` on a vector a provider returned for ``source``;
-    a vector it refuses is the provider's fault, a ProviderFailureError."""
-    return provider_vectors([vector], [source], report)[0]
+        """One text's vector, through the same checks as each ``batch_embed``
+        batch: one retry, the vector count, then the vector gate."""
+        source = f"text {text!r}"
+        return provider_vectors(_embed_texts(self, [text], source), [source])[0][0]
 
 
 def provider_vectors(vectors: list, sources: list[str], report=None) -> list:
-    """``provider_vector`` of each of ``vectors``, one per source, by one
-    ``check_embeddings`` call."""
+    """``check_embedding`` of each of ``vectors``, one per source, by one
+    ``check_embeddings`` call; a vector it refuses is the provider's fault,
+    a ProviderFailureError naming that vector's source."""
     checks, fault = check_embeddings(vectors)
     if fault is not None:
         raise ProviderFailureError(
@@ -97,7 +93,7 @@ class HashEmbeddingProvider(EmbeddingProvider):
         for text in texts:
             digest = hashlib.blake2b(text.encode("utf-8"), key=self._key).digest()
             rng = np.random.default_rng(int.from_bytes(digest[:16], "little"))
-            vec = rng.standard_normal(self.dimension)
+            vec = rng.standard_normal(EMBEDDING_DIM)
             out.append(vec / math.sqrt(np.vdot(vec, vec)))
         return out
 
@@ -158,15 +154,9 @@ class HttpEmbeddingProvider(EmbeddingProvider):
             payload = post_json(
                 self.session, self.endpoint, self.api_key_env, body, EMBED_TIMEOUT_SECONDS
             )
-            rows = payload["data"]
-            vectors = [np.asarray(row["embedding"], dtype=np.float64) for row in rows]
+            return [np.asarray(row["embedding"], dtype=np.float64) for row in payload["data"]]
         except Exception as exc:
             raise ProviderFailureError(f"embedding request failed: {exc}") from exc
-        if len(vectors) != len(texts):
-            raise ProviderFailureError(
-                f"provider returned {len(vectors)} vectors for {len(texts)} texts"
-            )
-        return vectors
 
 
 def clean_embeddings(store: GraphStore) -> int:
@@ -206,19 +196,20 @@ class EmbedReport:
         }
 
 
-def _embed_texts(provider: EmbeddingProvider, texts: list[str], report: EmbedReport) -> list:
-    """The provider's vectors for ``texts``, retried once on failure."""
+def _embed_texts(
+    provider: EmbeddingProvider, texts: list[str], what: str, report: EmbedReport | None = None
+) -> list:
+    """The provider's vectors for ``texts`` (``what`` names them in an
+    error), one per text, retried once on failure."""
     try:
-        vectors = provider.embed_batch(texts)
+        vectors = list(provider.embed_batch(texts))
     except Exception:
-        report.retries += 1
+        if report is not None:
+            report.retries += 1
         try:
-            vectors = provider.embed_batch(texts)
+            vectors = list(provider.embed_batch(texts))
         except Exception as exc:
-            raise ProviderFailureError(
-                f"batch {report.batches_issued + 1} failed twice: {exc}",
-                report=report,
-            ) from exc
+            raise ProviderFailureError(f"{what} failed twice: {exc}", report=report) from exc
     if len(vectors) != len(texts):
         raise ProviderFailureError(
             f"provider returned {len(vectors)} vectors for {len(texts)} texts",
@@ -249,10 +240,6 @@ def batch_embed(
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    if provider.dimension != EMBEDDING_DIM:
-        raise DimensionMismatchError(
-            f"provider dimension {provider.dimension} != {EMBEDDING_DIM}"
-        )
     eligible = store.unembedded()  # (id, kind, text) of each node to embed
     report = EmbedReport()
     unit: dict[str, np.ndarray] = {}  # text -> its unit vector, once embedded
@@ -269,7 +256,8 @@ def batch_embed(
             end += 1
         batch = eligible[start:end]
         if fresh:
-            vectors = _embed_texts(provider, list(fresh), report)
+            batch_name = f"batch {report.batches_issued + 1}"
+            vectors = _embed_texts(provider, list(fresh), batch_name, report)
             sources = [f"node {node_id!r}" for node_id in fresh.values()]
             for text, (arr, norm) in zip(fresh, provider_vectors(vectors, sources, report)):
                 vector = arr / norm

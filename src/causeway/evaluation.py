@@ -23,9 +23,8 @@ from causeway.errors import (
     SourceUnreadableError,
 )
 from causeway import retrieval
-from causeway.inference import LLMClient, RateBudgeter, _classify_examples
+from causeway.inference import LLMClient, RateBudgeter, classify_pieces, prompt_pieces
 from causeway.inference import classify  # noqa: F401  bench/tracer.py patches this name
-from causeway.prompting import PromptSpec, default_rules, render_pieces
 from causeway.store import GraphStore
 
 logger = logging.getLogger(__name__)
@@ -214,7 +213,6 @@ def sweep(
         raise ValueError("max_tokens must be positive")
     if not cfgs:
         return []
-    rules = rules if rules is not None else default_rules()
     deepest = max(cfgs, key=lambda cfg: cfg.k)
     outcomes = [([], [], []) for _ in cfgs]  # per k: preds, golds, failures
     for record in dataset:
@@ -224,11 +222,10 @@ def sweep(
             for _, _, failures in outcomes:
                 failures.append((record.id, str(exc)))
             continue
-        examples = retrieval.to_fewshot_examples(results)
-        pieces = render_pieces(PromptSpec(record.text, examples, rules))
+        pieces = prompt_pieces(record.text, results, rules)
         for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
             try:
-                verdict, *_ = _classify_examples(
+                verdict, *_ = classify_pieces(
                     min(cfg.k, len(results)), pieces, client, max_prompt_tokens, budgeter
                 )
             except CausewayError as exc:

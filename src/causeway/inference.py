@@ -2,9 +2,10 @@
 
 classify() embeds the sentence, retrieves few-shot examples, renders the
 XML prompt, calls the client (with bounded retries on transport errors)
-and salvages a strict two-key JSON verdict from the raw output. Everything
-after retrieval is classify_retrieved(); a top-k sweep runs its body once
-per k on prefixes of one ranking and of its prompt, rendered once.
+and salvages a strict two-key JSON verdict from the raw output. After
+retrieval it takes two steps that a top-k sweep shares: prompt_pieces()
+renders the prompt's pieces once, and classify_pieces() sends the prompt
+of a prefix of them and reads the verdict, once per k in a sweep.
 The mock client makes the whole pipeline deterministic and
 offline-testable.
 """
@@ -155,10 +156,7 @@ class HttpLLMClient(LLMClient):
             payload = post_json(
                 self.session, self.endpoint, self.api_key_env, body, LLM_TIMEOUT_SECONDS
             )
-            content = payload["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise TypeError(f"reply content must be a string, not {type(content).__name__}")
-            return content
+            return payload["choices"][0]["message"]["content"]
         except Exception as exc:
             raise TransportError(f"LLM request failed: {exc}") from exc
 
@@ -291,38 +289,10 @@ def classify(
     retry_sleeper: Callable[[float], None] = time.sleep,
 ) -> tuple[Verdict, RetrievalTrace]:
     """Full per-sentence pipeline; read-only with respect to the store."""
-    return classify_retrieved(
-        sentence,
-        query(store, provider.embed(sentence), cfg or HybridConfig()),
-        client,
-        rules=rules,
-        max_prompt_tokens=max_prompt_tokens,
-        budgeter=budgeter,
-        retry_sleeper=retry_sleeper,
-    )
-
-
-def classify_retrieved(
-    sentence: str,
-    results: list[RetrievalResult],
-    client: LLMClient,
-    rules: list[str] | None = None,
-    max_prompt_tokens: int | None = None,
-    budgeter: RateBudgeter | None = None,
-    retry_sleeper: Callable[[float], None] = time.sleep,
-) -> tuple[Verdict, RetrievalTrace]:
-    """classify() after retrieval: few-shot, prompt, client call, verdict.
-
-    ``results`` are used as given, in rank order, as the few-shot examples;
-    a prefix of a deeper ranking is exactly a shallower query's results.
-    """
-    spec = PromptSpec(
-        query_sentence=sentence,
-        examples=to_fewshot_examples(results),
-        rules=rules if rules is not None else default_rules(),
-    )
-    verdict, kept, prompt, salvaged, retries = _classify_examples(
-        len(results), render_pieces(spec), client, max_prompt_tokens, budgeter, retry_sleeper
+    results = query(store, provider.embed(sentence), cfg or HybridConfig())
+    verdict, kept, prompt, salvaged, retries = classify_pieces(
+        len(results), prompt_pieces(sentence, results, rules), client,
+        max_prompt_tokens, budgeter, retry_sleeper,
     )
     used = results[:kept]  # a budget drops a suffix
     trace = RetrievalTrace(
@@ -336,7 +306,20 @@ def classify_retrieved(
     return verdict, trace
 
 
-def _classify_examples(
+def prompt_pieces(
+    sentence: str, results: list[RetrievalResult], rules: list[str] | None = None
+) -> PromptPieces:
+    """The rendered pieces of ``sentence``'s prompt, with ``results``, in
+    rank order, as its few-shot examples. A prefix of a deeper ranking is
+    exactly a shallower query's results, and an example depends only on its
+    result and rank, so a sweep renders one deep ranking's pieces."""
+    examples = to_fewshot_examples(results)
+    return render_pieces(
+        PromptSpec(sentence, examples, rules if rules is not None else default_rules())
+    )
+
+
+def classify_pieces(
     n: int,
     pieces: PromptPieces,
     client: LLMClient,
@@ -344,12 +327,9 @@ def _classify_examples(
     budgeter: RateBudgeter | None,
     retry_sleeper: Callable[[float], None] = time.sleep,
 ) -> tuple[Verdict, int, str, bool, int]:
-    """classify_retrieved() without the trace, once the prompt's pieces are
-    rendered: the prompt holds the first ``n`` examples of ``pieces``, fewer
-    if the budget drops some. Returns the verdict, the examples kept, the
-    prompt sent, the salvage flag and the transport retries. An example
-    depends only on its result and rank, so a sweep renders one deep
-    ranking's pieces and passes each k's prefix length."""
+    """The verdict on a prompt of the first ``n`` examples of ``pieces``,
+    fewer if the budget drops some. Returns the verdict, the examples kept,
+    the prompt sent, the salvage flag and the transport retries."""
     kept = n
     if max_prompt_tokens is not None:
         kept = pieces.fit(kept, max_prompt_tokens)
@@ -367,6 +347,10 @@ def _classify_examples(
                 raise
             retry_sleeper(RETRY_BACKOFF_SECONDS * 2**retries)
             retries += 1
+    if not isinstance(raw, str):  # any client's reply, checked once and not retried
+        raise TransportError(
+            f"LLM request failed: reply content must be a string, not {type(raw).__name__}"
+        )
 
     verdict, salvaged = _extract_json_with_flag(raw)
     return verdict, kept, prompt, salvaged, retries

@@ -869,13 +869,13 @@ class GraphStore:
         """Write each (node number, ``_checked`` result or None) of
         ``writes``; an old row is only marked dead."""
         numbers = [i for i, _ in writes]
-        rows = self._row[numbers]
+        had = dict(zip(numbers, self._has_vector[numbers].tolist()))  # a vector, as the call goes
+        rows = self._row[list(had)]  # a node named twice has its row killed once
         rows = rows[rows >= 0]
         self._alive[rows] = False
         self._live_rows -= len(rows)
         self._row[numbers] = -1
         vectors, texts = self._vectors, self._texts
-        had = dict(zip(numbers, self._has_vector[numbers].tolist()))  # a vector, as the call goes
         events = (self._kinds[numbers] == _EVENT).tolist()
         fresh = {}  # event number -> (vector, norm) of a new row, in the order of last writes
         for (i, check), event in zip(writes, events):

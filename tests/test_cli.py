@@ -83,6 +83,14 @@ def test_unknown_subcommand_exits_two(capsys):
     assert main(["frobnicate"]) == 2
 
 
+def test_embed_takes_its_provider_from_the_config_alone(workspace, capsys):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    capsys.readouterr()
+    assert run(["embed", "--provider", "mock"], workspace) == 2
+    assert "unrecognized arguments: --provider mock" in capsys.readouterr().err
+    assert GraphStore.load(workspace["store"]).stats().total_embedded == 0
+
+
 def test_missing_snapshot_is_operational_error(workspace, capsys):
     assert run(["stats"], workspace) == 1
     assert "ingest" in capsys.readouterr().err
@@ -106,7 +114,7 @@ def test_embed_then_retrieve_flow(workspace, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
     capsys.readouterr()
 
-    assert run(["embed", "--batch-size", "2", "--provider", "mock", "--format", "json"], workspace) == 0
+    assert run(["embed", "--batch-size", "2", "--format", "json"], workspace) == 0
     embed_doc = json.loads(capsys.readouterr().out)
     assert embed_doc["verify"]["ok"] is True
     assert embed_doc["embed"]["batches_issued"] >= 1
@@ -180,7 +188,7 @@ def test_the_embedding_lifecycle_and_the_commands_build_no_node_per_stored_node(
 
 def test_classify_writes_graph(workspace, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
-    run(["embed", "--provider", "mock"], workspace)
+    run(["embed"], workspace)
     capsys.readouterr()
     out_dot = workspace["dir"] / "verdict.dot"
     assert (
@@ -216,7 +224,7 @@ def test_classify_xml_invalid_sentence_exits_one(workspace, capsys):
 
 def test_evaluate_writes_reports(workspace, capsys):
     run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
-    run(["embed", "--provider", "mock"], workspace)
+    run(["embed"], workspace)
     capsys.readouterr()
     out_md = workspace["dir"] / "report.md"
     assert (
@@ -324,7 +332,7 @@ def test_config_file_and_flag_override(workspace, tmp_path, capsys):
     )
     assert main(["--config", str(config), "ingest", "--corpus", str(workspace["corpus"])]) == 0
     capsys.readouterr()
-    assert main(["--config", str(config), "embed", "--provider", "mock"]) == 0
+    assert main(["--config", str(config), "embed"]) == 0
     capsys.readouterr()
     # flag overrides the config tau: with tau 2.0 nothing can pass
     assert (

@@ -18,7 +18,7 @@ from causeway.embedding import (
     mock_provider,
     verify,
 )
-from causeway.errors import DimensionMismatchError, ProviderFailureError
+from causeway.errors import ProviderFailureError
 from causeway.store import (
     EMBEDDING_DIM,
     Edge,
@@ -127,13 +127,16 @@ def test_batch_embed_validates_args(provider):
 
     class WrongDim(EmbeddingProvider):
         name = "wrong"
-        dimension = 128
 
         def embed_batch(self, texts):
-            return [np.zeros(128) for _ in texts]
+            return [np.ones(128) for _ in texts]
 
-    with pytest.raises(DimensionMismatchError):
+    # the vector gate's shape check is the one rule, on both paths
+    message = "unusable vector for {}: embedding must have shape \\(384,\\), got \\(128,\\)"
+    with pytest.raises(ProviderFailureError, match=message.format("node 'event:0'")):
         batch_embed(store, WrongDim())
+    with pytest.raises(ProviderFailureError, match=message.format("text 'a'")):
+        WrongDim().embed("a")
 
 
 class ZeroProvider(EmbeddingProvider):
@@ -210,6 +213,18 @@ def test_batch_fails_twice_aborts_with_partial_report():
     # first batch landed, rest untouched
     embedded = [n for n in store.nodes() if n.embedding is not None]
     assert len(embedded) == 2
+
+
+def test_a_single_embed_is_retried_once_as_a_batch_is():
+    provider = FlakyProvider(fail_batch=0, fail_times=1)
+    assert np.array_equal(provider.embed("q"), mock_provider(0).embed("q"))
+    assert provider.calls == 2
+    provider = FlakyProvider(fail_batch=0, fail_times=2)
+    with pytest.raises(
+        ProviderFailureError, match="^text 'q' failed twice: transient provider outage$"
+    ):
+        provider.embed("q")
+    assert provider.calls == 2
 
 
 def test_lifecycle_leaves_full_coverage(provider, rng):
@@ -600,14 +615,19 @@ def test_http_provider_wraps_transport_errors():
 
 
 def test_http_provider_checks_cardinality():
-    session = FakeSession({"data": [{"embedding": [0.1] * EMBEDDING_DIM}]})
+    # one check of the vector count covers every provider, on both paths
+    session = FakeSession({"data": [{"embedding": [0.1] * EMBEDDING_DIM}] * 2})
     provider = HttpEmbeddingProvider("http://embed.local", session=session)
-    with pytest.raises(ProviderFailureError):
-        provider.embed_batch(["a", "b"])
+    with pytest.raises(ProviderFailureError, match="^provider returned 2 vectors for 1 texts$"):
+        provider.embed("a")
+    store = GraphStore()
+    store.upsert_node(Node("event:1", NodeKind.EVENT, text="a"))
+    with pytest.raises(ProviderFailureError, match="^provider returned 2 vectors for 1 texts$"):
+        batch_embed(store, provider)
 
 
 def test_http_provider_checks_dimension():
-    # the one vector gate, provider_vector, checks http vectors on both paths
+    # the one vector gate, provider_vectors, checks http vectors on both paths
     session = FakeSession({"data": [{"embedding": [0.1] * (EMBEDDING_DIM - 1)}]})
     provider = HttpEmbeddingProvider("http://embed.local", session=session)
     with pytest.raises(ProviderFailureError):

@@ -11,12 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causeway import inference, prompting, retrieval
-from causeway.embedding import EmbeddingProvider
+from causeway.embedding import EmbeddingProvider, HttpEmbeddingProvider
 from causeway.errors import (
     BadLabelError,
     CausewayError,
     EmptyConfusionError,
     LengthMismatchError,
+    ProviderFailureError,
+    TransportError,
 )
 from causeway.evaluation import (
     EMPTY_METRICS,
@@ -30,7 +32,7 @@ from causeway.evaluation import (
     reports_to_markdown,
     sweep,
 )
-from causeway.inference import LLMClient, MockLLMClient, classify, classify_retrieved
+from causeway.inference import HttpLLMClient, LLMClient, MockLLMClient, classify
 from causeway.prompting import PromptSpec, build_prompt, estimate_tokens
 from causeway.retrieval import HybridConfig
 from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
@@ -334,6 +336,93 @@ def test_sweep_records_a_bad_provider_vector_as_provider_failure(provider, bad):
         assert message.startswith("provider returned")
 
 
+class JsonSession:
+    """An HTTP session whose every POST answers ``reply(body)`` as the JSON
+    of a successful reply; counts the POSTs."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        self.body = json
+        return self
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return self.reply(self.body)
+
+
+def faulty_vectors(fault: str, texts) -> list:
+    """What a provider with ``fault`` gives for ``texts``."""
+    if fault == "raises":
+        raise RuntimeError("provider outage")
+    if fault == "no-vector":
+        return []
+    if fault == "none":
+        return None
+    return [np.ones(128) for _ in texts]  # 128-wide
+
+
+@pytest.mark.parametrize("fault", ["raises", "no-vector", "none", "128-wide"])
+def test_a_library_providers_fault_fails_its_sentence_as_the_http_providers_would(
+    provider, fault
+):
+    class FaultyProvider(EmbeddingProvider):
+        def embed_batch(self, texts):
+            if "bad sentence" in texts:
+                return faulty_vectors(fault, texts)
+            return provider.embed_batch(texts)
+
+    def reply(body):
+        return {"data": [{"embedding": v.tolist()} for v in faulty_vectors(fault, body["input"])]}
+
+    store, _ = sweep_fixture(provider)
+    http = HttpEmbeddingProvider("http://embed.local", session=JsonSession(reply))
+    with pytest.raises(ProviderFailureError) as want:
+        classify("bad sentence", store, http, MockLLMClient())
+    with pytest.raises(ProviderFailureError) as got:
+        classify("bad sentence", store, FaultyProvider(), MockLLMClient())
+    # the http provider names a fault of its own as a failed request
+    assert str(got.value) == str(want.value).replace("embedding request failed: ", "")
+
+    dataset = [EvalRecord("ok", "fine sentence", 1), EvalRecord("bad", "bad sentence", 1)]
+    reports = sweep(dataset, [1, 3], store, FaultyProvider(), MockLLMClient())
+    for report in reports:
+        assert report.confusion.total == 1
+        assert report.failures == [("bad", str(got.value))]
+
+
+def test_a_library_clients_non_string_reply_fails_its_k_as_the_http_clients_would(provider):
+    class NoneClient(LLMClient):
+        """Answers None to a prompt of more than one example."""
+
+        def complete(self, prompt: str):
+            if int(ET.fromstring(prompt).find("examples").get("count")) > 1:
+                return None
+            return '{"tagged_sentence": "t", "label": 1}'
+
+    store, dataset = sweep_fixture(provider)
+    cfg = HybridConfig(tau=-1.0, k=3)
+    session = JsonSession(lambda body: {"choices": [{"message": {"content": None}}]})
+    http = HttpLLMClient("http://llm.local", model="m", session=session)
+    with pytest.raises(TransportError) as want:
+        classify("q", store, provider, http, cfg=cfg)
+    assert session.posts == 1  # a reply that came is not retried
+    with pytest.raises(TransportError) as got:
+        classify("q", store, provider, NoneClient(), cfg=cfg)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "LLM request failed: reply content must be a string, not NoneType"
+
+    reports = sweep(dataset, [1, 3], store, provider, NoneClient(), cfg_base=cfg)
+    assert reports[0].confusion.total == len(dataset) and reports[0].failures == []
+    assert reports[1].confusion.total == 0
+    assert reports[1].failures == [(record.id, str(got.value)) for record in dataset]
+
+
 class CountingProvider(EmbeddingProvider):
     """Counts embed calls; the text "zero vector" embeds to all zeros."""
 
@@ -349,32 +438,23 @@ class CountingProvider(EmbeddingProvider):
 
     def embed_batch(self, texts):
         return [
-            np.zeros(self.dimension) if text == "zero vector" else vec
+            np.zeros(EMBEDDING_DIM) if text == "zero vector" else vec
             for text, vec in zip(texts, self.inner.embed_batch(texts))
         ]
 
 
 def per_k_reports(dataset, k_values, store, provider, client, cfg_base, max_prompt_tokens):
     """The reports of a sweep that calls classify once per (sentence, k)."""
-    def verdict_of(record, cfg):
-        return classify(
-            record.text, store, provider, client, cfg=cfg,
-            max_prompt_tokens=max_prompt_tokens,
-        )
-
-    return per_k_reports_of(dataset, k_values, client, cfg_base, verdict_of)
-
-
-def per_k_reports_of(dataset, k_values, client, cfg_base, verdict_of):
-    """The reports of a sweep that takes each (sentence, k) verdict from
-    ``verdict_of(record, cfg)``."""
     reports = []
     for k in k_values:
         cfg = replace(cfg_base, k=k)
         preds, golds, failures = [], [], []
         for record in dataset:
             try:
-                verdict, _ = verdict_of(record, cfg)
+                verdict, _ = classify(
+                    record.text, store, provider, client, cfg=cfg,
+                    max_prompt_tokens=max_prompt_tokens,
+                )
             except CausewayError as exc:
                 failures.append((record.id, str(exc)))
                 continue
@@ -476,29 +556,25 @@ def test_sweep_builds_examples_once_and_fails_only_the_ks_that_reach_a_bad_examp
         zero_shot = build_prompt(PromptSpec(query_sentence=dataset[0].text))
         budget = estimate_tokens(zero_shot) + 60
 
-    fewshot_calls, inference_fewshot_calls, renders = [], [], []
+    fewshot_calls, renders = [], []
     real_fewshot, real_render = retrieval.to_fewshot_examples, prompting._example
 
     def counting_fewshot(results):
         fewshot_calls.append(len(results))
         return real_fewshot(results)
 
-    def counting_inference_fewshot(results):
-        inference_fewshot_calls.append(len(results))
-        return real_fewshot(results)
-
     def counting_render(example):
         renders.append(example.rank)
         return real_render(example)
 
-    monkeypatch.setattr(retrieval, "to_fewshot_examples", counting_fewshot)
-    monkeypatch.setattr(inference, "to_fewshot_examples", counting_inference_fewshot)
+    for module in (retrieval, inference):  # counted in whichever module makes the call
+        monkeypatch.setattr(module, "to_fewshot_examples", counting_fewshot)
     monkeypatch.setattr(prompting, "_example", counting_render)
     reports = sweep(
         dataset, k_values, store, provider, MockLLMClient(), max_prompt_tokens=budget
     )
+    # one build per sentence, at the largest k, and none per k
     assert fewshot_calls == [max(k_values)] * len(dataset)
-    assert inference_fewshot_calls == []
     # each example is rendered once per sentence, whatever the k and the budget
     assert renders == list(range(1, max(k_values) + 1)) * len(dataset)
     # each sentence fails exactly at the k whose prefix reaches the bad example
@@ -510,20 +586,9 @@ def test_sweep_builds_examples_once_and_fails_only_the_ks_that_reach_a_bad_examp
     ]
     monkeypatch.undo()
 
-    rankings = {
-        record.id: retrieval.query(
-            store, provider.embed(record.text), HybridConfig(k=max(k_values))
-        )
-        for record in dataset
-    }
-
-    def verdict_of(record, cfg):
-        return classify_retrieved(
-            record.text, rankings[record.id][: cfg.k], MockLLMClient(),
-            max_prompt_tokens=budget,
-        )
-
-    want = per_k_reports_of(dataset, k_values, MockLLMClient(), HybridConfig(), verdict_of)
+    want = per_k_reports(
+        dataset, k_values, store, provider, MockLLMClient(), HybridConfig(), budget
+    )
     assert reports_to_json(reports) == reports_to_json(want)
 
 

@@ -521,12 +521,15 @@ def test_http_client_payload_and_errors(monkeypatch):
 
 
 class ReplySession:
-    """A chat-completions endpoint whose reply holds ``content`` as its message."""
+    """A chat-completions endpoint whose reply holds ``content`` as its
+    message; counts the requests."""
 
     def __init__(self, content):
         self.content = content
+        self.posts = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
         return self
 
     def raise_for_status(self):
@@ -537,12 +540,14 @@ class ReplySession:
 
 
 @pytest.mark.parametrize("content", [None, 5, 1.5, ["a"], {"label": 1}, True])
-def test_http_client_refuses_reply_content_that_is_not_a_string(content):
-    client = HttpLLMClient("http://llm.local/v1/chat", model="m", session=ReplySession(content))
+def test_http_client_refuses_reply_content_that_is_not_a_string(provider, content):
+    session = ReplySession(content)
+    client = HttpLLMClient("http://llm.local/v1/chat", model="m", session=session)
     with pytest.raises(TransportError, match=(
-        f"LLM request failed: reply content must be a string, not {type(content).__name__}$"
+        f"^LLM request failed: reply content must be a string, not {type(content).__name__}$"
     )):
-        client.complete("prompt")
+        classify("t", GraphStore(), provider, client, retry_sleeper=lambda _: None)
+    assert session.posts == 1  # a reply that came is not retried as a transport fault
 
 
 def test_rate_budgeter_requests_per_minute():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causeway.errors import BudgetTooSmallError, XmlCharacterError
-from causeway.inference import LLMClient, _classify_examples
+from causeway.inference import LLMClient, classify_pieces
 from causeway.prompting import (
     _XML_INVALID,
     OUTPUT_CONTRACT,
@@ -308,7 +308,7 @@ def test_a_budget_keeps_and_sends_what_the_reference_trim_loop_keeps(spec, budge
 
     client = RecordingClient()
     n = len(spec.examples)
-    sent = outcome(lambda: _classify_examples(n, render_pieces(spec), client, budget, None))
+    sent = outcome(lambda: classify_pieces(n, render_pieces(spec), client, budget, None))
     if isinstance(want, PromptSpec):
         assert client.prompts == [reference_build_prompt(want)]
         assert sent[1:3] == (len(want.examples), client.prompts[0])

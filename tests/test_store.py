@@ -753,6 +753,35 @@ def test_a_refused_upsert_node_keeps_embedded_by(provider):
     assert store.embedded_by == provider.identity
 
 
+def writes_before_compaction(writer: str, per_call: int) -> int:
+    """How many writes of one event's vector, ``per_call`` to a call, a
+    store of five embedded events takes until a write compacts its rows."""
+    vector = np.full(EMBEDDING_DIM, 0.5)
+    node = Node("event:0", NodeKind.EVENT, text="event 0", embedding=vector)
+    store = GraphStore()
+    store.insert([Node(f"event:{i}", NodeKind.EVENT, f"event {i}", vector) for i in range(5)])
+    rows = len(store.scoring_rows().ids)
+    for call in range(1, 100):
+        if writer == "insert":
+            store.insert([node] * per_call)
+        else:
+            store.set_embeddings([(node.id, vector)] * per_call)
+        assert len(live_row_ids(store)) == 5
+        if len(store.scoring_rows().ids) < rows:
+            return call * per_call
+        rows = len(store.scoring_rows().ids)
+    raise AssertionError("no compaction")
+
+
+@pytest.mark.parametrize("writer", ["insert", "set_embeddings"])
+def test_a_node_named_twice_in_one_call_does_not_bring_compaction_sooner(writer):
+    # a chunk of 4 rows: the store compacts once dead rows outnumber live ones by 4
+    with mock.patch.object(store_module, "CHUNK_ROWS", 4):
+        one_each = writes_before_compaction(writer, 1)
+        assert one_each == 9  # 14 rows, 5 of them live
+        assert writes_before_compaction(writer, 2) >= one_each
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n_events=st.integers(0, 12),
