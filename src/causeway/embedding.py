@@ -13,11 +13,11 @@ that have no vector yet, and reuse the vectors it holds for their texts.
 Each step reads the store's columns (``embedded_ids``, ``unembedded``,
 ``held_vectors``, ``stats``), never every node.
 
-An event's vector lives in its store scoring row, any other node's in the
-store's vector column; there is no separate vector index. Providers must
-be deterministic, and their vectors are L2-normalized at ingestion; retrieval still divides
-by each row's stored norm, as vectors given to ``upsert_node`` or ``load``
-need not be unit.
+An event's vector lives in its store scoring row, any other node's in a
+row of the store's one array of the others; there is no vector index.
+Providers must be deterministic, and their vectors are L2-normalized at
+ingestion; retrieval still divides by each row's stored norm, as vectors
+given to ``upsert_node`` or ``load`` need not be unit.
 """
 
 from __future__ import annotations
@@ -228,12 +228,12 @@ def batch_embed(
     Each distinct text goes to the provider once, and its one unit vector
     (read-only) goes to every node that holds it. If the store's vectors
     are this provider's, a text a node other than an event already holds
-    a vector for is not sent again: the last such node's vector is reused
-    (an event's is a view of its scoring row, which sharing would keep
-    alive after compaction). A batch is the shortest run of these nodes, in
-    store order, that holds ``batch_size`` texts neither held so nor
-    embedded by an earlier batch; its nodes are written in that order under
-    one writer lock. Each batch
+    a vector for is not sent again: the last such node's vector is reused,
+    as the read-only view of its row that ``held_vectors`` gives, so that
+    the nodes other than events with text share one row per text. A batch
+    is the shortest run of these nodes, in store order, that holds
+    ``batch_size`` texts neither held so nor embedded by an earlier batch;
+    its nodes are written in that order under one writer lock. Each batch
     is retried once on provider failure; a second failure aborts with a
     ProviderFailureError carrying the partial-progress report. Re-running
     after completion embeds nothing (idempotent).
@@ -248,10 +248,13 @@ def batch_embed(
     start = 0
     while start < len(eligible):
         fresh: dict[str, str] = {}  # the batch's new texts -> first node id holding each
+        held = set()  # the batch's texts embedded before it
         end = start
         while end < len(eligible) and len(fresh) < batch_size:
             node_id, _, text = eligible[end]
-            if text not in unit:
+            if text in unit:
+                held.add(text)
+            else:
                 fresh.setdefault(text, node_id)
             end += 1
         batch = eligible[start:end]
@@ -265,6 +268,10 @@ def batch_embed(
                 unit[text] = vector
             report.batches_issued += 1
             report.texts_sent += len(fresh)
+        # views of the rows held for them now, which the batch shares (the
+        # first batch has them from above)
+        if start and held and store.embedded_by == provider.identity:
+            unit.update(store.held_vectors(held))
         # one writer-lock hold per batch
         store.set_embeddings(((node_id, unit[text]) for node_id, _, text in batch),
                              provider.identity)

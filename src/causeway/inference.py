@@ -33,6 +33,7 @@ from causeway.annotation import (
 from causeway.embedding import EmbeddingProvider, http_session, post_json
 from causeway.errors import (
     BadLabelError,
+    CausewayError,
     MissingKeyError,
     NoJsonFoundError,
     TransportError,
@@ -347,6 +348,10 @@ def classify_pieces(
                 raise
             retry_sleeper(RETRY_BACKOFF_SECONDS * 2**retries)
             retries += 1
+        except CausewayError:
+            raise
+        except Exception as exc:  # a library client's own fault, a failed request not retried
+            raise TransportError(f"LLM request failed: {type(exc).__name__}: {exc}") from exc
     if not isinstance(raw, str):  # any client's reply, checked once and not retried
         raise TransportError(
             f"LLM request failed: reply content must be a string, not {type(raw).__name__}"

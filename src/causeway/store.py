@@ -15,32 +15,33 @@ vector; per edge its two node numbers and a kind code. Edges have set
 semantics (duplicates are idempotent) but preserve first-insertion order,
 which fixes the order of collected neighbor texts; each event keeps its
 neighbours' numbers in that order, one list per edge kind, so it is
-linked when it has any. Reads
-build ``Node`` and ``Edge`` values: changing one changes nothing stored,
-and every vector a read gives is read-only (a writable array a caller
-writes is copied; a read-only one is kept, so nodes given one array share
-it). Many readers or one writer: one ``insert`` writes any number of
-nodes and edges under one write lock, and one ``event_texts`` reads the
-texts of any number of events (a query's results) under one read lock.
+linked when it has any. Reads build ``Node`` and ``Edge`` values:
+changing one changes nothing stored, and every vector a read gives is a
+read-only view of a row never written again. A vector is copied into its
+row when written. Nodes other than events with text share a row when one
+write gives them one read-only array, or one is given a read's view of it.
+Many readers or one writer: one ``insert`` writes any number of nodes and
+edges under one write lock, and one ``event_texts`` reads the texts of
+any number of events (a query's results) under one read lock.
 
 A snapshot (version 4) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` array (-1 for
 none); per edge the indexes of its two nodes and a kind. The array holds
 the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
-every node of one text the same array) share a row, and after a load they
-share one read-only array. Loading reads the file through one open file
-object, mapping the rows from it, so a save that renames a new file into
-place meanwhile is not seen. It checks every column in bulk and fills
-the store's columns from the file's, with no step per record: each norm
-is the root of the vector's row of the one ``einsum`` that checks the whole
-array, the kernel ``check_embedding`` runs on one row, so a norm is the same
-to the bit either way. Each check is a mask over the records and the
-refusal of a record it flags, the refusal built as the store's writers
-build theirs; a load names the first faulty record, with the refusal of
-the first check that flags it. Versions 1 to 3, JSON documents alone or
-beside a vector file, are refused: such a store is built again by
-``ingest`` and ``embed``.
+every node of one text the same array) share a row of the file, and after
+a load they share that row in the store. Loading reads the file through
+one open file object, mapping the rows from it, so a save that renames a
+new file into place meanwhile is not seen. It checks every column in
+bulk and fills the store's columns from the file's, with no step per
+record: each norm is the root of the vector's row of the one ``einsum``
+that checks the whole array, the kernel ``check_embedding`` runs on one
+row, so a norm is the same to the bit either way. Each check is a mask
+over the records and the refusal of a record it flags, the refusal built
+as the store's writers build theirs; a load names the first faulty
+record, with the refusal of the first check that flags it. Versions 1 to
+3, JSON documents alone or beside a vector file, are refused: such a
+store is built again by ``ingest`` and ``embed``.
 
 Every event with both text and an embedding owns one scoring row in a
 fixed-size chunk: its vector, the vector's norm, a linked bit (the event
@@ -308,13 +309,12 @@ def _not_a(kind: type[Enum], value) -> ValueError:
     return ValueError(f"{value!r} is not a valid {kind.__name__}")
 
 
-def _checked(vectors) -> tuple[list, CausewayError | None]:
-    """``check_embedding`` of each of ``vectors`` (None for None) up to the
-    first it refuses, and that refusal (None if none), by one
-    ``check_embeddings`` call. Each checked array is read-only: a read-only
-    float64 array is kept as it is, and checked once however many times it
-    comes (``batch_embed`` gives every node of one text the same one);
-    anything else is copied, so that no caller can change a stored vector."""
+def _checked(vectors) -> tuple[list, list, CausewayError | None]:
+    """The place of each of ``vectors`` (None for None) in one batch, up to
+    the first that one ``check_embeddings`` call refuses; that call's checks
+    of the batch; and its refusal (None if none). A read-only array has one
+    place, and is checked once, however many times it comes (``batch_embed``
+    gives all nodes of a text the same one)."""
     batch, places, seen = [], [], {}  # id of a read-only array -> its place in batch
     for vec in vectors:
         if vec is None:
@@ -327,18 +327,9 @@ def _checked(vectors) -> tuple[list, CausewayError | None]:
             batch.append(vec)
         places.append(place)
     checks, fault = check_embeddings(batch)
-    checks = list(map(_read_only, checks))
     # every vector before the refused one's first place was checked
     end = len(places) if fault is None else places.index(len(checks))
-    return [None if place is None else checks[place] for place in places[:end]], fault
-
-
-def _read_only(check: tuple[np.ndarray, float]) -> tuple[np.ndarray, float]:
-    arr, norm = check
-    if arr.flags.writeable:
-        arr = arr.copy()
-        arr.flags.writeable = False
-    return arr, norm
+    return places[:end], checks, fault
 
 
 def _kind_change(node_id: str, old: NodeKind, new: NodeKind) -> KindViolationError:
@@ -557,6 +548,7 @@ class _Snapshot(NamedTuple):
     vector_row: np.ndarray
     scores: np.ndarray
     vectors: np.ndarray
+    scoring: int  # the scoring rows are the first this many of ``vectors``
     squared: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -606,8 +598,8 @@ def _read_snapshot(path: Path) -> _Snapshot:
     ends = _indexes(src), _indexes(dst)
     edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
     return _Snapshot(
-        ids, codes, texts, has_text, file_rows, scores, vectors, squared, *ends, edge_codes,
-        embedded_by,
+        ids, codes, texts, has_text, file_rows, scores, vectors, scoring, squared, *ends,
+        edge_codes, embedded_by,
     )
 
 
@@ -661,16 +653,6 @@ def _write_atomic(path: Path, write) -> None:
         raise
 
 
-def _vector_blocks(chunks: list[np.ndarray], live: np.ndarray, others: list[np.ndarray]):
-    """The vectors of scoring rows ``live`` (ascending) of ``chunks``, then
-    ``others``, in blocks of at most CHUNK_ROWS rows."""
-    bounds = np.searchsorted(live, np.arange(len(chunks) + 1) * CHUNK_ROWS)
-    for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-        yield chunk[live[lo:hi] % CHUNK_ROWS]
-    for start in range(0, len(others), CHUNK_ROWS):
-        yield np.stack(others[start : start + CHUNK_ROWS])
-
-
 def _room(arrays: tuple, fills: tuple, n: int) -> tuple:
     """``arrays``, each with room for ``n`` entries: as they are, or grown to
     at least twice their length, each new entry its array's ``fills`` value."""
@@ -679,7 +661,8 @@ def _room(arrays: tuple, fills: tuple, n: int) -> tuple:
         return arrays
     more = max(n, 2 * size) - size
     return tuple(
-        np.concatenate((a, np.full(more, fill, a.dtype))) for a, fill in zip(arrays, fills)
+        np.concatenate((a, np.full((more, *a.shape[1:]), fill, a.dtype)))
+        for a, fill in zip(arrays, fills)
     )
 
 
@@ -690,8 +673,8 @@ class GraphStore:
     namespaced by kind, e.g. ``event:17``) and numbered in insertion
     order; per node number the store holds an id, a kind code, a text and
     a vector. Each fact is held once: an event with text and a vector
-    holds it in its scoring row, any other node's vector is a read-only
-    array, one array for every node that ``batch_embed`` or a load gave the
+    holds it in its scoring row, any other node's vector is a row of one
+    array, one row for every node that ``batch_embed`` or a load gave the
     same vector. Edges are columns of node numbers in first-insertion
     order, and each event keeps the numbers of its neighbours (its edges'
     other ends) in that order. Reads build ``Node`` and ``Edge`` values.
@@ -705,8 +688,9 @@ class GraphStore:
         self._texts: list[str | None] = []
         self._kinds = np.empty(0, dtype=np.int8)
         self._has_text = np.empty(0, dtype=bool)
-        self._has_vector = np.empty(0, dtype=bool)
-        self._vectors: list[np.ndarray | None] = []  # a vector not in a scoring row
+        self._vecs = np.empty((0, EMBEDDING_DIM))  # the vectors not in a scoring row
+        self._vec_count = 0  # rows of _vecs in use, each never written again; the rest is room
+        self._vec_row = np.empty(0, dtype=np.int64)  # the node's row of _vecs, else -1
         # text -> the last node other than an event with that text and a
         # vector; None once a write may have removed one, until held_vectors
         self._holder: dict[str | None, int] | None = {}
@@ -761,11 +745,11 @@ class GraphStore:
         given twice, is added once, in first-insertion order.
         """
         nodes, edges = list(nodes), list(edges)
-        checks, fault = _checked([node.embedding for node in nodes])
+        places, checks, fault = _checked([node.embedding for node in nodes])
         with self.lock.write():
             index, kinds = self._index, self._kinds
             added: dict[str, NodeKind] = {}  # id -> kind of each node the call adds
-            for node in nodes[: len(checks)]:  # a node with a refused vector is refused first
+            for node in nodes[: len(places)]:  # a node with a refused vector is refused first
                 i = index.get(node.id)
                 kind = added.setdefault(node.id, node.kind) if i is None else _NODE_KINDS[kinds[i]]
                 if kind is not node.kind:
@@ -781,42 +765,41 @@ class GraphStore:
                 refused = _endpoint_fault(edge.kind, src_kind, dst_kind)
                 if refused is not None:
                     raise refused
-            self._add_nodes(nodes, checks)
+            self._add_nodes(nodes, places, checks)
             self._add_edges(edges)
 
-    def _add_nodes(self, nodes: list[Node], checks: list) -> None:
-        """Write the checked ``nodes``, each with its ``_checked`` result."""
+    def _add_nodes(self, nodes: list[Node], places: list, checks: list) -> None:
+        """Write the checked ``nodes``, each with its ``_checked`` place."""
         ids, index, texts = self._ids, self._index, self._texts
         first = len(ids)
         codes = []  # the kind code of each node the call adds
-        writes, kept = [], []  # (number, check) of every node but one added without a vector
-        for node, check in zip(nodes, checks):
+        writes, kept = [], []  # (number, place) of every node but one added without a vector
+        for node, place in zip(nodes, places):
             i = index.get(node.id)
             if i is None:
                 i = index[node.id] = len(ids)
                 ids.append(node.id)
                 texts.append(node.text)
                 codes.append(_NODE_CODE[node.kind])
-                if check is None:  # nothing to write
+                if place is None:  # nothing to write
                     continue
             else:
                 if node.text != texts[i] and self._holder and self._holder.get(texts[i]) == i:
                     self._holder = None
                 texts[i] = node.text
                 kept.append(i)
-            writes.append((i, check))
+            writes.append((i, place))
         if len(ids) > first:
-            self._kinds, self._has_text, self._has_vector, self._row, self._degree = _room(
-                (self._kinds, self._has_text, self._has_vector, self._row, self._degree),
-                (0, False, False, -1, 0), len(ids),
+            self._kinds, self._has_text, self._vec_row, self._row, self._degree = _room(
+                (self._kinds, self._has_text, self._vec_row, self._row, self._degree),
+                (0, False, -1, -1, 0), len(ids),
             )
-            self._vectors += repeat(None, len(ids) - first)
             self._kinds[first : len(ids)] = codes
             self._has_text[first : len(ids)] = [text is not None for text in texts[first:]]
         if kept:
             self._has_text[kept] = [texts[i] is not None for i in kept]
         if writes:
-            self._write(writes, None)
+            self._write(writes, checks, None)
 
     def get_node(self, node_id: str) -> Node:
         """The node as a new ``Node``: changing it changes nothing stored."""
@@ -832,11 +815,12 @@ class GraphStore:
     def _node(self, i: int) -> Node:
         """Node ``i`` as a new ``Node``; the caller holds the read lock."""
         row = self._row[i]
-        if row < 0:
-            vector = self._vectors[i]
-        else:
+        if row >= 0:
             size = len(self._chunks[0])  # CHUNK_ROWS as the chunks were made
             vector = self._chunks[row // size][row % size]
+        else:
+            vector = self._vecs[self._vec_row[i]] if self._vec_row[i] >= 0 else None
+        if vector is not None:
             vector.flags.writeable = False
         return Node(self._ids[i], _NODE_KINDS[self._kinds[i]], self._texts[i], vector)
 
@@ -854,7 +838,7 @@ class GraphStore:
         pair, so a vector the call clears first does not count.
         """
         pairs = list(pairs)
-        checks, fault = _checked([vec for _, vec in pairs])
+        places, checks, fault = _checked([vec for _, vec in pairs])
         if fault is not None:
             raise fault
         with self.lock.write():
@@ -863,49 +847,67 @@ class GraphStore:
                 numbers = [index[node_id] for node_id, _ in pairs]
             except KeyError as exc:
                 raise UnknownIdError(f"no node with id {exc.args[0]!r}") from None
-            self._write(list(zip(numbers, checks)), embedded_by)
+            self._write(list(zip(numbers, places)), checks, embedded_by)
 
-    def _write(self, writes: list, embedded_by: str | None) -> None:
-        """Write each (node number, ``_checked`` result or None) of
-        ``writes``; an old row is only marked dead."""
+    def _write(self, writes: list, checks: list, embedded_by: str | None) -> None:
+        """Write each (node number, place in ``checks`` or None) of ``writes``;
+        an old row is only marked dead, and a place's nodes share a row."""
         numbers = [i for i, _ in writes]
-        had = dict(zip(numbers, self._has_vector[numbers].tolist()))  # a vector, as the call goes
-        rows = self._row[list(had)]  # a node named twice has its row killed once
-        rows = rows[rows >= 0]
-        self._alive[rows] = False
-        self._live_rows -= len(rows)
-        self._row[numbers] = -1
-        vectors, texts = self._vectors, self._texts
+        had = dict(zip(numbers, self._has_vector(numbers).tolist()))  # a vector, as the call goes
+        old = self._row[list(had)]  # a node named twice has its row killed once
+        old = old[old >= 0]
+        self._alive[old] = False
+        self._live_rows -= len(old)
+        self._row[numbers] = self._vec_row[numbers] = -1
+        texts = self._texts
         events = (self._kinds[numbers] == _EVENT).tolist()
-        fresh = {}  # event number -> (vector, norm) of a new row, in the order of last writes
-        for (i, check), event in zip(writes, events):
-            if check is not None:  # the vectors held just before this pair
+        fresh, held = {}, {}  # number -> place of a new scoring row or _vecs row, by last write
+        for (i, place), event in zip(writes, events):
+            if place is not None:  # the vectors held just before this pair
                 kept = not self._embedded or self._embedded_by == embedded_by
                 self._embedded_by = embedded_by if kept else None
-            self._embedded += (check is not None) - had[i]
-            had[i] = check is not None
+            self._embedded += (place is not None) - had[i]
+            had[i] = place is not None
             fresh.pop(i, None)
-            if check is not None and event and texts[i] is not None:
-                fresh[i] = check
-                vectors[i] = None
-            else:
-                vectors[i] = None if check is None else check[0]
+            held.pop(i, None)
+            if place is not None:
+                (fresh if event and texts[i] is not None else held)[i] = place
             holder = self._holder
             if not event and holder is not None:
-                if check is None and holder.get(texts[i]) == i:
+                if place is None and holder.get(texts[i]) == i:
                     self._holder = None
-                elif check is not None and holder.get(texts[i], -1) < i:
+                elif place is not None and holder.get(texts[i], -1) < i:
                     holder[texts[i]] = i
-        self._has_vector[list(had)] = list(had.values())
         if fresh:
-            fresh_vectors, norms = zip(*fresh.values())
-            self._append_rows(list(fresh), fresh_vectors, norms)
+            vectors, norms = zip(*map(checks.__getitem__, fresh.values()))
+            self._append_rows(list(fresh), np.array(vectors), norms, np.arange(len(fresh)))
+        if held:  # a full _vecs grows into a new array; the old one is never written again
+            origin = self._vecs.ctypes.data
+            on = {place: self._row_of(checks[place][0], origin) for place in set(held.values())}
+            new = [place for place, row in on.items() if row < 0]
+            (self._vecs,) = _room((self._vecs,), (0.0,), self._vec_count + len(new))
+            for place in new:
+                self._vecs[self._vec_count] = checks[place][0]
+                on[place] = self._vec_count
+                self._vec_count += 1
+            self._vec_row[list(held)] = list(map(on.__getitem__, held.values()))
         self._compact_if_sparse()
 
-    def _append_rows(self, numbers, vectors, norms, rows=None) -> None:
+    def _row_of(self, vector: np.ndarray, origin: int) -> int:
+        """The row of ``_vecs`` (data at ``origin``) that the checked ``vector``
+        views, else -1: reads give whole rows, and a check keeps a C-contiguous
+        float64 array as it came but copies any other view."""
+        if vector.base is not self._vecs:
+            return -1
+        return (vector.ctypes.data - origin) // _ROW_BYTES
+
+    def _has_vector(self, which) -> np.ndarray:
+        """Whether each of nodes ``which`` (a slice or numbers) has a vector."""
+        return (self._row[which] >= 0) | (self._vec_row[which] >= 0)
+
+    def _append_rows(self, numbers, vectors, norms, rows) -> None:
         """Append a row for each of nodes ``numbers``, events with text and
-        no live row: vector ``vectors[rows[i]]`` (``vectors[i]`` if ``rows``
-        is None), norm ``norms[i]``."""
+        no live row: vector ``vectors[rows[i]]``, norm ``norms[i]``."""
         start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
         more = -(-end // CHUNK_ROWS) * CHUNK_ROWS - len(self._alive)  # rows of new chunks
         if more > 0:
@@ -918,10 +920,8 @@ class GraphStore:
         for chunk in self._chunks[start // CHUNK_ROWS :]:
             part = chunk[at % CHUNK_ROWS : at % CHUNK_ROWS + end - at]
             mine = slice(at - start, at - start + len(part))
-            if rows is None:  # part's rows are contiguous, so reshape gives a view of them
-                np.concatenate(vectors[mine], out=part.reshape(-1))
-            else:  # one copy straight into the chunk; every index is a row of ``vectors``
-                np.take(vectors, rows[mine], axis=0, out=part, mode="clip")
+            # one copy straight into the chunk; every index is a row of ``vectors``
+            np.take(vectors, rows[mine], axis=0, out=part, mode="clip")
             at += len(part)
         numbers = np.asarray(numbers, dtype=np.int64)
         self._norms[start:end] = norms
@@ -935,8 +935,12 @@ class GraphStore:
     def _compact_if_sparse(self) -> None:
         """Once dead rows outnumber the live ones by a chunk, rebuild the rows
         from the live ones as a load builds them, one append per old chunk:
-        so the row count stays below twice the live rows plus one chunk. Old
-        chunks live on only in views that callers still hold."""
+        so the row count stays below twice the live rows plus one chunk; so too
+        ``_vecs``, from the rows nodes hold. Old arrays live on only in views."""
+        if self._vec_count - 2 * (self._embedded - self._live_rows) > CHUNK_ROWS:
+            held = self._vec_row >= 0  # room past the nodes holds -1
+            kept, self._vec_row[held] = np.unique(self._vec_row[held], return_inverse=True)
+            self._vecs, self._vec_count = self._vecs[kept], len(kept)
         if len(self._row_ids) - 2 * self._live_rows < CHUNK_ROWS:
             return
         live = np.flatnonzero(self._alive[: len(self._row_ids)])
@@ -974,7 +978,7 @@ class GraphStore:
     def embedded_ids(self) -> list[str]:
         """The ids of the nodes with a vector, in insertion order."""
         with self.lock.read():
-            numbers = np.flatnonzero(self._has_vector[: len(self._ids)])
+            numbers = np.flatnonzero(self._has_vector(slice(len(self._ids))))
             return list(map(self._ids.__getitem__, numbers.tolist()))
 
     def unembedded(self) -> list[tuple[str, NodeKind, str]]:
@@ -982,7 +986,7 @@ class GraphStore:
         insertion order."""
         with self.lock.read():
             n = len(self._ids)
-            numbers = np.flatnonzero(self._has_text[:n] & ~self._has_vector[:n])
+            numbers = np.flatnonzero(self._has_text[:n] & ~self._has_vector(slice(n)))
             kinds = map(_NODE_KINDS.__getitem__, self._kinds[numbers].tolist())
             numbers = numbers.tolist()
             ids, texts = map(self._ids.__getitem__, numbers), map(self._texts.__getitem__, numbers)
@@ -990,20 +994,20 @@ class GraphStore:
 
     def held_vectors(self, texts) -> dict[str, np.ndarray]:
         """For each of ``texts`` that a node other than an event holds a
-        vector for, the vector of the last such node in insertion order (a
-        read-only array; an event's is a view of its scoring row instead).
-        The writers keep that node per text, so a call costs what it asks;
-        after a load, or a write that took a vector or a text from such a
-        node, one call finds them all again."""
+        vector for, the vector of the last such node in insertion order, a
+        read-only view of its row, which a write given it shares. The writers
+        keep that node per text, so a call costs what it asks; after a load,
+        or a write that took a vector or a text from such a node, one call
+        finds them all again."""
         with self.lock.read():
             holder = self._holder
             if holder is None:
                 n = len(self._ids)
-                numbers = np.flatnonzero(self._has_vector[:n] & (self._kinds[:n] != _EVENT))
+                numbers = np.flatnonzero((self._vec_row[:n] >= 0) & (self._kinds[:n] != _EVENT))
                 numbers = numbers.tolist()
                 # readers that race here each build the same map
                 holder = self._holder = dict(zip(map(self._texts.__getitem__, numbers), numbers))
-            return {text: self._vectors[holder[text]] for text in texts if text in holder}
+            return {text: self._node(holder[text]).embedding for text in texts if text in holder}
 
     # --- edges ---
 
@@ -1119,7 +1123,7 @@ class GraphStore:
             edge_counts = np.bincount(self._edge_kinds[: self._edge_count], minlength=len(EdgeKind))
             node_counts, embedded_counts, text_counts = (
                 dict(zip(NodeKind, np.bincount(counted, minlength=len(NodeKind)).tolist()))
-                for counted in (kinds, kinds[self._has_vector[:n]], kinds[self._has_text[:n]])
+                for counted in (kinds, kinds[self._has_vector(slice(n))], kinds[self._has_text[:n]])
             )
         return StoreStats(
             node_counts, dict(zip(EdgeKind, edge_counts.tolist())), embedded_counts, text_counts
@@ -1145,20 +1149,17 @@ class GraphStore:
             scored = np.flatnonzero(rows >= 0)
             vector_row[scored] = rank[rows[scored]]
             # nodes with equal vectors share a row, so the file depends on the
-            # vectors alone, not on which nodes hold one array (batch_embed
-            # shares one per text); an array seen before is not read again
-            by_id: dict[int, int] = {}
-            by_value: dict[bytes, int] = {}
-            others: list[np.ndarray] = []
-            for i in np.flatnonzero(self._has_vector[:n] & (rows < 0)).tolist():
-                vector = self._vectors[i]
-                row = by_id.get(id(vector))
-                if row is None:
-                    row = by_value.setdefault(vector.tobytes(), len(live) + len(others))
-                    if row == len(live) + len(others):
-                        others.append(vector)
-                    by_id[id(vector)] = row
-                vector_row[i] = row
+            # vectors alone, not on which nodes share a row of _vecs: each
+            # distinct value once, by its bytes, in the order of its first node
+            held = np.flatnonzero(self._vec_row[:n] >= 0)
+            on, node_on = np.unique(self._vec_row[held], return_inverse=True)
+            vectors = self._vecs[on]
+            as_bytes = vectors.view((np.void, _ROW_BYTES)).ravel()  # a row as one value
+            _, one, value = np.unique(as_bytes, return_index=True, return_inverse=True)
+            node_value = value[node_on]
+            order = np.argsort(np.unique(node_value, return_index=True)[1])
+            vector_row[held] = len(live) + np.argsort(order)[node_value]
+            others = vectors[one[order]]
             # kinds are str enums, which JSON writes as their values
             nodes = {
                 "ids": list(self._ids),
@@ -1172,8 +1173,8 @@ class GraphStore:
                 "kind": list(map(_EDGE_KINDS.__getitem__, self._edge_kinds[:m].tolist())),
             }
             # rows are written once and a vector is replaced, not changed, so
-            # these arrays still hold this view's vectors after the lock
-            blocks = _vector_blocks(list(self._chunks), live, others)
+            # the chunks still hold this view's vectors after the lock
+            chunks = list(self._chunks)
             embedded_by = self._embedded_by
         shape = (len(live) + len(others), EMBEDDING_DIM)
         payload = {
@@ -1187,8 +1188,11 @@ class GraphStore:
         def write(f) -> None:
             header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
             np.lib.format.write_array_header_1_0(f, header)
-            for block in blocks:
-                f.write(block)
+            # the live rows (ascending) of each chunk, then the other vectors
+            bounds = np.searchsorted(live, np.arange(len(chunks) + 1) * CHUNK_ROWS)
+            for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+                f.write(chunk[live[lo:hi] % CHUNK_ROWS])
+            f.write(others)
             # encoded once the vector blocks are written, so that its text and
             # a block are not held at once
             f.write(json.dumps(payload, separators=(",", ":")).encode("utf-8"))
@@ -1214,17 +1218,15 @@ class GraphStore:
         """Fill this new, unshared store's columns from the checked
         ``snapshot``'s. Each event with text and a vector gets a scoring
         row, in the order of its file rows, its norm from the file's squared
-        norms; every other node with a vector gets the one read-only array
-        of its file row, which all nodes of that row share."""
+        norms; the other rows are copied into ``_vecs`` as the file holds them."""
         ids, n = snapshot.ids, len(snapshot.ids)
         file_rows, scores = snapshot.vector_row, snapshot.scores
         self._ids, self._texts = ids, snapshot.texts
         self._index = dict(zip(ids, range(n)))
         self._kinds = snapshot.kinds.astype(np.int8)
         self._has_text = snapshot.has_text
-        self._has_vector = file_rows >= 0
         self._row = np.full(n, -1, dtype=np.int64)
-        self._embedded = int(np.count_nonzero(self._has_vector))
+        self._embedded = int(np.count_nonzero(file_rows >= 0))
         self._embedded_by = snapshot.embedded_by
         self._holder = None  # found on first use
         # an edge the file repeats is held once, where it first comes
@@ -1247,12 +1249,7 @@ class GraphStore:
         scored = np.flatnonzero(scores)[np.argsort(file_rows[scores])]  # in file row order
         rows = file_rows[scored]
         self._append_rows(scored, snapshot.vectors, np.sqrt(snapshot.squared[rows]), rows)
-        others = np.flatnonzero(~scores & (file_rows >= 0))
-        rows, which = np.unique(file_rows[others], return_inverse=True)
-        rest = snapshot.vectors[rows]  # a copy, not a view of a mapped file
-        rest.flags.writeable = False
-        shared = np.fromiter(rest, dtype=object, count=len(rest))  # one array per row, shared
-        vectors = np.empty(n, dtype=object)
-        vectors[others] = shared[which]
-        self._vectors = vectors.tolist()
+        self._vecs = np.array(snapshot.vectors[snapshot.scoring :])  # a copy, not a view of the map
+        self._vec_count = len(self._vecs)
+        self._vec_row = np.where(~scores & (file_rows >= 0), file_rows - snapshot.scoring, -1)
         return self

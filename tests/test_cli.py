@@ -686,6 +686,20 @@ def test_llm_reply_without_string_content_exits_three_and_fails_each_sentence(
     assert report["failures"] == [["t1", message], ["t2", message]]
 
 
+def test_a_client_exception_exits_three(workspace, monkeypatch, capsys):
+    from causeway import inference
+
+    def complete(self, prompt):
+        raise RuntimeError("client bug")
+
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    capsys.readouterr()
+    monkeypatch.setattr(inference.MockLLMClient, "complete", complete)
+    assert run(["classify", "--sentence", "rain caused floods"], workspace) == 3
+    assert capsys.readouterr().err == "error: LLM request failed: RuntimeError: client bug\n"
+
+
 def write_vector_directly(path) -> None:
     store = GraphStore.load(path)
     node = store.get_node("event:a")

@@ -472,11 +472,13 @@ def test_only_new_texts_are_sent_and_the_reused_array_is_the_last_nodes(provider
     batch_embed(store, provider)
     sent = 0
     for r in range(10):
-        # a read-only copy on some span nodes: one text, several arrays to pick from
+        # a value of its own on some span nodes, each an entry one ulp off
+        # the node's vector: one text, several values to pick from
         spans = [n for n in store.nodes() if n.kind is not NodeKind.EVENT]
         copies = []
-        for node in rng.sample(spans, 30):
+        for k, node in enumerate(rng.sample(spans, 30)):
             copy = node.embedding.copy()
+            copy[30 * r + k] = np.nextafter(copy[30 * r + k], np.inf)
             copy.flags.writeable = False
             copies.append((node.id, copy))
         store.set_embeddings(copies, provider.identity)
@@ -488,7 +490,8 @@ def test_only_new_texts_are_sent_and_the_reused_array_is_the_last_nodes(provider
         assert report.total_embedded == len(new) == 400
         for node in new:
             if node.kind is not NodeKind.EVENT:
-                assert store.get_node(node.id).embedding is want[node.text], node.id
+                got = store.get_node(node.id).embedding
+                assert got.tobytes() == want[node.text].tobytes(), node.id
     assert sent == 1000  # each new event's text, and no span text again
 
 
@@ -520,6 +523,17 @@ def test_nodes_with_one_text_share_one_read_only_vector(provider):
         assert np.array_equal(vector, before)
 
 
+def test_the_batches_of_one_embed_share_one_row_per_text(provider):
+    store = GraphStore()
+    for i in range(6):
+        store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"event {i}"))
+        store.upsert_node(Node(f"trigger:{i}", NodeKind.TRIGGER, text="led to"))
+    report = batch_embed(store, provider, batch_size=2)
+    assert report.batches_issued == 4 and report.texts_sent == 7
+    first, *others = (n.embedding for n in store.nodes(NodeKind.TRIGGER))
+    assert all(np.shares_memory(vector, first) for vector in others)
+
+
 def test_set_embeddings_checks_each_shared_array_once(provider, monkeypatch):
     from causeway import store as store_module
 
@@ -543,8 +557,10 @@ def test_set_embeddings_checks_each_shared_array_once(provider, monkeypatch):
     store.set_embeddings([("trigger:0", shared), ("trigger:1", writable), ("trigger:2", shared),
                           ("trigger:3", writable), ("trigger:4", None)])
     assert batches == [3]  # in one check
-    assert store.get_node("trigger:2").embedding is store.get_node("trigger:0").embedding
-    assert store.get_node("trigger:3").embedding is not store.get_node("trigger:1").embedding
+    assert np.shares_memory(store.get_node("trigger:2").embedding,
+                            store.get_node("trigger:0").embedding)
+    assert not np.shares_memory(store.get_node("trigger:3").embedding,
+                                store.get_node("trigger:1").embedding)
 
 
 def test_embedded_by_holds_while_one_provider_made_every_vector():

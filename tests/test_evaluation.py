@@ -423,6 +423,29 @@ def test_a_library_clients_non_string_reply_fails_its_k_as_the_http_clients_woul
     assert reports[1].failures == [(record.id, str(got.value)) for record in dataset]
 
 
+def test_a_library_clients_exception_fails_each_sentence_and_k_and_is_not_retried(provider):
+    class BrokenClient(LLMClient):
+        def __init__(self):
+            self.calls = 0
+
+        def complete(self, prompt: str):
+            self.calls += 1
+            raise RuntimeError("client bug")
+
+    store, dataset = sweep_fixture(provider)
+    client = BrokenClient()
+    with pytest.raises(TransportError) as got:
+        classify("q", store, provider, client, retry_sleeper=lambda _: None)
+    assert client.calls == 1
+    assert str(got.value) == "LLM request failed: RuntimeError: client bug"
+    assert isinstance(got.value.__cause__, RuntimeError)
+
+    reports = sweep(dataset[:2], [1, 3], store, provider, BrokenClient())
+    for report in reports:
+        assert report.confusion.total == 0
+        assert report.failures == [(record.id, str(got.value)) for record in dataset[:2]]
+
+
 class CountingProvider(EmbeddingProvider):
     """Counts embed calls; the text "zero vector" embeds to all zeros."""
 

@@ -419,7 +419,7 @@ def test_held_vectors_gives_each_texts_last_holder(tmp_path_factory, steps, seed
                 want[node.text] = node.embedding
         got = store.held_vectors(texts[:3])
         assert got.keys() == want.keys() - {None}
-        assert all(got[text] is want[text] for text in got)
+        assert all(np.shares_memory(got[text], want[text]) for text in got)
 
 
 @settings(max_examples=200, deadline=None)
@@ -448,16 +448,26 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
         assert check_embedding(row)[1] == math.sqrt(squared) == norm
 
 
+def held_rows_bound(store: GraphStore) -> int:
+    """The most rows the store's array of vectors not in a scoring row may
+    hold: twice the nodes holding one, plus a chunk."""
+    return 2 * (store.stats().total_embedded - len(live_row_ids(store))) + CHUNK_ROWS
+
+
 @pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
 def test_clean_and_embed_cycles_bound_the_row_count(provider, n_events):
+    """Both the scoring rows and the array of the other vectors (a private
+    attribute's count) stay within their compaction bounds."""
     store = GraphStore()
     for i in range(n_events):
         store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"event text {i}"))
+        store.upsert_node(Node(f"cause:{i}", NodeKind.CAUSE, text=f"cause text {i}"))
     for cycle in range(5):
         for step in (clean_embeddings, lambda s: batch_embed(s, mock_provider(cycle))):
             step(store)
             rows, live = store.scoring_rows(), live_row_ids(store)
             assert len(rows.ids) <= 2 * len(live) + CHUNK_ROWS
+            assert store._vec_count <= held_rows_bound(store)
         assert sorted(live) == sorted(f"event:{i}" for i in range(n_events))
 
 
@@ -581,7 +591,7 @@ def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, pr
     store.set_embedding("event:0", random_unit_vector(np.random.default_rng(3)))
     # an equal vector in an array of its own shares the row of its value too
     spans = [n for n in store.nodes() if n.kind is not NodeKind.EVENT and n.embedding is not None]
-    copied = next(a for a in spans if a.embedding is not spans[0].embedding)
+    copied = next(a for a in spans if not np.shares_memory(a.embedding, spans[0].embedding))
     store.set_embedding(copied.id, spans[0].embedding.copy())
     path = tmp_path / "first" / "graph.json"
     path.parent.mkdir()
@@ -607,7 +617,7 @@ def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, pr
     for node in store.nodes():
         if node.embedding is not None:
             assert array[row_of[node.id]].tobytes() == node.embedding.tobytes()
-    assert len(shared) < len({id(n.embedding) for n in others}) < len(others)
+    assert len(shared) < len({n.embedding.ctypes.data for n in others}) < len(others)
     for a in others:
         for b in others:
             equal = a.embedding.tobytes() == b.embedding.tobytes()
@@ -624,12 +634,83 @@ def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, pr
     for node in loaded.nodes():
         if node.id in row_of and node.embedding is not None and node.id not in set(live):
             assert not node.embedding.flags.writeable
-            assert held.setdefault(row_of[node.id], node.embedding) is node.embedding
+            first = held.setdefault(row_of[node.id], node.embedding)
+            assert np.shares_memory(first, node.embedding)
     assert len(held) == len(shared)
     again = tmp_path / "again" / "graph.json"
     again.parent.mkdir()
     loaded.save(again)  # save -> load -> save writes the same file
     assert snapshot_files(again) == snapshot_files(path)
+
+
+def test_save_tells_vectors_apart_by_their_bytes(tmp_path):
+    """``0.0`` and ``-0.0`` compare equal, yet two vectors that differ only
+    there get a file row each; an equal copy shares its value's row."""
+    vector = random_unit_vector(np.random.default_rng(7))
+    vector[5] = 0.0
+    negative = vector.copy()
+    negative[5] = -0.0
+    assert np.array_equal(vector, negative) and vector.tobytes() != negative.tobytes()
+    store = GraphStore()
+    for i, v in enumerate([vector, negative, vector.copy()]):
+        store.upsert_node(Node(f"cause:{i}", NodeKind.CAUSE, f"c{i}", v))
+    path = tmp_path / "graph.json"
+    store.save(path)
+    doc, array = read_snapshot(path)
+    assert doc["nodes"]["vector_row"] == [0, 1, 0]
+    assert [row.tobytes() for row in array] == [vector.tobytes(), negative.tobytes()]
+    loaded = GraphStore.load(path)
+    assert loaded.get_node("cause:1").embedding.tobytes() == negative.tobytes()
+    again = tmp_path / "again.json"
+    loaded.save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_view_a_read_returned_shares_its_row_when_written():
+    store = GraphStore()
+    vector = random_unit_vector(np.random.default_rng(3))
+    store.upsert_node(Node("cause:0", NodeKind.CAUSE, "a", vector))
+    store.upsert_node(Node("cause:1", NodeKind.CAUSE, "b"))
+    held = store.get_node("cause:0").embedding
+    store.set_embedding("cause:1", held)
+    assert np.shares_memory(store.get_node("cause:1").embedding, held)
+    # anything but a whole row of the store, as a read gives it, is copied
+    # into a row of its own, even another view of a row's memory
+    for make in (np.copy, lambda v: v[::-1], lambda v: np.broadcast_to(v[:1], v.shape),
+                 lambda v: v.view(np.int64)):
+        held = store.get_node("cause:0").embedding  # a view of the rows as they are now
+        store.set_embedding("cause:1", make(held))
+        got = store.get_node("cause:1").embedding
+        assert not np.shares_memory(got, held)
+        assert got.tobytes() == np.asarray(make(held), dtype=np.float64).tobytes()
+
+
+def test_a_vector_a_read_returned_never_changes(rng, provider):
+    store = random_store(rng, n_events=60)
+    batch_embed(store, provider)
+    cause = next(n for n in store.nodes(NodeKind.CAUSE) if n.embedding is not None)
+    held = [cause.embedding]  # each vector as a read returned it, and its bytes then
+    before = [held[0].tobytes()]
+    np_rng = np.random.default_rng(11)
+    store.set_embedding(cause.id, random_unit_vector(np_rng))
+    held.append(store.get_node(cause.id).embedding)
+    before.append(held[-1].tobytes())
+    store.set_embedding(cause.id, None)
+    # rows no node holds, past the bound: the array grows and is rebuilt
+    spans = [n.id for n in store.nodes()
+             if n.kind is not NodeKind.EVENT and n.embedding is not None and n.id != cause.id][:8]
+    for i in range(3 * CHUNK_ROWS):
+        held.append(store.get_node(spans[i % len(spans)]).embedding)
+        before.append(held[-1].tobytes())
+        store.set_embedding(spans[i % len(spans)], random_unit_vector(np_rng))
+        assert store._vec_count <= held_rows_bound(store)
+    clean_embeddings(store)
+    batch_embed(store, provider)
+    assert [vector.tobytes() for vector in held] == before
+    for vector in held:
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vector[0] = 1.0
 
 
 def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
