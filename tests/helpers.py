@@ -36,6 +36,7 @@ from causeway.store import (
     _kind_change,
     _missing_endpoint,
     check_embedding,
+    screen_rows,
 )
 
 # fixed-width distinct tokens: span texts can only match at token boundaries,
@@ -188,8 +189,9 @@ def live_row_ids(store: GraphStore) -> list[str]:
 
 
 def store_state(store: GraphStore) -> tuple:
-    """Everything a node write can change, each vector and norm to the bit:
-    the nodes, every scoring row (dead ones too), ``embedded_by`` and stats."""
+    """Everything a node write can change, each vector, screen and norm to
+    the bit: the nodes, every scoring row (dead ones too), ``embedded_by``
+    and stats."""
     rows = store.scoring_rows()
     n = len(rows.ids)
     return (
@@ -197,6 +199,7 @@ def store_state(store: GraphStore) -> tuple:
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
         list(rows.ids),
         b"".join(chunk.tobytes() for chunk in rows.chunks),
+        b"".join(screen.tobytes() for screen in rows.screens),
         rows.norms[:n].tobytes(), rows.linked[:n].tobytes(), rows.alive[:n].tobytes(),
         store.embedded_by,
         store.stats().as_dict(),
@@ -238,13 +241,16 @@ class ReferenceGraph:
         return list(self.edge_list)
 
     def scoring_rows(self) -> ScoringRows:
-        """The live rows alone: ids, vectors, norms and linked bits."""
+        """The live rows alone: ids, vectors, screens, norms and linked bits."""
         linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
         vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
+        chunk = np.array(vectors).reshape(-1, EMBEDDING_DIM)
+        norms = np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64)
         return ScoringRows(
             ids=list(self.row_order),
-            chunks=[np.array(vectors).reshape(-1, EMBEDDING_DIM)],
-            norms=np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64),
+            chunks=[chunk],
+            screens=[screen_rows(chunk, norms)],
+            norms=norms,
             linked=np.array([node_id in linked for node_id in self.row_order], dtype=bool),
             alive=np.ones(len(vectors), dtype=bool),
         )

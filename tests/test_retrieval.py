@@ -15,12 +15,22 @@ from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import DimensionMismatchError, ZeroVectorError
 from causeway.retrieval import (
     HybridConfig,
+    RetrievalResult,
     hybrid_score,
     query,
     reconstruct_tagged,
     to_fewshot_examples,
 )
-from causeway.store import EMBEDDING_DIM, Edge, EdgeKind, GraphStore, Node, NodeKind
+from causeway.store import (
+    EMBEDDING_DIM,
+    Edge,
+    EdgeKind,
+    GraphStore,
+    Node,
+    NodeKind,
+    check_embedding,
+    screen_rows,
+)
 
 from helpers import live_row_ids, oracle_query, random_store, random_unit_vector
 
@@ -337,6 +347,198 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
                 if n.text is not None and n.embedding is not None
             )
             assert len(store.scoring_rows().ids) < 2 * len(live) + 2
+
+
+def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
+    """``query`` as it was before the float32 screen: every row scored in
+    float64. The reference that ``query`` must match result for result, to
+    the bit."""
+    qv, q_norm = check_embedding(q)
+
+    with store.lock.read():
+        rows = store.scoring_rows()
+        dots = np.empty(len(rows.ids))
+        start = 0
+        for chunk in rows.chunks:
+            np.einsum("ij,j->i", chunk, qv, out=dots[start : start + len(chunk)])
+            start += len(chunk)
+        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
+        scores = hybrid_score(sims, rows.linked, cfg)
+        candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
+        if len(candidates) > cfg.k:
+            top = scores[candidates]
+            kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
+            candidates = candidates[top >= kth]
+        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))[: cfg.k]
+        texts = store.event_texts([rows.ids[row] for row in best])
+        return [
+            RetrievalResult(
+                event_id=rows.ids[row],
+                event_text=event_text,
+                hybrid_score=float(scores[row]),
+                embedding_similarity=float(sims[row]),
+                structural_score=int(rows.linked[row]),
+                cause_count=len(cause_texts),
+                effect_count=len(effect_texts),
+                trigger_count=len(trigger_texts),
+                cause_texts=tuple(cause_texts),
+                effect_texts=tuple(effect_texts),
+                trigger_texts=tuple(trigger_texts),
+            )
+            for row, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
+        ]
+
+
+def score_bits(results) -> list[tuple[str, str]]:
+    return [(r.hybrid_score.hex(), r.embedding_similarity.hex()) for r in results]
+
+
+def gathered(chunks, which) -> np.ndarray:
+    """Rows ``which`` of the scoring rows held in ``chunks``, copied into
+    one array; the first chunk is full unless it is the only one."""
+    size = len(chunks[0])
+    return np.array([chunks[r // size][r % size] for r in which]).reshape(-1, EMBEDDING_DIM)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    chunk_rows=st.sampled_from([1, 2, 3, 8]),
+    n_events=st.integers(1, 40),
+    k=st.integers(1, 20),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    scale=st.sampled_from([1e-150, 1e-39, 1.0, 1e39, 1e150]),
+)
+@example(seed=1, chunk_rows=512, n_events=1100, k=20, picks=[0, 511, 512, 1099], scale=1.0)
+def test_a_gathered_row_scores_the_bits_of_its_whole_chunk(
+    seed, chunk_rows, n_events, k, picks, scale
+):
+    """The premise of the float64 rescore: ``einsum("ij,j->i")`` gives a row
+    the same bits whether it comes in its whole chunk or gathered, alone or
+    with rows of the same chunk or of others. Were a numpy build to break
+    this, exact ties would split by row position, so this test fails first."""
+    np_rng = np.random.default_rng(seed)
+    with mock.patch.object(store_module, "CHUNK_ROWS", chunk_rows):
+        store = GraphStore()
+        store.insert(
+            Node(f"event:{i}", NodeKind.EVENT, text="t",
+                 embedding=np_rng.standard_normal(EMBEDDING_DIM) * scale)
+            for i in range(n_events)
+        )
+        chunks = store.scoring_rows().chunks
+    q = np_rng.standard_normal(EMBEDDING_DIM) * scale
+    whole = np.concatenate([np.einsum("ij,j->i", chunk, q) for chunk in chunks])
+    across = [pick % n_events for pick in picks]  # from one chunk or several
+    size = len(chunks[0])
+    first = across[0] // size * size  # the first row of the chunk holding across[0]
+    whole_chunk = list(range(first, first + len(chunks[first // size])))
+    for which in ([across[0]], list(range(min(k, n_events))), across, whole_chunk):
+        got = np.einsum("ij,j->i", gathered(chunks, which), q)
+        assert got.tobytes() == whole[which].tobytes()
+
+
+# norms: the last three lie beyond the screen's bound, and two vectors of
+# norm 1e-160 have a float64 dot product that underflows
+SCALES = st.sampled_from([1e-150, 1e-100, 1e-39, 2**-30, 1.0, 3.0, 1e39, 1e100, 1e150,
+                          1e-155, 1e-160, 1e152])
+FORMS = st.sampled_from(
+    ["plain", "plain", "near", "near", "toward", "ulp", "tiny", "tinier", "mixed"]
+)
+# a base direction, a scale, a form and the size of a moved row's offset
+ROW = st.tuples(st.integers(0, 3), SCALES, FORMS, st.integers(0, 7))
+
+
+def shaped_row(bases, base: int, scale: float, form: str, jitter: int) -> np.ndarray:
+    """Unit base direction ``base`` at ``scale``: as it is, moved by 1e-8
+    (less than the screen can tell apart), moved toward base 1 by
+    ``jitter`` steps of 5e-5 (a few margins), one ulp off in its first
+    entry, every entry near float32 underflow keeping its sign, or a third
+    of them replaced by one that is."""
+    v = bases[base] * scale
+    if form == "near":
+        v = (bases[base] + 1e-8 * random_unit_vector(np.random.default_rng(jitter))) * scale
+    elif form == "toward":
+        v = (bases[base] + jitter * 5e-5 * bases[1]) * scale
+    elif form == "ulp":
+        v[0] = np.nextafter(v[0], np.inf)
+    elif form in ("tiny", "tinier"):
+        v = np.sign(bases[base]) * (1e-39 if form == "tiny" else 1e-45)
+    elif form == "mixed":
+        v[::3] = np.sign(v[::3]) * 1e-45
+    return v
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.lists(st.tuples(ROW, st.booleans()), min_size=1, max_size=24),
+    rewrites=st.lists(st.tuples(st.integers(0, 99), st.one_of(ROW, st.none())), max_size=16),
+    reload=st.booleans(),
+    q=ROW,
+    alpha=st.one_of(st.sampled_from([0.0, 0.6, 1.0, 1e300]), st.floats(0, 4)),
+    beta=st.one_of(st.sampled_from([0.0, 0.4, 1.0]), st.floats(0, 4)),
+    tau=st.one_of(st.sampled_from([-1.0, 0.2, "above", "at"]), st.floats(-2, 2)),
+    at=st.integers(0, 99),
+    k=st.integers(1, 30),
+)
+@example(seed=0, rows=[((0, 1.0, "plain", 0), True)] * 6 + [((3, 1.0, "ulp", 0), False)] * 3,
+         rewrites=[], reload=False, q=(0, 1.0, "ulp", 0), alpha=0.6, beta=0.4, tau=-1.0, at=0,
+         k=4)
+@example(seed=1, rows=[((0, 1.0, "near", j), False) for j in range(8)], rewrites=[],
+         reload=False, q=(3, 1.0, "plain", 0), alpha=0.6, beta=0.4, tau="at", at=3, k=2)
+@example(seed=2, rows=[((0, 1e-150, "mixed", 0), False), ((1, 1e150, "tinier", 0), True)],
+         rewrites=[(0, None), (1, (3, 1e-155, "plain", 0))], reload=True,
+         q=(3, 1e150, "plain", 0), alpha=1e300, beta=0.0, tau="at", at=1, k=1)
+@example(seed=3, rows=[((0, 1e-160, "toward", j), False) for j in range(8)], rewrites=[],
+         reload=False, q=(1, 1e-160, "plain", 0), alpha=1.0, beta=0.0, tau=-1.0, at=0, k=2)
+def test_query_matches_a_scan_of_every_row_to_the_bit(
+    tmp_path_factory, seed, rows, rewrites, reload, q, alpha, beta, tau, at, k
+):
+    """``query`` returns what scoring every row in float64 returns: equal
+    lists, each score to the bit, through exact ties, duplicated rows, rows
+    one ulp apart and rows the screen cannot tell apart, zero and huge
+    weights, a tau above every score or at one, norms from 1e-160 to
+    1e152, entries near float32 underflow, and
+    dead rows left by rewrites, compaction and a load; and every screen is
+    the one formula of its row."""
+    assume(alpha + beta > 0)
+    np_rng = np.random.default_rng(seed)
+    # unit, so that a row's scale is its norm; the last at about 25 degrees
+    # from the first, so that rows near one differ at first order seen from the other
+    bases = [random_unit_vector(np_rng) for _ in range(3)]
+    bases.append(bases[0] + 0.45 * random_unit_vector(np_rng))
+    bases[3] /= np.linalg.norm(bases[3])
+    with mock.patch.object(store_module, "CHUNK_ROWS", 3):  # many chunks, early compaction
+        store = GraphStore()
+        for i, (row, linked) in enumerate(rows):
+            embedded_event(store, f"event:{i:02d}", shaped_row(bases, *row), edges=int(linked))
+        for i, row in rewrites:  # a new row, the old one dead; or no text, no row
+            event_id = f"event:{i % len(rows):02d}"
+            if row is None:
+                store.upsert_node(Node(event_id, NodeKind.EVENT, text=None,
+                                       embedding=store.get_node(event_id).embedding))
+            else:
+                store.upsert_node(Node(event_id, NodeKind.EVENT, text="again",
+                                       embedding=shaped_row(bases, *row)))
+        if reload:
+            path = tmp_path_factory.mktemp("screen") / "graph.json"
+            store.save(path)
+            store = GraphStore.load(path)
+        scoring = store.scoring_rows()
+        for chunk, screen, start in zip(scoring.chunks, scoring.screens,
+                                        range(0, len(scoring.ids), 3)):
+            want = screen_rows(chunk, scoring.norms[start : start + len(chunk)])
+            assert screen.tobytes() == want.tobytes()
+        qv = shaped_row(bases, *q)
+        if tau == "above":  # no score exceeds alpha + beta
+            tau = float(np.nextafter(float(alpha) + float(beta), np.inf))
+        elif tau == "at":  # a score that some row has exactly
+            every = full_scan_query(store, qv, HybridConfig(alpha, beta, -alpha - 1.0, 100))
+            tau = every[at % len(every)].hybrid_score if every else 0.0
+        cfg = HybridConfig(alpha=alpha, beta=beta, tau=tau, k=k)
+        got, want = query(store, qv, cfg), full_scan_query(store, qv, cfg)
+    assert got == want
+    assert score_bits(got) == score_bits(want)
 
 
 def test_query_holds_one_read_lock_against_writers(rng):
