@@ -229,8 +229,8 @@ def batch_embed(
     (read-only) goes to every node that holds it. If the store's vectors
     are this provider's, a text a node other than an event already holds
     a vector for is not sent again: the last such node's vector is reused,
-    as the read-only view of its row that ``held_vectors`` gives, so that
-    the nodes other than events with text share one row per text. A batch
+    as ``held_vectors`` gives it. The store gives a node its text's row
+    when written the bytes that row holds, so one row per text. A batch
     is the shortest run of these nodes, in store order, that holds
     ``batch_size`` texts neither held so nor embedded by an earlier batch;
     its nodes are written in that order under one writer lock. Each batch
@@ -248,13 +248,10 @@ def batch_embed(
     start = 0
     while start < len(eligible):
         fresh: dict[str, str] = {}  # the batch's new texts -> first node id holding each
-        held = set()  # the batch's texts embedded before it
         end = start
         while end < len(eligible) and len(fresh) < batch_size:
             node_id, _, text = eligible[end]
-            if text in unit:
-                held.add(text)
-            else:
+            if text not in unit:
                 fresh.setdefault(text, node_id)
             end += 1
         batch = eligible[start:end]
@@ -268,10 +265,6 @@ def batch_embed(
                 unit[text] = vector
             report.batches_issued += 1
             report.texts_sent += len(fresh)
-        # views of the rows held for them now, which the batch shares (the
-        # first batch has them from above)
-        if start and held and store.embedded_by == provider.identity:
-            unit.update(store.held_vectors(held))
         # one writer-lock hold per batch
         store.set_embeddings(((node_id, unit[text]) for node_id, _, text in batch),
                              provider.identity)

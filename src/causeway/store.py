@@ -19,7 +19,7 @@ linked when it has any. Reads build ``Node`` and ``Edge`` values:
 changing one changes nothing stored, and every vector a read gives is a
 read-only view of a row never written again. A vector is copied into its
 row when written. Nodes other than events with text share a row when one
-write gives them one read-only array, or one is given a read's view of it.
+write gives them one read-only array, or they hold one text and equal bytes.
 Many readers or one writer: one ``insert`` writes any number of nodes and
 edges under one write lock, and one ``event_texts`` reads the texts of
 any number of events (a query's results) under one read lock.
@@ -302,11 +302,10 @@ _EDGE_COLUMNS = {"src": {int}, "dst": {int}, "kind": {str}}
 # a kind's code is its index here; the columns are checked and built on codes
 _NODE_KINDS = tuple(NodeKind)
 _EDGE_KINDS = tuple(EdgeKind)
-# a kind's code by its value, as a snapshot holds it, and by the kind itself
+# a kind's code by its value, as a snapshot holds it; a kind, a str enum,
+# hashes and compares as its value, so it finds its code here too
 _NODE_CODES = {kind.value: code for code, kind in enumerate(_NODE_KINDS)}
 _EDGE_CODES = {kind.value: code for code, kind in enumerate(_EDGE_KINDS)}
-_NODE_CODE = {kind: code for code, kind in enumerate(_NODE_KINDS)}
-_EDGE_CODE = {kind: code for code, kind in enumerate(_EDGE_KINDS)}
 _EVENT = _NODE_CODES[NodeKind.EVENT.value]
 # per edge kind code, the node kind code its source and its destination must have
 _WANT_SRC, _WANT_DST = (
@@ -710,7 +709,7 @@ class GraphStore:
         self._vec_count = 0  # rows of _vecs in use, each never written again; the rest is room
         self._vec_row = np.empty(0, dtype=np.int64)  # the node's row of _vecs, else -1
         # text -> the last node other than an event with that text and a
-        # vector; None once a write may have removed one, until held_vectors
+        # vector; None once a write may have removed one, until _holders
         self._holder: dict[str | None, int] | None = {}
         self._row = np.empty(0, dtype=np.int64)  # the node's live scoring row, else -1
         self._degree = np.empty(0, dtype=np.int64)  # an event's edge count
@@ -800,7 +799,7 @@ class GraphStore:
                 i = index[node.id] = len(ids)
                 ids.append(node.id)
                 texts.append(node.text)
-                codes.append(_NODE_CODE[node.kind])
+                codes.append(_NODE_CODES[node.kind])
                 if place is None:  # nothing to write
                     continue
             else:
@@ -871,15 +870,20 @@ class GraphStore:
 
     def _write(self, writes: list, checks: list, embedded_by: str | None) -> None:
         """Write each (node number, place in ``checks`` or None) of ``writes``;
-        an old row is only marked dead, and a place's nodes share a row."""
+        an old row is only marked dead. A node bound for ``_vecs`` shares its
+        text's row if that holds its vector, else its place's new row."""
         numbers = [i for i, _ in writes]
+        texts = self._texts
+        holder = self._holders() if embedded_by is not None else self._holder or {}
+        # each written text's row, that of its holder, read before the rows are reset
+        before = {texts[i]: int(self._vec_row[holder[texts[i]]]) for i, place in writes
+                  if place is not None and texts[i] in holder}
         had = dict(zip(numbers, self._has_vector(numbers).tolist()))  # a vector, as the call goes
         old = self._row[list(had)]  # a node named twice has its row killed once
         old = old[old >= 0]
         self._alive[old] = False
         self._live_rows -= len(old)
         self._row[numbers] = self._vec_row[numbers] = -1
-        texts = self._texts
         events = (self._kinds[numbers] == _EVENT).tolist()
         fresh, held = {}, {}  # number -> place of a new scoring row or _vecs row, by last write
         for (i, place), event in zip(writes, events):
@@ -902,24 +906,20 @@ class GraphStore:
             vectors, norms = zip(*map(checks.__getitem__, fresh.values()))
             self._append_rows(list(fresh), np.array(vectors), norms, np.arange(len(fresh)))
         if held:  # a full _vecs grows into a new array; the old one is never written again
-            origin = self._vecs.ctypes.data
-            on = {place: self._row_of(checks[place][0], origin) for place in set(held.values())}
-            new = [place for place, row in on.items() if row < 0]
+            pairs = [(before.get(texts[i], -1), place) for i, place in held.items()]
+            rows, new = {}, {}  # (text's row, place) -> the nodes' row; place -> its new row
+            for row, place in dict.fromkeys(pairs):
+                # to the byte, so that 0.0 and -0.0 stay apart
+                if row >= 0 and self._vecs[row].tobytes() == checks[place][0].tobytes():
+                    rows[row, place] = row
+                else:
+                    rows[row, place] = new.setdefault(place, self._vec_count + len(new))
             (self._vecs,) = _room((self._vecs,), (0.0,), self._vec_count + len(new))
-            for place in new:
-                self._vecs[self._vec_count] = checks[place][0]
-                on[place] = self._vec_count
-                self._vec_count += 1
-            self._vec_row[list(held)] = list(map(on.__getitem__, held.values()))
+            for place, row in new.items():
+                self._vecs[row] = checks[place][0]
+            self._vec_count += len(new)
+            self._vec_row[list(held)] = list(map(rows.__getitem__, pairs))
         self._compact_if_sparse()
-
-    def _row_of(self, vector: np.ndarray, origin: int) -> int:
-        """The row of ``_vecs`` (data at ``origin``) that the checked ``vector``
-        views, else -1: reads give whole rows, and a check keeps a C-contiguous
-        float64 array as it came but copies any other view."""
-        if vector.base is not self._vecs:
-            return -1
-        return (vector.ctypes.data - origin) // _ROW_BYTES
 
     def _has_vector(self, which) -> np.ndarray:
         """Whether each of nodes ``which`` (a slice or numbers) has a vector."""
@@ -998,7 +998,7 @@ class GraphStore:
             n = len(self._ids)
             if kind is None:
                 return list(map(self._node, range(n)))
-            numbers = np.flatnonzero(self._kinds[:n] == _NODE_CODE[kind])
+            numbers = np.flatnonzero(self._kinds[:n] == _NODE_CODES[kind])
             return list(map(self._node, numbers.tolist()))
 
     def embedded_ids(self) -> list[str]:
@@ -1021,19 +1021,25 @@ class GraphStore:
     def held_vectors(self, texts) -> dict[str, np.ndarray]:
         """For each of ``texts`` that a node other than an event holds a
         vector for, the vector of the last such node in insertion order, a
-        read-only view of its row, which a write given it shares. The writers
-        keep that node per text, so a call costs what it asks; after a load,
-        or a write that took a vector or a text from such a node, one call
-        finds them all again."""
+        read-only view of its row; a node of that text written those bytes
+        shares the row. The writers keep that node per text, so a call costs
+        what it asks; after a load, or a write that took a vector or a text
+        from such a node, one call finds them all again."""
         with self.lock.read():
-            holder = self._holder
-            if holder is None:
-                n = len(self._ids)
-                numbers = np.flatnonzero((self._vec_row[:n] >= 0) & (self._kinds[:n] != _EVENT))
-                numbers = numbers.tolist()
-                # readers that race here each build the same map
-                holder = self._holder = dict(zip(map(self._texts.__getitem__, numbers), numbers))
+            holder = self._holders()
             return {text: self._node(holder[text]).embedding for text in texts if text in holder}
+
+    def _holders(self) -> dict[str | None, int]:
+        """``_holder``, found again from the columns if a write cleared it;
+        the caller holds the lock."""
+        holder = self._holder
+        if holder is None:
+            n = len(self._ids)
+            numbers = np.flatnonzero((self._vec_row[:n] >= 0) & (self._kinds[:n] != _EVENT))
+            numbers = numbers.tolist()
+            # readers that race here each build the same map
+            holder = self._holder = dict(zip(map(self._texts.__getitem__, numbers), numbers))
+        return holder
 
     # --- edges ---
 
@@ -1047,7 +1053,7 @@ class GraphStore:
         src, dst, codes, events = [], [], [], []
         for edge in edges:
             ends = index[edge.src], index[edge.dst]
-            code = _EDGE_CODE[edge.kind]
+            code = _EDGE_CODES[edge.kind]
             event, other = ends if _EVENT_AT_SRC[code] else ends[::-1]
             since = written.get(event)
             if since is None:

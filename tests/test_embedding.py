@@ -534,6 +534,66 @@ def test_the_batches_of_one_embed_share_one_row_per_text(provider):
     assert all(np.shares_memory(vector, first) for vector in others)
 
 
+def spread_records(prefix: str, n: int, causes: int, effects: int) -> list[dict]:
+    """``n`` records of their own event texts, whose cause, trigger and
+    effect texts repeat every ``causes``, 8 and ``effects`` records."""
+    return [{"id": f"{prefix}{i}", "tagged_text": (
+        f"<cause>cause {i % causes}</cause> <trigger>trigger {i % 8}</trigger> "
+        f"<effect>effect {i % effects}</effect> in {prefix}{i}"
+    )} for i in range(n)]
+
+
+def saved_bytes(store: GraphStore, path) -> bytes:
+    store.save(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", ["batches", "provider-change", "rounds"])
+def test_a_store_holds_one_row_per_distinct_span_vector(tmp_path, case):
+    """Nodes other than events share one row of the store's other vectors
+    per distinct vector, whichever way they were embedded, and the store
+    saves what one built in one process does."""
+    provider = mock_provider(0)
+    store = GraphStore()
+    if case == "batches":  # the first batch of the second embed grows the array
+        first = span_records(random.Random(5), "a", 30)
+        ingest_corpus(first, store)
+        batch_embed(store, provider, batch_size=100)  # one write, of an array just as long
+        assert store._vec_count == len(store._vecs)
+        later = spread_records("b", 40, 5, 20)  # "effect 0" to "effect 19" are held already
+        ingest_corpus(later, store)
+        batch_embed(store, provider, batch_size=8)
+        records = first + later
+    elif case == "provider-change":
+        # more span texts than a chunk has rows, so that the write clearing
+        # them drops their rows
+        records = spread_records("a", 300, 300, 250)
+        ingest_corpus(records, store)
+        batch_embed(store, mock_provider(1))
+        clean_embeddings(store)
+        assert store._vec_count == 0
+        batch_embed(store, provider, batch_size=16)
+    else:
+        parts = [span_records(random.Random(5), "a", 30), spread_records("b", 40, 5, 20),
+                 spread_records("c", 40, 7, 30)]
+        for r, part in enumerate(parts):
+            if r:
+                store = GraphStore.load(tmp_path / "round.json")
+            ingest_corpus(part, store)
+            batch_embed(store, provider, batch_size=16)
+            store.save(tmp_path / "round.json")
+        records = [record for part in parts for record in part]
+    distinct = {n.embedding.tobytes() for n in store.nodes() if n.kind is not NodeKind.EVENT}
+    assert store._vec_count == len(distinct)
+    reference = GraphStore()
+    ingest_corpus(records, reference)
+    batch_embed(reference, provider)
+    assert reference._vec_count == len(distinct)
+    assert saved_bytes(store, tmp_path / "store.json") == saved_bytes(
+        reference, tmp_path / "reference.json"
+    )
+
+
 def test_set_embeddings_checks_each_shared_array_once(provider, monkeypatch):
     from causeway import store as store_module
 

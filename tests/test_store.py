@@ -667,13 +667,28 @@ def test_save_tells_vectors_apart_by_their_bytes(tmp_path):
 
 
 def test_a_view_a_read_returned_shares_its_row_when_written():
+    """Written to a node of its text: a node shares its text's row when
+    written that row's bytes, as a read's view or as an equal copy; a node
+    of another text gets a row of its own."""
     store = GraphStore()
     vector = random_unit_vector(np.random.default_rng(3))
+    vector[5] = 0.0
     store.upsert_node(Node("cause:0", NodeKind.CAUSE, "a", vector))
     store.upsert_node(Node("cause:1", NodeKind.CAUSE, "b"))
+    store.upsert_node(Node("cause:2", NodeKind.CAUSE, "a"))
     held = store.get_node("cause:0").embedding
+    store.set_embeddings([("cause:2", held)], "provider")
+    store.set_embedding("cause:2", None)  # the last holder of "a" loses its vector
+    store.set_embeddings([("cause:2", held.copy())], "provider")  # an equal copy
+    assert np.shares_memory(store.get_node("cause:2").embedding, held)
+    assert store._vec_count == 1
+    negative = held.copy()
+    negative[5] = -0.0  # equal, but not to the byte
+    store.set_embeddings([("cause:2", negative)], "provider")
+    assert store.get_node("cause:2").embedding.tobytes() == negative.tobytes()
     store.set_embedding("cause:1", held)
-    assert np.shares_memory(store.get_node("cause:1").embedding, held)
+    got = store.get_node("cause:1").embedding
+    assert not np.shares_memory(got, held) and got.tobytes() == held.tobytes()
     # anything but a whole row of the store, as a read gives it, is copied
     # into a row of its own, even another view of a row's memory
     for make in (np.copy, lambda v: v[::-1], lambda v: np.broadcast_to(v[:1], v.shape),
