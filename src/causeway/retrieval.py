@@ -9,10 +9,10 @@ Events with H(e) >= tau are ranked by descending score (ties broken by
 ascending event id) and the top k are returned with their collected
 neighbor texts. The scan is exhaustive and exact: desk-scale corpora make
 approximate indexes unnecessary. It runs over the store's scoring rows
-as whole arrays, one chunk of rows at a time: a float32 screen of every
-row, whose error has a proven bound, then float64 scores for the rows the
-bound leaves able to reach the top k (the refine step of exact
-re-ranking; Johnson, Douze and Jegou, arXiv:1702.08734).
+as whole arrays: a float32 screen of every row in one product, whose
+error has a proven bound, then float64 scores for the rows the bound
+leaves able to reach the top k, gathered by one index (the refine step
+of exact re-ranking; Johnson, Douze and Jegou, arXiv:1702.08734).
 """
 
 from __future__ import annotations
@@ -174,9 +174,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     H_j ≥ K̃ - M: k rows score strictly more than it, and reach τ if it
     does. Rounding to nearest is monotonic, so a float at least τ - M is
     at least its rounding, and computing the thresholds loosens no test.
-    Only the survivors are scored in float64, by the ``einsum`` of a scan
-    of every row (a gathered row gives the bits of its whole chunk), and
-    the selection on them returns what the selection on every row would.
+    Only the survivors are scored in float64, gathered by one index of the
+    scoring rows, by the ``einsum`` of a scan of every row (a gathered row
+    gives the bits it gives in the whole array), and the selection on them
+    returns what the selection on every row would.
     """
     qv, q_norm = check_embedding(q)
     low, high = _TAME
@@ -184,13 +185,8 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     with store.lock.read():
         rows = store.scoring_rows()
         n = len(rows.ids)
-        screen_dots = np.empty(n, dtype=np.float32)
-        q_screen = screen_rows(qv, q_norm)
-        start = 0
-        for screen in rows.screens:
-            # any BLAS kernel will do: only the error bound is relied on
-            np.matmul(screen, q_screen, out=screen_dots[start : start + len(screen)])
-            start += len(screen)
+        # any BLAS kernel will do: only the error bound is relied on
+        screen_dots = np.matmul(rows.screens, screen_rows(qv, q_norm))
         screened = hybrid_score(np.clip(screen_dots, -1.0, 1.0, out=np.empty(n)), rows.linked, cfg)
         margin = _margin(cfg)
         # the rows the margin holds for; every other row survives
@@ -201,15 +197,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
             top = screened[survivors[sure]]
             kth = float(np.partition(top, len(top) - cfg.k)[len(top) - cfg.k])
             survivors = survivors[(screened[survivors] >= kth - 2 * margin) | ~sure]
-        # the chunk height the store made: the first chunk is full unless it
-        # is the only one
-        size = len(rows.chunks[0]) if rows.chunks else 1
-        kept = survivors.tolist()
-        vectors = [rows.chunks[row // size][row % size] for row in kept]
         # einsum, not a BLAS matvec: OpenBLAS gives identical rows
         # last-bit-different dots depending on their position, which would
         # break exact ties and so the ascending-id tie-break
-        dots = np.einsum("ij,j->i", np.array(vectors).reshape(-1, EMBEDDING_DIM), qv)
+        dots = np.einsum("ij,j->i", rows.vectors[survivors], qv)
         sims = np.clip(dots / (rows.norms[survivors] * q_norm), -1.0, 1.0)
         linked = rows.linked[survivors]
         scores = hybrid_score(sims, linked, cfg)
@@ -220,7 +211,7 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
             kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
             candidates = candidates[top >= kth]
         # a Python sort on the ids: numpy string arrays drop trailing NULs
-        ids = [rows.ids[row] for row in kept]
+        ids = [rows.ids[row] for row in survivors.tolist()]
         best = sorted(candidates.tolist(), key=lambda r: (-scores[r], ids[r]))[: cfg.k]
         texts = store.event_texts([ids[r] for r in best])
         return [

@@ -43,18 +43,20 @@ record, with the refusal of the first check that flags it. Versions 1 to
 3, JSON documents alone or beside a vector file, are refused: such a
 store is built again by ``ingest`` and ``embed``.
 
-Every event with both text and an embedding owns one scoring row in a
-fixed-size chunk: its vector, the vector's norm, a linked bit (the event
-has a causal edge) and an alive flag; a read gives its ``embedding`` as a
-read-only view of the row. Beside each float64 chunk a float32 chunk holds
-each row's screen, the vector divided by its norm (``screen_rows``), with
-which ``retrieval.query`` screens every row before it scores in float64
-the few that can reach the top k: half the bytes per row scanned, for
-+50 % of the scoring rows' memory. One bulk append writes every row and
-its screen in one pass, for a write, a load and a compaction alike. A new
-vector gets a new row and only marks the old one dead, so a view a caller
-holds never changes; once dead rows outnumber the live ones by a chunk,
-the live ones are appended afresh.
+Every event with both text and an embedding owns one scoring row: its
+vector, a row of one float64 array, the vector's norm, a linked bit (the
+event has a causal edge) and an alive flag; a read gives its
+``embedding`` as a read-only view of the row. A float32 array beside it
+holds each row's screen, the vector divided by its norm (``screen_rows``),
+with which ``retrieval.query`` screens every row in one product before it
+scores in float64 the few that can reach the top k: half the bytes per
+row scanned, for +50 % of the scoring rows' memory. Every column grows by
+doubling (``_room``), the room of a vector array never written. One bulk
+append writes every row and its screen, for a write and a load alike. A
+new vector gets a new row and only marks the old one dead; growth and
+compaction (once dead rows outnumber the live ones by ``CHUNK_ROWS``)
+make new arrays, so a view a caller holds never changes, and pins the
+whole array it was read from.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
 import operator
 import os
 import threading
@@ -85,7 +88,9 @@ from causeway.errors import (
 )
 
 EMBEDDING_DIM = 384
-# scoring rows per chunk: 512 x 384 float64 is 1.5 MB
+# compaction comes once dead scoring rows outnumber the live ones by this
+# many (so too the rows of _vecs no node holds); save writes this many
+# rows in one block
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
@@ -211,15 +216,17 @@ class Edge(NamedTuple):
 class ScoringRows:
     """A store's scoring rows, valid while the caller holds ``store.lock.read()``.
 
-    ``chunks`` hold the vectors of rows ``0 .. len(ids) - 1`` in order, and
-    ``screens`` their ``screen_rows`` in float32, chunk for chunk;
-    ``norms``, ``linked`` and ``alive`` have one entry per row. A dead row
-    keeps its id and vector until compaction drops it.
+    ``vectors`` holds the vectors of rows ``0 .. len(ids) - 1`` in order,
+    ``screens`` their ``screen_rows`` in float32, and ``norms``, ``linked``
+    and ``alive`` one entry per row, each a read-only view of the store's
+    array. Once appended, a row changes only its alive flag and linked bit,
+    in place, when it dies or its event gains an edge; a dead row keeps its
+    id and vector until compaction drops it.
     """
 
     ids: list[str]
-    chunks: list[np.ndarray]
-    screens: list[np.ndarray]
+    vectors: np.ndarray
+    screens: np.ndarray
     norms: np.ndarray
     linked: np.ndarray
     alive: np.ndarray
@@ -670,17 +677,33 @@ def _write_atomic(path: Path, write) -> None:
         raise
 
 
-def _room(arrays: tuple, fills: tuple, n: int) -> tuple:
-    """``arrays``, each with room for ``n`` entries: as they are, or grown to
-    at least twice their length, each new entry its array's ``fills`` value."""
+def _unwritten(shape: tuple, dtype) -> np.ndarray:
+    """A new array of ``shape`` in pages of its own: each takes no memory
+    until written, and all go back to the system with the array's last
+    view, where a freed heap block would stay resident."""
+    count = math.prod(shape)
+    pages = mmap.mmap(-1, count * np.dtype(dtype).itemsize)
+    return np.frombuffer(pages, dtype, count).reshape(shape)
+
+
+def _room(arrays: tuple, fills: tuple, used: int, n: int) -> tuple:
+    """``arrays``, each with room for ``n`` entries: as they are, or new
+    arrays of at least twice their length holding their first ``used``
+    entries, each later entry its array's ``fills`` value. For a fill of
+    None (vectors) the room is never written: an array with room is
+    ``_unwritten``, one without (as a load makes) reuses the heap."""
     size = len(arrays[0])
     if n <= size:
         return arrays
-    more = max(n, 2 * size) - size
-    return tuple(
-        np.concatenate((a, np.full((more, *a.shape[1:]), fill, a.dtype)))
-        for a, fill in zip(arrays, fills)
-    )
+    length, grown = max(n, 2 * size), []
+    for a, fill in zip(arrays, fills):
+        shape = (length, *a.shape[1:])
+        b = _unwritten(shape, a.dtype) if fill is None and length > n else np.empty(shape, a.dtype)
+        b[:used] = a[:used]
+        if fill is not None:
+            b[used:] = fill
+        grown.append(b)
+    return tuple(grown)
 
 
 class GraphStore:
@@ -725,11 +748,11 @@ class GraphStore:
         self._loaded = np.empty(0, dtype=np.int64)
         self._loaded_start = np.zeros(1, dtype=np.int64)
         self._written: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        # scoring rows in write order, CHUNK_ROWS per chunk, each chunk's
-        # screen beside it; dead rows stay (alive False) until
+        # scoring rows in write order, the first len(_row_ids) of each
+        # column, the rest room; dead rows stay (alive False) until
         # _compact_if_sparse copies the live ones out
-        self._chunks: list[np.ndarray] = []
-        self._screens: list[np.ndarray] = []
+        self._scoring = np.empty((0, EMBEDDING_DIM))
+        self._screens = np.empty((0, EMBEDDING_DIM), dtype=np.float32)
         self._row_ids: list[str] = []
         self._row_node = np.empty(0, dtype=np.int64)
         self._norms = np.empty(0)
@@ -811,7 +834,7 @@ class GraphStore:
         if len(ids) > first:
             self._kinds, self._has_text, self._vec_row, self._row, self._degree = _room(
                 (self._kinds, self._has_text, self._vec_row, self._row, self._degree),
-                (0, False, -1, -1, 0), len(ids),
+                (0, False, -1, -1, 0), first, len(ids),
             )
             self._kinds[first : len(ids)] = codes
             self._has_text[first : len(ids)] = [text is not None for text in texts[first:]]
@@ -833,10 +856,8 @@ class GraphStore:
 
     def _node(self, i: int) -> Node:
         """Node ``i`` as a new ``Node``; the caller holds the read lock."""
-        row = self._row[i]
-        if row >= 0:
-            size = len(self._chunks[0])  # CHUNK_ROWS as the chunks were made
-            vector = self._chunks[row // size][row % size]
+        if self._row[i] >= 0:
+            vector = self._scoring[self._row[i]]
         else:
             vector = self._vecs[self._vec_row[i]] if self._vec_row[i] >= 0 else None
         if vector is not None:
@@ -914,7 +935,8 @@ class GraphStore:
                     rows[row, place] = row
                 else:
                     rows[row, place] = new.setdefault(place, self._vec_count + len(new))
-            (self._vecs,) = _room((self._vecs,), (0.0,), self._vec_count + len(new))
+            (self._vecs,) = _room((self._vecs,), (None,), self._vec_count,
+                                  self._vec_count + len(new))
             for place, row in new.items():
                 self._vecs[row] = checks[place][0]
             self._vec_count += len(new)
@@ -930,25 +952,15 @@ class GraphStore:
         no live row: vector ``vectors[rows[i]]``, norm ``norms[i]``, and
         the row's screen beside it."""
         start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
-        more = -(-end // CHUNK_ROWS) * CHUNK_ROWS - len(self._alive)  # rows of new chunks
-        if more > 0:
-            shape, new = (CHUNK_ROWS, EMBEDDING_DIM), range(more // CHUNK_ROWS)
-            self._chunks += [np.empty(shape) for _ in new]
-            self._screens += [np.empty(shape, np.float32) for _ in new]
-            self._norms, self._linked, self._alive, self._row_node = (
-                np.concatenate((a, np.zeros(more, a.dtype)))
-                for a in (self._norms, self._linked, self._alive, self._row_node)
-            )
+        (self._scoring, self._screens, self._norms, self._linked, self._alive,
+         self._row_node) = _room(
+            (self._scoring, self._screens, self._norms, self._linked, self._alive, self._row_node),
+            (None, None, 0.0, False, False, 0), start, end,
+        )
         self._norms[start:end] = norms
-        at, first = start, start // CHUNK_ROWS
-        for chunk, screen in zip(self._chunks[first:], self._screens[first:]):
-            place = slice(at % CHUNK_ROWS, at % CHUNK_ROWS + end - at)
-            part = chunk[place]
-            mine = slice(at - start, at - start + len(part))
-            # one copy straight into the chunk; every index is a row of ``vectors``
-            np.take(vectors, rows[mine], axis=0, out=part, mode="clip")
-            screen_rows(part, self._norms[at : at + len(part)], out=screen[place])
-            at += len(part)
+        # one copy straight into the array; every index is a row of ``vectors``
+        np.take(vectors, rows, axis=0, out=self._scoring[start:end], mode="clip")
+        screen_rows(self._scoring[start:end], self._norms[start:end], out=self._screens[start:end])
         numbers = np.asarray(numbers, dtype=np.int64)
         self._linked[start:end] = self._degree[numbers] > 0
         self._alive[start:end] = True
@@ -958,10 +970,11 @@ class GraphStore:
         self._row_ids += map(self._ids.__getitem__, numbers.tolist())
 
     def _compact_if_sparse(self) -> None:
-        """Once dead rows outnumber the live ones by a chunk, rebuild the rows
-        from the live ones as a load builds them, one append per old chunk:
-        so the row count stays below twice the live rows plus one chunk; so too
-        ``_vecs``, from the rows nodes hold. Old arrays live on only in views."""
+        """Once dead rows outnumber the live ones by ``CHUNK_ROWS``, index
+        each scoring column with the live rows, screens copied, as a screen
+        is a function of its row and norm alone: so the row count stays
+        below twice the live rows plus ``CHUNK_ROWS``; so too ``_vecs``,
+        from the rows nodes hold. Old arrays live on only in views."""
         if self._vec_count - 2 * (self._embedded - self._live_rows) > CHUNK_ROWS:
             held = self._vec_row >= 0  # room past the nodes holds -1
             kept, self._vec_row[held] = np.unique(self._vec_row[held], return_inverse=True)
@@ -969,27 +982,22 @@ class GraphStore:
         if len(self._row_ids) - 2 * self._live_rows < CHUNK_ROWS:
             return
         live = np.flatnonzero(self._alive[: len(self._row_ids)])
-        chunks, nodes, norms = self._chunks, self._row_node, self._norms
-        self._chunks, self._screens, self._row_ids, self._live_rows = [], [], [], 0
-        self._norms, self._linked, self._alive, self._row_node = (
-            a[:0] for a in (norms, self._linked, self._alive, nodes)
+        self._scoring, self._screens, self._norms, self._linked, self._alive, self._row_node = (
+            a[live] for a in (self._scoring, self._screens, self._norms, self._linked,
+                              self._alive, self._row_node)
         )
-        ends = np.searchsorted(live, np.arange(1, len(chunks)) * CHUNK_ROWS)
-        for chunk, rows in zip(chunks, np.split(live, ends)):
-            self._append_rows(nodes[rows], chunk, norms[rows], rows % CHUNK_ROWS)
+        self._row_ids = list(map(self._row_ids.__getitem__, live.tolist()))
+        self._row[self._row_node] = np.arange(len(live))
 
     def scoring_rows(self) -> ScoringRows:
         """The scoring rows as arrays, for retrieval to score in bulk."""
         with self.lock.read():
             n = len(self._row_ids)
-            return ScoringRows(
-                ids=self._row_ids,
-                chunks=[c[: n - i * CHUNK_ROWS] for i, c in enumerate(self._chunks)],
-                screens=[s[: n - i * CHUNK_ROWS] for i, s in enumerate(self._screens)],
-                norms=self._norms[:n],
-                linked=self._linked[:n],
-                alive=self._alive[:n],
-            )
+            views = [a[:n] for a in (self._scoring, self._screens, self._norms, self._linked,
+                                     self._alive)]
+            for view in views:
+                view.flags.writeable = False
+            return ScoringRows(self._row_ids, *views)
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         """Every node, or every node of ``kind``, in insertion order, each a
@@ -1069,7 +1077,7 @@ class GraphStore:
             return
         m, end = self._edge_count, self._edge_count + len(events)
         self._src, self._dst, self._edge_kinds = _room(
-            (self._src, self._dst, self._edge_kinds), (0, 0, 0), end
+            (self._src, self._dst, self._edge_kinds), (0, 0, 0), m, end
         )
         self._src[m:end], self._dst[m:end], self._edge_kinds[m:end] = src, dst, codes
         self._edge_count = end
@@ -1205,8 +1213,8 @@ class GraphStore:
                 "kind": list(map(_EDGE_KINDS.__getitem__, self._edge_kinds[:m].tolist())),
             }
             # rows are written once and a vector is replaced, not changed, so
-            # the chunks still hold this view's vectors after the lock
-            chunks = list(self._chunks)
+            # the array still holds this view's vectors after the lock
+            scoring = self._scoring
             embedded_by = self._embedded_by
         shape = (len(live) + len(others), EMBEDDING_DIM)
         payload = {
@@ -1220,10 +1228,9 @@ class GraphStore:
         def write(f) -> None:
             header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
             np.lib.format.write_array_header_1_0(f, header)
-            # the live rows (ascending) of each chunk, then the other vectors
-            bounds = np.searchsorted(live, np.arange(len(chunks) + 1) * CHUNK_ROWS)
-            for chunk, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-                f.write(chunk[live[lo:hi] % CHUNK_ROWS])
+            # the live rows, ascending, CHUNK_ROWS to a block, then the other vectors
+            for at in range(0, len(live), CHUNK_ROWS):
+                f.write(scoring[live[at : at + CHUNK_ROWS]])
             f.write(others)
             # encoded once the vector blocks are written, so that its text and
             # a block are not held at once

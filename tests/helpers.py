@@ -193,14 +193,12 @@ def store_state(store: GraphStore) -> tuple:
     the bit: the nodes, every scoring row (dead ones too), ``embedded_by``
     and stats."""
     rows = store.scoring_rows()
-    n = len(rows.ids)
     return (
         [(node.id, node.kind, node.text,
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
         list(rows.ids),
-        b"".join(chunk.tobytes() for chunk in rows.chunks),
-        b"".join(screen.tobytes() for screen in rows.screens),
-        rows.norms[:n].tobytes(), rows.linked[:n].tobytes(), rows.alive[:n].tobytes(),
+        rows.vectors.tobytes(), rows.screens.tobytes(),
+        rows.norms.tobytes(), rows.linked.tobytes(), rows.alive.tobytes(),
         store.embedded_by,
         store.stats().as_dict(),
     )
@@ -244,12 +242,12 @@ class ReferenceGraph:
         """The live rows alone: ids, vectors, screens, norms and linked bits."""
         linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
         vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
-        chunk = np.array(vectors).reshape(-1, EMBEDDING_DIM)
+        stack = np.array(vectors).reshape(-1, EMBEDDING_DIM)
         norms = np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64)
         return ScoringRows(
             ids=list(self.row_order),
-            chunks=[chunk],
-            screens=[screen_rows(chunk, norms)],
+            vectors=stack,
+            screens=screen_rows(stack, norms),
             norms=norms,
             linked=np.array([node_id in linked for node_id in self.row_order], dtype=bool),
             alive=np.ones(len(vectors), dtype=bool),

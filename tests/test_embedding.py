@@ -565,7 +565,7 @@ def test_a_store_holds_one_row_per_distinct_span_vector(tmp_path, case):
         batch_embed(store, provider, batch_size=8)
         records = first + later
     elif case == "provider-change":
-        # more span texts than a chunk has rows, so that the write clearing
+        # more span texts than CHUNK_ROWS, so that the write clearing
         # them drops their rows
         records = spread_records("a", 300, 300, 250)
         ingest_corpus(records, store)

@@ -258,9 +258,10 @@ def test_query_matches_bruteforce_oracle(rng):
             assert r.structural_score == w[3]
 
 
-def test_query_ties_exactly_across_chunk_positions():
-    # one vector at rows 0, 1, 511, 512, 513 and 1500: chunk starts, ends and
-    # a partial chunk's last row, where a BLAS matvec rounds differently
+def test_query_ties_exactly_across_row_positions():
+    # one vector at rows 0, 1, 511, 512, 513 and 1500: the first rows, rows
+    # on either side of a 512-row block's edge and the last row, where a
+    # BLAS matvec rounds differently
     tie_rows = (0, 1, 511, 512, 513, 1500)
     tie_ids = {row: f"event:tie{5 - i}" for i, row in enumerate(tie_rows)}
     np_rng = np.random.default_rng(29)
@@ -272,7 +273,7 @@ def test_query_ties_exactly_across_chunk_positions():
         event_id = tie_ids.get(row, f"event:{row:04d}")
         embedding = vec if row in tie_ids else random_unit_vector(np_rng)
         store.upsert_node(Node(event_id, NodeKind.EVENT, text="t", embedding=embedding))
-        if row in (1500, 1599):  # 1501 rows end a partial chunk on a tie
+        if row in (1500, 1599):  # 1501 rows end on a tie
             assert [store.scoring_rows().ids[r] for r in tie_rows] == list(tie_ids.values())
             results = query(store, q, cfg)
             assert [r.event_id for r in results] == sorted(tie_ids.values())
@@ -303,7 +304,7 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
     store = GraphStore()
     events: list[str] = []
     cfg = HybridConfig(tau=tau, k=k)
-    with mock.patch.object(store_module, "CHUNK_ROWS", 2):  # many chunks, early compaction
+    with mock.patch.object(store_module, "CHUNK_ROWS", 2):  # early compaction
         for step in steps:
             op, args = step[0], step[1:]
             if op == "new":
@@ -357,11 +358,7 @@ def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalRe
 
     with store.lock.read():
         rows = store.scoring_rows()
-        dots = np.empty(len(rows.ids))
-        start = 0
-        for chunk in rows.chunks:
-            np.einsum("ij,j->i", chunk, qv, out=dots[start : start + len(chunk)])
-            start += len(chunk)
+        dots = np.einsum("ij,j->i", rows.vectors, qv)
         sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
         scores = hybrid_score(sims, rows.linked, cfg)
         candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
@@ -393,47 +390,39 @@ def score_bits(results) -> list[tuple[str, str]]:
     return [(r.hybrid_score.hex(), r.embedding_similarity.hex()) for r in results]
 
 
-def gathered(chunks, which) -> np.ndarray:
-    """Rows ``which`` of the scoring rows held in ``chunks``, copied into
-    one array; the first chunk is full unless it is the only one."""
-    size = len(chunks[0])
-    return np.array([chunks[r // size][r % size] for r in which]).reshape(-1, EMBEDDING_DIM)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    chunk_rows=st.sampled_from([1, 2, 3, 8]),
+    block_rows=st.sampled_from([1, 2, 3, 8]),
     n_events=st.integers(1, 40),
     k=st.integers(1, 20),
     picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
     scale=st.sampled_from([1e-150, 1e-39, 1.0, 1e39, 1e150]),
 )
-@example(seed=1, chunk_rows=512, n_events=1100, k=20, picks=[0, 511, 512, 1099], scale=1.0)
-def test_a_gathered_row_scores_the_bits_of_its_whole_chunk(
-    seed, chunk_rows, n_events, k, picks, scale
+@example(seed=1, block_rows=512, n_events=1100, k=20, picks=[0, 511, 512, 1099], scale=1.0)
+def test_a_gathered_row_scores_the_bits_of_the_whole_array(
+    seed, block_rows, n_events, k, picks, scale
 ):
     """The premise of the float64 rescore: ``einsum("ij,j->i")`` gives a row
-    the same bits whether it comes in its whole chunk or gathered, alone or
-    with rows of the same chunk or of others. Were a numpy build to break
-    this, exact ties would split by row position, so this test fails first."""
+    the same bits whether it comes in the whole array of scoring rows or
+    gathered, alone, with rows near it or far from it, or in a block of
+    ``block_rows`` consecutive rows. Were a numpy build to break this,
+    exact ties would split by row position, so this test fails first."""
     np_rng = np.random.default_rng(seed)
-    with mock.patch.object(store_module, "CHUNK_ROWS", chunk_rows):
-        store = GraphStore()
-        store.insert(
-            Node(f"event:{i}", NodeKind.EVENT, text="t",
-                 embedding=np_rng.standard_normal(EMBEDDING_DIM) * scale)
-            for i in range(n_events)
-        )
-        chunks = store.scoring_rows().chunks
+    store = GraphStore()
+    store.insert(
+        Node(f"event:{i}", NodeKind.EVENT, text="t",
+             embedding=np_rng.standard_normal(EMBEDDING_DIM) * scale)
+        for i in range(n_events)
+    )
+    vectors = store.scoring_rows().vectors
     q = np_rng.standard_normal(EMBEDDING_DIM) * scale
-    whole = np.concatenate([np.einsum("ij,j->i", chunk, q) for chunk in chunks])
-    across = [pick % n_events for pick in picks]  # from one chunk or several
-    size = len(chunks[0])
-    first = across[0] // size * size  # the first row of the chunk holding across[0]
-    whole_chunk = list(range(first, first + len(chunks[first // size])))
-    for which in ([across[0]], list(range(min(k, n_events))), across, whole_chunk):
-        got = np.einsum("ij,j->i", gathered(chunks, which), q)
+    whole = np.einsum("ij,j->i", vectors, q)
+    across = [pick % n_events for pick in picks]  # near one another or far apart
+    first = across[0] // block_rows * block_rows  # the first row of the block holding across[0]
+    block = list(range(first, min(first + block_rows, n_events)))
+    for which in ([across[0]], list(range(min(k, n_events))), across, block):
+        got = np.einsum("ij,j->i", vectors[which], q)
         assert got.tobytes() == whole[which].tobytes()
 
 
@@ -508,7 +497,7 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
     bases = [random_unit_vector(np_rng) for _ in range(3)]
     bases.append(bases[0] + 0.45 * random_unit_vector(np_rng))
     bases[3] /= np.linalg.norm(bases[3])
-    with mock.patch.object(store_module, "CHUNK_ROWS", 3):  # many chunks, early compaction
+    with mock.patch.object(store_module, "CHUNK_ROWS", 3):  # early compaction
         store = GraphStore()
         for i, (row, linked) in enumerate(rows):
             embedded_event(store, f"event:{i:02d}", shaped_row(bases, *row), edges=int(linked))
@@ -525,10 +514,8 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
             store.save(path)
             store = GraphStore.load(path)
         scoring = store.scoring_rows()
-        for chunk, screen, start in zip(scoring.chunks, scoring.screens,
-                                        range(0, len(scoring.ids), 3)):
-            want = screen_rows(chunk, scoring.norms[start : start + len(chunk)])
-            assert screen.tobytes() == want.tobytes()
+        want = screen_rows(scoring.vectors, scoring.norms)
+        assert scoring.screens.tobytes() == want.tobytes()
         qv = shaped_row(bases, *q)
         if tau == "above":  # no score exceeds alpha + beta
             tau = float(np.nextafter(float(alpha) + float(beta), np.inf))

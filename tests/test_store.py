@@ -335,7 +335,7 @@ def test_event_embedding_is_a_read_only_view_of_its_row():
     with pytest.raises(ValueError):
         held[0] = 1.0
     rows = store.scoring_rows()
-    assert np.shares_memory(held, rows.chunks[0])  # the row is the only copy
+    assert np.shares_memory(held, rows.vectors)  # the row is the only copy
     assert rows.norms[0] == pytest.approx(1.0)
 
     store.set_embedding("event:1", second)  # re-embed: a new row, the old one dead
@@ -358,6 +358,76 @@ def test_held_views_survive_compaction(provider):
     batch_embed(store, mock_provider(seed=1))
     assert all(np.array_equal(v, b) for v, b in zip(held, before))
     assert not np.array_equal(store.get_node("event:0").embedding, before[0])
+
+
+def test_scoring_rows_are_read_only_views(provider):
+    store = GraphStore()
+    for i in (1, 2):
+        small_event(store, f"event:{i}", f"text {i}")
+    batch_embed(store, provider)
+    before = store_state(store)
+    rows = store.scoring_rows()
+    for name in ("vectors", "screens", "norms", "linked", "alive"):
+        array = getattr(rows, name)
+        assert len(array) == 2
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    assert store_state(store) == before
+
+
+def test_growth_and_compaction_keep_every_held_view():
+    """Vectors, screens and norms read before writes that grow the scoring
+    arrays and ``_vecs`` into new arrays, twice and more, and then compact
+    both, keep their bytes (a row's alive flag and linked bit are marked in
+    place); after each write the store holds what the reference model holds."""
+    np_rng = np.random.default_rng(41)
+    store = GraphStore()
+    graph = ReferenceGraph(store)
+    held = []  # (view, its bytes when read)
+    bases = {"scoring": set(), "vecs": set()}  # the arrays the held views were read from
+
+    def write(nodes, edges=()):
+        store.insert(nodes, edges)
+        reference_insert(graph, nodes, edges)
+        assert store_state(store) == store_state(graph)
+        rows = store.scoring_rows()
+        bases["scoring"].add(id(rows.vectors.base))
+        views = [rows.vectors, rows.screens, rows.norms]
+        for node in store.nodes():
+            if node.embedding is not None:
+                views.append(node.embedding)
+                if node.kind is NodeKind.CAUSE:
+                    bases["vecs"].add(id(node.embedding.base))
+        held.extend((view, view.tobytes()) for view in views)
+        assert all(view.tobytes() == bytes_ for view, bytes_ in held)
+
+    with mock.patch.object(store_module, "CHUNK_ROWS", 2):
+        count = 0
+        for batch in (1, 1, 2, 4, 8, 16):  # each batch fills the arrays' room, then grows them
+            nodes, edges = [], []
+            for i in range(count, count + batch):
+                nodes.append(Node(f"event:{i}", NodeKind.EVENT, f"event {i}",
+                                  random_unit_vector(np_rng)))
+                nodes.append(Node(f"cause:{i}", NodeKind.CAUSE, f"cause {i}",
+                                  random_unit_vector(np_rng)))
+                if i % 3:
+                    edges.append(Edge(f"cause:{i}", f"event:{i}", EdgeKind.CAUSES))
+            write(nodes, edges)
+            count += batch
+        grown = {name: len(ids) for name, ids in bases.items()}
+        assert grown["scoring"] >= 3 and grown["vecs"] >= 3
+        assert len(store.scoring_rows().ids) == count
+        # three events in four lose their text and vector, so their rows
+        # die, and all causes but four their vector: both arrays compact in
+        # this one write
+        write([Node(f"event:{i}", NodeKind.EVENT) for i in range(count) if i % 4]
+              + [Node(f"cause:{i}", NodeKind.CAUSE, f"cause {i}") for i in range(count - 4)])
+    assert {name: len(ids) for name, ids in bases.items()} == {
+        name: n + 1 for name, n in grown.items()
+    }
+    rows = store.scoring_rows()
+    assert rows.alive.all() and len(rows.ids) == count // 4  # no dead row kept
+    assert store._vec_count == 4
 
 
 def test_a_read_node_is_a_copy_and_its_vector_is_read_only(provider):
@@ -434,7 +504,7 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
     ``einsum("ij,ij->i")`` over any C-contiguous stack holding it, so the
     norms a load takes from the whole vector file equal the writers' own."""
     rows = np.random.default_rng(seed).standard_normal((height + 3, EMBEDDING_DIM)) * scale
-    if kind == "rows":  # a view of some rows of a larger stack, as a scoring chunk gives
+    if kind == "rows":  # a view of some rows of a larger stack, as the scoring array gives
         rows = rows[2 : 2 + height]
     elif kind == "misaligned":  # data at an odd address
         buffer = np.empty(rows.nbytes + 1, dtype=np.uint8)[1:]
@@ -450,7 +520,7 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
 
 def held_rows_bound(store: GraphStore) -> int:
     """The most rows the store's array of vectors not in a scoring row may
-    hold: twice the nodes holding one, plus a chunk."""
+    hold: twice the nodes holding one, plus CHUNK_ROWS."""
     return 2 * (store.stats().total_embedded - len(live_row_ids(store))) + CHUNK_ROWS
 
 
@@ -794,7 +864,7 @@ def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
     seed=st.integers(0, 2**32 - 1),
     texts=st.sampled_from([1, 3, 10**6]),
 )
-@example(n_events=620, seed=1, texts=3)  # more than one chunk of rows
+@example(n_events=620, seed=1, texts=3)  # more live rows than save writes in one block
 @example(n_events=620, seed=2, texts=10**6)
 @example(n_events=620, seed=3, texts=3)
 def test_load_gives_the_store_the_public_writers_give(tmp_path_factory, n_events, seed, texts):
@@ -871,7 +941,7 @@ def writes_before_compaction(writer: str, per_call: int) -> int:
 
 @pytest.mark.parametrize("writer", ["insert", "set_embeddings"])
 def test_a_node_named_twice_in_one_call_does_not_bring_compaction_sooner(writer):
-    # a chunk of 4 rows: the store compacts once dead rows outnumber live ones by 4
+    # the store compacts once dead rows outnumber live ones by CHUNK_ROWS, here 4
     with mock.patch.object(store_module, "CHUNK_ROWS", 4):
         one_each = writes_before_compaction(writer, 1)
         assert one_each == 9  # 14 rows, 5 of them live
@@ -896,7 +966,7 @@ def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
     shared.flags.writeable = False  # one read-only array for many nodes, as batch_embed gives
     pool.append(shared)
     stores = []
-    # many chunks, so that one call's rows span several, and early compaction
+    # early compaction
     with mock.patch.object(store_module, "CHUNK_ROWS", 3):
         for _ in range(2):
             stores.append(written_store(n_events, seed, 3))
@@ -988,7 +1058,7 @@ def test_insert_writes_what_one_call_per_node_and_edge_writes(
     pool += [shared, np.zeros(EMBEDDING_DIM)]
     nodes = [Node(i, kind, text, None if v is None else pool[v]) for i, kind, text, v in call[0]]
     edges = call[1]
-    # many chunks, so that one call's rows span several, and early compaction
+    # early compaction
     with mock.patch.object(store_module, "CHUNK_ROWS", 3):
         one = written_store(n_events, seed, 3)
         each = ReferenceGraph(written_store(n_events, seed, 3))
