@@ -21,8 +21,10 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 
-from causeway.errors import BudgetTooSmallError, XmlCharacterError
+from causeway import store as store_module
+from causeway.errors import BudgetTooSmallError, UnknownIdError, XmlCharacterError
 from causeway.prompting import INSTRUCTIONS, OUTPUT_CONTRACT, PromptSpec, estimate_tokens
+from causeway.retrieval import HybridConfig, RetrievalResult, hybrid_score
 from causeway.store import (
     EMBEDDING_DIM,
     Edge,
@@ -188,20 +190,28 @@ def live_row_ids(store: GraphStore) -> list[str]:
     return [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive]
 
 
-def store_state(store: GraphStore) -> tuple:
+def store_state(store: GraphStore, live: bool = False) -> tuple:
     """Everything a node write can change, each vector, screen and norm to
-    the bit: the nodes, every scoring row (dead ones too), ``embedded_by``
-    and stats."""
+    the bit: the nodes, every scoring row (dead ones too, or with ``live``
+    the live ones alone, as a ``ReferenceGraph`` holds them),
+    ``embedded_by`` and stats."""
     rows = store.scoring_rows()
+    keep = rows.alive if live else slice(None)
     return (
         [(node.id, node.kind, node.text,
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
-        list(rows.ids),
-        rows.vectors.tobytes(), rows.screens.tobytes(),
-        rows.norms.tobytes(), rows.linked.tobytes(), rows.alive.tobytes(),
+        [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive or not live],
+        rows.vectors[keep].tobytes(), rows.screens[keep].tobytes(),
+        rows.norms[keep].tobytes(), rows.linked[keep].tobytes(), rows.alive[keep].tobytes(),
         store.embedded_by,
         store.stats().as_dict(),
     )
+
+
+def held_rows_bound(store: GraphStore) -> int:
+    """The most rows the store's array of vectors not in a scoring row may
+    hold: twice the nodes holding one, plus CHUNK_ROWS."""
+    return 2 * (store.stats().total_embedded - len(live_row_ids(store))) + store_module.CHUNK_ROWS
 
 
 class ReferenceGraph:
@@ -219,15 +229,20 @@ class ReferenceGraph:
         self.row_order = live_row_ids(store)
         self.embedded_by = store.embedded_by
 
-    def write(self, node_id: str, checked) -> None:
+    def write(self, node_id: str, checked, embedded_by: str | None = None) -> None:
         """One vector write, as the store made it before ``insert``: the old
-        row dies, and an event with text and a vector gets a new last row;
-        any vector written without a provider clears ``embedded_by``."""
+        row dies, and an event with text and a vector gets a new last row.
+        A vector written keeps ``embedded_by`` as the provider that made it
+        only if the model held no vector just before, its node's own
+        included, or held that provider's; so one written without a
+        provider clears it."""
         node = self.node_map[node_id]
         if node_id in self.row_order:
             self.row_order.remove(node_id)
         if checked is not None:
-            self.embedded_by = None
+            held = any(n.embedding is not None for n in self.node_map.values())
+            kept = not held or self.embedded_by == embedded_by
+            self.embedded_by = embedded_by if kept else None
         node.embedding = None if checked is None else checked[0]
         if checked is not None and node.kind is NodeKind.EVENT and node.text is not None:
             self.row_order.append(node_id)
@@ -316,6 +331,37 @@ def reference_insert(graph: ReferenceGraph, nodes, edges) -> None:
         reference_add_edge(graph, edge)
 
 
+def reference_set_embeddings(graph: ReferenceGraph, pairs, embedded_by: str | None) -> None:
+    """What ``GraphStore.set_embeddings`` must write: every vector checked
+    and every id found first, then one pair at a time."""
+    checks = [None if vector is None else check_embedding(vector) for _, vector in pairs]
+    for node_id, _ in pairs:
+        if node_id not in graph.node_map:
+            raise UnknownIdError(f"no node with id {node_id!r}")
+    for (node_id, _), checked in zip(pairs, checks):
+        graph.write(node_id, checked, embedded_by)
+
+
+def reference_batch_embed(graph: ReferenceGraph, provider) -> None:
+    """What ``batch_embed`` must write, one node at a time: each node with
+    text and no vector, in insertion order, gets the vector held for its
+    text by the last node other than an event holding one, if the model's
+    vectors are the provider's, else the provider's vector of its text
+    divided by its norm."""
+    eligible = [n for n in graph.node_map.values() if n.text is not None and n.embedding is None]
+    held = {}
+    if eligible and graph.embedded_by == provider.identity:
+        for node in graph.node_map.values():
+            if node.kind is not NodeKind.EVENT and node.embedding is not None:
+                held[node.text] = node.embedding
+    for node in eligible:
+        vector = held.get(node.text)
+        if vector is None:
+            arr, norm = check_embedding(provider.embed_batch([node.text])[0])
+            vector = arr / norm
+        graph.write(node.id, check_embedding(vector), provider.identity)
+
+
 def oracle_neighbor_counts(store: GraphStore, event_id: str) -> tuple[int, int, int]:
     """Brute-force single-pass edge scan, independent of store adjacency."""
     n_cause = n_effect = n_trigger = 0
@@ -365,6 +411,46 @@ def oracle_query(store: GraphStore, q, cfg) -> list[tuple[str, float, float, int
             rows.append((node.id, h, sim, s))
     rows.sort(key=lambda r: (-r[1], r[0]))
     return rows[: cfg.k]
+
+
+def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
+    """``query`` as it was before the float32 screen: every row scored in
+    float64. The reference that ``query`` must match result for result, to
+    the bit."""
+    qv, q_norm = check_embedding(q)
+
+    with store.lock.read():
+        rows = store.scoring_rows()
+        dots = np.einsum("ij,j->i", rows.vectors, qv)
+        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
+        scores = hybrid_score(sims, rows.linked, cfg)
+        candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
+        if len(candidates) > cfg.k:
+            top = scores[candidates]
+            kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
+            candidates = candidates[top >= kth]
+        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))[: cfg.k]
+        texts = store.event_texts([rows.ids[row] for row in best])
+        return [
+            RetrievalResult(
+                event_id=rows.ids[row],
+                event_text=event_text,
+                hybrid_score=float(scores[row]),
+                embedding_similarity=float(sims[row]),
+                structural_score=int(rows.linked[row]),
+                cause_count=len(cause_texts),
+                effect_count=len(effect_texts),
+                trigger_count=len(trigger_texts),
+                cause_texts=tuple(cause_texts),
+                effect_texts=tuple(effect_texts),
+                trigger_texts=tuple(trigger_texts),
+            )
+            for row, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
+        ]
+
+
+def score_bits(results) -> list[tuple[str, str]]:
+    return [(r.hybrid_score.hex(), r.embedding_similarity.hex()) for r in results]
 
 
 def reference_event_subgraph_dot(store: GraphStore, event_id: str) -> str:

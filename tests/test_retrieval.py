@@ -15,7 +15,6 @@ from causeway.embedding import batch_embed, clean_embeddings, mock_provider
 from causeway.errors import DimensionMismatchError, ZeroVectorError
 from causeway.retrieval import (
     HybridConfig,
-    RetrievalResult,
     hybrid_score,
     query,
     reconstruct_tagged,
@@ -32,7 +31,14 @@ from causeway.store import (
     screen_rows,
 )
 
-from helpers import live_row_ids, oracle_query, random_store, random_unit_vector
+from helpers import (
+    full_scan_query,
+    live_row_ids,
+    oracle_query,
+    random_store,
+    random_unit_vector,
+    score_bits,
+)
 
 
 def test_hybrid_score_published_values():
@@ -348,46 +354,6 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
                 if n.text is not None and n.embedding is not None
             )
             assert len(store.scoring_rows().ids) < 2 * len(live) + 2
-
-
-def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
-    """``query`` as it was before the float32 screen: every row scored in
-    float64. The reference that ``query`` must match result for result, to
-    the bit."""
-    qv, q_norm = check_embedding(q)
-
-    with store.lock.read():
-        rows = store.scoring_rows()
-        dots = np.einsum("ij,j->i", rows.vectors, qv)
-        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
-        scores = hybrid_score(sims, rows.linked, cfg)
-        candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
-        if len(candidates) > cfg.k:
-            top = scores[candidates]
-            kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
-            candidates = candidates[top >= kth]
-        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))[: cfg.k]
-        texts = store.event_texts([rows.ids[row] for row in best])
-        return [
-            RetrievalResult(
-                event_id=rows.ids[row],
-                event_text=event_text,
-                hybrid_score=float(scores[row]),
-                embedding_similarity=float(sims[row]),
-                structural_score=int(rows.linked[row]),
-                cause_count=len(cause_texts),
-                effect_count=len(effect_texts),
-                trigger_count=len(trigger_texts),
-                cause_texts=tuple(cause_texts),
-                effect_texts=tuple(effect_texts),
-                trigger_texts=tuple(trigger_texts),
-            )
-            for row, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
-        ]
-
-
-def score_bits(results) -> list[tuple[str, str]]:
-    return [(r.hybrid_score.hex(), r.embedding_similarity.hex()) for r in results]
 
 
 @settings(max_examples=40, deadline=None)

@@ -43,6 +43,7 @@ from causeway.store import (
 from causeway import store as store_module
 from helpers import (
     REFERENCE_VECTORS,
+    held_rows_bound,
     live_row_ids,
     oracle_neighbor_counts,
     random_store,
@@ -516,12 +517,6 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
     assert fault is None and len(checks) == len(rows)
     for row, squared, (_, norm) in zip(rows, np.einsum("ij,ij->i", rows, rows), checks):
         assert check_embedding(row)[1] == math.sqrt(squared) == norm
-
-
-def held_rows_bound(store: GraphStore) -> int:
-    """The most rows the store's array of vectors not in a scoring row may
-    hold: twice the nodes holding one, plus CHUNK_ROWS."""
-    return 2 * (store.stats().total_embedded - len(live_row_ids(store))) + CHUNK_ROWS
 
 
 @pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
