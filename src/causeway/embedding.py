@@ -13,8 +13,8 @@ that have no vector yet, and reuse the vectors it holds for their texts.
 Each step reads the store's columns (``embedded_ids``, ``unembedded``,
 ``held_vectors``, ``stats``), never every node.
 
-An event's vector lives in its store scoring row, any other node's in a
-row of the store's one array of the others; there is no vector index.
+Every node's vector lives in a row of the store's one vector array;
+there is no vector index.
 Providers must be deterministic, and their vectors are L2-normalized at
 ingestion; retrieval still divides by each row's stored norm, as vectors
 given to ``upsert_node`` or ``load`` need not be unit.

@@ -11,8 +11,9 @@ neighbor texts. The scan is exhaustive and exact: desk-scale corpora make
 approximate indexes unnecessary. It runs over the store's scoring rows
 as whole arrays: a float32 screen of every row in one product, whose
 error has a proven bound, then float64 scores for the rows the bound
-leaves able to reach the top k, gathered by one index (the refine step
-of exact re-ranking; Johnson, Douze and Jegou, arXiv:1702.08734).
+leaves able to reach the top k, their vectors gathered by node from the
+store's one vector array (the refine step of exact re-ranking; Johnson,
+Douze and Jegou, arXiv:1702.08734).
 """
 
 from __future__ import annotations
@@ -174,10 +175,11 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
     H_j ≥ K̃ - M: k rows score strictly more than it, and reach τ if it
     does. Rounding to nearest is monotonic, so a float at least τ - M is
     at least its rounding, and computing the thresholds loosens no test.
-    Only the survivors are scored in float64, gathered by one index of the
-    scoring rows, by the ``einsum`` of a scan of every row (a gathered row
-    gives the bits it gives in the whole array), and the selection on them
-    returns what the selection on every row would.
+    Only the survivors are scored in float64, their vectors gathered
+    through their nodes from the store's one vector array, by the
+    ``einsum`` of a scan of every row (a gathered row gives the bits it
+    gives in the whole array), and the selection on them returns what the
+    selection on every row would.
     """
     qv, q_norm = check_embedding(q)
     low, high = _TAME
@@ -200,7 +202,7 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
         # einsum, not a BLAS matvec: OpenBLAS gives identical rows
         # last-bit-different dots depending on their position, which would
         # break exact ties and so the ascending-id tie-break
-        dots = np.einsum("ij,j->i", rows.vectors[survivors], qv)
+        dots = np.einsum("ij,j->i", rows.vectors_of(survivors), qv)
         sims = np.clip(dots / (rows.norms[survivors] * q_norm), -1.0, 1.0)
         linked = rows.linked[survivors]
         scores = hybrid_score(sims, linked, cfg)

@@ -17,9 +17,10 @@ which fixes the order of collected neighbor texts; each event keeps its
 neighbours' numbers in that order, one list per edge kind, so it is
 linked when it has any. Reads build ``Node`` and ``Edge`` values:
 changing one changes nothing stored, and every vector a read gives is a
-read-only view of a row never written again. A vector is copied into its
-row when written. Nodes other than events with text share a row when one
-write gives them one read-only array, or they hold one text and equal bytes.
+read-only view of a row never written again. A vector is copied into a
+row of the store's one vector array when written. Nodes share a row when
+one write gives them one read-only array, or they hold one text and
+equal bytes.
 Many readers or one writer: one ``insert`` writes any number of nodes and
 edges under one write lock, and one ``event_texts`` reads the texts of
 any number of events (a query's results) under one read lock.
@@ -30,7 +31,8 @@ none); per edge the indexes of its two nodes and a kind. The array holds
 the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row of the file, and after
-a load they share that row in the store. Loading reads the file through
+a load they share that row in the store, whose vector array is a copy of
+the file's. Loading reads the file through
 one open file object, mapping the rows from it, so a save that renames a
 new file into place meanwhile is not seen. It checks every column in
 bulk and fills the store's columns from the file's, with no step per
@@ -43,20 +45,20 @@ record, with the refusal of the first check that flags it. Versions 1 to
 3, JSON documents alone or beside a vector file, are refused: such a
 store is built again by ``ingest`` and ``embed``.
 
-Every event with both text and an embedding owns one scoring row: its
-vector, a row of one float64 array, the vector's norm, a linked bit (the
-event has a causal edge) and an alive flag; a read gives its
-``embedding`` as a read-only view of the row. A float32 array beside it
-holds each row's screen, the vector divided by its norm (``screen_rows``),
-with which ``retrieval.query`` screens every row in one product before it
-scores in float64 the few that can reach the top k: half the bytes per
-row scanned, for +50 % of the scoring rows' memory. Every column grows by
-doubling (``_room``), the room of a vector array never written. One bulk
-append writes every row and its screen, for a write and a load alike. A
-new vector gets a new row and only marks the old one dead; growth and
-compaction (once dead rows outnumber the live ones by ``CHUNK_ROWS``)
-make new arrays, so a view a caller holds never changes, and pins the
-whole array it was read from.
+Every event with both text and an embedding owns one scoring row: the
+screen of its vector, the vector divided by its norm (``screen_rows``) in
+float32, the norm, a linked bit (the event has a causal edge), an alive
+flag and the event's node number. ``retrieval.query`` screens every row
+in one product before it scores in float64 the few that can reach the
+top k, their vectors gathered through their nodes: half the bytes per
+row scanned, for 1.5 KB more per event. Every column grows by doubling
+(``_room``), the room of a vector array never written. One bulk append
+writes the new scoring rows, for a write and a load alike. A new vector
+gets a new row and only marks the old one dead; growth and compaction
+(once dead scoring rows outnumber the live ones by ``CHUNK_ROWS``, or the
+vector array holds ``CHUNK_ROWS`` rows more than twice the nodes with a
+vector) make new arrays, so a view a caller holds never changes, and
+pins the whole array it was read from.
 """
 
 from __future__ import annotations
@@ -89,8 +91,8 @@ from causeway.errors import (
 
 EMBEDDING_DIM = 384
 # compaction comes once dead scoring rows outnumber the live ones by this
-# many (so too the rows of _vecs no node holds); save writes this many
-# rows in one block
+# many (so too the rows of _vecs, against the nodes with a vector); save
+# writes this many rows in one block
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
@@ -216,20 +218,29 @@ class Edge(NamedTuple):
 class ScoringRows:
     """A store's scoring rows, valid while the caller holds ``store.lock.read()``.
 
-    ``vectors`` holds the vectors of rows ``0 .. len(ids) - 1`` in order,
-    ``screens`` their ``screen_rows`` in float32, and ``norms``, ``linked``
-    and ``alive`` one entry per row, each a read-only view of the store's
-    array. Once appended, a row changes only its alive flag and linked bit,
-    in place, when it dies or its event gains an edge; a dead row keeps its
-    id and vector until compaction drops it.
+    ``screens`` holds the ``screen_rows`` of rows ``0 .. len(ids) - 1`` in
+    float32, and ``norms``, ``linked``, ``alive`` and ``nodes`` (its event's
+    node number) one entry per row; ``vectors`` is the store's one array of
+    every stored vector and ``vector_row`` each node's row of it (-1 for
+    none); each a read-only view of the store's array. Once appended, a row
+    changes only its alive flag and linked bit, in place, when it dies or
+    its event gains an edge; a dead row keeps its id and screen until
+    compaction drops it, but its vector only while its node keeps it.
     """
 
     ids: list[str]
-    vectors: np.ndarray
     screens: np.ndarray
     norms: np.ndarray
     linked: np.ndarray
     alive: np.ndarray
+    nodes: np.ndarray
+    vectors: np.ndarray
+    vector_row: np.ndarray
+
+    def vectors_of(self, rows: np.ndarray) -> np.ndarray:
+        """The vectors of the live scoring rows ``rows``, gathered through
+        their nodes into a new array."""
+        return self.vectors[self.vector_row[self.nodes[rows]]]
 
 
 @dataclass
@@ -572,7 +583,6 @@ class _Snapshot(NamedTuple):
     vector_row: np.ndarray
     scores: np.ndarray
     vectors: np.ndarray
-    scoring: int  # the scoring rows are the first this many of ``vectors``
     squared: np.ndarray
     src: np.ndarray
     dst: np.ndarray
@@ -622,7 +632,7 @@ def _read_snapshot(path: Path) -> _Snapshot:
     ends = _indexes(src), _indexes(dst)
     edge_codes = _check_edges(path, src, dst, edge_kinds, ends, codes, edge_fault)
     return _Snapshot(
-        ids, codes, texts, has_text, file_rows, scores, vectors, scoring, squared, *ends,
+        ids, codes, texts, has_text, file_rows, scores, vectors, squared, *ends,
         edge_codes, embedded_by,
     )
 
@@ -712,12 +722,13 @@ class GraphStore:
     Nodes are keyed by caller-assigned string ids (conventionally
     namespaced by kind, e.g. ``event:17``) and numbered in insertion
     order; per node number the store holds an id, a kind code, a text and
-    a vector. Each fact is held once: an event with text and a vector
-    holds it in its scoring row, any other node's vector is a row of one
-    array, one row for every node that ``batch_embed`` or a load gave the
-    same vector. Edges are columns of node numbers in first-insertion
-    order, and each event keeps the numbers of its neighbours (its edges'
-    other ends) in that order. Reads build ``Node`` and ``Edge`` values.
+    a vector. Each fact is held once: every vector is a row of one array,
+    one row for every node that ``batch_embed`` or a load gave the same
+    vector, and an event with text and a vector has a scoring row of its
+    screen, norm and flags. Edges are columns of node numbers in
+    first-insertion order, and each event keeps the numbers of its
+    neighbours (its edges' other ends) in that order. Reads build ``Node``
+    and ``Edge`` values.
     """
 
     def __init__(self):
@@ -728,7 +739,7 @@ class GraphStore:
         self._texts: list[str | None] = []
         self._kinds = np.empty(0, dtype=np.int8)
         self._has_text = np.empty(0, dtype=bool)
-        self._vecs = np.empty((0, EMBEDDING_DIM))  # the vectors not in a scoring row
+        self._vecs = np.empty((0, EMBEDDING_DIM))  # every stored vector
         self._vec_count = 0  # rows of _vecs in use, each never written again; the rest is room
         self._vec_row = np.empty(0, dtype=np.int64)  # the node's row of _vecs, else -1
         # text -> the last node other than an event with that text and a
@@ -751,7 +762,6 @@ class GraphStore:
         # scoring rows in write order, the first len(_row_ids) of each
         # column, the rest room; dead rows stay (alive False) until
         # _compact_if_sparse copies the live ones out
-        self._scoring = np.empty((0, EMBEDDING_DIM))
         self._screens = np.empty((0, EMBEDDING_DIM), dtype=np.float32)
         self._row_ids: list[str] = []
         self._row_node = np.empty(0, dtype=np.int64)
@@ -856,10 +866,7 @@ class GraphStore:
 
     def _node(self, i: int) -> Node:
         """Node ``i`` as a new ``Node``; the caller holds the read lock."""
-        if self._row[i] >= 0:
-            vector = self._scoring[self._row[i]]
-        else:
-            vector = self._vecs[self._vec_row[i]] if self._vec_row[i] >= 0 else None
+        vector = self._vecs[self._vec_row[i]] if self._vec_row[i] >= 0 else None
         if vector is not None:
             vector.flags.writeable = False
         return Node(self._ids[i], _NODE_KINDS[self._kinds[i]], self._texts[i], vector)
@@ -891,41 +898,38 @@ class GraphStore:
 
     def _write(self, writes: list, checks: list, embedded_by: str | None) -> None:
         """Write each (node number, place in ``checks`` or None) of ``writes``;
-        an old row is only marked dead. A node bound for ``_vecs`` shares its
-        text's row if that holds its vector, else its place's new row."""
+        an old row is only marked dead. A node shares its text's row of
+        ``_vecs`` if that holds its vector, else its place's new row; an
+        event with text gets a scoring row too."""
         numbers = [i for i, _ in writes]
         texts = self._texts
         holder = self._holders() if embedded_by is not None else self._holder or {}
         # each written text's row, that of its holder, read before the rows are reset
         before = {texts[i]: int(self._vec_row[holder[texts[i]]]) for i, place in writes
                   if place is not None and texts[i] in holder}
-        had = dict(zip(numbers, self._has_vector(numbers).tolist()))  # a vector, as the call goes
+        had = dict(zip(numbers, (self._vec_row[numbers] >= 0).tolist()))  # as the call goes
         old = self._row[list(had)]  # a node named twice has its row killed once
         old = old[old >= 0]
         self._alive[old] = False
         self._live_rows -= len(old)
         self._row[numbers] = self._vec_row[numbers] = -1
         events = (self._kinds[numbers] == _EVENT).tolist()
-        fresh, held = {}, {}  # number -> place of a new scoring row or _vecs row, by last write
+        held = {}  # number -> place of its vector, by last write
         for (i, place), event in zip(writes, events):
             if place is not None:  # the vectors held just before this pair
                 kept = not self._embedded or self._embedded_by == embedded_by
                 self._embedded_by = embedded_by if kept else None
             self._embedded += (place is not None) - had[i]
             had[i] = place is not None
-            fresh.pop(i, None)
             held.pop(i, None)
             if place is not None:
-                (fresh if event and texts[i] is not None else held)[i] = place
+                held[i] = place
             holder = self._holder
             if not event and holder is not None:
                 if place is None and holder.get(texts[i]) == i:
                     self._holder = None
                 elif place is not None and holder.get(texts[i], -1) < i:
                     holder[texts[i]] = i
-        if fresh:
-            vectors, norms = zip(*map(checks.__getitem__, fresh.values()))
-            self._append_rows(list(fresh), np.array(vectors), norms, np.arange(len(fresh)))
         if held:  # a full _vecs grows into a new array; the old one is never written again
             pairs = [(before.get(texts[i], -1), place) for i, place in held.items()]
             rows, new = {}, {}  # (text's row, place) -> the nodes' row; place -> its new row
@@ -940,27 +944,25 @@ class GraphStore:
             for place, row in new.items():
                 self._vecs[row] = checks[place][0]
             self._vec_count += len(new)
-            self._vec_row[list(held)] = list(map(rows.__getitem__, pairs))
+            written = np.fromiter(held, np.int64, len(held))
+            self._vec_row[written] = list(map(rows.__getitem__, pairs))
+            scored = written[(self._kinds[written] == _EVENT) & self._has_text[written]]
+            if len(scored):
+                norms = [checks[held[i]][1] for i in scored.tolist()]
+                self._append_rows(scored, self._vecs[self._vec_row[scored]], norms)
         self._compact_if_sparse()
 
-    def _has_vector(self, which) -> np.ndarray:
-        """Whether each of nodes ``which`` (a slice or numbers) has a vector."""
-        return (self._row[which] >= 0) | (self._vec_row[which] >= 0)
-
-    def _append_rows(self, numbers, vectors, norms, rows) -> None:
-        """Append a row for each of nodes ``numbers``, events with text and
-        no live row: vector ``vectors[rows[i]]``, norm ``norms[i]``, and
-        the row's screen beside it."""
+    def _append_rows(self, numbers, vectors, norms) -> None:
+        """Append a scoring row for each of nodes ``numbers``, events with
+        text and no live row: the screen of its vector, ``vectors[i]``, with
+        norm ``norms[i]``, the norm, the linked bit and the alive flag."""
         start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
-        (self._scoring, self._screens, self._norms, self._linked, self._alive,
-         self._row_node) = _room(
-            (self._scoring, self._screens, self._norms, self._linked, self._alive, self._row_node),
-            (None, None, 0.0, False, False, 0), start, end,
+        self._screens, self._norms, self._linked, self._alive, self._row_node = _room(
+            (self._screens, self._norms, self._linked, self._alive, self._row_node),
+            (None, 0.0, False, False, 0), start, end,
         )
         self._norms[start:end] = norms
-        # one copy straight into the array; every index is a row of ``vectors``
-        np.take(vectors, rows, axis=0, out=self._scoring[start:end], mode="clip")
-        screen_rows(self._scoring[start:end], self._norms[start:end], out=self._screens[start:end])
+        screen_rows(vectors, self._norms[start:end], out=self._screens[start:end])
         numbers = np.asarray(numbers, dtype=np.int64)
         self._linked[start:end] = self._degree[numbers] > 0
         self._alive[start:end] = True
@@ -970,21 +972,24 @@ class GraphStore:
         self._row_ids += map(self._ids.__getitem__, numbers.tolist())
 
     def _compact_if_sparse(self) -> None:
-        """Once dead rows outnumber the live ones by ``CHUNK_ROWS``, index
+        """Once ``_vecs`` holds ``CHUNK_ROWS`` rows more than twice the
+        nodes with a vector, keep only the rows nodes hold, in order; once
+        dead scoring rows outnumber the live ones by ``CHUNK_ROWS``, index
         each scoring column with the live rows, screens copied, as a screen
-        is a function of its row and norm alone: so the row count stays
-        below twice the live rows plus ``CHUNK_ROWS``; so too ``_vecs``,
-        from the rows nodes hold. Old arrays live on only in views."""
-        if self._vec_count - 2 * (self._embedded - self._live_rows) > CHUNK_ROWS:
+        is a function of its vector and norm alone. So ``_vecs`` stays
+        within twice the nodes with a vector plus ``CHUNK_ROWS`` rows, and
+        the scoring rows within twice the live ones plus ``CHUNK_ROWS``.
+        Old arrays live on only in views."""
+        if self._vec_count - 2 * self._embedded > CHUNK_ROWS:
             held = self._vec_row >= 0  # room past the nodes holds -1
             kept, self._vec_row[held] = np.unique(self._vec_row[held], return_inverse=True)
             self._vecs, self._vec_count = self._vecs[kept], len(kept)
         if len(self._row_ids) - 2 * self._live_rows < CHUNK_ROWS:
             return
         live = np.flatnonzero(self._alive[: len(self._row_ids)])
-        self._scoring, self._screens, self._norms, self._linked, self._alive, self._row_node = (
-            a[live] for a in (self._scoring, self._screens, self._norms, self._linked,
-                              self._alive, self._row_node)
+        self._screens, self._norms, self._linked, self._alive, self._row_node = (
+            a[live] for a in (self._screens, self._norms, self._linked, self._alive,
+                              self._row_node)
         )
         self._row_ids = list(map(self._row_ids.__getitem__, live.tolist()))
         self._row[self._row_node] = np.arange(len(live))
@@ -993,8 +998,9 @@ class GraphStore:
         """The scoring rows as arrays, for retrieval to score in bulk."""
         with self.lock.read():
             n = len(self._row_ids)
-            views = [a[:n] for a in (self._scoring, self._screens, self._norms, self._linked,
-                                     self._alive)]
+            views = [a[:n] for a in (self._screens, self._norms, self._linked, self._alive,
+                                     self._row_node)]
+            views += [self._vecs[: self._vec_count], self._vec_row[: len(self._ids)]]
             for view in views:
                 view.flags.writeable = False
             return ScoringRows(self._row_ids, *views)
@@ -1012,7 +1018,7 @@ class GraphStore:
     def embedded_ids(self) -> list[str]:
         """The ids of the nodes with a vector, in insertion order."""
         with self.lock.read():
-            numbers = np.flatnonzero(self._has_vector(slice(len(self._ids))))
+            numbers = np.flatnonzero(self._vec_row[: len(self._ids)] >= 0)
             return list(map(self._ids.__getitem__, numbers.tolist()))
 
     def unembedded(self) -> list[tuple[str, NodeKind, str]]:
@@ -1020,7 +1026,7 @@ class GraphStore:
         insertion order."""
         with self.lock.read():
             n = len(self._ids)
-            numbers = np.flatnonzero(self._has_text[:n] & ~self._has_vector(slice(n)))
+            numbers = np.flatnonzero(self._has_text[:n] & (self._vec_row[:n] < 0))
             kinds = map(_NODE_KINDS.__getitem__, self._kinds[numbers].tolist())
             numbers = numbers.tolist()
             ids, texts = map(self._ids.__getitem__, numbers), map(self._texts.__getitem__, numbers)
@@ -1163,7 +1169,7 @@ class GraphStore:
             edge_counts = np.bincount(self._edge_kinds[: self._edge_count], minlength=len(EdgeKind))
             node_counts, embedded_counts, text_counts = (
                 dict(zip(NodeKind, np.bincount(counted, minlength=len(NodeKind)).tolist()))
-                for counted in (kinds, kinds[self._has_vector(slice(n))], kinds[self._has_text[:n]])
+                for counted in (kinds, kinds[self._vec_row[:n] >= 0], kinds[self._has_text[:n]])
             )
         return StoreStats(
             node_counts, dict(zip(EdgeKind, edge_counts.tolist())), embedded_counts, text_counts
@@ -1173,8 +1179,8 @@ class GraphStore:
 
     def save(self, path: str | Path) -> None:
         """Write the snapshot at ``path``, one file: an ``.npy`` array of
-        the vectors, the live scoring rows in scoring order, then each
-        distinct vector that other nodes hold, once; then the JSON document
+        the vectors, those of the live scoring rows in scoring order, then
+        each distinct vector that other nodes hold, once; then the JSON document
         of the nodes and edges. It goes to a temporary file, is fsynced and
         renamed into place, so a reader or a crash sees the old snapshot or
         the new one.
@@ -1191,7 +1197,7 @@ class GraphStore:
             # nodes with equal vectors share a row, so the file depends on the
             # vectors alone, not on which nodes share a row of _vecs: each
             # distinct value once, by its bytes, in the order of its first node
-            held = np.flatnonzero(self._vec_row[:n] >= 0)
+            held = np.flatnonzero((self._vec_row[:n] >= 0) & (rows < 0))
             on, node_on = np.unique(self._vec_row[held], return_inverse=True)
             vectors = self._vecs[on]
             as_bytes = vectors.view((np.void, _ROW_BYTES)).ravel()  # a row as one value
@@ -1214,7 +1220,7 @@ class GraphStore:
             }
             # rows are written once and a vector is replaced, not changed, so
             # the array still holds this view's vectors after the lock
-            scoring = self._scoring
+            vecs, scoring = self._vecs, self._vec_row[self._row_node[live]]
             embedded_by = self._embedded_by
         shape = (len(live) + len(others), EMBEDDING_DIM)
         payload = {
@@ -1228,9 +1234,9 @@ class GraphStore:
         def write(f) -> None:
             header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
             np.lib.format.write_array_header_1_0(f, header)
-            # the live rows, ascending, CHUNK_ROWS to a block, then the other vectors
+            # the live rows' vectors, CHUNK_ROWS to a block, then the others
             for at in range(0, len(live), CHUNK_ROWS):
-                f.write(scoring[live[at : at + CHUNK_ROWS]])
+                f.write(vecs[scoring[at : at + CHUNK_ROWS]])
             f.write(others)
             # encoded once the vector blocks are written, so that its text and
             # a block are not held at once
@@ -1255,15 +1261,19 @@ class GraphStore:
 
     def _fill(self, snapshot: _Snapshot) -> "GraphStore":
         """Fill this new, unshared store's columns from the checked
-        ``snapshot``'s. Each event with text and a vector gets a scoring
+        ``snapshot``'s. The file's rows are copied into ``_vecs`` as the file
+        holds them, and each event with text and a vector gets a scoring
         row, in the order of its file rows, its norm from the file's squared
-        norms; the other rows are copied into ``_vecs`` as the file holds them."""
+        norms."""
         ids, n = snapshot.ids, len(snapshot.ids)
         file_rows, scores = snapshot.vector_row, snapshot.scores
         self._ids, self._texts = ids, snapshot.texts
         self._index = dict(zip(ids, range(n)))
         self._kinds = snapshot.kinds.astype(np.int8)
         self._has_text = snapshot.has_text
+        self._vecs = np.array(snapshot.vectors)  # a copy, not a view of the map
+        self._vec_count = len(self._vecs)
+        self._vec_row = file_rows
         self._row = np.full(n, -1, dtype=np.int64)
         self._embedded = int(np.count_nonzero(file_rows >= 0))
         self._embedded_by = snapshot.embedded_by
@@ -1287,8 +1297,9 @@ class GraphStore:
         )
         scored = np.flatnonzero(scores)[np.argsort(file_rows[scores])]  # in file row order
         rows = file_rows[scored]
-        self._append_rows(scored, snapshot.vectors, np.sqrt(snapshot.squared[rows]), rows)
-        self._vecs = np.array(snapshot.vectors[snapshot.scoring :])  # a copy, not a view of the map
-        self._vec_count = len(self._vecs)
-        self._vec_row = np.where(~scores & (file_rows >= 0), file_rows - snapshot.scoring, -1)
+        # a file save wrote holds them first, in scoring order: screened from
+        # that slice, with no gathered copy
+        first = np.array_equal(rows, np.arange(len(rows)))
+        vectors = self._vecs[: len(rows)] if first else self._vecs[rows]
+        self._append_rows(scored, vectors, np.sqrt(snapshot.squared[rows]))
         return self

@@ -193,25 +193,28 @@ def live_row_ids(store: GraphStore) -> list[str]:
 def store_state(store: GraphStore, live: bool = False) -> tuple:
     """Everything a node write can change, each vector, screen and norm to
     the bit: the nodes, every scoring row (dead ones too, or with ``live``
-    the live ones alone, as a ``ReferenceGraph`` holds them),
-    ``embedded_by`` and stats."""
+    the live ones alone, as a ``ReferenceGraph`` holds them), each live
+    row's vector read through its node, without ``live`` the whole vector
+    array too, ``embedded_by`` and stats."""
     rows = store.scoring_rows()
-    keep = rows.alive if live else slice(None)
+    alive = np.flatnonzero(rows.alive)
+    keep = alive if live else slice(None)
     return (
         [(node.id, node.kind, node.text,
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
-        [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive or not live],
-        rows.vectors[keep].tobytes(), rows.screens[keep].tobytes(),
-        rows.norms[keep].tobytes(), rows.linked[keep].tobytes(), rows.alive[keep].tobytes(),
+        [event_id for event_id, kept in zip(rows.ids, rows.alive) if kept or not live],
+        rows.vectors_of(alive).tobytes(), None if live else rows.vectors.tobytes(),
+        rows.screens[keep].tobytes(), rows.norms[keep].tobytes(), rows.linked[keep].tobytes(),
+        rows.alive[keep].tobytes(),
         store.embedded_by,
         store.stats().as_dict(),
     )
 
 
 def held_rows_bound(store: GraphStore) -> int:
-    """The most rows the store's array of vectors not in a scoring row may
-    hold: twice the nodes holding one, plus CHUNK_ROWS."""
-    return 2 * (store.stats().total_embedded - len(live_row_ids(store))) + store_module.CHUNK_ROWS
+    """The most rows the store's one vector array may hold: twice the
+    nodes with a vector, plus CHUNK_ROWS."""
+    return 2 * store.stats().total_embedded + store_module.CHUNK_ROWS
 
 
 class ReferenceGraph:
@@ -254,18 +257,22 @@ class ReferenceGraph:
         return list(self.edge_list)
 
     def scoring_rows(self) -> ScoringRows:
-        """The live rows alone: ids, vectors, screens, norms and linked bits."""
+        """The live rows alone: ids, screens, norms and linked bits, and
+        their vectors, row ``r``'s held by a node numbered ``r`` in row
+        ``r`` of ``vectors``."""
         linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
         vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
         stack = np.array(vectors).reshape(-1, EMBEDDING_DIM)
         norms = np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64)
         return ScoringRows(
             ids=list(self.row_order),
-            vectors=stack,
             screens=screen_rows(stack, norms),
             norms=norms,
             linked=np.array([node_id in linked for node_id in self.row_order], dtype=bool),
             alive=np.ones(len(vectors), dtype=bool),
+            nodes=np.arange(len(vectors)),
+            vectors=stack,
+            vector_row=np.arange(len(vectors)),
         )
 
     def stats(self) -> StoreStats:
@@ -421,23 +428,27 @@ def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalRe
 
     with store.lock.read():
         rows = store.scoring_rows()
-        dots = np.einsum("ij,j->i", rows.vectors, qv)
-        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
-        scores = hybrid_score(sims, rows.linked, cfg)
-        candidates = np.flatnonzero(rows.alive & (scores >= cfg.tau))
+        live = np.flatnonzero(rows.alive)
+        # every stored vector scored, then each live row's taken through its node
+        dots = np.einsum("ij,j->i", rows.vectors, qv)[rows.vector_row[rows.nodes[live]]]
+        sims = np.clip(dots / (rows.norms[live] * q_norm), -1.0, 1.0)
+        linked = rows.linked[live]
+        scores = hybrid_score(sims, linked, cfg)
+        candidates = np.flatnonzero(scores >= cfg.tau)
         if len(candidates) > cfg.k:
             top = scores[candidates]
             kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
             candidates = candidates[top >= kth]
-        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], rows.ids[r]))[: cfg.k]
-        texts = store.event_texts([rows.ids[row] for row in best])
+        ids = [rows.ids[row] for row in live.tolist()]
+        best = sorted(candidates.tolist(), key=lambda r: (-scores[r], ids[r]))[: cfg.k]
+        texts = store.event_texts([ids[r] for r in best])
         return [
             RetrievalResult(
-                event_id=rows.ids[row],
+                event_id=ids[r],
                 event_text=event_text,
-                hybrid_score=float(scores[row]),
-                embedding_similarity=float(sims[row]),
-                structural_score=int(rows.linked[row]),
+                hybrid_score=float(scores[r]),
+                embedding_similarity=float(sims[r]),
+                structural_score=int(linked[r]),
                 cause_count=len(cause_texts),
                 effect_count=len(effect_texts),
                 trigger_count=len(trigger_texts),
@@ -445,7 +456,7 @@ def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalRe
                 effect_texts=tuple(effect_texts),
                 trigger_texts=tuple(trigger_texts),
             )
-            for row, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
+            for r, (event_text, cause_texts, effect_texts, trigger_texts) in zip(best, texts)
         ]
 
 

@@ -550,9 +550,9 @@ def saved_bytes(store: GraphStore, path) -> bytes:
 
 @pytest.mark.parametrize("case", ["batches", "provider-change", "rounds"])
 def test_a_store_holds_one_row_per_distinct_span_vector(tmp_path, case):
-    """Nodes other than events share one row of the store's other vectors
-    per distinct vector, whichever way they were embedded, and the store
-    saves what one built in one process does."""
+    """Nodes share one row of the store's one vector array per distinct
+    vector, whichever way they were embedded, and the store saves what one
+    built in one process does."""
     provider = mock_provider(0)
     store = GraphStore()
     if case == "batches":  # the first batch of the second embed grows the array
@@ -583,7 +583,7 @@ def test_a_store_holds_one_row_per_distinct_span_vector(tmp_path, case):
             batch_embed(store, provider, batch_size=16)
             store.save(tmp_path / "round.json")
         records = [record for part in parts for record in part]
-    distinct = {n.embedding.tobytes() for n in store.nodes() if n.kind is not NodeKind.EVENT}
+    distinct = {n.embedding.tobytes() for n in store.nodes() if n.embedding is not None}
     assert store._vec_count == len(distinct)
     reference = GraphStore()
     ingest_corpus(records, reference)

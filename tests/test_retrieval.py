@@ -454,8 +454,8 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
     one ulp apart and rows the screen cannot tell apart, zero and huge
     weights, a tau above every score or at one, norms from 1e-160 to
     1e152, entries near float32 underflow, and
-    dead rows left by rewrites, compaction and a load; and every screen is
-    the one formula of its row."""
+    dead rows left by rewrites, compaction and a load; and every live
+    row's screen is the one formula of its node's vector and its norm."""
     assume(alpha + beta > 0)
     np_rng = np.random.default_rng(seed)
     # unit, so that a row's scale is its norm; the last at about 25 degrees
@@ -480,8 +480,9 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
             store.save(path)
             store = GraphStore.load(path)
         scoring = store.scoring_rows()
-        want = screen_rows(scoring.vectors, scoring.norms)
-        assert scoring.screens.tobytes() == want.tobytes()
+        live = np.flatnonzero(scoring.alive)
+        want = screen_rows(scoring.vectors_of(live), scoring.norms[live])
+        assert scoring.screens[live].tobytes() == want.tobytes()
         qv = shaped_row(bases, *q)
         if tau == "above":  # no score exceeds alpha + beta
             tau = float(np.nextafter(float(alpha) + float(beta), np.inf))

@@ -38,6 +38,7 @@ from causeway.store import (
     Node,
     NodeKind,
     check_embedding,
+    screen_rows,
 )
 
 from causeway import store as store_module
@@ -378,9 +379,10 @@ def test_scoring_rows_are_read_only_views(provider):
 
 def test_growth_and_compaction_keep_every_held_view():
     """Vectors, screens and norms read before writes that grow the scoring
-    arrays and ``_vecs`` into new arrays, twice and more, and then compact
-    both, keep their bytes (a row's alive flag and linked bit are marked in
-    place); after each write the store holds what the reference model holds."""
+    columns and the one vector array into new arrays, twice and more, and
+    then compact both, keep their bytes (a row's alive flag and linked bit
+    are marked in place); after each write the store holds what the
+    reference model holds."""
     np_rng = np.random.default_rng(41)
     store = GraphStore()
     graph = ReferenceGraph(store)
@@ -390,15 +392,15 @@ def test_growth_and_compaction_keep_every_held_view():
     def write(nodes, edges=()):
         store.insert(nodes, edges)
         reference_insert(graph, nodes, edges)
-        assert store_state(store) == store_state(graph)
+        assert store_state(store, live=True) == store_state(graph, live=True)
         rows = store.scoring_rows()
-        bases["scoring"].add(id(rows.vectors.base))
+        bases["scoring"].add(id(rows.screens.base))
+        bases["vecs"].add(id(rows.vectors.base))
         views = [rows.vectors, rows.screens, rows.norms]
         for node in store.nodes():
             if node.embedding is not None:
                 views.append(node.embedding)
-                if node.kind is NodeKind.CAUSE:
-                    bases["vecs"].add(id(node.embedding.base))
+                bases["vecs"].add(id(node.embedding.base))
         held.extend((view, view.tobytes()) for view in views)
         assert all(view.tobytes() == bytes_ for view, bytes_ in held)
 
@@ -428,7 +430,61 @@ def test_growth_and_compaction_keep_every_held_view():
     }
     rows = store.scoring_rows()
     assert rows.alive.all() and len(rows.ids) == count // 4  # no dead row kept
-    assert store._vec_count == 4
+    assert store._vec_count == count // 4 + 4  # the rows the nodes hold
+
+
+def assert_one_array(store: GraphStore) -> None:
+    """Every node's vector, an event's or not, is a view of the store's one
+    vector array, and each live scoring row's screen is the screen of its
+    node's row of that array and its norm."""
+    rows = store.scoring_rows()
+    for node in store.nodes():
+        if node.embedding is not None:
+            assert np.shares_memory(node.embedding, rows.vectors), node.id
+    live = np.flatnonzero(rows.alive)
+    vectors = rows.vectors[rows.vector_row[rows.nodes[live]]]
+    assert rows.screens[live].tobytes() == screen_rows(vectors, rows.norms[live]).tobytes()
+
+
+def test_every_stored_vector_is_a_row_of_the_one_array(tmp_path, provider):
+    """After writes, a load, both compactions, and a load of a file whose
+    scoring rows do not come first."""
+    np_rng = np.random.default_rng(17)
+    with mock.patch.object(store_module, "CHUNK_ROWS", 2):
+        store = GraphStore()
+        for i in range(8):
+            event = small_event(store, f"event:{i}", f"text {i % 6}")
+            store.upsert_node(Node(f"cause:{i}", NodeKind.CAUSE, f"text {i % 3}"))
+            store.add_edge(Edge(f"cause:{i}", event, EdgeKind.CAUSES))
+        store.upsert_node(Node("event:untexted", NodeKind.EVENT, None, random_unit_vector(np_rng)))
+        batch_embed(store, provider)
+        assert_one_array(store)
+        # an event shares the row of the cause of its text, as one embed gave both
+        assert np.shares_memory(store.get_node("event:0").embedding,
+                                store.get_node("cause:3").embedding)
+        path = tmp_path / "graph.json"
+        store.save(path)
+        store = GraphStore.load(path)
+        assert_one_array(store)
+        store.set_embeddings([(f"cause:{i}", None) for i in range(8)])
+        for _ in range(2):  # new event rows, the old ones dead: both arrays compact
+            rows, vecs = len(store.scoring_rows().ids), store._vec_count
+            store.set_embeddings([(f"event:{i}", random_unit_vector(np_rng)) for i in range(8)])
+            assert_one_array(store)
+        assert len(store.scoring_rows().ids) < rows + 8 and store._vec_count < vecs + 8
+        store.save(path)
+        doc, vectors = read_snapshot(path)
+    # one row no node holds, ahead of the scoring rows: they no longer come first
+    doc["vectors"]["scoring"] += 1
+    doc["nodes"]["vector_row"] = [row + (row >= 0) for row in doc["nodes"]["vector_row"]]
+    moved = tmp_path / "moved.json"
+    write_snapshot(moved, doc, np.vstack([random_unit_vector(np_rng), vectors]))
+    loaded = GraphStore.load(moved)
+    assert_one_array(loaded)
+    assert loaded.nodes() == store.nodes()
+    assert live_row_ids(loaded) == live_row_ids(store)
+    q, cfg = random_unit_vector(np_rng), HybridConfig(tau=-2.0, k=20)
+    assert query(loaded, q, cfg) == query(store, q, cfg)
 
 
 def test_a_read_node_is_a_copy_and_its_vector_is_read_only(provider):
@@ -1534,28 +1590,28 @@ def test_fields_checks_a_record_as_the_reference_does(rec):
     assert got == outcome(lambda: REFERENCE_VECTORS.values("g.json", "r", rec))
 
 
-# the `record` fault's sub-cases: a key of the `vectors` record (or of the
-# .npy header, for `dtype` and `shape`, once record keys), the value it
-# gets, the refusal's message after "<path>: snapshot " for
-# broken_snapshot's store (25 vector rows, 5 of them scoring rows), and
-# how the case's id shows the value: the ids stay as they were when a list
-# value was named by its place in the list
+# the `record` fault's sub-cases, by id: a key of the `vectors` record (or
+# of the .npy header, for `dtype` and `shape`, once record keys), the value
+# it gets, and the refusal's message after "<path>: snapshot " for
+# broken_snapshot's store (25 vector rows, 5 of them scoring rows)
 VECTORS_KEYS = "'vectors' must be an object with keys ['provider', 'scoring']"
-RECORD_REFUSALS = [
-    ("dtype", "<f4", NOT_ROWS, "<f4"),
-    ("dtype", ">f8", NOT_ROWS, ">f8"),
-    ("shape", (0, EMBEDDING_DIM), SCORING_NOT_A_COUNT, "value12"),
-    ("drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5", "None"),
-    ("no-record", None, VECTORS_KEYS, "None"),
-    ("scoring", "x", "'vectors' 'scoring' must not be str", "x"),
-    ("scoring", None, "'vectors' 'scoring' must not be NoneType", "None"),
-    ("scoring", -1, SCORING_NOT_A_COUNT, "-1"),
-    ("scoring", 10**6, SCORING_NOT_A_COUNT, "1000000"),
-    ("no-provider", None, VECTORS_KEYS, "None"),  # as no save ever wrote
-    ("provider", 5, "'vectors' 'provider' must not be int", "5"),
-    ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list", "value25"),
-]
-RECORD_FAULTS = [(key, value) for key, value, _, _ in RECORD_REFUSALS]
+RECORD_REFUSALS = {
+    "dtype-float32": ("dtype", "<f4", NOT_ROWS),
+    "dtype-big-endian": ("dtype", ">f8", NOT_ROWS),
+    "shape-no-rows": ("shape", (0, EMBEDDING_DIM), SCORING_NOT_A_COUNT),
+    "drop-row-scoring-short": (
+        "drop-row", None, "nodes[21]: a scoring event's vector_row must be below 5"
+    ),
+    "no-record": ("no-record", None, VECTORS_KEYS),
+    "scoring-string": ("scoring", "x", "'vectors' 'scoring' must not be str"),
+    "scoring-null": ("scoring", None, "'vectors' 'scoring' must not be NoneType"),
+    "scoring-negative": ("scoring", -1, SCORING_NOT_A_COUNT),
+    "scoring-past-row-count": ("scoring", 10**6, SCORING_NOT_A_COUNT),
+    "no-provider": ("no-provider", None, VECTORS_KEYS),  # as no save ever wrote
+    "provider-integer": ("provider", 5, "'vectors' 'provider' must not be int"),
+    "provider-list": ("provider", ["mock-hash-0"], "'vectors' 'provider' must not be list"),
+}
+RECORD_FAULTS = [(key, value) for key, value, _ in RECORD_REFUSALS.values()]
 
 
 def vector_fault(fault, row=0, cut=0.0, junk=b"", value=np.nan, whole_row=True,
@@ -1662,10 +1718,7 @@ def test_broken_vectors_are_refused_with_exit_one(tmp_path_factory, fault):
     assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
 
 
-@pytest.mark.parametrize(
-    "key, value, message", [refusal[:3] for refusal in RECORD_REFUSALS],
-    ids=[f"3-{key}-{shown}-{message}" for key, _, message, shown in RECORD_REFUSALS],
-)
+@pytest.mark.parametrize("key, value, message", RECORD_REFUSALS.values(), ids=RECORD_REFUSALS)
 def test_vectors_record_refusal_is_named_and_exits_one(tmp_path, key, value, message):
     path = tmp_path / "graph.json"
     broken_snapshot(path, vector_fault("record", record=(key, value)))

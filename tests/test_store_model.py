@@ -198,7 +198,7 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_the_model(self):
-        assert store_state(self.store, live=True) == store_state(self.graph)
+        assert store_state(self.store, live=True) == store_state(self.graph, live=True)
         assert self.store.edges() == self.graph.edges()
 
     @invariant()
