@@ -176,6 +176,18 @@ def _add_weights(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=float)
 
 
+def _k_values(text: str) -> list[int]:
+    """``--k``: comma-separated integers, at least one; ``HybridConfig``
+    refuses a k below 1."""
+    try:
+        values = [int(k) for k in text.split(",") if k.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("names no k")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causeway",
@@ -212,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="top-k sweep against gold labels")
     p.add_argument("--test", required=True, help="JSONL with gold_label")
-    p.add_argument("--k", default="5,10,15,20", help="comma-separated k values")
+    p.add_argument("--k", type=_k_values, default="5,10,15,20", help="comma-separated k values")
     p.add_argument("--out", help="report path (.json or .md)")
     _add_weights(p)
     p.add_argument("--max-prompt-tokens", type=int)
@@ -347,11 +359,10 @@ def _cmd_evaluate(config: Config, args) -> int:
     provider = config.make_provider()
     client = config.make_client()
     dataset = evaluation.load_eval_dataset(args.test)
-    k_values = [int(k) for k in args.k.split(",") if k.strip()]
     cfg = config.hybrid_config(args)
     reports = evaluation.sweep(
         dataset,
-        k_values,
+        args.k,
         store,
         provider,
         client,

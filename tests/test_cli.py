@@ -268,6 +268,23 @@ def test_evaluate_writes_reports(workspace, capsys):
     assert payload[0]["model"] == "mock-trigger-lexicon"
 
 
+@pytest.mark.parametrize("value", ["", ",", " , ", "5,x", "x", "1.5"])
+def test_a_malformed_k_list_is_a_usage_error_naming_the_flag(workspace, capsys, value):
+    assert run(["evaluate", "--test", str(workspace["testset"]), f"--k={value}"], workspace) == 2
+    err = capsys.readouterr().err
+    assert "argument --k: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1,2"])
+def test_a_k_below_one_is_refused_as_top_k_zero_is(workspace, capsys, value):
+    run(["ingest", "--corpus", str(workspace["corpus"])], workspace)
+    run(["embed"], workspace)
+    capsys.readouterr()
+    assert run(["evaluate", "--test", str(workspace["testset"]), f"--k={value}"], workspace) == 1
+    assert run(["retrieve", "--query", "rain", "--top-k", "0"], workspace) == 1
+    assert capsys.readouterr().err == "error: k must be >= 1\n" * 2
+
+
 def evaluate_json(workspace, *extra) -> str:
     out = workspace["dir"] / "report.json"
     args = ["evaluate", "--test", str(workspace["testset"]), "--k", "1,2,3", "--tau", "-1.0",
