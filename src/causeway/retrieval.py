@@ -202,7 +202,7 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
         # einsum, not a BLAS matvec: OpenBLAS gives identical rows
         # last-bit-different dots depending on their position, which would
         # break exact ties and so the ascending-id tie-break
-        dots = np.einsum("ij,j->i", rows.vectors_of(survivors), qv)
+        dots = np.einsum("ij,j->i", rows.vectors[rows.vector_row[rows.nodes[survivors]]], qv)
         sims = np.clip(dots / (rows.norms[survivors] * q_norm), -1.0, 1.0)
         linked = rows.linked[survivors]
         scores = hybrid_score(sims, linked, cfg)

@@ -222,7 +222,9 @@ class ScoringRows:
     float32, and ``norms``, ``linked``, ``alive`` and ``nodes`` (its event's
     node number) one entry per row; ``vectors`` is the store's one array of
     every stored vector and ``vector_row`` each node's row of it (-1 for
-    none); each a read-only view of the store's array. Once appended, a row
+    none), so a live row ``r``'s vector is
+    ``vectors[vector_row[nodes[r]]]``; each a read-only view of the
+    store's array. Once appended, a row
     changes only its alive flag and linked bit, in place, when it dies or
     its event gains an edge; a dead row keeps its id and screen until
     compaction drops it, but its vector only while its node keeps it.
@@ -236,11 +238,6 @@ class ScoringRows:
     nodes: np.ndarray
     vectors: np.ndarray
     vector_row: np.ndarray
-
-    def vectors_of(self, rows: np.ndarray) -> np.ndarray:
-        """The vectors of the live scoring rows ``rows``, gathered through
-        their nodes into a new array."""
-        return self.vectors[self.vector_row[self.nodes[rows]]]
 
 
 @dataclass
@@ -916,14 +913,13 @@ class GraphStore:
         events = (self._kinds[numbers] == _EVENT).tolist()
         held = {}  # number -> place of its vector, by last write
         for (i, place), event in zip(writes, events):
+            held.pop(i, None)
             if place is not None:  # the vectors held just before this pair
                 kept = not self._embedded or self._embedded_by == embedded_by
                 self._embedded_by = embedded_by if kept else None
+                held[i] = place
             self._embedded += (place is not None) - had[i]
             had[i] = place is not None
-            held.pop(i, None)
-            if place is not None:
-                held[i] = place
             holder = self._holder
             if not event and holder is not None:
                 if place is None and holder.get(texts[i]) == i:
@@ -947,15 +943,15 @@ class GraphStore:
             written = np.fromiter(held, np.int64, len(held))
             self._vec_row[written] = list(map(rows.__getitem__, pairs))
             scored = written[(self._kinds[written] == _EVENT) & self._has_text[written]]
-            if len(scored):
-                norms = [checks[held[i]][1] for i in scored.tolist()]
-                self._append_rows(scored, self._vecs[self._vec_row[scored]], norms)
+            norms = [checks[held[i]][1] for i in scored.tolist()]
+            self._append_rows(scored, self._vecs[self._vec_row[scored]], norms)
         self._compact_if_sparse()
 
     def _append_rows(self, numbers, vectors, norms) -> None:
-        """Append a scoring row for each of nodes ``numbers``, events with
-        text and no live row: the screen of its vector, ``vectors[i]``, with
-        norm ``norms[i]``, the norm, the linked bit and the alive flag."""
+        """Append a scoring row for each of nodes ``numbers`` (an int64
+        array), events with text and no live row: the screen of its vector,
+        ``vectors[i]``, with norm ``norms[i]``, the norm, the linked bit and
+        the alive flag."""
         start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
         self._screens, self._norms, self._linked, self._alive, self._row_node = _room(
             (self._screens, self._norms, self._linked, self._alive, self._row_node),
@@ -963,7 +959,6 @@ class GraphStore:
         )
         self._norms[start:end] = norms
         screen_rows(vectors, self._norms[start:end], out=self._screens[start:end])
-        numbers = np.asarray(numbers, dtype=np.int64)
         self._linked[start:end] = self._degree[numbers] > 0
         self._alive[start:end] = True
         self._live_rows += len(numbers)
@@ -1188,16 +1183,13 @@ class GraphStore:
         with self.lock.read():  # nodes, edges and vectors from one consistent view
             n, m = len(self._ids), self._edge_count
             live = np.flatnonzero(self._alive[: len(self._row_ids)])
-            rank = np.empty(len(self._row_ids), dtype=np.int64)  # a live row's place in the file
-            rank[live] = np.arange(len(live))
-            rows = self._row[:n]
+            scored = self._row_node[live]  # the live rows' nodes, in scoring order
             vector_row = np.full(n, -1, dtype=np.int64)
-            scored = np.flatnonzero(rows >= 0)
-            vector_row[scored] = rank[rows[scored]]
+            vector_row[scored] = np.arange(len(live))
             # nodes with equal vectors share a row, so the file depends on the
             # vectors alone, not on which nodes share a row of _vecs: each
             # distinct value once, by its bytes, in the order of its first node
-            held = np.flatnonzero((self._vec_row[:n] >= 0) & (rows < 0))
+            held = np.flatnonzero((self._vec_row[:n] >= 0) & (self._row[:n] < 0))
             on, node_on = np.unique(self._vec_row[held], return_inverse=True)
             vectors = self._vecs[on]
             as_bytes = vectors.view((np.void, _ROW_BYTES)).ravel()  # a row as one value
@@ -1220,7 +1212,7 @@ class GraphStore:
             }
             # rows are written once and a vector is replaced, not changed, so
             # the array still holds this view's vectors after the lock
-            vecs, scoring = self._vecs, self._vec_row[self._row_node[live]]
+            vecs, scoring = self._vecs, self._vec_row[scored]
             embedded_by = self._embedded_by
         shape = (len(live) + len(others), EMBEDDING_DIM)
         payload = {
@@ -1299,7 +1291,6 @@ class GraphStore:
         rows = file_rows[scored]
         # a file save wrote holds them first, in scoring order: screened from
         # that slice, with no gathered copy
-        first = np.array_equal(rows, np.arange(len(rows)))
-        vectors = self._vecs[: len(rows)] if first else self._vecs[rows]
-        self._append_rows(scored, vectors, np.sqrt(snapshot.squared[rows]))
+        at = slice(len(rows)) if np.array_equal(rows, np.arange(len(rows))) else rows
+        self._append_rows(scored, self._vecs[at], np.sqrt(snapshot.squared[rows]))
         return self

@@ -203,7 +203,8 @@ def store_state(store: GraphStore, live: bool = False) -> tuple:
         [(node.id, node.kind, node.text,
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
         [event_id for event_id, kept in zip(rows.ids, rows.alive) if kept or not live],
-        rows.vectors_of(alive).tobytes(), None if live else rows.vectors.tobytes(),
+        rows.vectors[rows.vector_row[rows.nodes[alive]]].tobytes(),
+        None if live else rows.vectors.tobytes(),
         rows.screens[keep].tobytes(), rows.norms[keep].tobytes(), rows.linked[keep].tobytes(),
         rows.alive[keep].tobytes(),
         store.embedded_by,

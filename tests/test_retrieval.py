@@ -481,7 +481,8 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
             store = GraphStore.load(path)
         scoring = store.scoring_rows()
         live = np.flatnonzero(scoring.alive)
-        want = screen_rows(scoring.vectors_of(live), scoring.norms[live])
+        vectors = scoring.vectors[scoring.vector_row[scoring.nodes[live]]]
+        want = screen_rows(vectors, scoring.norms[live])
         assert scoring.screens[live].tobytes() == want.tobytes()
         qv = shaped_row(bases, *q)
         if tau == "above":  # no score exceeds alpha + beta
