@@ -213,6 +213,17 @@ class StoreMachine(RuleBasedStateMachine):
         assert all(view.tobytes() == before for view, before in self.held)
 
     @invariant()
+    def holds_for_each_text_its_last_holders_vector(self):
+        last = {}  # text -> the last node other than an event with it and a vector
+        for node in self.graph.nodes():
+            if node.kind is not NodeKind.EVENT and node.embedding is not None:
+                last[node.text] = node.id
+        held = self.store.held_vectors(TEXTS[1:])
+        assert held.keys() == last.keys() - {None}
+        for text, vector in held.items():
+            assert np.shares_memory(vector, self.store.get_node(last[text]).embedding)
+
+    @invariant()
     def queries_as_a_scan_of_every_row_and_the_oracle(self):
         q, cfg = self.query_args
         got, want = query(self.store, POOL[q], cfg), full_scan_query(self.store, POOL[q], cfg)
