@@ -32,13 +32,13 @@ the scoring rows first, in scoring order, then each distinct vector the
 other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row of the file, and after
 a load they share that row in the store, whose vector array is a copy of
-the file's. Loading reads the file through
-one open file object, mapping the rows from it, so a save that renames a
-new file into place meanwhile is not seen. It checks every column in
-bulk and fills the store's columns from the file's, with no step per
-record: each norm is the root of the vector's row of the one ``einsum``
-that checks the whole array, the kernel ``check_embedding`` runs on one
-row, so a norm is the same to the bit either way. Each check is a mask
+the file's. Loading reads the file through one open file object, mapping
+the rows from it, so a save that renames a new file into place meanwhile
+is not seen. It checks every column in bulk and fills the store's
+columns from the file's, with no step per record: each norm is the root
+of the vector's row of the one ``einsum`` that checks the whole array,
+the kernel ``check_embedding`` runs on one row, so a norm is the same to
+the bit either way. Each check is a mask
 over the records and the refusal of a record it flags, the refusal built
 as the store's writers build theirs; a load names the first faulty
 record, with the refusal of the first check that flags it. Versions 1 to
@@ -219,15 +219,15 @@ class ScoringRows:
     """A store's scoring rows, valid while the caller holds ``store.lock.read()``.
 
     ``screens`` holds the ``screen_rows`` of rows ``0 .. len(ids) - 1`` in
-    float32, and ``norms``, ``linked``, ``alive`` and ``nodes`` (its event's
-    node number) one entry per row; ``vectors`` is the store's one array of
-    every stored vector and ``vector_row`` each node's row of it (-1 for
-    none), so a live row ``r``'s vector is
-    ``vectors[vector_row[nodes[r]]]``; each a read-only view of the
-    store's array. Once appended, a row
-    changes only its alive flag and linked bit, in place, when it dies or
-    its event gains an edge; a dead row keeps its id and screen until
-    compaction drops it, but its vector only while its node keeps it.
+    float32, and ``norms``, ``linked``, ``alive`` and ``nodes`` (its
+    event's node number) one entry per row; ``vectors`` is the store's one
+    array of every stored vector and ``vector_row`` each node's row of it
+    (-1 for none), so a live row ``r``'s vector is
+    ``vectors[vector_row[nodes[r]]]``. Each is a read-only view of the
+    store's array. Once appended, a row changes only its alive flag and
+    linked bit, in place, when it dies or its event gains an edge; a dead
+    row keeps its id and screen until compaction drops it, and its node
+    may hold another vector by then.
     """
 
     ids: list[str]

@@ -258,9 +258,8 @@ class ReferenceGraph:
         return list(self.edge_list)
 
     def scoring_rows(self) -> ScoringRows:
-        """The live rows alone: ids, screens, norms and linked bits, and
-        their vectors, row ``r``'s held by a node numbered ``r`` in row
-        ``r`` of ``vectors``."""
+        """The live rows alone: ids, screens, norms and linked bits; row
+        ``r``'s node is numbered ``r`` and holds row ``r`` of ``vectors``."""
         linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
         vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
         stack = np.array(vectors).reshape(-1, EMBEDDING_DIM)
