@@ -13,7 +13,7 @@ import functools
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from causeway import annotation, embedding, evaluation, export, inference, retrieval
@@ -105,10 +105,9 @@ class Config:
             flag = getattr(args, key, None)
             if flag is not None:
                 values[key] = flag
+        cfg = retrieval.HybridConfig(**values)
         top_k = getattr(args, "top_k", None)
-        if top_k is not None:
-            values["k"] = top_k
-        return retrieval.HybridConfig(**values)
+        return cfg if top_k is None else _with_k(cfg, "--top-k", top_k)
 
     def validate(self) -> None:
         for name, checks in _SETTINGS.items():
@@ -176,9 +175,17 @@ def _add_weights(p: argparse.ArgumentParser) -> None:
         p.add_argument(flag, type=float)
 
 
+def _with_k(cfg: retrieval.HybridConfig, flag: str, k: int) -> retrieval.HybridConfig:
+    """``cfg`` at the k a flag gave, refused naming the flag."""
+    try:
+        return replace(cfg, k=k)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _k_values(text: str) -> list[int]:
-    """``--k``: comma-separated integers, at least one; ``HybridConfig``
-    refuses a k below 1."""
+    """``--k``: comma-separated integers, at least one; ``_with_k`` refuses
+    a k below 1."""
     try:
         values = [int(k) for k in text.split(",") if k.strip()]
     except ValueError:
@@ -360,6 +367,8 @@ def _cmd_evaluate(config: Config, args) -> int:
     client = config.make_client()
     dataset = evaluation.load_eval_dataset(args.test)
     cfg = config.hybrid_config(args)
+    for k in args.k:
+        _with_k(cfg, "--k", k)
     reports = evaluation.sweep(
         dataset,
         args.k,

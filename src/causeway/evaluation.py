@@ -44,22 +44,12 @@ class Confusion:
 
 def confusion(preds: Sequence[int], gold: Sequence[int]) -> Confusion:
     if len(preds) != len(gold):
-        raise LengthMismatchError(
-            f"{len(preds)} predictions vs {len(gold)} gold labels"
-        )
-    tp = fp = fn = tn = 0
-    for p, g in zip(preds, gold):
+        raise LengthMismatchError(f"{len(preds)} predictions vs {len(gold)} gold labels")
+    pairs = list(zip(preds, gold))
+    for p, g in pairs:
         if p not in (0, 1) or g not in (0, 1):
             raise BadLabelError(f"labels must be 0/1, got pred={p!r} gold={g!r}")
-        if p == 1 and g == 1:
-            tp += 1
-        elif p == 1 and g == 0:
-            fp += 1
-        elif p == 0 and g == 1:
-            fn += 1
-        else:
-            tn += 1
-    return Confusion(tp, fp, fn, tn)
+    return Confusion(*map(pairs.count, [(1, 1), (1, 0), (0, 1), (0, 0)]))
 
 
 @dataclass(frozen=True)
@@ -99,14 +89,7 @@ def metrics(c: Confusion) -> Metrics:
     else:
         degenerate.append("mcc")
 
-    return Metrics(
-        f1=f1,
-        accuracy=accuracy,
-        precision=precision,
-        recall=recall,
-        mcc=mcc,
-        degenerate=tuple(degenerate),
-    )
+    return Metrics(f1, accuracy, precision, recall, mcc, tuple(degenerate))
 
 
 # what a sweep reports for a k at which every sentence failed
@@ -208,13 +191,15 @@ def sweep(
     the same for all k, and an example depends only on its result and rank.
     """
     cfg_base = cfg_base or retrieval.HybridConfig()
-    cfgs = [replace(cfg_base, k=k) for k in k_values]  # rejects a bad k up front
+    for k in k_values:  # refuses a bad k up front, as HybridConfig would
+        if type(k) is not int or k < 1:
+            replace(cfg_base, k=k)
     if max_prompt_tokens is not None and max_prompt_tokens < 1:
         raise ValueError("max_tokens must be positive")
-    if not cfgs:
+    if not k_values:
         return []
-    deepest = max(cfgs, key=lambda cfg: cfg.k)
-    outcomes = [([], [], []) for _ in cfgs]  # per k: preds, golds, failures
+    deepest = replace(cfg_base, k=max(k_values))
+    outcomes = [([], [], []) for _ in k_values]  # per k: preds, golds, failures
     for record in dataset:
         try:
             results = retrieval.query(store, provider.embed(record.text), deepest)
@@ -223,10 +208,10 @@ def sweep(
                 failures.append((record.id, str(exc)))
             continue
         pieces = prompt_pieces(record.text, results, rules)
-        for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
+        for k, (preds, golds, failures) in zip(k_values, outcomes):
             try:
                 verdict, *_ = classify_pieces(
-                    min(cfg.k, len(results)), pieces, client, max_prompt_tokens, budgeter
+                    min(k, len(results)), pieces, client, max_prompt_tokens, budgeter
                 )
             except CausewayError as exc:
                 failures.append((record.id, str(exc)))
@@ -234,21 +219,21 @@ def sweep(
             preds.append(verdict.label)
             golds.append(record.gold_label)
     reports = []
-    for cfg, (preds, golds, failures) in zip(cfgs, outcomes):
+    for k, (preds, golds, failures) in zip(k_values, outcomes):
         c = confusion(preds, golds)
         reports.append(
             EvalReport(
                 model=client.name,
-                k=cfg.k,
-                tau=cfg.tau,
-                alpha=cfg.alpha,
-                beta=cfg.beta,
+                k=k,
+                tau=cfg_base.tau,
+                alpha=cfg_base.alpha,
+                beta=cfg_base.beta,
                 confusion=c,
                 metrics=metrics(c) if c.total else EMPTY_METRICS,
                 failures=failures,
             )
         )
-        logger.info("sweep k=%d: f1=%.4f (%d failures)", cfg.k, reports[-1].metrics.f1, len(failures))
+        logger.info("sweep k=%d: f1=%.4f (%d failures)", k, reports[-1].metrics.f1, len(failures))
     return reports
 
 

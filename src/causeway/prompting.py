@@ -33,6 +33,9 @@ refused.
 
 ``render_pieces`` renders each part once; the prompt holding any prefix of
 the examples, and its token estimate, are then built from those pieces.
+Its check for characters XML 1.0 cannot carry reads only the texts a piece
+holds, in render order: markup, indentation, the constant instructions
+and output contract, and escapes are valid ASCII.
 """
 
 from __future__ import annotations
@@ -145,6 +148,12 @@ def _example(example: FewShotExample) -> str:
     )
 
 
+def _texts(example: FewShotExample) -> list[str]:
+    """The texts ``_example`` writes, in the order it writes them."""
+    return [example.event_text, *example.cause_texts, *example.effect_texts,
+            *example.trigger_texts, example.tagged_text]
+
+
 # the examples block with no examples: 4 words, as many as the open and close
 # lines around a block that holds some
 _NO_EXAMPLES = '  <examples count="0" zero_shot="true" />'
@@ -229,9 +238,13 @@ def render_pieces(spec: PromptSpec) -> PromptPieces:
         f"{_leaf('output_format', OUTPUT_CONTRACT, '  ')}\n</prompt>"
     )
     examples = tuple(map(_example, spec.examples))
+    # markup, indentation, constants and escapes are valid ASCII, so a piece's
+    # first character XML cannot carry is its texts' first; printable texts
+    # hold no control, surrogate or unassigned character, so none XML refuses
+    texts = [spec.rules, *map(_texts, spec.examples), [spec.query_sentence]]
     faults = []
-    for at, piece in zip([-1, *range(len(examples)), -1], [head, *examples, tail]):
-        bad = _XML_INVALID.search(piece)
+    for at, text in zip([-1, *range(len(examples)), -1], map("".join, texts)):
+        bad = None if text.isprintable() else _XML_INVALID.search(text)
         if bad is not None:
             faults.append((at, bad.group()))
     return PromptPieces(head, examples, tail, tuple(faults))

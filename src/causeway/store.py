@@ -22,8 +22,8 @@ row of the store's one vector array when written. Nodes share a row when
 one write gives them one read-only array, or they hold one text and
 equal bytes.
 Many readers or one writer: one ``insert`` writes any number of nodes and
-edges under one write lock, and one ``event_texts`` reads the texts of
-any number of events (a query's results) under one read lock.
+edges under one write lock, and one ``numbered_texts`` reads the texts
+of any number of events (a query's results) under one read lock.
 
 A snapshot (version 4) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` array (-1 for
@@ -1087,10 +1087,11 @@ class GraphStore:
         self._linked[rows[rows >= 0]] = True
 
     def _loaded_of(self, event: int) -> list[list[int]]:
-        """The (cause, effect, trigger) neighbours a load gave ``event``."""
-        kinds = len(_EDGE_KINDS)
-        start = self._loaded_start[kinds * event : kinds * event + kinds + 1].tolist()
-        return [self._loaded[a:b].tolist() for a, b in zip(start, start[1:])]
+        """The (cause, effect, trigger) neighbours a load gave ``event``, read
+        as one slice of ``_loaded``."""
+        a, b, c, d = self._loaded_start[3 * event : 3 * event + 4].tolist()
+        got = self._loaded[a:d].tolist()
+        return [got[: b - a], got[b - a : c - a], got[c - a :]]
 
     def edges(self) -> list[Edge]:
         """Every edge, in first-insertion order, each a new ``Edge``."""
@@ -1126,19 +1127,9 @@ class GraphStore:
             raise NotAnEventError(f"{event_id!r} is a {kind.value}, not an Event")
         return i
 
-    def _neighbors(self, event_id: str) -> tuple[list[int], list[int], list[int]]:
-        """The (cause, effect, trigger) neighbor numbers of one event, each in
-        edge-insertion order; the caller holds the read lock."""
-        i = self._event(event_id)
-        written = self._written.get(i, ([], [], []))
-        if i < len(self._loaded_start) // len(_EDGE_KINDS):
-            return tuple(map(operator.add, self._loaded_of(i), written))
-        return written
-
     def neighbor_counts(self, event_id: str) -> tuple[int, int, int]:
         """(cause, effect, trigger) edge counts for one event."""
-        with self.lock.read():
-            return tuple(map(len, self._neighbors(event_id)))
+        return tuple(map(len, self.collect_texts(event_id)))
 
     def collect_texts(self, event_id: str) -> tuple[list[str], list[str], list[str]]:
         """(cause, effect, trigger) neighbor texts in edge-insertion order."""
@@ -1148,11 +1139,25 @@ class GraphStore:
         """Per event id, under one read lock: the event's text, then its
         cause, effect and trigger neighbor texts as ``collect_texts`` gives them."""
         with self.lock.read():
-            texts, out = self._texts, []
-            for event_id in event_ids:
-                neighbors = self._neighbors(event_id)  # refuses an unknown id or a non-event
-                neighbor_texts = ([texts[i] or "" for i in numbers] for numbers in neighbors)
-                out.append((texts[self._index[event_id]], *neighbor_texts))
+            numbers = list(map(self._event, event_ids))  # refuses an unknown id or a non-event
+            return [(text, *map(list, kinds)) for text, *kinds in self.numbered_texts(numbers)]
+
+    def numbered_texts(self, numbers: list[int]) -> list[tuple]:
+        """Per event number (as ``ScoringRows.nodes`` gives them), under one
+        read lock: the event's text, then its cause, effect and trigger
+        neighbor texts as tuples, each in edge-insertion order: those a load
+        gave, then those written since."""
+        with self.lock.read():
+            texts, written, out = self._texts, self._written, []
+            loaded = len(self._loaded_start) // len(_EDGE_KINDS)
+            for i in numbers:
+                lists = written.get(i, ([], [], []))
+                if i < loaded:  # the load's lists come first
+                    lists = map(operator.add, self._loaded_of(i), lists)
+                causes, effects, triggers = lists
+                x, y = len(causes), len(causes) + len(effects)
+                flat = [texts[j] or "" for j in causes + effects + triggers]
+                out.append((texts[i], tuple(flat[:x]), tuple(flat[x:y]), tuple(flat[y:])))
             return out
 
     # --- reporting ---

@@ -282,7 +282,10 @@ def test_a_k_below_one_is_refused_as_top_k_zero_is(workspace, capsys, value):
     capsys.readouterr()
     assert run(["evaluate", "--test", str(workspace["testset"]), f"--k={value}"], workspace) == 1
     assert run(["retrieve", "--query", "rain", "--top-k", "0"], workspace) == 1
-    assert capsys.readouterr().err == "error: k must be >= 1\n" * 2
+    assert run(["classify", "--sentence", "rain", "--top-k", "0"], workspace) == 1
+    assert capsys.readouterr().err == (
+        "error: --k: k must be >= 1\n" + "error: --top-k: k must be >= 1\n" * 2
+    )
 
 
 def evaluate_json(workspace, *extra) -> str:

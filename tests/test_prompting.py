@@ -243,6 +243,11 @@ def test_every_xml_invalid_character_is_refused_as_elementtree_refuses_it(field)
         assert rendered(reference_build_prompt, spec) == ("refused", message)
 
 
+def test_no_character_xml_refuses_is_printable():
+    # render_pieces searches a piece's texts only when they are not all printable
+    assert not any(char.isprintable() for char in XML_INVALID_CHARACTERS)
+
+
 def test_both_examples_blocks_are_four_words():
     # so a prompt's word count is the zero-shot prompt's plus its examples'
     for n in (0, 1, 12):
@@ -257,8 +262,26 @@ def test_both_examples_blocks_are_four_words():
         assert sum(len(line.split()) for line in block) == 4
 
 
+def with_fields(rank: int, **texts) -> FewShotExample:
+    return replace(example(rank), **texts)
+
+
 @settings(max_examples=200, deadline=None)
 @given(spec=SPECS)
+# a bad character only in an example's last text, its tagged sentence
+@hypothesis.example(spec=PromptSpec("q", examples=[
+    example(1), with_fields(2, tagged_text="tagged \x01"),
+], rules=["r"]))
+# the first example's bad character is in its tagged sentence, the second's
+# in its text, which comes earlier in an example; the query holds a third
+@hypothesis.example(spec=PromptSpec("query \x02", examples=[
+    with_fields(1, tagged_text="tagged \x03"), with_fields(2, event_text="text \ufffe"),
+], rules=["r"]))
+# one example's trigger and tagged sentence each hold one: the trigger's is first
+@hypothesis.example(spec=PromptSpec("q", examples=[
+    with_fields(1, trigger_texts=("because \x05",), tagged_text="tagged \x06"),
+], rules=["r"]))
+@hypothesis.example(spec=PromptSpec("q", examples=[example(1)], rules=["r", "bad \ud800 rule"]))
 def test_every_prefix_prompt_counts_the_words_its_pieces_sum_to(spec):
     pieces = render_pieces(spec)
     for n in range(len(spec.examples) + 1):

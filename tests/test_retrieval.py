@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import threading
+from dataclasses import FrozenInstanceError, fields
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from causeway.store import (
 )
 
 from helpers import (
+    ReferenceGraph,
     full_scan_query,
     live_row_ids,
     oracle_query,
@@ -498,7 +500,7 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
 
 def test_query_holds_one_read_lock_against_writers(rng):
     store = random_store(rng, n_events=20)
-    scoring_rows, event_texts = store.scoring_rows, store.event_texts
+    scoring_rows, numbered_texts = store.scoring_rows, store.numbered_texts
     writer_done = threading.Event()
     seen_done = []
 
@@ -514,11 +516,11 @@ def test_query_holds_one_read_lock_against_writers(rng):
         seen_done.append(writer_done.is_set())
         return scoring_rows()
 
-    def collected(event_ids):
+    def collected(numbers):
         seen_done.append(writer_done.is_set())
-        return event_texts(event_ids)
+        return numbered_texts(numbers)
 
-    store.scoring_rows, store.event_texts = started_scan, collected
+    store.scoring_rows, store.numbered_texts = started_scan, collected
     query(store, random_unit_vector(np.random.default_rng(3)), HybridConfig(tau=-1.0))
     assert len(seen_done) > 1
     assert not any(seen_done)  # the writer stayed blocked for the whole query
@@ -545,6 +547,48 @@ def test_query_enters_the_read_lock_as_often_whatever_k(rng):
     assert counts == [counts[0]] * 4
 
 
+def test_query_collects_the_texts_of_loaded_and_written_neighbours(rng, tmp_path):
+    store = random_store(rng, n_events=40, embed_fraction=1.0, text_fraction=1.0)
+    store.save(tmp_path / "graph")
+    loaded = GraphStore.load(tmp_path / "graph")
+    # after the load, events gain neighbours of every kind, one without a
+    # text, and a new event gets some: loaded and written lists mix
+    np_rng = np.random.default_rng(5)
+    loaded.upsert_node(Node("event:new", NodeKind.EVENT, text="a new event",
+                            embedding=random_unit_vector(np_rng)))
+    nodes, edges = [Node("cause:bare", NodeKind.CAUSE)], []
+    for i in (*range(0, 40, 3), "new"):
+        for kind, edge_kind in ((NodeKind.CAUSE, EdgeKind.CAUSES),
+                                (NodeKind.EFFECT, EdgeKind.RESULTS_IN),
+                                (NodeKind.TRIGGER, EdgeKind.HAS_TRIGGER)):
+            node_id = f"{kind.value.lower()}:late:{i}"
+            nodes.append(Node(node_id, kind, text=f"late {kind.value} {i}"))
+            end = (node_id, f"event:{i}")
+            edges.append(Edge(*(end if edge_kind is EdgeKind.CAUSES else end[::-1]), edge_kind))
+        edges.append(Edge("cause:bare", f"event:{i}", EdgeKind.CAUSES))
+    loaded.insert(nodes, edges)
+    model = ReferenceGraph(loaded)  # its texts come from a scan of the edges
+    results = query(loaded, random_unit_vector(np_rng), HybridConfig(tau=-2.0, k=50))
+    assert len(results) == 41
+    for r in results:
+        want = model.collect_texts(r.event_id)
+        assert (list(r.cause_texts), list(r.effect_texts), list(r.trigger_texts)) == want
+        assert (r.cause_count, r.effect_count, r.trigger_count) == tuple(map(len, want))
+        assert r.event_text == model.node_map[r.event_id].text
+        assert loaded.event_texts([r.event_id]) == [(r.event_text, *want)]
+    # each touched event's lists: the loaded texts, then the late ones
+    by_id = {r.event_id: r for r in results}
+    mixed = 0
+    for i in range(0, 40, 3):
+        causes, effects, triggers = store.collect_texts(f"event:{i}")
+        r = by_id[f"event:{i}"]
+        assert r.cause_texts == (*causes, f"late Cause {i}", "")
+        assert r.effect_texts == (*effects, f"late Effect {i}")
+        assert r.trigger_texts == (*triggers, f"late Trigger {i}")
+        mixed += bool(causes or effects or triggers)
+    assert mixed
+
+
 def test_query_threshold_superset_prefix(rng):
     for _ in range(20):
         store = random_store(rng, n_events=40)
@@ -555,6 +599,23 @@ def test_query_threshold_superset_prefix(rng):
         second = [r.event_id for r in query(store, q, lo)]
         if len(first) < hi.k:
             assert second[: len(first)] == first
+
+
+def test_results_and_examples_are_what_their_constructors_make(rng):
+    store = random_store(rng, n_events=30)
+    results = query(store, random_unit_vector(np.random.default_rng(9)), HybridConfig(tau=-2.0))
+    examples = to_fewshot_examples(results)
+    assert results and examples
+    for made in (*results, *examples):
+        cls = type(made)
+        assert list(vars(made)) == [f.name for f in fields(cls)]
+        again = cls(**vars(made))
+        assert made == again and hash(made) == hash(again) and repr(made) == repr(again)
+        with pytest.raises(FrozenInstanceError):
+            made.event_id = "event:other"
+    for r in results:
+        assert [type(v) for v in (r.hybrid_score, r.embedding_similarity)] == [float, float]
+        assert type(r.structural_score) is int and type(r.cause_texts) is tuple
 
 
 def test_fewshot_empty_neighbors_label_zero():

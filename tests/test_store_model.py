@@ -229,6 +229,11 @@ class StoreMachine(RuleBasedStateMachine):
         got, want = query(self.store, POOL[q], cfg), full_scan_query(self.store, POOL[q], cfg)
         assert got == want
         assert score_bits(got) == score_bits(want)
+        # the texts from the model, as full_scan_query reads them from the store
+        for r in got:
+            texts = (r.event_text, list(r.cause_texts), list(r.effect_texts), list(r.trigger_texts))
+            assert texts == (self.graph.node_map[r.event_id].text,
+                             *self.graph.collect_texts(r.event_id))
         oracle = oracle_query(self.store, POOL[q], cfg)
         assert [r.event_id for r in got] == [o[0] for o in oracle]
         for r, o in zip(got, oracle):
