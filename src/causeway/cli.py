@@ -268,6 +268,8 @@ def _cmd_ingest(config: Config, args) -> int:
 
 
 def _cmd_embed(config: Config, args) -> int:
+    if args.batch_size < 1:  # before the load
+        raise ValueError("--batch-size: batch_size must be >= 1")
     store = _load_store(config)
     provider = config.make_provider()
     cleared = 0
@@ -333,6 +335,8 @@ def _cmd_retrieve(config: Config, args) -> int:
 
 
 def _cmd_classify(config: Config, args) -> int:
+    if args.max_prompt_tokens is not None and args.max_prompt_tokens < 1:  # before the load
+        raise ValueError("--max-prompt-tokens: max_tokens must be positive")
     store = _load_store(config)
     provider = config.make_provider()
     client = config.make_client()
@@ -362,6 +366,8 @@ def _cmd_classify(config: Config, args) -> int:
 
 
 def _cmd_evaluate(config: Config, args) -> int:
+    if args.max_prompt_tokens is not None and args.max_prompt_tokens < 1:  # before the load
+        raise ValueError("--max-prompt-tokens: max_tokens must be positive")
     store = _load_store(config)
     provider = config.make_provider()
     client = config.make_client()

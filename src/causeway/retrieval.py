@@ -203,7 +203,7 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
         margin = _margin(cfg)
         # the rows the margin holds for; every other row survives
         wild = (rows.norms < low) | (rows.norms > high) | (not low <= q_norm <= high)
-        survivors = np.flatnonzero(rows.alive & ((screened >= tau - margin) | wild))
+        survivors = np.flatnonzero((screened >= tau - margin) | wild)
         wild = wild[survivors]
         top = screened[survivors]
         if len(top) - np.count_nonzero(wild) > cfg.k:
@@ -212,7 +212,8 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
         # einsum, not a BLAS matvec: OpenBLAS gives identical rows
         # last-bit-different dots depending on their position, which would
         # break exact ties and so the ascending-id tie-break
-        dots = np.einsum("ij,j->i", rows.vectors[rows.vector_row[rows.nodes[survivors]]], qv)
+        nodes = rows.nodes[survivors]
+        dots = np.einsum("ij,j->i", rows.vectors[rows.vector_row[nodes]], qv)
         sims = np.clip(dots / (rows.norms[survivors] * q_norm), -1.0, 1.0)
         linked = rows.linked[survivors]
         scores = hybrid_score(sims, linked, cfg)
@@ -222,10 +223,10 @@ def query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalResult]:
             top = scores[candidates]
             candidates = candidates[top >= np.partition(top, -cfg.k)[-cfg.k]]
         # a Python sort on the ids: numpy string arrays drop trailing NULs
-        ids = list(map(rows.ids.__getitem__, survivors.tolist()))
+        ids = list(map(rows.ids.__getitem__, nodes.tolist()))
         score_list = scores.tolist()
         best = sorted(candidates.tolist(), key=lambda r: (-score_list[r], ids[r]))[: cfg.k]
-        texts = store.numbered_texts(rows.nodes[survivors[best]].tolist())
+        texts = store.numbered_texts(nodes[best].tolist())
         return [
             _make(RetrievalResult, ids[r], text, score, sim, flag, len(c), len(e), len(t), c, e, t)
             for r, score, sim, flag, (text, c, e, t) in zip(

@@ -28,8 +28,8 @@ of any number of events (a query's results) under one read lock.
 A snapshot (version 4) holds its records as columns: per node an id, a
 kind, a text and the row of its vector in the ``.npy`` array (-1 for
 none); per edge the indexes of its two nodes and a kind. The array holds
-the scoring rows first, in scoring order, then each distinct vector the
-other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
+the scoring rows' vectors first, in node order, then each distinct vector
+the other nodes hold, once: nodes with equal vectors (``batch_embed`` gives
 every node of one text the same array) share a row of the file, and after
 a load they share that row in the store, whose vector array is a copy of
 the file's. Loading reads the file through one open file object, mapping
@@ -45,20 +45,21 @@ record, with the refusal of the first check that flags it. Versions 1 to
 3, JSON documents alone or beside a vector file, are refused: such a
 store is built again by ``ingest`` and ``embed``.
 
-Every event with both text and an embedding owns one scoring row: the
-screen of its vector, the vector divided by its norm (``screen_rows``) in
-float32, the norm, a linked bit (the event has a causal edge), an alive
-flag and the event's node number. ``retrieval.query`` screens every row
-in one product before it scores in float64 the few that can reach the
-top k, their vectors gathered through their nodes: half the bytes per
-row scanned, for 1.5 KB more per event. Every column grows by doubling
-(``_room``), the room of a vector array never written. One bulk append
-writes the new scoring rows, for a write and a load alike. A new vector
-gets a new row and only marks the old one dead; growth and compaction
-(once dead scoring rows outnumber the live ones by ``CHUNK_ROWS``, or the
-vector array holds ``CHUNK_ROWS`` rows more than twice the nodes with a
-vector) make new arrays, so a view a caller holds never changes, and
-pins the whole array it was read from.
+The scoring rows are exactly the events with text and an embedding, one
+each, in node order: the screen of its vector, the vector divided by its
+norm (``screen_rows``) in float32, the norm, a linked bit (the event has
+a causal edge) and the event's node number. ``retrieval.query`` screens
+every row in one product, then scores in float64 the few that can reach
+the top k, their vectors gathered through their nodes: half the bytes per
+row scanned, for 1.5 KB more per event. The rows keep no history, so a
+snapshot's layout depends on the graph alone: a write of nodes all after
+the last row's appends rows, any other makes them all again from the
+columns, an edge sets a linked bit in place, and no norm is computed
+twice, as each row of the vector array keeps its own. Every column grows
+by doubling (``_room``), the room of a vector array never written.
+Growth, a rebuild and compaction of the vector array (past ``CHUNK_ROWS``
+rows more than twice the nodes with a vector) make new arrays, so a view
+a caller holds never changes, and pins the whole array it was read from.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ from causeway.errors import (
 )
 
 EMBEDDING_DIM = 384
-# compaction comes once dead scoring rows outnumber the live ones by this
-# many (so too the rows of _vecs, against the nodes with a vector); save
-# writes this many rows in one block
+# the vector array is compacted once it holds this many rows more than
+# twice the nodes with a vector; save writes this many scoring rows in one
+# block
 CHUNK_ROWS = 512
 
 SNAPSHOT_FORMAT = "causeway-graph-snapshot"
@@ -218,23 +219,22 @@ class Edge(NamedTuple):
 class ScoringRows:
     """A store's scoring rows, valid while the caller holds ``store.lock.read()``.
 
-    ``screens`` holds the ``screen_rows`` of rows ``0 .. len(ids) - 1`` in
-    float32, and ``norms``, ``linked``, ``alive`` and ``nodes`` (its
-    event's node number) one entry per row; ``vectors`` is the store's one
-    array of every stored vector and ``vector_row`` each node's row of it
-    (-1 for none), so a live row ``r``'s vector is
-    ``vectors[vector_row[nodes[r]]]``. Each is a read-only view of the
-    store's array. Once appended, a row changes only its alive flag and
-    linked bit, in place, when it dies or its event gains an edge; a dead
-    row keeps its id and screen until compaction drops it, and its node
-    may hold another vector by then.
+    One row per event with text and a vector, in ascending node order:
+    ``nodes`` holds each row's node number, ``screens`` its
+    ``screen_rows`` in float32, and ``norms`` and ``linked`` one entry per
+    row; ``ids`` are the store's node ids, so row ``r``'s event is
+    ``ids[nodes[r]]``. ``vectors`` is the store's one array of every
+    stored vector and ``vector_row`` each node's row of it (-1 for none),
+    so row ``r``'s vector is ``vectors[vector_row[nodes[r]]]``. Each array
+    is a read-only view of the store's. A row changes only its linked bit,
+    in place, when its event gains an edge; a write that changes the rows
+    other than by appending makes them all again, in new arrays.
     """
 
     ids: list[str]
     screens: np.ndarray
     norms: np.ndarray
     linked: np.ndarray
-    alive: np.ndarray
     nodes: np.ndarray
     vectors: np.ndarray
     vector_row: np.ndarray
@@ -722,7 +722,7 @@ class GraphStore:
     a vector. Each fact is held once: every vector is a row of one array,
     one row for every node that ``batch_embed`` or a load gave the same
     vector, and an event with text and a vector has a scoring row of its
-    screen, norm and flags. Edges are columns of node numbers in
+    screen, norm and linked bit. Edges are columns of node numbers in
     first-insertion order, and each event keeps the numbers of its
     neighbours (its edges' other ends) in that order. Reads build ``Node``
     and ``Edge`` values.
@@ -737,12 +737,12 @@ class GraphStore:
         self._kinds = np.empty(0, dtype=np.int8)
         self._has_text = np.empty(0, dtype=bool)
         self._vecs = np.empty((0, EMBEDDING_DIM))  # every stored vector
+        self._vec_norms = np.empty(0)  # each row's norm
         self._vec_count = 0  # rows of _vecs in use, each never written again; the rest is room
         self._vec_row = np.empty(0, dtype=np.int64)  # the node's row of _vecs, else -1
         # text -> the last node other than an event with that text and a
         # vector; None once a write may have removed one, until _holders
         self._holder: dict[str | None, int] | None = {}
-        self._row = np.empty(0, dtype=np.int64)  # the node's live scoring row, else -1
         self._degree = np.empty(0, dtype=np.int64)  # an event's edge count
         # edge columns, every edge once, in first-insertion order
         self._src = np.empty(0, dtype=np.int64)
@@ -756,16 +756,13 @@ class GraphStore:
         self._loaded = np.empty(0, dtype=np.int64)
         self._loaded_start = np.zeros(1, dtype=np.int64)
         self._written: dict[int, tuple[list[int], list[int], list[int]]] = {}
-        # scoring rows in write order, the first len(_row_ids) of each
-        # column, the rest room; dead rows stay (alive False) until
-        # _compact_if_sparse copies the live ones out
+        # scoring rows, one per event with text and a vector, in node order:
+        # the first _row_count of each column, the rest room
         self._screens = np.empty((0, EMBEDDING_DIM), dtype=np.float32)
-        self._row_ids: list[str] = []
-        self._row_node = np.empty(0, dtype=np.int64)
         self._norms = np.empty(0)
         self._linked = np.empty(0, dtype=bool)
-        self._alive = np.empty(0, dtype=bool)
-        self._live_rows = 0
+        self._row_node = np.empty(0, dtype=np.int64)
+        self._row_count = 0
         self._embedded = 0  # nodes with a vector
         self._embedded_by: str | None = None
         self.lock = _RWLock()
@@ -839,9 +836,9 @@ class GraphStore:
                 kept.append(i)
             writes.append((i, place))
         if len(ids) > first:
-            self._kinds, self._has_text, self._vec_row, self._row, self._degree = _room(
-                (self._kinds, self._has_text, self._vec_row, self._row, self._degree),
-                (0, False, -1, -1, 0), first, len(ids),
+            self._kinds, self._has_text, self._vec_row, self._degree = _room(
+                (self._kinds, self._has_text, self._vec_row, self._degree),
+                (0, False, -1, 0), first, len(ids),
             )
             self._kinds[first : len(ids)] = codes
             self._has_text[first : len(ids)] = [text is not None for text in texts[first:]]
@@ -894,10 +891,11 @@ class GraphStore:
             self._write(list(zip(numbers, places)), checks, embedded_by)
 
     def _write(self, writes: list, checks: list, embedded_by: str | None) -> None:
-        """Write each (node number, place in ``checks`` or None) of ``writes``;
-        an old row is only marked dead. A node shares its text's row of
-        ``_vecs`` if that holds its vector, else its place's new row; an
-        event with text gets a scoring row too."""
+        """Write each (node number, place in ``checks`` or None) of ``writes``.
+        A node shares its text's row of ``_vecs`` if that holds its vector,
+        else its place's new row. The scoring rows of a call that writes only
+        nodes after the last row's are appended; any other call's are all
+        made again, from the columns, into new arrays."""
         numbers = [i for i, _ in writes]
         texts = self._texts
         holder = self._holders() if embedded_by is not None else self._holder or {}
@@ -905,11 +903,7 @@ class GraphStore:
         before = {texts[i]: int(self._vec_row[holder[texts[i]]]) for i, place in writes
                   if place is not None and texts[i] in holder}
         had = dict(zip(numbers, (self._vec_row[numbers] >= 0).tolist()))  # as the call goes
-        old = self._row[list(had)]  # a node named twice has its row killed once
-        old = old[old >= 0]
-        self._alive[old] = False
-        self._live_rows -= len(old)
-        self._row[numbers] = self._vec_row[numbers] = -1
+        self._vec_row[numbers] = -1
         events = (self._kinds[numbers] == _EVENT).tolist()
         held = {}  # number -> place of its vector, by last write
         for (i, place), event in zip(writes, events):
@@ -926,6 +920,7 @@ class GraphStore:
                     self._holder = None
                 elif place is not None and holder.get(texts[i], -1) < i:
                     holder[texts[i]] = i
+        written = np.fromiter(held, np.int64, len(held))
         if held:  # a full _vecs grows into a new array; the old one is never written again
             pairs = [(before.get(texts[i], -1), place) for i, place in held.items()]
             rows, new = {}, {}  # (text's row, place) -> the nodes' row; place -> its new row
@@ -935,70 +930,68 @@ class GraphStore:
                     rows[row, place] = row
                 else:
                     rows[row, place] = new.setdefault(place, self._vec_count + len(new))
-            (self._vecs,) = _room((self._vecs,), (None,), self._vec_count,
-                                  self._vec_count + len(new))
+            self._vecs, self._vec_norms = _room((self._vecs, self._vec_norms), (None, 0.0),
+                                                self._vec_count, self._vec_count + len(new))
             for place, row in new.items():
-                self._vecs[row] = checks[place][0]
+                self._vecs[row], self._vec_norms[row] = checks[place]
             self._vec_count += len(new)
-            written = np.fromiter(held, np.int64, len(held))
             self._vec_row[written] = list(map(rows.__getitem__, pairs))
-            scored = written[(self._kinds[written] == _EVENT) & self._has_text[written]]
-            norms = [checks[held[i]][1] for i in scored.tolist()]
-            self._append_rows(scored, self._vecs[self._vec_row[scored]], norms)
+        last = self._row_node[self._row_count - 1] if self._row_count else -1
+        if all(i > last for i in numbers):  # every written node after the last row's
+            written.sort()
+            self._append_rows(written[self._scores(written)], self._row_count)
+        else:
+            self._append_rows(np.flatnonzero(self._scores(slice(len(self._ids)))), 0)
         self._compact_if_sparse()
 
-    def _append_rows(self, numbers, vectors, norms) -> None:
-        """Append a scoring row for each of nodes ``numbers`` (an int64
-        array), events with text and no live row: the screen of its vector,
-        ``vectors[i]``, with norm ``norms[i]``, the norm, the linked bit and
-        the alive flag."""
-        start, end = len(self._row_ids), len(self._row_ids) + len(numbers)
-        self._screens, self._norms, self._linked, self._alive, self._row_node = _room(
-            (self._screens, self._norms, self._linked, self._alive, self._row_node),
-            (None, 0.0, False, False, 0), start, end,
+    def _scores(self, numbers) -> np.ndarray:
+        """Which of nodes ``numbers`` (an index array or a slice) own a
+        scoring row: the events with text and a vector."""
+        return (self._kinds[numbers] == _EVENT) & self._has_text[numbers] & (
+            self._vec_row[numbers] >= 0
         )
-        self._norms[start:end] = norms
-        screen_rows(vectors, self._norms[start:end], out=self._screens[start:end])
+
+    def _append_rows(self, numbers: np.ndarray, start: int) -> None:
+        """Make the scoring rows from row ``start`` on those of nodes
+        ``numbers``, ascending, each after the node of row ``start - 1``:
+        the screen of the node's row of ``_vecs`` with that row's norm, the
+        norm, the linked bit and the node. Rows from 0 go into new arrays,
+        so a view of the old ones keeps its bytes."""
+        end = start + len(numbers)
+        columns = (self._screens, self._norms, self._linked, self._row_node)
+        self._screens, self._norms, self._linked, self._row_node = _room(
+            columns if start else tuple(a[:0] for a in columns), (None, 0.0, False, 0),
+            start, end,
+        )
+        rows = self._vec_row[numbers]
+        # rows in one run (as a save puts them first) are screened from a
+        # slice, with no gathered copy
+        at = slice(rows[0], rows[-1] + 1) if len(rows) and (np.diff(rows) == 1).all() else rows
+        self._norms[start:end] = self._vec_norms[rows]
+        screen_rows(self._vecs[at], self._norms[start:end], out=self._screens[start:end])
         self._linked[start:end] = self._degree[numbers] > 0
-        self._alive[start:end] = True
-        self._live_rows += len(numbers)
         self._row_node[start:end] = numbers
-        self._row[numbers] = np.arange(start, end)
-        self._row_ids += map(self._ids.__getitem__, numbers.tolist())
+        self._row_count = end
 
     def _compact_if_sparse(self) -> None:
         """Once ``_vecs`` holds ``CHUNK_ROWS`` rows more than twice the
-        nodes with a vector, keep only the rows nodes hold, in order; once
-        dead scoring rows outnumber the live ones by ``CHUNK_ROWS``, index
-        each scoring column with the live rows, screens copied, as a screen
-        is a function of its vector and norm alone. So ``_vecs`` stays
-        within twice the nodes with a vector plus ``CHUNK_ROWS`` rows, and
-        the scoring rows within twice the live ones plus ``CHUNK_ROWS``.
-        Old arrays live on only in views."""
+        nodes with a vector, keep only the rows nodes hold, in order, with
+        their norms, in new arrays: old arrays live on only in views."""
         if self._vec_count - 2 * self._embedded > CHUNK_ROWS:
             held = self._vec_row >= 0  # room past the nodes holds -1
             kept, self._vec_row[held] = np.unique(self._vec_row[held], return_inverse=True)
-            self._vecs, self._vec_count = self._vecs[kept], len(kept)
-        if len(self._row_ids) - 2 * self._live_rows < CHUNK_ROWS:
-            return
-        live = np.flatnonzero(self._alive[: len(self._row_ids)])
-        self._screens, self._norms, self._linked, self._alive, self._row_node = (
-            a[live] for a in (self._screens, self._norms, self._linked, self._alive,
-                              self._row_node)
-        )
-        self._row_ids = list(map(self._row_ids.__getitem__, live.tolist()))
-        self._row[self._row_node] = np.arange(len(live))
+            self._vecs, self._vec_norms = self._vecs[kept], self._vec_norms[kept]
+            self._vec_count = len(kept)
 
     def scoring_rows(self) -> ScoringRows:
         """The scoring rows as arrays, for retrieval to score in bulk."""
         with self.lock.read():
-            n = len(self._row_ids)
-            views = [a[:n] for a in (self._screens, self._norms, self._linked, self._alive,
-                                     self._row_node)]
+            n = self._row_count
+            views = [a[:n] for a in (self._screens, self._norms, self._linked, self._row_node)]
             views += [self._vecs[: self._vec_count], self._vec_row[: len(self._ids)]]
             for view in views:
                 view.flags.writeable = False
-            return ScoringRows(self._row_ids, *views)
+            return ScoringRows(self._ids, *views)
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         """Every node, or every node of ``kind``, in insertion order, each a
@@ -1082,9 +1075,11 @@ class GraphStore:
         )
         self._src[m:end], self._dst[m:end], self._edge_kinds[m:end] = src, dst, codes
         self._edge_count = end
+        events = np.array(events)
         np.add.at(self._degree, events, 1)
-        rows = self._row[events]
-        self._linked[rows[rows >= 0]] = True
+        # a scoring event's row, found in the rows' node order
+        rows = np.searchsorted(self._row_node[: self._row_count], events[self._scores(events)])
+        self._linked[rows] = True
 
     def _loaded_of(self, event: int) -> list[list[int]]:
         """The (cause, effect, trigger) neighbours a load gave ``event``, read
@@ -1179,29 +1174,28 @@ class GraphStore:
 
     def save(self, path: str | Path) -> None:
         """Write the snapshot at ``path``, one file: an ``.npy`` array of
-        the vectors, those of the live scoring rows in scoring order, then
-        each distinct vector that other nodes hold, once; then the JSON document
+        the vectors, those of the scoring rows in node order, then each
+        distinct vector that other nodes hold, once; then the JSON document
         of the nodes and edges. It goes to a temporary file, is fsynced and
         renamed into place, so a reader or a crash sees the old snapshot or
         the new one.
         """
         with self.lock.read():  # nodes, edges and vectors from one consistent view
             n, m = len(self._ids), self._edge_count
-            live = np.flatnonzero(self._alive[: len(self._row_ids)])
-            scored = self._row_node[live]  # the live rows' nodes, in scoring order
+            scored = self._row_node[: self._row_count]  # the scoring rows' nodes, in node order
             vector_row = np.full(n, -1, dtype=np.int64)
-            vector_row[scored] = np.arange(len(live))
+            vector_row[scored] = np.arange(len(scored))
             # nodes with equal vectors share a row, so the file depends on the
             # vectors alone, not on which nodes share a row of _vecs: each
             # distinct value once, by its bytes, in the order of its first node
-            held = np.flatnonzero((self._vec_row[:n] >= 0) & (self._row[:n] < 0))
+            held = np.flatnonzero((self._vec_row[:n] >= 0) & (vector_row < 0))
             on, node_on = np.unique(self._vec_row[held], return_inverse=True)
             vectors = self._vecs[on]
             as_bytes = vectors.view((np.void, _ROW_BYTES)).ravel()  # a row as one value
             _, one, value = np.unique(as_bytes, return_index=True, return_inverse=True)
             node_value = value[node_on]
             order = np.argsort(np.unique(node_value, return_index=True)[1])
-            vector_row[held] = len(live) + np.argsort(order)[node_value]
+            vector_row[held] = len(scored) + np.argsort(order)[node_value]
             others = vectors[one[order]]
             # kinds are str enums, which JSON writes as their values
             nodes = {
@@ -1219,11 +1213,11 @@ class GraphStore:
             # the array still holds this view's vectors after the lock
             vecs, scoring = self._vecs, self._vec_row[scored]
             embedded_by = self._embedded_by
-        shape = (len(live) + len(others), EMBEDDING_DIM)
+        shape = (len(scored) + len(others), EMBEDDING_DIM)
         payload = {
             "format": SNAPSHOT_FORMAT,
             "version": SNAPSHOT_VERSION,
-            "vectors": {"scoring": len(live), "provider": embedded_by},
+            "vectors": {"scoring": len(scored), "provider": embedded_by},
             "nodes": nodes,
             "edges": edges,
         }
@@ -1231,8 +1225,8 @@ class GraphStore:
         def write(f) -> None:
             header = {"descr": VECTOR_DTYPE, "fortran_order": False, "shape": shape}
             np.lib.format.write_array_header_1_0(f, header)
-            # the live rows' vectors, CHUNK_ROWS to a block, then the others
-            for at in range(0, len(live), CHUNK_ROWS):
+            # the scoring rows' vectors, CHUNK_ROWS to a block, then the others
+            for at in range(0, len(scored), CHUNK_ROWS):
                 f.write(vecs[scoring[at : at + CHUNK_ROWS]])
             f.write(others)
             # encoded once the vector blocks are written, so that its text and
@@ -1259,27 +1253,27 @@ class GraphStore:
     def _fill(self, snapshot: _Snapshot) -> "GraphStore":
         """Fill this new, unshared store's columns from the checked
         ``snapshot``'s. The file's rows are copied into ``_vecs`` as the file
-        holds them, and each event with text and a vector gets a scoring
-        row, in the order of its file rows, its norm from the file's squared
-        norms."""
+        holds them, each with its norm from the file's squared norms, and
+        each event with text and a vector gets a scoring row, in node
+        order."""
         ids, n = snapshot.ids, len(snapshot.ids)
-        file_rows, scores = snapshot.vector_row, snapshot.scores
         self._ids, self._texts = ids, snapshot.texts
         self._index = dict(zip(ids, range(n)))
         self._kinds = snapshot.kinds.astype(np.int8)
         self._has_text = snapshot.has_text
         self._vecs = np.array(snapshot.vectors)  # a copy, not a view of the map
+        self._vec_norms = np.sqrt(snapshot.squared)
         self._vec_count = len(self._vecs)
-        self._vec_row = file_rows
-        self._row = np.full(n, -1, dtype=np.int64)
-        self._embedded = int(np.count_nonzero(file_rows >= 0))
+        self._vec_row = snapshot.vector_row
+        self._embedded = int(np.count_nonzero(self._vec_row >= 0))
         self._embedded_by = snapshot.embedded_by
         self._holder = None  # found on first use
         # an edge the file repeats is held once, where it first comes
         src, dst, kinds = snapshot.src, snapshot.dst, snapshot.edge_kinds
         pairs = src * n + dst
-        if len(np.unique(pairs)) < len(pairs):
-            first = np.sort(np.unique(pairs, return_index=True)[1])
+        first = np.unique(pairs, return_index=True)[1]
+        if len(first) < len(pairs):
+            first = np.sort(first)
             src, dst, kinds = src[first], dst[first], kinds[first]
         self._src, self._dst, self._edge_kinds = src, dst, kinds.astype(np.int8)
         self._edge_count = len(src)
@@ -1292,10 +1286,5 @@ class GraphStore:
         self._loaded_start = np.concatenate(
             ([0], np.cumsum(np.bincount(runs, minlength=n * len(_EDGE_KINDS))))
         )
-        scored = np.flatnonzero(scores)[np.argsort(file_rows[scores])]  # in file row order
-        rows = file_rows[scored]
-        # a file save wrote holds them first, in scoring order: screened from
-        # that slice, with no gathered copy
-        at = slice(len(rows)) if np.array_equal(rows, np.arange(len(rows))) else rows
-        self._append_rows(scored, self._vecs[at], np.sqrt(snapshot.squared[rows]))
+        self._append_rows(np.flatnonzero(snapshot.scores), 0)
         return self

@@ -184,29 +184,26 @@ def write_snapshot(path, doc, vectors) -> None:
         f.write(doc if isinstance(doc, bytes) else json.dumps(doc).encode("utf-8"))
 
 
-def live_row_ids(store: GraphStore) -> list[str]:
-    """Event ids of the store's live scoring rows, in row order."""
+def row_ids(store: GraphStore) -> list[str]:
+    """Event ids of the store's scoring rows, in row order."""
     rows = store.scoring_rows()
-    return [event_id for event_id, alive in zip(rows.ids, rows.alive) if alive]
+    return list(map(rows.ids.__getitem__, rows.nodes.tolist()))
 
 
-def store_state(store: GraphStore, live: bool = False) -> tuple:
+def store_state(store: GraphStore, model: bool = False) -> tuple:
     """Everything a node write can change, each vector, screen and norm to
-    the bit: the nodes, every scoring row (dead ones too, or with ``live``
-    the live ones alone, as a ``ReferenceGraph`` holds them), each live
-    row's vector read through its node, without ``live`` the whole vector
-    array too, ``embedded_by`` and stats."""
+    the bit: the nodes, the scoring rows' events, each row's vector read
+    through its node, screens, norms and linked bits, ``embedded_by`` and
+    stats; and without ``model`` the store's whole vector array too, which a
+    ``ReferenceGraph`` does not hold."""
     rows = store.scoring_rows()
-    alive = np.flatnonzero(rows.alive)
-    keep = alive if live else slice(None)
     return (
         [(node.id, node.kind, node.text,
           None if node.embedding is None else node.embedding.tobytes()) for node in store.nodes()],
-        [event_id for event_id, kept in zip(rows.ids, rows.alive) if kept or not live],
-        rows.vectors[rows.vector_row[rows.nodes[alive]]].tobytes(),
-        None if live else rows.vectors.tobytes(),
-        rows.screens[keep].tobytes(), rows.norms[keep].tobytes(), rows.linked[keep].tobytes(),
-        rows.alive[keep].tobytes(),
+        row_ids(store),
+        rows.vectors[rows.vector_row[rows.nodes]].tobytes(),
+        None if model else rows.vectors.tobytes(),
+        rows.screens.tobytes(), rows.norms.tobytes(), rows.linked.tobytes(),
         store.embedded_by,
         store.stats().as_dict(),
     )
@@ -219,37 +216,30 @@ def held_rows_bound(store: GraphStore) -> int:
 
 
 class ReferenceGraph:
-    """A plain-Python model of a store: a dict of nodes, an ordered edge
-    list, the events that own a live scoring row (in row order) and
-    ``embedded_by``, written by ``reference_upsert_node`` and
-    ``reference_add_edge``. It answers the public reads a store comparison
-    makes (``nodes``, ``edges``, ``scoring_rows``, ``stats``,
-    ``collect_texts``) from that model alone."""
+    """A plain-Python model of a store: a dict of nodes in insertion order,
+    an ordered edge list and ``embedded_by``, written by
+    ``reference_upsert_node`` and ``reference_add_edge``. It answers the
+    public reads a store comparison makes (``nodes``, ``edges``,
+    ``scoring_rows``, ``stats``, ``collect_texts``) from that model alone."""
 
     def __init__(self, store: GraphStore):
         """The model of ``store``'s content, read through its public reads."""
         self.node_map = {node.id: node for node in store.nodes()}
         self.edge_list = store.edges()
-        self.row_order = live_row_ids(store)
         self.embedded_by = store.embedded_by
 
     def write(self, node_id: str, checked, embedded_by: str | None = None) -> None:
-        """One vector write, as the store made it before ``insert``: the old
-        row dies, and an event with text and a vector gets a new last row.
-        A vector written keeps ``embedded_by`` as the provider that made it
+        """One vector write, as the store made it before ``insert``. A
+        vector written keeps ``embedded_by`` as the provider that made it
         only if the model held no vector just before, its node's own
         included, or held that provider's; so one written without a
         provider clears it."""
         node = self.node_map[node_id]
-        if node_id in self.row_order:
-            self.row_order.remove(node_id)
         if checked is not None:
             held = any(n.embedding is not None for n in self.node_map.values())
             kept = not held or self.embedded_by == embedded_by
             self.embedded_by = embedded_by if kept else None
         node.embedding = None if checked is None else checked[0]
-        if checked is not None and node.kind is NodeKind.EVENT and node.text is not None:
-            self.row_order.append(node_id)
 
     def nodes(self, kind: NodeKind | None = None) -> list[Node]:
         return [n for n in self.node_map.values() if kind is None or n.kind is kind]
@@ -258,21 +248,27 @@ class ReferenceGraph:
         return list(self.edge_list)
 
     def scoring_rows(self) -> ScoringRows:
-        """The live rows alone: ids, screens, norms and linked bits; row
-        ``r``'s node is numbered ``r`` and holds row ``r`` of ``vectors``."""
+        """One row per event with text and a vector, in node order (the
+        order of ``node_map``): its node, screen, norm and linked bit; row
+        ``r``'s vector is row ``r`` of ``vectors``."""
+        ids = list(self.node_map)
         linked = {e.dst if e.kind is EdgeKind.CAUSES else e.src for e in self.edge_list}
-        vectors = [self.node_map[node_id].embedding for node_id in self.row_order]
+        nodes = [i for i, node in enumerate(self.node_map.values())
+                 if node.kind is NodeKind.EVENT and node.text is not None
+                 and node.embedding is not None]
+        vectors = [self.node_map[ids[i]].embedding for i in nodes]
         stack = np.array(vectors).reshape(-1, EMBEDDING_DIM)
         norms = np.array([check_embedding(v)[1] for v in vectors], dtype=np.float64)
+        vector_row = np.full(len(ids), -1, dtype=np.int64)
+        vector_row[nodes] = np.arange(len(nodes))
         return ScoringRows(
-            ids=list(self.row_order),
+            ids=ids,
             screens=screen_rows(stack, norms),
             norms=norms,
-            linked=np.array([node_id in linked for node_id in self.row_order], dtype=bool),
-            alive=np.ones(len(vectors), dtype=bool),
-            nodes=np.arange(len(vectors)),
+            linked=np.array([ids[i] in linked for i in nodes], dtype=bool),
+            nodes=np.array(nodes, dtype=np.int64),
             vectors=stack,
-            vector_row=np.arange(len(vectors)),
+            vector_row=vector_row,
         )
 
     def stats(self) -> StoreStats:
@@ -428,18 +424,17 @@ def full_scan_query(store: GraphStore, q, cfg: HybridConfig) -> list[RetrievalRe
 
     with store.lock.read():
         rows = store.scoring_rows()
-        live = np.flatnonzero(rows.alive)
-        # every stored vector scored, then each live row's taken through its node
-        dots = np.einsum("ij,j->i", rows.vectors, qv)[rows.vector_row[rows.nodes[live]]]
-        sims = np.clip(dots / (rows.norms[live] * q_norm), -1.0, 1.0)
-        linked = rows.linked[live]
+        # every stored vector scored, then each row's taken through its node
+        dots = np.einsum("ij,j->i", rows.vectors, qv)[rows.vector_row[rows.nodes]]
+        sims = np.clip(dots / (rows.norms * q_norm), -1.0, 1.0)
+        linked = rows.linked
         scores = hybrid_score(sims, linked, cfg)
         candidates = np.flatnonzero(scores >= cfg.tau)
         if len(candidates) > cfg.k:
             top = scores[candidates]
             kth = np.partition(top, len(top) - cfg.k)[len(top) - cfg.k]
             candidates = candidates[top >= kth]
-        ids = [rows.ids[row] for row in live.tolist()]
+        ids = [rows.ids[node] for node in rows.nodes.tolist()]
         best = sorted(candidates.tolist(), key=lambda r: (-scores[r], ids[r]))[: cfg.k]
         texts = store.event_texts([ids[r] for r in best])
         return [

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import causeway
 from causeway import cli
 from causeway.cli import Config, main
 from causeway.annotation import ingest_corpus, iter_jsonl_records
@@ -286,6 +291,60 @@ def test_a_k_below_one_is_refused_as_top_k_zero_is(workspace, capsys, value):
     assert capsys.readouterr().err == (
         "error: --k: k must be >= 1\n" + "error: --top-k: k must be >= 1\n" * 2
     )
+
+
+@pytest.mark.parametrize("args, refusal", [
+    (["embed", "--batch-size", "0"], "--batch-size: batch_size must be >= 1"),
+    (["classify", "--sentence", "rain", "--max-prompt-tokens", "0"],
+     "--max-prompt-tokens: max_tokens must be positive"),
+    (["evaluate", "--test", "no-such-file.jsonl", "--max-prompt-tokens", "-3"],
+     "--max-prompt-tokens: max_tokens must be positive"),
+], ids=["embed", "classify", "evaluate"])
+def test_a_range_refusal_names_its_flag_before_the_store_is_loaded(workspace, capsys, args,
+                                                                   refusal):
+    # no snapshot at the store path: loading it would be refused first
+    assert run(args, workspace) == 1
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+
+
+# runs each command line of argv[1] (a JSON list) through main in this one
+# process, then fails if numpy.ma was ever imported
+NO_MASKED_ARRAYS = """
+import json, sys
+from causeway.cli import main
+for args in json.loads(sys.argv[1]):
+    assert main(args) == 0, args
+assert "numpy.ma" not in sys.modules
+"""
+
+
+def test_no_command_imports_numpy_ma(workspace):
+    """A plain ``np.unique`` imports ``numpy.ma`` (numpy 2.4): 10-16 ms and
+    1.7 MB in a fresh process. A build, a save, loads, queries, a sweep, an
+    ingest and embed of a delta, and a clean and re-embed make no such call."""
+    delta = workspace["dir"] / "delta.jsonl"
+    delta.write_text(
+        '{"id": "e", "tagged_text": "<cause>the storm</cause> <trigger>brought</trigger> '
+        '<effect>outages</effect>", "gold_label": 1}\n', encoding="utf-8",
+    )
+    other = workspace["dir"] / "other.json"  # another provider: embed cleans and re-embeds
+    other.write_text(json.dumps({"provider": {"kind": "mock", "seed": 1}}), encoding="utf-8")
+    store = ["--store", str(workspace["store"])]
+    commands = [
+        [*store, "ingest", "--corpus", str(workspace["corpus"])],
+        [*store, "embed"],
+        [*store, "retrieve", "--query", "rain"],
+        [*store, "classify", "--sentence", "heavy rain led to flooding"],
+        [*store, "ingest", "--corpus", str(delta)],
+        [*store, "embed"],
+        [*store, "evaluate", "--test", str(workspace["testset"])],
+        [*store, "--config", str(other), "embed"],
+        [*store, "--config", str(other), "retrieve", "--query", "storm"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(causeway.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def evaluate_json(workspace, *extra) -> str:

@@ -30,7 +30,7 @@ from causeway.store import (
     check_embeddings,
 )
 
-from helpers import random_store
+from helpers import random_store, row_ids
 
 
 def store_with_texts(n=10, kind=NodeKind.EVENT, null_text=0):
@@ -380,7 +380,7 @@ def test_each_distinct_text_is_embedded_once_as_one_text_per_node_would(
             got = store.get_node(node.id).embedding
             assert (got is None) == (node.embedding is None)
             assert got is None or np.array_equal(got, node.embedding), node.id
-        assert store.scoring_rows().ids == reference.scoring_rows().ids
+        assert row_ids(store) == row_ids(reference)
         assert store.embedded_by == reference.embedded_by
         got = snapshot_bytes(store, tmp / f"got{batch_size}" / "graph.json")
         assert got == snapshot_bytes(reference, tmp / f"want{batch_size}" / "graph.json")

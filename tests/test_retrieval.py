@@ -35,10 +35,10 @@ from causeway.store import (
 from helpers import (
     ReferenceGraph,
     full_scan_query,
-    live_row_ids,
     oracle_query,
     random_store,
     random_unit_vector,
+    row_ids,
     score_bits,
 )
 
@@ -282,7 +282,7 @@ def test_query_ties_exactly_across_row_positions():
         embedding = vec if row in tie_ids else random_unit_vector(np_rng)
         store.upsert_node(Node(event_id, NodeKind.EVENT, text="t", embedding=embedding))
         if row in (1500, 1599):  # 1501 rows end on a tie
-            assert [store.scoring_rows().ids[r] for r in tie_rows] == list(tie_ids.values())
+            assert [row_ids(store)[r] for r in tie_rows] == list(tie_ids.values())
             results = query(store, q, cfg)
             assert [r.event_id for r in results] == sorted(tie_ids.values())
             assert len({r.hybrid_score for r in results}) == 1
@@ -350,12 +350,10 @@ def test_query_matches_oracle_after_every_write(steps, q_seed, tau, k):
             for r, w in zip(got, want):
                 assert abs(r.hybrid_score - w[1]) <= 1e-9
                 assert r.structural_score == w[3]
-            live = live_row_ids(store)
-            assert sorted(live) == sorted(
+            assert row_ids(store) == [
                 n.id for n in store.nodes(NodeKind.EVENT)
                 if n.text is not None and n.embedding is not None
-            )
-            assert len(store.scoring_rows().ids) < 2 * len(live) + 2
+            ]
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,9 +453,9 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
     lists, each score to the bit, through exact ties, duplicated rows, rows
     one ulp apart and rows the screen cannot tell apart, zero and huge
     weights, a tau above every score or at one, norms from 1e-160 to
-    1e152, entries near float32 underflow, and
-    dead rows left by rewrites, compaction and a load; and every live
-    row's screen is the one formula of its node's vector and its norm."""
+    1e152, entries near float32 underflow, and rows made again by
+    rewrites, a compacted vector array and a load; and every row's screen
+    is the one formula of its node's vector and its norm."""
     assume(alpha + beta > 0)
     np_rng = np.random.default_rng(seed)
     # unit, so that a row's scale is its norm; the last at about 25 degrees
@@ -469,7 +467,7 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
         store = GraphStore()
         for i, (row, linked) in enumerate(rows):
             embedded_event(store, f"event:{i:02d}", shaped_row(bases, *row), edges=int(linked))
-        for i, row in rewrites:  # a new row, the old one dead; or no text, no row
+        for i, row in rewrites:  # a new vector; or no text, no row
             event_id = f"event:{i % len(rows):02d}"
             if row is None:
                 store.upsert_node(Node(event_id, NodeKind.EVENT, text=None,
@@ -482,10 +480,9 @@ def test_query_matches_a_scan_of_every_row_to_the_bit(
             store.save(path)
             store = GraphStore.load(path)
         scoring = store.scoring_rows()
-        live = np.flatnonzero(scoring.alive)
-        vectors = scoring.vectors[scoring.vector_row[scoring.nodes[live]]]
-        want = screen_rows(vectors, scoring.norms[live])
-        assert scoring.screens[live].tobytes() == want.tobytes()
+        vectors = scoring.vectors[scoring.vector_row[scoring.nodes]]
+        want = screen_rows(vectors, scoring.norms)
+        assert scoring.screens.tobytes() == want.tobytes()
         qv = shaped_row(bases, *q)
         if tau == "above":  # no score exceeds alpha + beta
             tau = float(np.nextafter(float(alpha) + float(beta), np.inf))

@@ -45,13 +45,14 @@ from causeway import store as store_module
 from helpers import (
     REFERENCE_VECTORS,
     held_rows_bound,
-    live_row_ids,
     oracle_neighbor_counts,
     random_store,
     random_unit_vector,
     read_snapshot,
     ReferenceGraph,
     reference_insert,
+    row_ids,
+    score_bits,
     store_state,
     write_snapshot,
 )
@@ -307,17 +308,17 @@ def test_events_with_embeddings_filter():
     store.upsert_node(
         Node("event:4", NodeKind.EVENT, text=None, embedding=random_unit_vector(np_rng))
     )
-    assert live_row_ids(store) == ["event:1", "event:3"]
+    assert row_ids(store) == ["event:1", "event:3"]
 
 
 def test_events_with_embeddings_empty_store():
-    assert live_row_ids(GraphStore()) == []
+    assert row_ids(GraphStore()) == []
 
 
 def test_events_with_embeddings_setequal_to_scan(rng):
     store = random_store(rng, n_events=80)
-    got = live_row_ids(store)
-    assert len(got) == len(set(got))  # one live row per event
+    got = row_ids(store)
+    assert len(got) == len(set(got))  # one row per event
     got = set(got)
     want = {
         n.id
@@ -340,11 +341,11 @@ def test_event_embedding_is_a_read_only_view_of_its_row():
     assert np.shares_memory(held, rows.vectors)  # the row is the only copy
     assert rows.norms[0] == pytest.approx(1.0)
 
-    store.set_embedding("event:1", second)  # re-embed: a new row, the old one dead
+    store.set_embedding("event:1", second)  # re-embed: a new row of the one array
     assert np.array_equal(held, first)
     assert np.array_equal(store.get_node("event:1").embedding, second)
     store.upsert_node(Node("event:1", NodeKind.EVENT, text=None, embedding=second))
-    assert live_row_ids(store) == []  # no text, no row; the vector stays
+    assert row_ids(store) == []  # no text, no row; the vector stays
     assert np.array_equal(store.get_node("event:1").embedding, second)
 
 
@@ -355,8 +356,8 @@ def test_held_views_survive_compaction(provider):
     batch_embed(store, provider)
     held = [store.get_node(f"event:{i}").embedding for i in (0, CHUNK_ROWS)]
     before = [v.copy() for v in held]
-    clean_embeddings(store)  # every row dead: compaction drops them all
-    assert store.scoring_rows().ids == []
+    clean_embeddings(store)  # no scoring row is left
+    assert row_ids(store) == []
     batch_embed(store, mock_provider(seed=1))
     assert all(np.array_equal(v, b) for v, b in zip(held, before))
     assert not np.array_equal(store.get_node("event:0").embedding, before[0])
@@ -369,7 +370,7 @@ def test_scoring_rows_are_read_only_views(provider):
     batch_embed(store, provider)
     before = store_state(store)
     rows = store.scoring_rows()
-    for name in ("vectors", "screens", "norms", "linked", "alive"):
+    for name in ("vectors", "screens", "norms", "linked", "nodes"):
         array = getattr(rows, name)
         assert len(array) == 2
         with pytest.raises(ValueError, match="read-only"):
@@ -380,9 +381,9 @@ def test_scoring_rows_are_read_only_views(provider):
 def test_growth_and_compaction_keep_every_held_view():
     """Vectors, screens and norms read before writes that grow the scoring
     columns and the one vector array into new arrays, twice and more, and
-    then compact both, keep their bytes (a row's alive flag and linked bit
-    are marked in place); after each write the store holds what the
-    reference model holds."""
+    then make the scoring rows again and compact the vector array, keep
+    their bytes (a row's linked bit is marked in place); after each write
+    the store holds what the reference model holds."""
     np_rng = np.random.default_rng(41)
     store = GraphStore()
     graph = ReferenceGraph(store)
@@ -392,7 +393,7 @@ def test_growth_and_compaction_keep_every_held_view():
     def write(nodes, edges=()):
         store.insert(nodes, edges)
         reference_insert(graph, nodes, edges)
-        assert store_state(store, live=True) == store_state(graph, live=True)
+        assert store_state(store, model=True) == store_state(graph, model=True)
         rows = store.scoring_rows()
         bases["scoring"].add(id(rows.screens.base))
         bases["vecs"].add(id(rows.vectors.base))
@@ -419,36 +420,36 @@ def test_growth_and_compaction_keep_every_held_view():
             count += batch
         grown = {name: len(ids) for name, ids in bases.items()}
         assert grown["scoring"] >= 3 and grown["vecs"] >= 3
-        assert len(store.scoring_rows().ids) == count
-        # three events in four lose their text and vector, so their rows
-        # die, and all causes but four their vector: both arrays compact in
-        # this one write
+        assert len(row_ids(store)) == count
+        # three events in four lose their text and vector, and all causes
+        # but four their vector: in this one write the scoring rows are
+        # made again and the vector array compacts
         write([Node(f"event:{i}", NodeKind.EVENT) for i in range(count) if i % 4]
               + [Node(f"cause:{i}", NodeKind.CAUSE, f"cause {i}") for i in range(count - 4)])
     assert {name: len(ids) for name, ids in bases.items()} == {
         name: n + 1 for name, n in grown.items()
     }
-    rows = store.scoring_rows()
-    assert rows.alive.all() and len(rows.ids) == count // 4  # no dead row kept
+    assert row_ids(store) == [f"event:{i}" for i in range(0, count, 4)]
     assert store._vec_count == count // 4 + 4  # the rows the nodes hold
 
 
 def assert_one_array(store: GraphStore) -> None:
     """Every node's vector, an event's or not, is a view of the store's one
-    vector array, and each live scoring row's screen is the screen of its
-    node's row of that array and its norm."""
+    vector array, and each scoring row's screen is the screen of its node's
+    row of that array and its norm."""
     rows = store.scoring_rows()
     for node in store.nodes():
         if node.embedding is not None:
             assert np.shares_memory(node.embedding, rows.vectors), node.id
-    live = np.flatnonzero(rows.alive)
-    vectors = rows.vectors[rows.vector_row[rows.nodes[live]]]
-    assert rows.screens[live].tobytes() == screen_rows(vectors, rows.norms[live]).tobytes()
+    vectors = rows.vectors[rows.vector_row[rows.nodes]]
+    assert rows.screens.tobytes() == screen_rows(vectors, rows.norms).tobytes()
 
 
 def test_every_stored_vector_is_a_row_of_the_one_array(tmp_path, provider):
-    """After writes, a load, both compactions, and a load of a file whose
-    scoring rows do not come first."""
+    """After writes, a load, writes that make the scoring rows again and
+    compact the vector array, and loads of files whose scoring rows do not
+    come first or are not in node order; such a file queries as the store
+    it was saved from and saves as it did."""
     np_rng = np.random.default_rng(17)
     with mock.patch.object(store_module, "CHUNK_ROWS", 2):
         store = GraphStore()
@@ -467,24 +468,38 @@ def test_every_stored_vector_is_a_row_of_the_one_array(tmp_path, provider):
         store = GraphStore.load(path)
         assert_one_array(store)
         store.set_embeddings([(f"cause:{i}", None) for i in range(8)])
-        for _ in range(2):  # new event rows, the old ones dead: both arrays compact
-            rows, vecs = len(store.scoring_rows().ids), store._vec_count
+        for _ in range(2):  # the scoring rows made again, the vector array compacted
+            vecs = store._vec_count
             store.set_embeddings([(f"event:{i}", random_unit_vector(np_rng)) for i in range(8)])
             assert_one_array(store)
-        assert len(store.scoring_rows().ids) < rows + 8 and store._vec_count < vecs + 8
+        assert len(row_ids(store)) == 8 and store._vec_count < vecs + 8
         store.save(path)
         doc, vectors = read_snapshot(path)
-    # one row no node holds, ahead of the scoring rows: they no longer come first
-    doc["vectors"]["scoring"] += 1
-    doc["nodes"]["vector_row"] = [row + (row >= 0) for row in doc["nodes"]["vector_row"]]
-    moved = tmp_path / "moved.json"
-    write_snapshot(moved, doc, np.vstack([random_unit_vector(np_rng), vectors]))
-    loaded = GraphStore.load(moved)
-    assert_one_array(loaded)
-    assert loaded.nodes() == store.nodes()
-    assert live_row_ids(loaded) == live_row_ids(store)
+    scoring, file_rows = doc["vectors"]["scoring"], doc["nodes"]["vector_row"]
+    backwards = np.argsort([*reversed(range(scoring)), *range(scoring, len(vectors))])
+    cases = {
+        # one row no node holds, ahead of the scoring rows: they no longer come first
+        "moved": (scoring + 1, [row + (row >= 0) for row in file_rows],
+                  np.vstack([random_unit_vector(np_rng), vectors])),
+        # the scoring rows in reverse node order
+        "reversed": (scoring, [int(backwards[row]) if row >= 0 else -1 for row in file_rows],
+                     vectors[np.argsort(backwards)]),
+    }
     q, cfg = random_unit_vector(np_rng), HybridConfig(tau=-2.0, k=20)
-    assert query(loaded, q, cfg) == query(store, q, cfg)
+    want = query(store, q, cfg)
+    for name, (count, rows, array) in cases.items():
+        changed = tmp_path / f"{name}.json"
+        write_snapshot(changed, {**doc, "vectors": {**doc["vectors"], "scoring": count},
+                                 "nodes": {**doc["nodes"], "vector_row": rows}}, array)
+        loaded = GraphStore.load(changed)
+        assert_one_array(loaded)
+        assert loaded.nodes() == store.nodes()
+        assert row_ids(loaded) == row_ids(store)  # in node order
+        got = query(loaded, q, cfg)
+        assert got == want and score_bits(got) == score_bits(want)
+        again = tmp_path / f"{name}-again.json"
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes(), name
 
 
 def test_a_read_node_is_a_copy_and_its_vector_is_read_only(provider):
@@ -577,8 +592,9 @@ def test_a_vectors_norm_is_its_row_of_the_one_stacked_kernel(height, seed, scale
 
 @pytest.mark.parametrize("n_events", [300, CHUNK_ROWS + 200])
 def test_clean_and_embed_cycles_bound_the_row_count(provider, n_events):
-    """Both the scoring rows and the array of the other vectors (a private
-    attribute's count) stay within their compaction bounds."""
+    """The scoring rows are the embedded events, in node order, and the
+    vector array (a private attribute's count) stays within its compaction
+    bound."""
     store = GraphStore()
     for i in range(n_events):
         store.upsert_node(Node(f"event:{i}", NodeKind.EVENT, text=f"event text {i}"))
@@ -586,10 +602,10 @@ def test_clean_and_embed_cycles_bound_the_row_count(provider, n_events):
     for cycle in range(5):
         for step in (clean_embeddings, lambda s: batch_embed(s, mock_provider(cycle))):
             step(store)
-            rows, live = store.scoring_rows(), live_row_ids(store)
-            assert len(rows.ids) <= 2 * len(live) + CHUNK_ROWS
+            embedded = [n.id for n in store.nodes(NodeKind.EVENT) if n.embedding is not None]
+            assert row_ids(store) == embedded
             assert store._vec_count <= held_rows_bound(store)
-        assert sorted(live) == sorted(f"event:{i}" for i in range(n_events))
+        assert embedded == [f"event:{i}" for i in range(n_events)]
 
 
 def test_snapshot_roundtrip(tmp_path, rng):
@@ -618,7 +634,7 @@ def test_an_edge_a_snapshot_repeats_is_held_once(tmp_path, rng):
     for node in store.nodes(NodeKind.EVENT):
         assert loaded.collect_texts(node.id) == store.collect_texts(node.id)
         assert loaded.neighbor_counts(node.id) == oracle_neighbor_counts(store, node.id)
-    assert live_rows(loaded) == live_rows(store)  # linked bits too
+    assert scoring_columns(loaded) == scoring_columns(store)  # linked bits too
 
 
 def snapshot_files(path) -> dict[str, bytes]:
@@ -694,7 +710,7 @@ def test_a_load_does_not_see_a_save_that_commits_during_it(tmp_path, rng, monkey
     loaded = GraphStore.load(path)
     monkeypatch.undo()
     assert loaded.nodes() == first.nodes() and loaded.edges() == first.edges()
-    assert live_rows(loaded) == live_rows(first) and loaded.embedded_by == first.embedded_by
+    assert scoring_columns(loaded) == scoring_columns(first) and loaded.embedded_by == first.embedded_by
     assert GraphStore.load(path).nodes() == newer.nodes()  # the save did commit
 
 
@@ -725,13 +741,13 @@ def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, pr
     assert nodes["ids"] == [n.id for n in store.nodes()]
     assert nodes["kinds"] == [n.kind.value for n in store.nodes()]
     assert nodes["texts"] == [n.text for n in store.nodes()]
-    live = live_row_ids(store)
+    live = row_ids(store)
     row_of = dict(zip(nodes["ids"], nodes["vector_row"]))
     assert vectors["scoring"] == len(live)
-    assert [row_of[i] for i in live] == list(range(len(live)))  # event:0 is now last
+    assert [row_of[i] for i in live] == list(range(len(live)))  # in node order
     others = [n for n in store.nodes() if n.embedding is not None and n.id not in set(live)]
     shared = {n.embedding.tobytes() for n in others}
-    # the .npy holds the live scoring rows plus each distinct shared vector once
+    # the .npy holds the scoring rows plus each distinct shared vector once
     assert array.dtype == np.dtype("<f8")
     assert array.shape == (len(live) + len(shared), EMBEDDING_DIM)
     assert np.array_equal(np.load(path), array)
@@ -749,7 +765,7 @@ def test_snapshot_writes_version_4_with_each_shared_array_once(tmp_path, rng, pr
         (index[e.src], index[e.dst], e.kind.value) for e in store.edges()
     ]
     loaded = GraphStore.load(path)
-    assert loaded.nodes() == store.nodes() and live_row_ids(loaded) == live
+    assert loaded.nodes() == store.nodes() and row_ids(loaded) == live
     # nodes of one file row share one read-only array again
     held = {}
     for node in loaded.nodes():
@@ -785,6 +801,29 @@ def test_save_tells_vectors_apart_by_their_bytes(tmp_path):
     again = tmp_path / "again.json"
     loaded.save(again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_a_snapshot_does_not_depend_on_the_order_vectors_were_written(tmp_path):
+    """Stores of one content save the same bytes whatever order their
+    events got their vectors in: one call for all, one call per event
+    forwards or backwards, or all and then the first event again."""
+    np_rng = np.random.default_rng(23)
+    ids = [f"event:{i}" for i in range(6)]
+    vectors = {node_id: random_unit_vector(np_rng) for node_id in ids}
+    orders = [[ids], [[i] for i in ids], [[i] for i in reversed(ids)], [ids, ids[:1]]]
+    files = []
+    for n, calls in enumerate(orders):
+        store = GraphStore()
+        store.insert([Node(i, NodeKind.EVENT, f"text of {i}") for i in ids]
+                     + [Node("cause:0", NodeKind.CAUSE, "why")],
+                     [Edge("cause:0", ids[2], EdgeKind.CAUSES)])
+        for call in calls:
+            store.set_embeddings([(i, vectors[i]) for i in call])
+        assert row_ids(store) == ids
+        path = tmp_path / f"{n}.json"
+        store.save(path)
+        files.append(path.read_bytes())
+    assert files == [files[0]] * len(orders)
 
 
 def test_a_view_a_read_returned_shares_its_row_when_written():
@@ -852,8 +891,8 @@ def test_a_vector_a_read_returned_never_changes(rng, provider):
 def written_store(n_events: int, seed: int, texts: int) -> GraphStore:
     """A store built through the public writers: event and span texts drawn
     from ``texts`` distinct ones or missing, events with and without edges,
-    every text embedded, some event vectors replaced (new rows, old ones
-    dead) by strided views of vectors of several lengths and, at times, an
+    every text embedded, some event vectors replaced (the scoring rows made
+    again) by strided views of vectors of several lengths and, at times, an
     event without text that holds a vector."""
     rng = random.Random(seed)
     np_rng = np.random.default_rng(seed)
@@ -898,15 +937,11 @@ def replay(path: Path) -> GraphStore:
     return store
 
 
-def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
+def scoring_columns(store: GraphStore) -> tuple[list[str], bytes, bytes]:
     """Ids, norms (as bytes, so equal means equal to the bit) and linked bits
-    of the live scoring rows, in row order."""
+    of the scoring rows, in row order."""
     rows = store.scoring_rows()
-    return (
-        [i for i, alive in zip(rows.ids, rows.alive) if alive],
-        rows.norms[rows.alive].tobytes(),
-        rows.linked[rows.alive].tobytes(),
-    )
+    return row_ids(store), rows.norms.tobytes(), rows.linked.tobytes()
 
 
 @settings(max_examples=10, deadline=None)
@@ -915,7 +950,7 @@ def live_rows(store: GraphStore) -> tuple[list[str], bytes, bytes]:
     seed=st.integers(0, 2**32 - 1),
     texts=st.sampled_from([1, 3, 10**6]),
 )
-@example(n_events=620, seed=1, texts=3)  # more live rows than save writes in one block
+@example(n_events=620, seed=1, texts=3)  # more scoring rows than save writes in one block
 @example(n_events=620, seed=2, texts=10**6)
 @example(n_events=620, seed=3, texts=3)
 def test_load_gives_the_store_the_public_writers_give(tmp_path_factory, n_events, seed, texts):
@@ -930,9 +965,9 @@ def test_load_gives_the_store_the_public_writers_give(tmp_path_factory, n_events
     for event in want.nodes(NodeKind.EVENT):
         assert loaded.collect_texts(event.id) == want.collect_texts(event.id)
     # row order, norms to the bit and linked bits, as the writers gave them
-    assert live_rows(loaded) == live_rows(want) == live_rows(store)
+    assert scoring_columns(loaded) == scoring_columns(want) == scoring_columns(store)
     if n_events >= 600:
-        assert len(live_rows(loaded)[0]) > CHUNK_ROWS
+        assert len(scoring_columns(loaded)[0]) > CHUNK_ROWS
     assert loaded.embedded_by == store.embedded_by
     np_rng = np.random.default_rng(seed)
     queries = [random_unit_vector(np_rng) for _ in range(4)]
@@ -972,30 +1007,32 @@ def test_a_refused_upsert_node_keeps_embedded_by(provider):
 
 def writes_before_compaction(writer: str, per_call: int) -> int:
     """How many writes of one event's vector, ``per_call`` to a call, a
-    store of five embedded events takes until a write compacts its rows."""
+    store of five embedded events takes until a write compacts its vector
+    array (a private attribute's count)."""
     vector = np.full(EMBEDDING_DIM, 0.5)
     node = Node("event:0", NodeKind.EVENT, text="event 0", embedding=vector)
     store = GraphStore()
     store.insert([Node(f"event:{i}", NodeKind.EVENT, f"event {i}", vector) for i in range(5)])
-    rows = len(store.scoring_rows().ids)
+    rows = store._vec_count
     for call in range(1, 100):
         if writer == "insert":
             store.insert([node] * per_call)
         else:
             store.set_embeddings([(node.id, vector)] * per_call)
-        assert len(live_row_ids(store)) == 5
-        if len(store.scoring_rows().ids) < rows:
+        assert len(row_ids(store)) == 5
+        if store._vec_count < rows:
             return call * per_call
-        rows = len(store.scoring_rows().ids)
+        rows = store._vec_count
     raise AssertionError("no compaction")
 
 
 @pytest.mark.parametrize("writer", ["insert", "set_embeddings"])
 def test_a_node_named_twice_in_one_call_does_not_bring_compaction_sooner(writer):
-    # the store compacts once dead rows outnumber live ones by CHUNK_ROWS, here 4
+    # the vector array compacts once it holds CHUNK_ROWS (here 4) rows more
+    # than twice the nodes with a vector
     with mock.patch.object(store_module, "CHUNK_ROWS", 4):
         one_each = writes_before_compaction(writer, 1)
-        assert one_each == 9  # 14 rows, 5 of them live
+        assert one_each == 10  # 15 rows, 5 of them held
         assert writes_before_compaction(writer, 2) >= one_each
 
 
@@ -1040,7 +1077,7 @@ def test_one_set_embeddings_call_writes_what_one_call_per_pair_writes(
     for a, b in zip(one.nodes(), each.nodes()):
         assert (a.embedding is None) == (b.embedding is None)
         assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
-    assert live_rows(one) == live_rows(each)
+    assert scoring_columns(one) == scoring_columns(each)
     assert one.embedded_by == each.embedded_by
     assert one.stats() == each.stats()
 
@@ -1132,7 +1169,7 @@ def test_insert_writes_what_one_call_per_node_and_edge_writes(
             assert (a.embedding is None) == (b.embedding is None)
             assert a.embedding is None or a.embedding.tobytes() == b.embedding.tobytes()
         assert got.edges() == each.edges()
-        assert live_rows(got) == live_rows(each)  # row order, norms and linked bits
+        assert scoring_columns(got) == scoring_columns(each)  # row order, norms and linked bits
         assert got.embedded_by == each.embedded_by
         assert got.stats() == each.stats()
         for event in each.nodes(NodeKind.EVENT):

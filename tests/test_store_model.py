@@ -1,8 +1,9 @@
 """The store against its model: a hypothesis state machine drives one
 ``GraphStore`` and a ``ReferenceGraph`` through the node and edge writers,
 ``set_embeddings``, the embedding lifecycle, snapshots and queries, with
-``CHUNK_ROWS`` small so that both compactions run, and checks after every
-step that the two agree and that nothing a read gave has changed."""
+``CHUNK_ROWS`` small so that the vector array compacts, and checks after
+every step that the two agree, that the scoring rows are the model's
+scored events in node order, and that nothing a read gave has changed."""
 
 from __future__ import annotations
 
@@ -198,13 +199,13 @@ class StoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_the_model(self):
-        assert store_state(self.store, live=True) == store_state(self.graph, live=True)
+        assert store_state(self.store, model=True) == store_state(self.graph, model=True)
         assert self.store.edges() == self.graph.edges()
 
     @invariant()
     def keeps_every_view_a_read_gave(self):
         rows = self.store.scoring_rows()
-        views = [rows.vectors, rows.screens, rows.norms]
+        views = [rows.vectors, rows.screens, rows.norms, rows.nodes]
         for node in self.store.nodes():
             if node.embedding is not None:
                 assert not node.embedding.flags.writeable
@@ -240,10 +241,14 @@ class StoreMachine(RuleBasedStateMachine):
             assert abs(r.hybrid_score - o[1]) <= 1e-9
 
     @invariant()
-    def compaction_bounds_the_rows(self):
-        rows = self.store.scoring_rows()
-        live = int(np.count_nonzero(rows.alive))
-        assert len(rows.ids) <= 2 * live + store_module.CHUNK_ROWS
+    def holds_one_row_per_scored_event_in_node_order(self):
+        scored = [i for i, node in enumerate(self.graph.nodes())
+                  if node.kind is NodeKind.EVENT and node.text is not None
+                  and node.embedding is not None]
+        assert self.store.scoring_rows().nodes.tolist() == scored
+
+    @invariant()
+    def compaction_bounds_the_vector_array(self):
         assert self.store._vec_count <= held_rows_bound(self.store)
 
     @invariant()
